@@ -21,7 +21,6 @@ from .errors import (
     DegenerateAlpha,
     EqualFrequencies,
     GridTooCoarse,
-    NoConvergence,
     NonCommuting,
     ProfileDomain,
     ProjectionLeak,

@@ -418,16 +418,11 @@ def _run_regime_map(cfg, grid, outdir, checks, artifacts):
     params = CoupledOscillatorParams(
         a=_profile(p, "a"), omega_x=_profile(p, "omega_x"),
         omega_y=_profile(p, "omega_y"), lam=_profile(p, "lam"))
-    evs = np.empty((grid.size, 4), dtype=complex)
-    regimes = []
-    pairing = 0.0
-    for k, t in enumerate(grid):
-        vals = instantaneous_eigenvalues(params, t, method="numeric")
-        evs[k] = vals
-        # spectrum symmetric about zero: eigenvalues come in +- pairs
-        pairing = max(pairing, float(np.abs(np.sort_complex(vals) + np.sort_complex(-vals)[::-1]).max()))
-        regimes.append(classify_regime(params, t).value)
+    evs = instantaneous_eigenvalues(params, grid, method="numeric")
+    # spectrum symmetric about zero: eigenvalues come in +- pairs
+    pairing = float(np.abs(np.sort_complex(evs) + np.sort_complex(-evs)[:, ::-1]).max())
     checks.add("eigenvalue_pairing", pairing, 1e-10)
+    regimes = [classify_regime(params, t).value for t in grid]
     names = ["t"] + ["re%d" % (k + 1) for k in range(4)] + ["im%d" % (k + 1) for k in range(4)] + ["regime"]
     cols = [grid] + [evs[:, k].real for k in range(4)] + [evs[:, k].imag for k in range(4)] + [regimes]
     path = os.path.join(outdir, "eigenvalue_trajectory.csv")

@@ -20,6 +20,8 @@ from . import algebra, point_transform as pt
 from .algebra import AlgebraElement, GeneratorId, generator_matrices
 from .hamiltonian import CoupledOscillatorParams, instantaneous_eigenvalues
 from .lr_ode import ANSATZ_COMBINATIONS, build_M, lr_residual
+from .point_transform import _elem
+
 __all__ = ["DiscrepancyRecord", "standard_records", "point_transform_records"]
 
 _G = GeneratorId
@@ -196,23 +198,16 @@ def invariant_image_variant(p: pt.PointTransformParams, t) -> np.ndarray:
     """
     ep = pt.ep_state(p, t)
     a_, b_, lam = p.alpha, p.beta, p.coupling
-    out = (np.outer(b_ / (2.0 * ep.sigma**2), _dict_elem({_G.J3: 1, _G.J1: 1, _G.J0: 1, _G.Q2: 1}))
-           + np.outer(a_ / (2.0 * ep.mu**2), _dict_elem({_G.J0: 1, _G.Q2: 1, _G.J3: -1, _G.K1: -1}))
-           + np.outer(ep.sigma_t / (ep.r * ep.sigma), _dict_elem({_G.K2: 1, _G.Q1: -1}))
-           + np.outer(ep.mu_t / (ep.r * ep.mu), _dict_elem({_G.K2: 1, _G.Q1: 1}))
+    out = (np.outer(b_ / (2.0 * ep.sigma**2), _elem({_G.J3: 1, _G.J1: 1, _G.J0: 1, _G.Q2: 1}))
+           + np.outer(a_ / (2.0 * ep.mu**2), _elem({_G.J0: 1, _G.Q2: 1, _G.J3: -1, _G.K1: -1}))
+           + np.outer(ep.sigma_t / (ep.r * ep.sigma), _elem({_G.K2: 1, _G.Q1: -1}))
+           + np.outer(ep.mu_t / (ep.r * ep.mu), _elem({_G.K2: 1, _G.Q1: 1}))
            + np.outer(0.5 * (ep.sigma_t**2 / (b_ * ep.r**2) + b_ * ep.sigma**2),
-                      _dict_elem({_G.J3: 1, _G.K1: -1, _G.J0: 1, _G.Q2: -1}))
+                      _elem({_G.J3: 1, _G.K1: -1, _G.J0: 1, _G.Q2: -1}))
            + np.outer(0.5 * (ep.mu_t**2 / (a_ * ep.r**2) + a_ * ep.mu**2),
-                      _dict_elem({_G.K1: 1, _G.J3: -1, _G.J0: 1, _G.Q2: -1}))).astype(complex)
-    out += np.outer(1j * lam * ep.sigma * ep.mu, _dict_elem({_G.J1: 1, _G.K3: 1}))
+                      _elem({_G.K1: 1, _G.J3: -1, _G.J0: 1, _G.Q2: -1}))).astype(complex)
+    out += np.outer(1j * lam * ep.sigma * ep.mu, _elem({_G.J1: 1, _G.K3: 1}))
     return out
-
-
-def _dict_elem(d):
-    c = np.zeros(10, dtype=complex)
-    for g, v in d.items():
-        c[g] += v
-    return c
 
 
 def invariant_image_record(p: pt.PointTransformParams, grid) -> DiscrepancyRecord:
@@ -281,14 +276,14 @@ def pushforward_row_records(p: pt.PointTransformParams, t: float = 0.7) -> list[
     r = ep.r[0]
     a_, b_ = p.alpha, p.beta
     half = 0.5 * (
-        _dict_elem({_G.J0: 1, _G.J3: -1, _G.K1: -1, _G.Q2: 1}) / mu**2
-        + 2.0 * mu_t / (a_ * mu * r) * _dict_elem({_G.K2: 1, _G.Q1: 1})
-        - _dict_elem({_G.J0: 1, _G.J3: 1, _G.K1: 1, _G.Q2: 1}) / sig**2
+        _elem({_G.J0: 1, _G.J3: -1, _G.K1: -1, _G.Q2: 1}) / mu**2
+        + 2.0 * mu_t / (a_ * mu * r) * _elem({_G.K2: 1, _G.Q1: 1})
+        - _elem({_G.J0: 1, _G.J3: 1, _G.K1: 1, _G.Q2: 1}) / sig**2
         + (a_**2 * mu**2 * r**2 + mu_t**2) / (a_**2 * r**2)
-        * _dict_elem({_G.J0: 1, _G.J3: -1, _G.K1: 1, _G.Q2: -1})
-        + 2.0 * sig_t / (b_ * r * sig) * _dict_elem({_G.Q1: 1, _G.K2: -1})
+        * _elem({_G.J0: 1, _G.J3: -1, _G.K1: 1, _G.Q2: -1})
+        + 2.0 * sig_t / (b_ * r * sig) * _elem({_G.Q1: 1, _G.K2: -1})
         - (b_**2 * r**2 * sig**2 + sig_t**2) / (b_**2 * r**2)
-        * _dict_elem({_G.J0: 1, _G.J3: 1, _G.K1: -1, _G.Q2: -1}))
+        * _elem({_G.J0: 1, _G.J3: 1, _G.K1: -1, _G.Q2: -1}))
     got_j3 = pm.matrix[0][:, int(_G.J3)]
     rec_j3 = DiscrepancyRecord(
         name="image_row_j3",
@@ -298,15 +293,15 @@ def pushforward_row_records(p: pt.PointTransformParams, t: float = 0.7) -> list[
         note="tabulated row carries twice the correct prefactor",
     )
     k1_var = 0.25 * (
-        _dict_elem({_G.J0: 1, _G.J3: -1, _G.K1: -1, _G.Q2: 1}) / mu**2
-        - _dict_elem({_G.J0: 1, _G.J3: 1, _G.K1: 1, _G.Q2: 1}) / sig**2
-        + 2.0 * mu_t / (a_ * mu * r) * _dict_elem({_G.K2: 1, _G.Q1: 1})
-        + 2.0 * sig_t / (b_ * r * sig) * _dict_elem({_G.Q1: 1, _G.K2: -1})
+        _elem({_G.J0: 1, _G.J3: -1, _G.K1: -1, _G.Q2: 1}) / mu**2
+        - _elem({_G.J0: 1, _G.J3: 1, _G.K1: 1, _G.Q2: 1}) / sig**2
+        + 2.0 * mu_t / (a_ * mu * r) * _elem({_G.K2: 1, _G.Q1: 1})
+        + 2.0 * sig_t / (b_ * r * sig) * _elem({_G.Q1: 1, _G.K2: -1})
         - (a_**2 * mu**2 * r**2 - mu_t**2) / (a_**2 * r**2)
-        * _dict_elem({_G.J0: 1, _G.J3: -1, _G.K1: 1, _G.Q2: -1})
+        * _elem({_G.J0: 1, _G.J3: -1, _G.K1: 1, _G.Q2: -1})
         + (b_**2 * r**2 * sig**2 - sig_t**2) / (b_**2 * r**2)
-        * _dict_elem({_G.J0: 1, _G.J3: 1, _G.K1: -1, _G.Q2: -1})
-        + 2.0 * sig_t / (b_ * r * sig) * _dict_elem({_G.Q1: 1, _G.K2: -1}))
+        * _elem({_G.J0: 1, _G.J3: 1, _G.K1: -1, _G.Q2: -1})
+        + 2.0 * sig_t / (b_ * r * sig) * _elem({_G.Q1: 1, _G.K2: -1}))
     got_k1 = pm.matrix[0][:, int(_G.K1)]
     rec_k1 = DiscrepancyRecord(
         name="image_row_k1",

@@ -41,9 +41,5 @@ class EqualFrequencies(Sp4lrError):
     """Static Dyson map undefined for alpha = +-beta with nonzero coupling."""
 
 
-class NoConvergence(Sp4lrError):
-    """Iterative eigenvalue solver exceeded its iteration cap."""
-
-
 class ConfigInvalid(Sp4lrError):
     """Scenario configuration failed validation; message carries a field diagnostic."""

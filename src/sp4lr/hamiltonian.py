@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .algebra import AlgebraElement, GeneratorId, to_matrix
-from .numerics import eig4
+from .numerics import _sort_real_imag, eig4
 from .profiles import ScalarProfile
 
 __all__ = [
@@ -114,9 +114,11 @@ def eigenvalue_formula(a, omega_plus, lam) -> np.ndarray:
     """Closed-form instantaneous eigenvalues, evaluated verbatim.
 
     epsilon(+-,+-) = +-(1/2) [a*Omega+^2 +- a*sqrt(Omega+^2 - 4 lam^2)]^(1/2)
-    on principal complex branches.  Kept verbatim as the published form;
-    the numeric 4x4 eigensolver is the trusted oracle and the deviation
-    between the two is reported by the cross-check suite, not asserted.
+    on principal complex branches, sorted by (real, imag) along the last
+    axis.  Kept verbatim as the published form; the numeric spectrum
+    (:func:`sp4lr.numerics.eig4`, LAPACK through numpy) is the trusted
+    oracle and the deviation between the two is reported by the
+    cross-check suite, not asserted.
     """
     csqrt = np.lib.scimath.sqrt
     inner = csqrt(omega_plus**2 - 4.0 * lam**2)
@@ -124,20 +126,21 @@ def eigenvalue_formula(a, omega_plus, lam) -> np.ndarray:
     for outer in (+1.0, -1.0):
         for sign in (+1.0, -1.0):
             eps.append(outer * 0.5 * csqrt(a * omega_plus**2 + sign * a * inner))
-    vals = np.array(eps)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    return _sort_real_imag(np.stack(eps, axis=-1))
 
 
-def instantaneous_eigenvalues(p: CoupledOscillatorParams, t: float,
+def instantaneous_eigenvalues(p: CoupledOscillatorParams, t,
                               method: str = "numeric") -> np.ndarray:
     """Four instantaneous eigenvalues, sorted by (real, imag).
 
-    ``numeric`` diagonalizes the 4x4 matrix representation (the trusted
-    route); ``formula`` evaluates :func:`eigenvalue_formula`.
+    ``t`` is a scalar (shape (4,) result) or an array of times (shape
+    ``t.shape + (4,)``).  ``numeric`` diagonalizes the 4x4 matrix
+    representation with LAPACK through numpy, one batched call for the
+    whole grid (the trusted route); ``formula`` evaluates
+    :func:`eigenvalue_formula`.
     """
     if method == "numeric":
-        return eig4(to_matrix(build_H(p, t)))
+        return eig4(to_matrix(build_H_coeffs(p, t)))
     if method == "formula":
         return eigenvalue_formula(p.a(t), p.omega_x(t) + p.omega_y(t), p.lam(t))
     raise ValueError("method must be 'numeric' or 'formula'")

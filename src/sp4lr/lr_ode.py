@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, GeneratorId, commutator, structure_constants
 from .errors import ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, StepNotConverged
-from .hamiltonian import CoupledOscillatorParams
+from .hamiltonian import CoupledOscillatorParams, _h_coeffs
 from .numerics import central_diff, expm, frobenius
 from .profiles import ScalarProfile
 
@@ -84,21 +84,8 @@ def _ode_matrix_pieces():
     profiles)."""
     f = structure_constants()
     pieces = []
-    for unit in (
-        {"a": 1.0, "wx": 0.0, "wy": 0.0, "lam": 0.0},
-        {"a": 0.0, "wx": 1.0, "wy": 0.0, "lam": 0.0},
-        {"a": 0.0, "wx": 0.0, "wy": 1.0, "lam": 0.0},
-        {"a": 0.0, "wx": 0.0, "wy": 0.0, "lam": 1.0},
-    ):
-        a, wx, wy, lam = unit["a"], unit["wx"], unit["wy"], unit["lam"]
-        op, om = wx + wy, wx - wy
-        h = np.zeros(10, dtype=complex)
-        h[_G.J0] = a / 2.0 + op / 2.0
-        h[_G.Q2] = a / 2.0 - op / 2.0
-        h[_G.J3] = om / 2.0
-        h[_G.K1] = -om / 2.0
-        h[_G.J1] = 1j * lam
-        h[_G.K3] = 1j * lam
+    # unit Hamiltonians: one profile at 1, the others at 0
+    for h in _h_coeffs(*np.eye(4)):
         # column j: coefficients of -i [H, v_j] expanded back in the v basis
         m = np.empty((10, 10), dtype=complex)
         for j in range(10):

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: matrix exponential, small dense eigensolver,
-quadrature, finite differences and norms.
+"""Shared numerical kernels: matrix exponential, batched eigenvalues
+(LAPACK through numpy), quadrature, finite differences and norms.
 
 Everything here is sized for the fixed shapes of this problem (4x4 and
 10x10 complex matrices, 1-d time grids); there are no sparse or
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, NoConvergence
+from .errors import GridTooCoarse
 
 __all__ = [
     "Tolerances",
@@ -32,10 +32,9 @@ class Tolerances:
     proj_tol: float = 1e-10
     fd_step: float | None = None  # None: use the grid step
     quad_tol: float = 1e-10
-    eig_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("expm_tol", "proj_tol", "quad_tol", "eig_tol"):
+        for name in ("expm_tol", "proj_tol", "quad_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be strictly positive" % name)
         if self.fd_step is not None and self.fd_step <= 0:
@@ -98,82 +97,19 @@ def expm(m, tol: float = DEFAULT_TOL.expm_tol):
     return result
 
 
-def _hessenberg(a):
-    """Reduce ``a`` in place to upper Hessenberg form by Householder reflectors."""
-    h = a.copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1 :, k]
-        nx = np.linalg.norm(x)
-        if nx < 1e-300:
-            continue
-        v = x.copy()
-        phase = x[0] / abs(x[0]) if abs(x[0]) > 0 else 1.0
-        v[0] += phase * nx
-        v /= np.linalg.norm(v)
-        h[k + 1 :, :] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, :])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-    return h
+def _sort_real_imag(vals) -> np.ndarray:
+    """Sort along the last axis by (real, imag)."""
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
+    return np.take_along_axis(vals, order, axis=-1)
 
 
-def _wilkinson_shift(h):
-    """Eigenvalue of the trailing 2x2 block closest to its bottom-right entry."""
-    a, b = h[-2, -2], h[-2, -1]
-    c, d = h[-1, -2], h[-1, -1]
-    tr, det = a + d, a * d - b * c
-    disc = np.lib.scimath.sqrt(tr * tr - 4.0 * det)
-    r1, r2 = (tr + disc) / 2.0, (tr - disc) / 2.0
-    return r1 if abs(r1 - d) <= abs(r2 - d) else r2
+def eig4(m) -> np.ndarray:
+    """Eigenvalues of a square matrix or a stack (..., n, n).
 
-
-def eig4(m, tol: float = DEFAULT_TOL.eig_tol, max_iter: int = 256):
-    """Eigenvalues of a small dense complex matrix.
-
-    Hessenberg reduction followed by shifted QR iteration with deflation.
-    Returned values are sorted by (real, imag).
-
-    Raises
-    ------
-    NoConvergence
-        If a subdiagonal entry fails to deflate within ``max_iter``
-        iterations.
+    One batched LAPACK call (``numpy.linalg.eigvals``) for the whole
+    stack; the values are sorted by (real, imag) along the last axis.
     """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("eig4 expects a single square matrix")
-    n = a.shape[0]
-    scale = max(np.abs(a).max(), 1e-300)
-    h = _hessenberg(a / scale)
-    eigs = []
-    hi = n
-    it = 0
-    while hi > 1:
-        # deflate converged subdiagonals
-        k = hi - 1
-        while k > 0 and abs(h[k, k - 1]) > 1e-15 * (abs(h[k - 1, k - 1]) + abs(h[k, k])):
-            k -= 1
-        if k == hi - 1:
-            eigs.append(h[hi - 1, hi - 1])
-            hi -= 1
-            it = 0
-            continue
-        if it >= max_iter:
-            raise NoConvergence("QR iteration failed to deflate after %d sweeps" % max_iter)
-        it += 1
-        blk = h[:hi, :hi]
-        if it % 12 == 0:
-            # exceptional shift: symmetric spectra (e.g. roots of unity)
-            # make the Wilkinson shift cycle without ever deflating
-            mu = blk[hi - 1, hi - 1] + 1.1 * abs(blk[hi - 1, hi - 2]) + 0.37j * abs(blk[hi - 1, hi - 2])
-        else:
-            mu = _wilkinson_shift(blk)
-        q, r = np.linalg.qr(blk - mu * np.eye(hi))
-        h[:hi, :hi] = r @ q + mu * np.eye(hi)
-    if hi == 1:
-        eigs.append(h[0, 0])
-    vals = scale * np.array(eigs[::-1])
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    return _sort_real_imag(np.linalg.eigvals(m))
 
 
 def cumulative_simpson(f, grid, tol: float = DEFAULT_TOL.quad_tol,
@@ -224,9 +160,6 @@ def cumulative_simpson(f, grid, tol: float = DEFAULT_TOL.quad_tol,
     np.cumsum(intervals, out=out[1:])
     return out
 
-
-# contracted alias: the quadrature op is Simpson accumulation
-cumulative_integral = cumulative_simpson
 
 _ONESIDED4 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 

@@ -322,7 +322,9 @@ def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
     (alpha^2 - beta^2)), kappa2 the negative mirror with the inverse
     frequency ratio.  The Hermitian counterpart h0 is produced by the
     adjoint action and must agree with its closed expansion in
-    Delta = sqrt((alpha^2-beta^2)^2 - 4 alpha beta Lambda^2).
+    Delta = sign(alpha^2-beta^2) sqrt((alpha^2-beta^2)^2 - 4 alpha beta Lambda^2),
+    the root that tends to alpha^2-beta^2 as Lambda -> 0 (negative for
+    alpha < beta).
 
     A negative radicand would make Delta complex, but that condition is
     algebraically identical to the artanh argument leaving (-1, 1), so
@@ -335,7 +337,7 @@ def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
     if lam == 0.0:
         eye = np.eye(4, dtype=complex)
         return DysonStatic(DysonParams(0.0, 0.0), AlgebraElement.zero(), eye,
-                           h0_ref, complex(abs(a_**2 - b_**2)), False, 0.0)
+                           h0_ref, complex(a_**2 - b_**2), False, 0.0)
     if abs(a_) == abs(b_):
         raise EqualFrequencies("alpha = +-beta with nonzero coupling")
     arg = 2.0 * np.sqrt(a_ * b_) * lam / (a_**2 - b_**2)
@@ -348,7 +350,7 @@ def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
     h0_conj = group_conjugate(exponent, h0_ref)
 
     rad = (a_**2 - b_**2) ** 2 - 4.0 * a_ * b_ * lam**2
-    delta = complex(np.lib.scimath.sqrt(rad))
+    delta = complex(np.sign(a_**2 - b_**2) * np.lib.scimath.sqrt(rad))
     complex_delta = rad < 0
     d = delta
     c_j3 = ((a_ + b_) * d - (a_ - b_) ** 3) / (4.0 * a_ * b_)
@@ -544,19 +546,11 @@ def metric_matrices(p: PointTransformParams, t,
 
 def metric_is_positive(p: PointTransformParams, t,
                        static: DysonStatic | None = None) -> np.ndarray:
-    """Positive-definiteness of the metric at every sample (Sylvester test)."""
-    rho = metric_matrices(p, t, static)
-    m1 = rho[:, 0, 0].real
-    m2 = np.linalg.det(rho[:, :2, :2]).real
-    m3 = np.linalg.det(rho[:, :3, :3]).real
-    m4 = np.linalg.det(rho).real
-    return (m1 > 0) & (m2 > 0) & (m3 > 0) & (m4 > 0)
+    """Positive-definiteness of the metric at every sample (smallest eigenvalue > 0)."""
+    return metric_eigenvalues(p, t, static)[:, 0] > 0
 
 
 def metric_eigenvalues(p: PointTransformParams, t,
                        static: DysonStatic | None = None) -> np.ndarray:
     """Eigenvalues of the metric (real, ascending), shape (N, 4)."""
-    from .numerics import eig4
-
-    rho = metric_matrices(p, t, static)
-    return np.stack([np.sort(eig4(r).real) for r in rho])
+    return np.linalg.eigvalsh(metric_matrices(p, t, static))

@@ -28,7 +28,7 @@ from sp4lr.lr_ode import (
     involution_residuals,
     lr_residual,
 )
-from sp4lr.numerics import eig4, frobenius
+from sp4lr.numerics import frobenius
 from sp4lr.point_transform import (
     PointTransformParams,
     dyson_static,

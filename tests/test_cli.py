@@ -122,6 +122,19 @@ def test_point_transform_mode(tmp_path):
     assert (tmp_path / "point_transform_trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("coupling", [0.0, 0.2])
+def test_point_transform_mode_alpha_below_beta(tmp_path, coupling):
+    # Delta = sign(alpha^2 - beta^2) sqrt(...) is negative here
+    cfg = {
+        "mode": "point-transform",
+        "grid": {"t0": 0.0, "t1": 1.0, "steps": 501},
+        "params": {"alpha": 0.6, "beta": 1.7, "coupling": coupling, "c2": 0.2, "c3": 0.2,
+                   "r": {"kind": "constant", "value": 1.0}},
+    }
+    report = run_scenario(cfg, str(tmp_path))
+    assert report["all_pass"], [c for c in report["checks"] if c["status"] != "pass"]
+
+
 def test_regime_map_mode(tmp_path):
     cfg = {
         "mode": "regime-map",
@@ -178,3 +191,7 @@ def test_tolerances_block_validated(tmp_path):
                                "grid": {"t0": 0, "t1": 1, "steps": 5},
                                "tolerances": {"quad_tol": -1.0}}, "cfg5.json")
     assert main(["run", "--config", bad, "--out", str(tmp_path)]) == 1
+    unknown = write_cfg(tmp_path, {"mode": "algebra-check",
+                                   "grid": {"t0": 0, "t1": 1, "steps": 5},
+                                   "tolerances": {"eig_tol": 1e-10}}, "cfg6.json")
+    assert main(["run", "--config", unknown, "--out", str(tmp_path)]) == 1

@@ -1,7 +1,10 @@
 """Tests for the coupled-oscillator Hamiltonian builders."""
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sp4lr.algebra import AlgebraElement, adjoint, parity_action, pt_map, to_matrix
 from sp4lr.hamiltonian import (
@@ -14,6 +17,7 @@ from sp4lr.hamiltonian import (
     eigenvalue_formula,
     instantaneous_eigenvalues,
 )
+from sp4lr.numerics import frobenius
 from sp4lr.profiles import ScalarProfile
 
 RNG = np.random.default_rng(20240801)
@@ -21,6 +25,25 @@ RNG = np.random.default_rng(20240801)
 
 def const_params(a, wx, wy, lam):
     return CoupledOscillatorParams(*(ScalarProfile.constant(v) for v in (a, wx, wy, lam)))
+
+
+GRID = np.linspace(0.0, 6.0, 121)
+_PERMS = np.array(list(itertools.permutations(range(4))))
+
+
+def random_params(rng):
+    """Time-dependent profiles whose lam sweeps through the PT-broken edge."""
+    a, wx, wy, lam = rng.uniform(0.2, 3.0, size=4)
+    return CoupledOscillatorParams(
+        a=ScalarProfile.sinusoid(0.1 * a, 1.0, 0.0, a),
+        omega_x=ScalarProfile.constant(wx),
+        omega_y=ScalarProfile.constant(wy),
+        lam=ScalarProfile.sinusoid(lam, 0.7, 0.3, 0.5 * lam))
+
+
+def multiset_distance(got, want):
+    """Per-row max deviation of two (..., 4) spectra under the best pairing."""
+    return np.abs(got[..., None, :] - want[..., _PERMS]).max(axis=-1).min(axis=-1)
 
 
 def test_coefficient_structure():
@@ -165,3 +188,66 @@ def test_numeric_matches_dense_oracle():
     want = np.linalg.eigvals(to_matrix(build_H(p, 0.0)))
     want = want[np.lexsort((want.imag, want.real))]
     np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+def test_instantaneous_eigenvalues_batched_equals_scalar():
+    # the batched and single matrix products differ in the last bit, which
+    # can swap a conjugate pair whose real parts tie: compare as multisets
+    for _ in range(10):
+        p = random_params(RNG)
+        batched = instantaneous_eigenvalues(p, GRID)
+        assert batched.shape == (GRID.size, 4)
+        stacked = np.stack([instantaneous_eigenvalues(p, t) for t in GRID])
+        assert multiset_distance(batched, stacked).max() < 1e-12
+        formula = instantaneous_eigenvalues(p, GRID, method="formula")
+        np.testing.assert_array_equal(
+            formula, np.stack([instantaneous_eigenvalues(p, t, method="formula") for t in GRID]))
+
+
+def test_instantaneous_eigenvalues_sorted_by_real_imag():
+    for _ in range(10):
+        p = random_params(RNG)
+        for method in ("numeric", "formula"):
+            vals = instantaneous_eigenvalues(p, GRID, method=method)
+            dre, dim = np.diff(vals.real, axis=-1), np.diff(vals.imag, axis=-1)
+            assert (dre >= 0).all()
+            assert (dim[dre == 0] >= 0).all()
+
+
+def test_instantaneous_eigenvalues_match_scipy_as_sets():
+    for _ in range(10):
+        p = random_params(RNG)
+        got = instantaneous_eigenvalues(p, GRID)
+        want = np.stack([scipy.linalg.eigvals(m) for m in to_matrix(build_H_coeffs(p, GRID))])
+        assert multiset_distance(got, want).max() < 1e-12
+
+
+def test_instantaneous_eigenvalues_trace_and_determinant():
+    for _ in range(10):
+        p = random_params(RNG)
+        vals = instantaneous_eigenvalues(p, GRID)
+        mats = to_matrix(build_H_coeffs(p, GRID))
+        np.testing.assert_allclose(np.trace(mats, axis1=-2, axis2=-1), 0.0, atol=1e-14)
+        np.testing.assert_allclose(vals.sum(axis=-1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(np.prod(vals, axis=-1), np.linalg.det(mats),
+                                   rtol=1e-10, atol=1e-12)
+
+
+def test_instantaneous_eigenvalues_characteristic_residual():
+    eye = np.eye(4)
+    for _ in range(10):
+        p = random_params(RNG)
+        mats = to_matrix(build_H_coeffs(p, GRID))
+        vals = instantaneous_eigenvalues(p, GRID)
+        scale = np.maximum(frobenius(mats), 1.0) ** 4
+        for k in range(4):
+            resid = np.abs(np.linalg.det(mats - vals[:, k, None, None] * eye))
+            assert (resid < 1e-10 * scale).all()
+
+
+def test_instantaneous_eigenvalues_defective_at_numeric_ep():
+    # (omega_x - omega_y)^2 = 4 lam^2: the numeric spectrum has two
+    # defective double roots, resolved only to ~sqrt(machine epsilon)
+    vals = instantaneous_eigenvalues(const_params(1.0, 1.2, 0.8, 0.2), 0.0)
+    assert abs(vals[0] - vals[1]) < 1e-7 and abs(vals[2] - vals[3]) < 1e-7
+    assert np.abs(vals.imag).max() < 1e-7

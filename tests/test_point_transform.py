@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sp4lr.algebra import AlgebraElement, GeneratorId, adjoint, from_matrix, to_matrix
 from sp4lr.errors import ArctanhDomain, EqualFrequencies
@@ -21,6 +22,7 @@ from sp4lr.point_transform import (
     invariant_IH,
     metric_eigenvalues,
     metric_is_positive,
+    metric_matrices,
     pde_constraint_residuals,
     pushforward,
     pushforward_map,
@@ -198,13 +200,14 @@ def test_dyson_static_zero_coupling_identity():
 
 
 def test_dyson_static_zero_coupling_formula_limit():
-    # alpha > beta: Delta = alpha^2 - beta^2 and h0 collapses onto H0
-    p = params(alpha=2.0, beta=1.0, coupling=0.0)
-    stat = dyson_static(p)
-    assert stat.delta == pytest.approx(3.0)
-    assert stat.h0["J0"] == pytest.approx(3.0)
-    assert stat.h0["J3"] == pytest.approx(1.0)
-    assert abs(stat.h0["K1"]) == 0.0 and abs(stat.h0["Q2"]) == 0.0
+    # Delta = alpha^2 - beta^2 (negative for alpha < beta) and h0 collapses onto H0
+    for alpha, beta in [(2.0, 1.0), (0.6, 1.7)]:
+        p = params(alpha=alpha, beta=beta, coupling=0.0)
+        stat = dyson_static(p)
+        assert stat.delta == pytest.approx(alpha**2 - beta**2)
+        assert stat.h0["J0"] == pytest.approx(alpha + beta)
+        assert stat.h0["J3"] == pytest.approx(alpha - beta)
+        assert abs(stat.h0["K1"]) == 0.0 and abs(stat.h0["Q2"]) == 0.0
 
 
 def test_dyson_static_constraints():
@@ -357,11 +360,12 @@ def test_metric_positive_definite():
     assert metric_is_positive(p, t).all()
     evs = metric_eigenvalues(p, t[::80])
     assert (evs > 0).all()
+    assert (np.diff(evs, axis=1) >= 0).all()
+    want = np.stack([scipy.linalg.eigvalsh(r) for r in metric_matrices(p, t[::80])])
+    np.testing.assert_allclose(evs, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_metric_hermitian():
-    from sp4lr.point_transform import metric_matrices
-
     p = params(coupling=0.8)
     rho = metric_matrices(p, np.array([0.3, 2.1]))
     np.testing.assert_allclose(rho, np.conj(np.transpose(rho, (0, 2, 1))), atol=1e-14)
