@@ -45,7 +45,9 @@ __all__ = [
     "from_quadratic_form",
     "adjoint",
     "pt_map",
+    "conjugate_by",
     "group_conjugate",
+    "symplectic_inverse",
     "parity_matrix",
     "parity_action",
     "REJECTED_VARIANTS",
@@ -302,22 +304,42 @@ def pt_signs(variant: str = "PT") -> np.ndarray:
     return {"PT": _PT_SIGNS, "PT_tilde": _PT_TILDE_SIGNS}[variant].copy()
 
 
-def group_conjugate(exponent, e, proj_tol: float = DEFAULT_TOL.proj_tol):
-    """Adjoint action exp(X) e exp(-X) computed in the 4x4 representation.
+def symplectic_inverse(g) -> np.ndarray:
+    """Inverse of a group element g in Sp(4, C), or of a stack (..., 4, 4).
 
+    g^T Omega g = Omega gives g^-1 = -Omega g^T Omega exactly; no solve
+    and no second exponential.  For a matrix that is only approximately
+    symplectic (an ``expm`` of an algebra element, say) the deviation of
+    g @ symplectic_inverse(g) from the identity measures that defect.
+    """
+    return -OMEGA @ np.swapaxes(np.asarray(g), -1, -2) @ OMEGA
+
+
+def conjugate_by(g, e, proj_tol: float = DEFAULT_TOL.proj_tol):
+    """Adjoint action g e g^-1 of a group element g in Sp(4, C).
+
+    ``g`` is a 4x4 matrix or a stack (N, 4, 4) paired with one element
+    or with one element per sample; g^-1 is :func:`symplectic_inverse`.
     Raises :class:`ProjectionLeak` if the result does not project back
-    onto the algebra within ``proj_tol`` (signals a non-algebra exponent
+    onto the algebra within ``proj_tol`` (signals a non-symplectic ``g``
     or a numerical defect; the adjoint action itself preserves the span).
     """
-    g = expm(to_matrix(exponent))
-    ginv = expm(to_matrix(-_coeffs_of(exponent)))
-    conj = g @ to_matrix(e) @ ginv
-    coeffs, resid = from_matrix(conj)
+    coeffs, resid = from_matrix(g @ to_matrix(e) @ symplectic_inverse(g))
     if np.max(resid) > proj_tol:
         raise ProjectionLeak("conjugation residual %.3e exceeds %.3e" % (float(np.max(resid)), proj_tol))
     if isinstance(e, AlgebraElement):
         return AlgebraElement(coeffs)
     return coeffs
+
+
+def group_conjugate(exponent, e, proj_tol: float = DEFAULT_TOL.proj_tol):
+    """Adjoint action exp(X) e exp(-X) computed in the 4x4 representation.
+
+    X lies in the algebra, so exp(X) lies in Sp(4, C) and exp(-X) is its
+    symplectic inverse: one exponential per call, then
+    :func:`conjugate_by`, whose :class:`ProjectionLeak` check applies.
+    """
+    return conjugate_by(expm(to_matrix(exponent)), e, proj_tol)
 
 
 def parity_matrix(convention: str = "reflection") -> np.ndarray:

@@ -27,12 +27,14 @@ from .algebra import (
     parity_action,
     pt_map,
     structure_constants,
+    symplectic_inverse,
     OMEGA,
 )
 from .errors import ConfigInvalid, Sp4lrError
 from .hamiltonian import (
     CoupledOscillatorParams,
     build_H_coeffs,
+    build_H_modified,
     classify_regime,
     instantaneous_eigenvalues,
 )
@@ -49,6 +51,7 @@ from .numerics import frobenius
 from .point_transform import (
     PointTransformParams,
     dyson_static,
+    dyson_time,
     ep_residual,
     ep_state,
     hermitian_invariant_expansion,
@@ -69,7 +72,8 @@ _MODES = ("algebra-check", "lr-closed-form", "lr-ode", "point-transform", "regim
 _SCHEMA = {
     "mode": "one of %s" % (list(_MODES),),
     "grid": {"t0": 0.0, "t1": 5.0, "steps": 5001},
-    "hbar": 1.0,
+    "hbar": "1.0; lr-closed-form, lr-ode and point-transform solve in units with "
+            "hbar = 1 and reject any other value",
     "seed": "int, optional; overridden by env SP4_SEED",
     "params": {
         "algebra-check": {"samples": 100},
@@ -186,6 +190,17 @@ def _profile(cfg, field):
         raise ConfigInvalid("params.%s: %s" % (field, exc))
 
 
+def _require_unit_hbar(cfg):
+    """Reject a config hbar other than 1: the coefficient-level solvers
+    (closed_form_c, evolve, the pushforward and the Dyson map) are written
+    in units with hbar = 1, so the residuals would mix two unit systems."""
+    try:
+        hbar = float(cfg.get("hbar", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid("hbar: %s" % exc)
+    _require(hbar == 1.0, "hbar: %r unsupported; this mode solves in units with hbar = 1" % hbar)
+
+
 def _seed(cfg):
     env = os.environ.get("SP4_SEED")
     if env is not None:
@@ -238,6 +253,7 @@ def _run_algebra_check(cfg, grid, outdir, checks, artifacts):
 
 
 def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
+    _require_unit_hbar(cfg)
     p = cfg.get("params", {})
     alpha = float(p.get("alpha", 3.0))
     lam = _profile(p, "lam")
@@ -267,7 +283,7 @@ def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
                float(np.abs(np.linalg.det(mats) - 1.0).max()), 1e-10)
     inv = assemble_invariant(traj)
     hc = build_H_coeffs(osc, grid)
-    checks.add("lr_residual", lr_residual(inv, hc, grid, hbar=float(cfg.get("hbar", 1.0))), 1e-8)
+    checks.add("lr_residual", lr_residual(inv, hc, grid), 1e-8)
 
     from .lr_ode import _commutativity_probe  # sampled guard shared with evolve
     checks.add("commutativity_probe", _commutativity_probe(osc, grid), 1e-12)
@@ -283,7 +299,7 @@ def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
     path = os.path.join(outdir, "closed_form_trajectory.csv")
     emit_plot_data((names, [grid] + cols), path)
     artifacts.append(path)
-    sq, det, defect = _residual_trail(cfg, grid, traj, osc)
+    sq, det, defect = _residual_trail(grid, traj, osc)
     path2 = os.path.join(outdir, "closed_form_residuals.csv")
     emit_plot_data((names + ["inv_sq_err", "det_err", "lr_residual"],
                     [grid] + cols + [sq, det, defect]), path2)
@@ -291,7 +307,7 @@ def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
     return {"alpha": alpha}
 
 
-def _residual_trail(cfg, grid, traj, params):
+def _residual_trail(grid, traj, params):
     """Per-sample defect columns: involution error, determinant error and
     the pointwise invariant-equation defect."""
     from .numerics import central_diff
@@ -302,11 +318,12 @@ def _residual_trail(cfg, grid, traj, params):
     sq = frobenius(mats @ mats - np.eye(4))
     det = np.abs(np.linalg.det(mats) - 1.0)
     didt = central_diff(inv, grid[1] - grid[0])
-    defect = np.abs(1j * float(cfg.get("hbar", 1.0)) * didt - commutator(hc, inv)).max(axis=1)
+    defect = np.abs(1j * didt - commutator(hc, inv)).max(axis=1)
     return sq, det, defect
 
 
 def _run_lr_ode(cfg, grid, outdir, checks, artifacts):
+    _require_unit_hbar(cfg)
     p = cfg.get("params", {})
     params = CoupledOscillatorParams(
         a=_profile(p, "a"), omega_x=_profile(p, "omega_x"),
@@ -322,14 +339,14 @@ def _run_lr_ode(cfg, grid, outdir, checks, artifacts):
     inv = assemble_invariant(traj)
     hc = build_H_coeffs(params, grid)
     checks.add("lr_residual",
-               lr_residual(inv, hc, grid, hbar=float(cfg.get("hbar", 1.0))),
+               lr_residual(inv, hc, grid),
                float(p.get("lr_tol", 1e-6)))
     names = ["t"]
     cnames, cols = _complex_columns(["c%d" % (k + 1) for k in range(10)], traj)
     path = os.path.join(outdir, "ode_trajectory.csv")
     emit_plot_data((names + cnames, [grid] + cols), path)
     artifacts.append(path)
-    sq, det, defect = _residual_trail(cfg, grid, traj, params)
+    sq, det, defect = _residual_trail(grid, traj, params)
     path2 = os.path.join(outdir, "ode_residuals.csv")
     emit_plot_data((names + cnames + ["inv_sq_err", "det_err", "lr_residual"],
                     [grid] + cols + [sq, det, defect]), path2)
@@ -338,6 +355,7 @@ def _run_lr_ode(cfg, grid, outdir, checks, artifacts):
 
 
 def _run_point_transform(cfg, grid, outdir, checks, artifacts):
+    _require_unit_hbar(cfg)
     p = cfg.get("params", {})
     try:
         params = PointTransformParams(
@@ -347,9 +365,9 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
             c1_phase=float(p.get("c1_phase", 0.0)))
     except KeyError as exc:
         raise ConfigInvalid("params.%s missing" % exc.args[0])
-    hbar = float(cfg.get("hbar", 1.0))
     rng = np.random.default_rng(_seed(cfg))
 
+    # one EP state per grid, passed to every stage evaluated on that grid
     ep = ep_state(params, grid)
     checks.add("ermakov_pinney_residual", float(np.abs(ep_residual(params, ep)).max()), 1e-8)
 
@@ -364,35 +382,45 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
         checks.add("static_map_constraints", max(res1, res2), 1e-10)
         checks.add("static_map_postcondition", stat.check_residual, 1e-10)
 
-    inv = invariant_IH(params, grid)
-    a, b, lam = target_coefficients(params, grid, ep)
-    from .hamiltonian import build_H_modified
+    inv = invariant_IH(params, ep)
+    a, b, lam = target_coefficients(params, ep)
     # differentiate on a half-step grid so the stencil truncation stays
     # well below the tolerance under test
     fine = np.linspace(grid[0], grid[-1], 2 * (grid.size - 1) + 1)
-    af, bf, lf = target_coefficients(params, fine)
+    ep_fine = ep_state(params, fine)
     checks.add("invariant_lr_residual",
-               lr_residual(invariant_IH(params, fine), build_H_modified(af, bf, lf),
-                           fine, hbar=hbar), 1e-8)
+               lr_residual(invariant_IH(params, ep_fine),
+                           build_H_modified(*target_coefficients(params, ep_fine)), fine), 1e-8)
 
-    ih = hermitian_invariant_Ih(params, grid, stat)
+    # one Dyson map per grid; its inverse is the symplectic one, exact
+    # only as far as eta is symplectic.  The defect is measured relative
+    # to |eta| |eta^-1|, the scale at which rounding enters the product:
+    # the absolute defect grows with the conditioning of eta as the
+    # artanh argument of the static map approaches 1
+    eta = dyson_time(params, ep, stat)
+    eta_inv = symplectic_inverse(eta)
+    checks.add("dyson_inverse_identity",
+               float((frobenius(eta @ eta_inv - np.eye(4))
+                      / (frobenius(eta) * frobenius(eta_inv))).max()), 1e-12)
+
+    ih = hermitian_invariant_Ih(inv, eta)
     if not stat.complex_delta:
         checks.add("hermiticity_leak", float(np.abs(ih.imag).max()), 1e-8)
-    ih_image = pushforward(params, grid, stat.h0)
+    ih_image = pushforward(params, ep, stat.h0)
     checks.add("invariant_image_match", float(np.abs(ih - ih_image).max()), 1e-8)
-    ih_expansion = hermitian_invariant_expansion(params, grid, stat)
+    ih_expansion = hermitian_invariant_expansion(params, ep, stat)
     checks.add("hermitian_expansion_match", float(np.abs(ih - ih_expansion).max()), 1e-8)
 
-    checks.add("tdde_residual", tdde_residual(params, grid, hbar=hbar, static=stat), 1e-6)
+    checks.add("tdde_residual", tdde_residual(params, ep, eta, stat), 1e-6)
 
     samples = rng.uniform(-2.0, 2.0, size=(20, 2))
-    ts = rng.choice(grid, size=min(20, grid.size), replace=False)
-    b0x, b0y, v0 = pde_constraint_residuals(params, ts, samples, hbar=hbar)
+    idx = rng.choice(grid.size, size=min(20, grid.size), replace=False)
+    b0x, b0y, v0 = pde_constraint_residuals(params, ep.take(idx), samples)
     checks.add("pde_b0x", b0x, 1e-8)
     checks.add("pde_b0y", b0y, 1e-8)
     checks.add("pde_potential_match", v0, 1e-8)
 
-    pos = metric_is_positive(params, grid, stat)
+    pos = metric_is_positive(eta)
     checks.add("metric_positive_fraction", float(1.0 - pos.mean()), 0.0)
 
     # per-sample trajectory CSV
@@ -404,7 +432,7 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
     emit_plot_data((names + inames + hnames, cols + icols + hcols), path)
     artifacts.append(path)
 
-    records = crosschecks.point_transform_records(params, grid)
+    records = crosschecks.point_transform_records(params, ep, inv)
     return {
         "dyson": {"kappa1": stat.params.kappa1, "kappa2": stat.params.kappa2,
                   "delta": [stat.delta.real, stat.delta.imag],

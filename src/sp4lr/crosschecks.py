@@ -18,7 +18,7 @@ import numpy as np
 
 from . import algebra, point_transform as pt
 from .algebra import AlgebraElement, GeneratorId, generator_matrices
-from .hamiltonian import CoupledOscillatorParams, instantaneous_eigenvalues
+from .hamiltonian import CoupledOscillatorParams, build_H_modified, instantaneous_eigenvalues
 from .lr_ode import ANSATZ_COMBINATIONS, build_M, lr_residual
 from .point_transform import _elem
 
@@ -190,13 +190,12 @@ def parity_convention_record() -> DiscrepancyRecord:
 # point-transformation records
 
 
-def invariant_image_variant(p: pt.PointTransformParams, t) -> np.ndarray:
+def invariant_image_variant(p: pt.PointTransformParams, ep: pt.EPState) -> np.ndarray:
     """Closed-expression variant of the transformed reference Hamiltonian.
 
     Differs from the congruence image only in its first term, which
     carries J1 where the adjudicated expression needs K1.
     """
-    ep = pt.ep_state(p, t)
     a_, b_, lam = p.alpha, p.beta, p.coupling
     out = (np.outer(b_ / (2.0 * ep.sigma**2), _elem({_G.J3: 1, _G.J1: 1, _G.J0: 1, _G.Q2: 1}))
            + np.outer(a_ / (2.0 * ep.mu**2), _elem({_G.J0: 1, _G.Q2: 1, _G.J3: -1, _G.K1: -1}))
@@ -210,27 +209,41 @@ def invariant_image_variant(p: pt.PointTransformParams, t) -> np.ndarray:
     return out
 
 
-def invariant_image_record(p: pt.PointTransformParams, grid) -> DiscrepancyRecord:
-    """Congruence image vs closed-expression variant, judged by the invariant equation."""
-    t = np.asarray(grid, dtype=float)
-    a, b, lam = pt.target_coefficients(p, t)
-    from .hamiltonian import build_H_modified
+def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState,
+                               inv: np.ndarray) -> tuple[DiscrepancyRecord, DiscrepancyRecord]:
+    """The two records judged by the invariant equation on the grid ``ep.t``.
 
+    ``inv`` is the congruence image :func:`invariant_IH` on that grid;
+    its invariant-equation residual is the adopted residual of both.
+    Returns the transformed-invariant record (congruence image vs the
+    closed-expression variant) and the target-pairing record (adopted
+    (a, b) = (beta r/sigma^2, alpha r/mu^2) vs the swapped pairing).
+    """
+    t = ep.t
+    a, b, lam = pt.target_coefficients(p, ep)
     h = build_H_modified(a, b, lam)
-    adopted = lr_residual(pt.invariant_IH(p, t), h, t)
-    variant = lr_residual(invariant_image_variant(p, t), h, t)
-    return DiscrepancyRecord(
+    adopted = lr_residual(inv, h, t)
+    image = DiscrepancyRecord(
         name="transformed_invariant_expression",
         adjudicator="invariant equation residual",
         adopted_residual=adopted,
-        variant_residual=variant,
+        variant_residual=lr_residual(invariant_image_variant(p, ep), h, t),
         note="variant first term carries J1 where K1 is required",
     )
+    a_sw = p.beta * ep.r / ep.mu**2
+    b_sw = p.alpha * ep.r / ep.sigma**2
+    pairing = DiscrepancyRecord(
+        name="target_coefficient_pairing",
+        adjudicator="invariant equation residual",
+        adopted_residual=adopted,
+        variant_residual=lr_residual(inv, build_H_modified(a_sw, b_sw, lam), t),
+        note="the x-direction scale factor carries the beta frequency",
+    )
+    return image, pairing
 
 
-def ep_form_record(p: pt.PointTransformParams, grid) -> DiscrepancyRecord:
+def ep_form_record(p: pt.PointTransformParams, ep: pt.EPState) -> DiscrepancyRecord:
     """Canonical (linear) EP form vs the variant with a quadratic third term."""
-    ep = pt.ep_state(p, grid)
     adopted = float(np.abs(pt.ep_residual(p, ep)).max())
     var_s = ep.sigma_tt - ep.r_t / ep.r * ep.sigma_t \
         + p.beta**2 * ep.r**2 * ep.sigma**2 - p.beta**2 * ep.r**2 / ep.sigma**3
@@ -246,31 +259,10 @@ def ep_form_record(p: pt.PointTransformParams, grid) -> DiscrepancyRecord:
     )
 
 
-def target_assignment_record(p: pt.PointTransformParams, grid) -> DiscrepancyRecord:
-    """Adopted (a, b) = (beta r/sigma^2, alpha r/mu^2) vs the swapped pairing."""
-    t = np.asarray(grid, dtype=float)
-    from .hamiltonian import build_H_modified
-
-    inv = pt.invariant_IH(p, t)
-    a, b, lam = pt.target_coefficients(p, t)
-    adopted = lr_residual(inv, build_H_modified(a, b, lam), t)
-    ep = pt.ep_state(p, t)
-    a_sw = p.beta * ep.r / ep.mu**2
-    b_sw = p.alpha * ep.r / ep.sigma**2
-    variant = lr_residual(inv, build_H_modified(a_sw, b_sw, lam), t)
-    return DiscrepancyRecord(
-        name="target_coefficient_pairing",
-        adjudicator="invariant equation residual",
-        adopted_residual=adopted,
-        variant_residual=variant,
-        note="the x-direction scale factor carries the beta frequency",
-    )
-
-
 def pushforward_row_records(p: pt.PointTransformParams, t: float = 0.7) -> list[DiscrepancyRecord]:
     """Image table rows that differ from the congruence map (J3' and K1')."""
     ep = pt.ep_state(p, np.atleast_1d(t))
-    pm = pt.pushforward_map(p, np.atleast_1d(t))
+    pm = pt.pushforward_map(p, ep)
     sig, sig_t = ep.sigma[0], ep.sigma_t[0]
     mu, mu_t = ep.mu[0], ep.mu_t[0]
     r = ep.r[0]
@@ -328,9 +320,14 @@ def standard_records(params: CoupledOscillatorParams | None = None) -> list[Disc
     return recs
 
 
-def point_transform_records(p: pt.PointTransformParams, grid) -> list[DiscrepancyRecord]:
-    """Records adjudicating the point-transformation pipeline forms."""
-    recs = [invariant_image_record(p, grid), ep_form_record(p, grid),
-            target_assignment_record(p, grid)]
-    recs += pushforward_row_records(p, t=float(np.asarray(grid)[len(grid) // 3]))
+def point_transform_records(p: pt.PointTransformParams, ep: pt.EPState,
+                            inv: np.ndarray) -> list[DiscrepancyRecord]:
+    """Records adjudicating the point-transformation pipeline forms.
+
+    ``ep`` is the EP state on the scenario grid and ``inv`` the
+    invariant :func:`invariant_IH` on it.
+    """
+    image, pairing = invariant_equation_records(p, ep, inv)
+    recs = [image, ep_form_record(p, ep), pairing]
+    recs += pushforward_row_records(p, t=float(ep.t[len(ep.t) // 3]))
     return recs

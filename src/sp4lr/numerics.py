@@ -97,9 +97,25 @@ def expm(m, tol: float = DEFAULT_TOL.expm_tol):
     return result
 
 
-def _sort_real_imag(vals) -> np.ndarray:
-    """Sort along the last axis by (real, imag)."""
-    order = np.lexsort((vals.imag, vals.real), axis=-1)
+def _sort_real_imag(vals, rel_tol: float = 1e-12) -> np.ndarray:
+    """Sort along the last axis by (real, imag), real parts compared with a tolerance.
+
+    Real parts within ``rel_tol * max|vals|`` of the row of their sorted
+    neighbour count as equal, and such a run is ordered by imag.  A
+    complex-conjugate pair, whose real parts tie only up to rounding,
+    thus always lists its negative-imag member first, whatever the last
+    bits of the eigensolver's output.
+    """
+    re = vals.real
+    by_re = np.argsort(re, axis=-1, kind="stable")
+    re_sorted = np.take_along_axis(re, by_re, axis=-1)
+    tol = rel_tol * np.abs(vals).max(axis=-1, keepdims=True)
+    jumps = np.diff(re_sorted, axis=-1) > tol
+    runs_sorted = np.concatenate(
+        [np.zeros(jumps.shape[:-1] + (1,), dtype=int), np.cumsum(jumps, axis=-1)], axis=-1)
+    runs = np.empty_like(runs_sorted)
+    np.put_along_axis(runs, by_re, runs_sorted, axis=-1)
+    order = np.lexsort((vals.imag, runs), axis=-1)
     return np.take_along_axis(vals, order, axis=-1)
 
 

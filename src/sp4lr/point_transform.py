@@ -22,21 +22,28 @@ on Weyl quadratic forms: the substitution is linear in phase space,
 z' = T(t) z, so an element with quadratic form S maps to T^T S T.  The
 published per-generator images coincide with this map for eight of the
 ten generators and are recorded as rejected variants for the other two.
+
+The functions evaluated on a grid take the grid's :class:`EPState`
+(``ep``, which carries the sample times ``ep.t``) and, where needed, the
+static map and the Dyson map on that grid (``eta``, from
+:func:`dyson_time`): a caller builds each once per grid and passes it
+on, and no function rebuilds them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .algebra import (
-    OMEGA,
     AlgebraElement,
     GeneratorId,
+    conjugate_by,
     from_matrix,
-    generator_matrices,
-    group_conjugate,
+    from_quadratic_form,
+    quadratic_form,
+    symplectic_inverse,
     to_matrix,
 )
 from .errors import ArctanhDomain, EqualFrequencies, GridTooCoarse, ProjectionLeak
@@ -133,6 +140,10 @@ class EPState:
     mu_t: np.ndarray
     mu_tt: np.ndarray
 
+    def take(self, idx) -> "EPState":
+        """The state at the samples ``idx`` (an index array into ``t``)."""
+        return EPState(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
+
 
 def _accumulated_tau(p: PointTransformParams, ts: np.ndarray,
                      max_step: float = 1e-3) -> np.ndarray:
@@ -165,15 +176,15 @@ def _ep_factor(c, freq, tau, r, r_t):
     return s, s_t, s_tt
 
 
-def ep_state(p: PointTransformParams, t, tau=None) -> EPState:
+def ep_state(p: PointTransformParams, t) -> EPState:
     """Ermakov-Pinney state at time(s) ``t``.
 
     sigma (x direction) oscillates at frequency 2*beta in the
     transformed time, mu (y direction) at 2*alpha.  Scalars and arrays
-    are both accepted; tau may be passed when already accumulated.
+    are both accepted.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    tau = _accumulated_tau(p, ts) if tau is None else np.atleast_1d(np.asarray(tau, dtype=float))
+    tau = _accumulated_tau(p, ts)
     r = np.atleast_1d(p.r(ts))
     if np.any(np.abs(r) < 1e-12):
         raise ValueError("time-map density r(t) vanishes on the sampled window")
@@ -200,13 +211,12 @@ def ep_residual(p: PointTransformParams, ep: EPState) -> np.ndarray:
     return np.stack([rs, rm])
 
 
-def target_coefficients(p: PointTransformParams, t, ep: EPState | None = None):
-    """Target profile values (a, b, lam) at the sampled times.
+def target_coefficients(p: PointTransformParams, ep: EPState):
+    """Target profile values (a, b, lam) at the times of the EP state ``ep``.
 
     a = beta r / sigma^2 multiplies the x oscillator, b = alpha r / mu^2
     the y oscillator, lam = Lambda r sigma mu the coupling.
     """
-    ep = ep_state(p, t) if ep is None else ep
     a = p.beta * ep.r / ep.sigma**2
     b = p.alpha * ep.r / ep.mu**2
     lam = p.coupling * ep.r * ep.sigma * ep.mu
@@ -247,14 +257,13 @@ class PushforwardMap:
             else np.einsum("nij,nj->ni", self.matrix, c)
 
 
-def pushforward_shift(p: PointTransformParams, t, ep: EPState | None = None) -> np.ndarray:
+def pushforward_shift(p: PointTransformParams, ep: EPState) -> np.ndarray:
     """Inhomogeneous element from transforming i hbar d/dtau, shape (N, 10).
 
     The transformed reference TDSE reads
     r * image(h) = i hbar d/dt + shift, so the target-frame Hamiltonian
     generated by any reference h is  r * pushforward(h) - shift.
     """
-    ep = ep_state(p, t) if ep is None else ep
     a_, b_ = p.alpha, p.beta
     cx = ep.sigma_t**2 / (2.0 * b_ * ep.r) + b_ * ep.r * (ep.sigma**4 - 1.0) / (2.0 * ep.sigma**2)
     cy = ep.mu_t**2 / (2.0 * a_ * ep.r) + a_ * ep.r * (ep.mu**4 - 1.0) / (2.0 * ep.mu**2)
@@ -263,37 +272,50 @@ def pushforward_shift(p: PointTransformParams, t, ep: EPState | None = None) -> 
     return out.astype(complex)
 
 
-def pushforward_map(p: PointTransformParams, t,
-                    proj_tol: float = DEFAULT_TOL.proj_tol) -> PushforwardMap:
-    """Exact congruence action of the transformation on the generator basis."""
-    ep = ep_state(p, t)
-    T = _substitution_matrices(ep, p)
-    gen = generator_matrices()
-    # quadratic forms of all generators, then S -> T^T S T, back to matrices
-    S = np.einsum("ij,gjk->gik", 1j * OMEGA, gen)
-    Sp = np.einsum("nji,gjk,nkl->ngil", T, S, T)
-    Mp = np.einsum("ij,ngjk->ngik", 1j * OMEGA, Sp)
-    coeffs, resid = from_matrix(Mp)
+def _congruence(T: np.ndarray, s: np.ndarray, proj_tol: float) -> np.ndarray:
+    """Coefficients of the quadratic forms T^T s T (stacks broadcast)."""
+    coeffs, resid = from_quadratic_form(np.swapaxes(T, -1, -2) @ s @ T)
     if float(np.max(resid)) > proj_tol:
         raise ProjectionLeak("pushforward image left the algebra span")
+    return coeffs
+
+
+def pushforward_map(p: PointTransformParams, ep: EPState,
+                    proj_tol: float = DEFAULT_TOL.proj_tol) -> PushforwardMap:
+    """Exact congruence action of the transformation on the generator basis.
+
+    Builds the (N, 10, 10) image of all ten generators at the times of
+    ``ep``; for the image of one element use :func:`pushforward`, which
+    is ten times smaller.
+    """
+    T = _substitution_matrices(ep, p)
+    coeffs = _congruence(T[:, None], quadratic_form(np.eye(10)), proj_tol)
     matrix = np.transpose(coeffs, (0, 2, 1))  # column g holds the image of generator g
-    return PushforwardMap(t=ep.t, matrix=matrix, shift=pushforward_shift(p, ep.t, ep))
+    return PushforwardMap(t=ep.t, matrix=matrix, shift=pushforward_shift(p, ep))
 
 
-def pushforward(p: PointTransformParams, t, e) -> np.ndarray:
-    """Image of an element (given in the primed basis) at the sampled times."""
-    return pushforward_map(p, t).apply(e)
+def pushforward(p: PointTransformParams, ep: EPState, e) -> np.ndarray:
+    """Image of an element (given in the primed basis) at the times of ``ep``.
+
+    ``e`` is one element (AlgebraElement or 10 coefficients) or one
+    element per sample, shape (N, 10); the result has shape (N, 10).
+    Its quadratic form S is built once and pushed through T^T S T as a
+    batch of 4x4 products, then back through the +i Omega bridge;
+    :class:`ProjectionLeak` is raised if the image leaves the algebra
+    span.
+    """
+    return _congruence(_substitution_matrices(ep, p), quadratic_form(e), DEFAULT_TOL.proj_tol)
 
 
-def invariant_IH(p: PointTransformParams, t) -> np.ndarray:
+def invariant_IH(p: PointTransformParams, ep: EPState) -> np.ndarray:
     """Invariant of the target system: the image of the reference Hamiltonian.
 
-    Defined canonically as pushforward(reference_H0); the published
-    closed expression for the same object (which differs in one generator
-    of its first term) is evaluated by the cross-check suite and its
-    deviation reported there.
+    Defined canonically as pushforward(reference_H0) at the times of the
+    EP state ``ep``; the published closed expression for the same object
+    (which differs in one generator of its first term) is evaluated by
+    the cross-check suite and its deviation reported there.
     """
-    return pushforward(p, t, reference_H0(p))
+    return pushforward(p, ep, reference_H0(p))
 
 
 @dataclass(frozen=True)
@@ -347,7 +369,7 @@ def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
     k2 = -0.5 * np.sqrt(b_ / a_) * np.arctanh(arg)
     exponent = AlgebraElement(k1 * _Q3mJ2 + k2 * _Q3pJ2)
     eta = expm(to_matrix(exponent))
-    h0_conj = group_conjugate(exponent, h0_ref)
+    h0_conj = conjugate_by(eta, h0_ref)
 
     rad = (a_**2 - b_**2) ** 2 - 4.0 * a_ * b_ * lam**2
     delta = complex(np.sign(a_**2 - b_**2) * np.lib.scimath.sqrt(rad))
@@ -368,16 +390,14 @@ def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
                        h0_closed, delta, complex_delta, resid)
 
 
-def dyson_time_exponent(p: PointTransformParams, t, static: DysonStatic | None = None,
-                        ep: EPState | None = None) -> np.ndarray:
-    """Exponent of the time-dependent Dyson map, shape (N, 10).
+def dyson_time_exponent(p: PointTransformParams, ep: EPState,
+                        static: DysonStatic) -> np.ndarray:
+    """Exponent of the time-dependent Dyson map at the times of ``ep``, shape (N, 10).
 
     kappa2 (mu/sigma)(Q3-J2) + kappa1 (sigma/mu)(Q3+J2)
     + (beta kappa1 sigma mu_t + alpha kappa2 mu sigma_t)/(alpha beta r) (K3+J1);
     equal to the pushforward of the static exponent (tested).
     """
-    static = dyson_static(p) if static is None else static
-    ep = ep_state(p, t) if ep is None else ep
     k1, k2 = static.params.kappa1, static.params.kappa2
     cxy = (p.beta * k1 * ep.sigma * ep.mu_t + p.alpha * k2 * ep.mu * ep.sigma_t) \
         / (p.alpha * p.beta * ep.r)
@@ -387,36 +407,31 @@ def dyson_time_exponent(p: PointTransformParams, t, static: DysonStatic | None =
     return out.astype(complex)
 
 
-def dyson_time(p: PointTransformParams, t, static: DysonStatic | None = None) -> np.ndarray:
-    """Time-dependent Dyson map as 4x4 matrices, shape (N, 4, 4)."""
-    return expm(to_matrix(dyson_time_exponent(p, t, static)))
+def dyson_time(p: PointTransformParams, ep: EPState, static: DysonStatic) -> np.ndarray:
+    """Time-dependent Dyson map as 4x4 matrices, shape (N, 4, 4).
 
-
-def hermitian_invariant_Ih(p: PointTransformParams, t,
-                           static: DysonStatic | None = None) -> np.ndarray:
-    """Hermitian invariant: the invariant conjugated by the Dyson map.
-
-    Computed in the 4x4 representation and projected back; must carry
-    real coefficients (for real Delta) and equal the image of h0 under
-    the transformation -- both verified by the test suite, alongside the
-    closed expansion of :func:`hermitian_invariant_expansion`.
+    eta lies in Sp(4, C), so its inverse is ``symplectic_inverse(eta)``.
     """
-    static = dyson_static(p) if static is None else static
-    exps = dyson_time_exponent(p, t, static)
-    eta = expm(to_matrix(exps))
-    eta_inv = expm(to_matrix(-exps))
-    ih_mat = eta @ to_matrix(invariant_IH(p, t)) @ eta_inv
-    coeffs, resid = from_matrix(ih_mat)
-    if float(np.max(resid)) > DEFAULT_TOL.proj_tol:
-        raise ProjectionLeak("conjugated invariant left the algebra span")
-    return coeffs
+    return expm(to_matrix(dyson_time_exponent(p, ep, static)))
 
 
-def hermitian_invariant_expansion(p: PointTransformParams, t,
-                                  static: DysonStatic | None = None) -> np.ndarray:
+def hermitian_invariant_Ih(inv: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Hermitian invariant I_h = eta I_H eta^-1, shape (N, 10).
+
+    ``inv`` holds the coefficients of I_H (:func:`invariant_IH`) and
+    ``eta`` the Dyson map on the same grid (:func:`dyson_time`); the
+    conjugation runs in the 4x4 representation with the symplectic
+    inverse eta^-1 = -Omega eta^T Omega and is projected back.  Must
+    carry real coefficients (for real Delta) and equal the image of h0
+    under the transformation -- both verified by the test suite,
+    alongside the closed expansion of :func:`hermitian_invariant_expansion`.
+    """
+    return conjugate_by(eta, inv)
+
+
+def hermitian_invariant_expansion(p: PointTransformParams, ep: EPState,
+                                  static: DysonStatic) -> np.ndarray:
     """Closed expansion of the Hermitian invariant in Delta and the EP state."""
-    static = dyson_static(p) if static is None else static
-    ep = ep_state(p, t)
     a_, b_, d = p.alpha, p.beta, static.delta
     out = 0.25 * (
         np.outer(2.0 * a_ / ep.mu**2, _elem({_G.J0: 1, _G.J3: -1, _G.K1: -1, _G.Q2: 1}))
@@ -429,9 +444,9 @@ def hermitian_invariant_expansion(p: PointTransformParams, t,
     return out.astype(complex)
 
 
-def hermitian_hamiltonian_h(p: PointTransformParams, t,
-                            static: DysonStatic | None = None) -> np.ndarray:
-    """Hermitian counterpart h(t) of the target Hamiltonian, shape (N, 10).
+def hermitian_hamiltonian_h(p: PointTransformParams, ep: EPState,
+                            static: DysonStatic) -> np.ndarray:
+    """Hermitian counterpart h(t) of the target Hamiltonian at the times of ``ep``, shape (N, 10).
 
     h = (r alpha / mu^2)(J0-J3) + (r beta / sigma^2)(J0+J3)
         - (r mu^2 / 4 alpha)(alpha^2 - beta^2 - Delta) * y^2-combination
@@ -439,8 +454,6 @@ def hermitian_hamiltonian_h(p: PointTransformParams, t,
     identical to r * pushforward(h0) - shift (tested) and to the right
     side of the time-dependent Dyson equation (tdde_residual).
     """
-    static = dyson_static(p) if static is None else static
-    ep = ep_state(p, t)
     a_, b_, d = p.alpha, p.beta, static.delta
     out = (np.outer(ep.r * a_ / ep.mu**2, _elem({_G.J0: 1, _G.J3: -1}))
            + np.outer(ep.r * b_ / ep.sigma**2, _elem({_G.J0: 1, _G.J3: 1}))
@@ -449,28 +462,26 @@ def hermitian_hamiltonian_h(p: PointTransformParams, t,
     return out.astype(complex)
 
 
-def tdde_residual(p: PointTransformParams, grid, hbar: float = 1.0,
-                  static: DysonStatic | None = None,
+def tdde_residual(p: PointTransformParams, ep: EPState, eta: np.ndarray,
+                  static: DysonStatic, hbar: float = 1.0,
                   proj_tol: float = DEFAULT_TOL.proj_tol,
                   return_samples: bool = False):
     """Defect of the time-dependent Dyson equation on a uniform grid.
 
-    Compares h(t) against eta H eta^-1 + i hbar (d eta/dt) eta^-1 with
-    the eta derivative taken by the 4th-order central stencil; the
-    maximum excludes the two points at each end.
+    ``ep`` is the EP state on the grid and ``eta`` the Dyson map on it
+    (:func:`dyson_time`).  Compares h(t) against
+    eta H eta^-1 + i hbar (d eta/dt) eta^-1 with the eta derivative taken
+    by the 4th-order central stencil and eta^-1 = -Omega eta^T Omega
+    (eta is symplectic); the maximum excludes the two points at each end.
     """
-    t = np.asarray(grid, dtype=float)
+    t = ep.t
     if t.size < 5:
         raise GridTooCoarse("need at least 5 grid points")
     step = t[1] - t[0]
     if not np.allclose(np.diff(t), step, rtol=1e-9, atol=1e-15):
         raise ValueError("tdde_residual expects a uniform grid")
-    static = dyson_static(p) if static is None else static
-    ep = ep_state(p, t)
-    exps = dyson_time_exponent(p, t, static, ep)
-    eta = expm(to_matrix(exps))
-    eta_inv = expm(to_matrix(-exps))
-    a, b, lam = target_coefficients(p, t, ep)
+    eta_inv = symplectic_inverse(eta)
+    a, b, lam = target_coefficients(p, ep)
     h_target = to_matrix(build_H_modified(a, b, lam))
     conj = eta @ h_target @ eta_inv
     _, conj_resid = from_matrix(conj)
@@ -481,7 +492,7 @@ def tdde_residual(p: PointTransformParams, grid, hbar: float = 1.0,
     rhs_coeffs, resid = from_matrix(rhs)
     # the stencil error of d(eta)/dt is itself out-of-span; fold it into
     # the defect instead of mistaking it for a conjugation leak
-    defect = np.abs(hermitian_hamiltonian_h(p, t, static) - rhs_coeffs)
+    defect = np.abs(hermitian_hamiltonian_h(p, ep, static) - rhs_coeffs)
     per_sample = np.maximum(defect.max(axis=1), resid)
     worst = float(per_sample[2:-2].max())
     if return_samples:
@@ -489,7 +500,7 @@ def tdde_residual(p: PointTransformParams, grid, hbar: float = 1.0,
     return worst
 
 
-def pde_constraint_residuals(p: PointTransformParams, t, samples,
+def pde_constraint_residuals(p: PointTransformParams, ep: EPState, samples,
                              hbar: float = 1.0):
     """Residuals of the transformed differential equation at spatial samples.
 
@@ -501,15 +512,14 @@ def pde_constraint_residuals(p: PointTransformParams, t, samples,
         delta = c1_phase - (1/2) ln(mu sigma),
 
     and returns (max|B0x|, max|B0y|, max|V0 - V_target|) over all (x, y)
-    samples and times, where V_target = (a x^2 + 2 i lam x y + b y^2)/2.
+    samples and at the times of the EP state ``ep``, where
+    V_target = (a x^2 + 2 i lam x y + b y^2)/2.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
     xy = np.asarray(samples, dtype=float).reshape(-1, 2)
-    ep = ep_state(p, ts)
-    a_t, b_t, lam_t = target_coefficients(p, ts, ep)
+    a_t, b_t, lam_t = target_coefficients(p, ep)
     a_, b_ = p.alpha, p.beta
     worst = [0.0, 0.0, 0.0]
-    for k in range(ts.size):
+    for k in range(ep.t.size):
         sig, sig_t, sig_tt = ep.sigma[k], ep.sigma_t[k], ep.sigma_tt[k]
         mu, mu_t, mu_tt = ep.mu[k], ep.mu_t[k], ep.mu_tt[k]
         r, r_t = ep.r[k], ep.r_t[k]
@@ -537,20 +547,16 @@ def pde_constraint_residuals(p: PointTransformParams, t, samples,
     return tuple(worst)
 
 
-def metric_matrices(p: PointTransformParams, t,
-                    static: DysonStatic | None = None) -> np.ndarray:
-    """Metric rho(t) = eta(t)^dagger eta(t), shape (N, 4, 4)."""
-    eta = dyson_time(p, t, static)
+def metric_matrices(eta: np.ndarray) -> np.ndarray:
+    """Metric rho = eta^dagger eta of the Dyson map ``eta`` (:func:`dyson_time`), shape (N, 4, 4)."""
     return np.conj(np.transpose(eta, (0, 2, 1))) @ eta
 
 
-def metric_is_positive(p: PointTransformParams, t,
-                       static: DysonStatic | None = None) -> np.ndarray:
+def metric_is_positive(eta: np.ndarray) -> np.ndarray:
     """Positive-definiteness of the metric at every sample (smallest eigenvalue > 0)."""
-    return metric_eigenvalues(p, t, static)[:, 0] > 0
+    return metric_eigenvalues(eta)[:, 0] > 0
 
 
-def metric_eigenvalues(p: PointTransformParams, t,
-                       static: DysonStatic | None = None) -> np.ndarray:
+def metric_eigenvalues(eta: np.ndarray) -> np.ndarray:
     """Eigenvalues of the metric (real, ascending), shape (N, 4)."""
-    return np.linalg.eigvalsh(metric_matrices(p, t, static))
+    return np.linalg.eigvalsh(metric_matrices(eta))

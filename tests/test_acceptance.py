@@ -17,7 +17,7 @@ from sp4lr.algebra import (
     pt_map,
     structure_constants,
 )
-from sp4lr.crosschecks import ep_form_record, invariant_image_record
+from sp4lr.crosschecks import ep_form_record, invariant_equation_records
 from sp4lr.hamiltonian import CoupledOscillatorParams, build_H, build_H_modified
 from sp4lr.lr_ode import (
     ClosedFormParams,
@@ -32,6 +32,7 @@ from sp4lr.numerics import frobenius
 from sp4lr.point_transform import (
     PointTransformParams,
     dyson_static,
+    dyson_time,
     ep_residual,
     ep_state,
     hermitian_invariant_Ih,
@@ -213,16 +214,18 @@ def pipeline_runs():
         # the invariant-equation residual estimator differentiates on a
         # half-step grid (superset of the scenario grid) so its stencil
         # truncation stays well below the 1e-8 tolerance being tested
-        inv = invariant_IH(p, GRID_04_FINE)
-        a, b, lam = target_coefficients(p, GRID_04_FINE)
-        ih = hermitian_invariant_Ih(p, GRID_04, stat)
+        ep_fine = ep_state(p, GRID_04_FINE)
+        inv_fine = invariant_IH(p, ep_fine)
+        a, b, lam = target_coefficients(p, ep_fine)
+        eta = dyson_time(p, ep, stat)
+        ih = hermitian_invariant_Ih(invariant_IH(p, ep), eta)
         runs.append({
-            "params": p, "static": stat,
+            "params": p, "eta": eta,
             "ep_resid": float(np.abs(ep_residual(p, ep)).max()),
-            "lr": lr_residual(inv, build_H_modified(a, b, lam), GRID_04_FINE),
+            "lr": lr_residual(inv_fine, build_H_modified(a, b, lam), GRID_04_FINE),
             "imag_leak": float(np.abs(ih.imag).max()),
-            "image_match": float(np.abs(ih - pushforward(p, GRID_04, stat.h0.coeffs)).max()),
-            "tdde": tdde_residual(p, GRID_04, static=stat),
+            "image_match": float(np.abs(ih - pushforward(p, ep, stat.h0.coeffs)).max()),
+            "tdde": tdde_residual(p, ep, eta, stat),
         })
     return runs
 
@@ -238,14 +241,15 @@ def test_criterion_5_point_transform_pipeline(pipeline_runs):
                                  r=_r_profile("wobble"), c2=0.4, c3=0.4)
         ts = RNG.uniform(0.0, 4.0, size=20)
         xy = RNG.uniform(-2.0, 2.0, size=(20, 2))
-        worst["pde"] = max(worst["pde"], max(pde_constraint_residuals(p, ts, xy)))
+        worst["pde"] = max(worst["pde"], max(pde_constraint_residuals(p, ep_state(p, ts), xy)))
     # 4th-order convergence of the Dyson-equation residual over 3 refinements
     p = PointTransformParams(alpha=2.0, beta=1.0, coupling=0.5,
                              r=_r_profile("one"), c2=0.2, c3=0.2)
+    stat = dyson_static(p)
     errs = []
     for step in (8e-3, 4e-3, 2e-3, 1e-3):
-        g = np.arange(0.0, 4.0 + step / 2.0, step)
-        errs.append(tdde_residual(p, g))
+        ep = ep_state(p, np.arange(0.0, 4.0 + step / 2.0, step))
+        errs.append(tdde_residual(p, ep, dyson_time(p, ep, stat), stat))
     ratios = [errs[k] / errs[k + 1] for k in range(3)]
     assert all(8.0 < r < 32.0 for r in ratios), "O(step^4) decay: %r" % (ratios,)
     _criterion_parts(5, "point-transform pipeline", [
@@ -261,10 +265,10 @@ def test_criterion_5_point_transform_pipeline(pipeline_runs):
 def test_criterion_7_metric_positivity(pipeline_runs):
     bad_fraction = 0.0
     for run in pipeline_runs:
-        pos = metric_is_positive(run["params"], GRID_04, run["static"])
+        pos = metric_is_positive(run["eta"])
         bad_fraction = max(bad_fraction, float(1.0 - pos.mean()))
     # eigensolver spot check on a subsample of one scenario
-    evs = metric_eigenvalues(pipeline_runs[3]["params"], GRID_04[::400])
+    evs = metric_eigenvalues(pipeline_runs[3]["eta"][::400])
     assert (evs > 0.0).all()
     _criterion(7, "metric positivity", bad_fraction, 0.0)
 
@@ -301,8 +305,9 @@ def test_criterion_8_known_discrepancy_ledger():
     p = PointTransformParams(alpha=2.0, beta=1.0, coupling=0.5,
                              r=ScalarProfile.constant(1.0), c2=0.2, c3=0.2)
     grid = np.arange(0.0, 2.0 + 1e-12, 1e-3)
-    rec_inv = invariant_image_record(p, grid)
-    rec_ep = ep_form_record(p, grid)
+    ep = ep_state(p, grid)
+    rec_inv, _ = invariant_equation_records(p, ep, invariant_IH(p, ep))
+    rec_ep = ep_form_record(p, ep)
     # adopted forms pass their adjudicators; the variants are flagged
     assert rec_inv.adopted_residual < 1e-8
     assert rec_inv.variant_flagged and rec_inv.variant_residual > 1e-3

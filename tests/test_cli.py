@@ -106,6 +106,24 @@ def test_config_errors_exit_one(tmp_path):
     assert main(["run", "--config", tiny_grid, "--out", str(tmp_path)]) == 1
 
 
+_CONST = {"kind": "constant", "value": 1.0}
+
+
+@pytest.mark.parametrize("mode, params", [
+    ("lr-closed-form", {"alpha": 3.0, "lam": _CONST}),
+    ("lr-ode", {"a": _CONST, "omega_x": _CONST, "omega_y": _CONST, "lam": _CONST}),
+    ("point-transform", {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "r": _CONST}),
+])
+def test_hbar_other_than_one_rejected(tmp_path, capsys, mode, params):
+    # the coefficient solvers work in units with hbar = 1; another value
+    # used to reach only the residual formulas and fail them silently
+    cfg = {"mode": mode, "grid": {"t0": 0.0, "t1": 1.0, "steps": 11},
+           "hbar": 2.0, "params": params}
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 1
+    assert "hbar:" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_point_transform_mode(tmp_path):
     cfg = {
         "mode": "point-transform",
@@ -120,6 +138,24 @@ def test_point_transform_mode(tmp_path):
     assert flagged["transformed_invariant_expression"]
     assert flagged["ermakov_pinney_form"]
     assert (tmp_path / "point_transform_trajectory.csv").exists()
+    row = [c for c in report["checks"] if c["name"] == "dyson_inverse_identity"]
+    assert len(row) == 1 and row[0]["tolerance"] == 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta", [(2.0, 1.0), (0.6, 1.7)])
+def test_point_transform_mode_near_arctanh_edge(tmp_path, alpha, beta):
+    # artanh argument 1 - 1e-8: |eta| |eta^-1| ~ 4e4, so eta eta^-1 - 1 is
+    # ~3e-12 in absolute terms while rounding-level relative to that scale
+    coupling = (1.0 - 1e-8) * (alpha**2 - beta**2) / (2.0 * np.sqrt(alpha * beta))
+    cfg = {
+        "mode": "point-transform",
+        "grid": {"t0": 0.0, "t1": 1.0, "steps": 1001},
+        "params": {"alpha": alpha, "beta": beta, "coupling": coupling, "c2": 0.2, "c3": 0.2,
+                   "r": {"kind": "sinusoid", "amp": 0.2, "freq": 1.0, "phase": 0.0,
+                         "offset": 1.0}},
+    }
+    report = run_scenario(cfg, str(tmp_path))
+    assert report["all_pass"], [c for c in report["checks"] if c["status"] != "pass"]
 
 
 @pytest.mark.parametrize("coupling", [0.0, 0.2])

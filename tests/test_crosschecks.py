@@ -6,21 +6,21 @@ from sp4lr.crosschecks import (
     ansatz_row7_record,
     ep_form_record,
     generator_j2_record,
-    invariant_image_record,
+    invariant_equation_records,
     invariant_image_variant,
     ode_matrix_variant_records,
     parity_convention_record,
     point_transform_records,
     pushforward_row_records,
     standard_records,
-    target_assignment_record,
 )
-from sp4lr.point_transform import PointTransformParams
+from sp4lr.point_transform import PointTransformParams, ep_state, invariant_IH
 from sp4lr.profiles import ScalarProfile
 
 P = PointTransformParams(alpha=2.0, beta=1.0, coupling=0.5,
                          r=ScalarProfile.constant(1.0), c2=0.2, c3=0.2)
 GRID = np.arange(0.0, 2.0 + 1e-12, 2e-3)
+EP = ep_state(P, GRID)
 
 
 def test_generator_variant_flagged():
@@ -53,18 +53,15 @@ def test_parity_convention_record():
 
 
 def test_invariant_image_variant_fails_invariant_equation():
-    rec = invariant_image_record(P, GRID)
+    rec, _ = invariant_equation_records(P, EP, invariant_IH(P, EP))
     assert rec.adopted_residual < 1e-8
     assert rec.variant_residual > 1e-3
     assert rec.variant_flagged
 
 
 def test_invariant_image_variant_differs_by_j1_k1_term():
-    t = np.array([0.7])
-    from sp4lr.point_transform import ep_state, invariant_IH
-
-    delta = invariant_image_variant(P, t)[0] - invariant_IH(P, t)[0]
-    ep = ep_state(P, t)
+    ep = ep_state(P, np.array([0.7]))
+    delta = invariant_image_variant(P, ep)[0] - invariant_IH(P, ep)[0]
     coef = P.beta / (2.0 * ep.sigma[0] ** 2)
     want = np.zeros(10, dtype=complex)
     want[1] = coef    # J1
@@ -73,14 +70,14 @@ def test_invariant_image_variant_differs_by_j1_k1_term():
 
 
 def test_ep_form_variant_flagged():
-    rec = ep_form_record(P, GRID)
+    rec = ep_form_record(P, EP)
     assert rec.adopted_residual < 1e-8
     assert rec.variant_residual > 1e-2
     assert rec.variant_flagged
 
 
 def test_target_assignment_variant_flagged():
-    rec = target_assignment_record(P, GRID)
+    _, rec = invariant_equation_records(P, EP, invariant_IH(P, EP))
     assert rec.adopted_residual < 1e-8
     assert rec.variant_residual > 1e-3
     assert rec.variant_flagged
@@ -95,7 +92,7 @@ def test_pushforward_row_records():
 
 
 def test_bundles_and_serialization():
-    recs = standard_records() + point_transform_records(P, GRID)
+    recs = standard_records() + point_transform_records(P, EP, invariant_IH(P, EP))
     names = [r.name for r in recs]
     assert len(names) == len(set(names))
     for rec in recs:

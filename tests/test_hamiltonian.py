@@ -191,14 +191,14 @@ def test_numeric_matches_dense_oracle():
 
 
 def test_instantaneous_eigenvalues_batched_equals_scalar():
-    # the batched and single matrix products differ in the last bit, which
-    # can swap a conjugate pair whose real parts tie: compare as multisets
+    # the batched and single matrix products differ in the last bit; the
+    # tie tolerance of the sort keeps a conjugate pair in one column order
     for _ in range(10):
         p = random_params(RNG)
         batched = instantaneous_eigenvalues(p, GRID)
         assert batched.shape == (GRID.size, 4)
         stacked = np.stack([instantaneous_eigenvalues(p, t) for t in GRID])
-        assert multiset_distance(batched, stacked).max() < 1e-12
+        np.testing.assert_allclose(batched, stacked, rtol=0, atol=1e-12)
         formula = instantaneous_eigenvalues(p, GRID, method="formula")
         np.testing.assert_array_equal(
             formula, np.stack([instantaneous_eigenvalues(p, t, method="formula") for t in GRID]))
@@ -210,8 +210,11 @@ def test_instantaneous_eigenvalues_sorted_by_real_imag():
         for method in ("numeric", "formula"):
             vals = instantaneous_eigenvalues(p, GRID, method=method)
             dre, dim = np.diff(vals.real, axis=-1), np.diff(vals.imag, axis=-1)
-            assert (dre >= 0).all()
-            assert (dim[dre == 0] >= 0).all()
+            # real parts within the tie tolerance count as equal (a run of
+            # up to four) and are ordered by imag
+            tol = 1e-12 * np.abs(vals).max(axis=-1, keepdims=True)
+            assert (dre >= -3 * tol).all()
+            assert (dim[dre <= tol] >= 0).all()
 
 
 def test_instantaneous_eigenvalues_match_scipy_as_sets():

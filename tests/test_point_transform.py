@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sp4lr.algebra import AlgebraElement, GeneratorId, adjoint, from_matrix, to_matrix
+import sp4lr.point_transform as pt
+from sp4lr.algebra import (
+    AlgebraElement,
+    GeneratorId,
+    adjoint,
+    from_matrix,
+    symplectic_inverse,
+    to_matrix,
+)
+from sp4lr.cli import run_scenario
 from sp4lr.errors import ArctanhDomain, EqualFrequencies
 from sp4lr.hamiltonian import build_H_modified
 from sp4lr.lr_ode import lr_residual
-from sp4lr.numerics import central_diff
+from sp4lr.numerics import central_diff, expm
 from sp4lr.point_transform import (
     PointTransformParams,
     dyson_static,
@@ -38,6 +47,7 @@ _G = GeneratorId
 
 R_ONE = ScalarProfile.constant(1.0)
 R_WOBBLE = ScalarProfile.sinusoid(0.2, 1.0, 0.0, 1.0)
+R_POLY = ScalarProfile.polynomial([1.0, 0.05, -0.01])
 
 
 def params(alpha=2.0, beta=1.0, coupling=0.5, r=R_ONE, c2=0.2, c3=0.2):
@@ -93,7 +103,7 @@ def test_ep_derivatives_match_finite_differences():
 
 def test_target_trivial():
     p = params(c2=0.0, c3=0.0, coupling=1.0)
-    a, b, lam = target_coefficients(p, np.array([0.0, 1.0]))
+    a, b, lam = target_coefficients(p, ep_state(p, np.array([0.0, 1.0])))
     np.testing.assert_allclose(a, p.beta, atol=1e-15)
     np.testing.assert_allclose(b, p.alpha, atol=1e-15)
     np.testing.assert_allclose(lam, p.coupling, atol=1e-15)
@@ -101,13 +111,13 @@ def test_target_trivial():
 
 def test_target_decouples_without_coupling():
     p = params(coupling=0.0)
-    _, _, lam = target_coefficients(p, np.array([0.3, 0.9]))
+    _, _, lam = target_coefficients(p, ep_state(p, np.array([0.3, 0.9])))
     np.testing.assert_array_equal(lam, 0.0)
 
 
 def test_target_value_at_zero():
     p = params(alpha=2.0, beta=1.0, coupling=1.0, c2=0.3, c3=0.3)
-    a, b, lam = target_coefficients(p, np.array([0.0]))
+    a, b, lam = target_coefficients(p, ep_state(p, np.array([0.0])))
     scale0 = np.sqrt(np.sqrt(1.09) + 0.3)
     assert a[0] == pytest.approx(1.0 / scale0**2)
     assert b[0] == pytest.approx(2.0 / scale0**2)
@@ -119,8 +129,7 @@ def test_target_value_at_zero():
 
 def test_pushforward_trivial_role_swap():
     p = params(c2=0.0, c3=0.0)
-    t = np.array([0.4])
-    pm = pushforward_map(p, t)
+    pm = pushforward_map(p, ep_state(p, np.array([0.4])))
     np.testing.assert_allclose(pm.apply(unit("J0"))[0], unit("J0"), atol=1e-14)
     np.testing.assert_allclose(pm.apply(unit("Q1"))[0], -unit("Q1"), atol=1e-14)
     np.testing.assert_allclose(pm.apply(unit("K2"))[0], unit("K2"), atol=1e-14)
@@ -137,17 +146,34 @@ def test_pushforward_trivial_role_swap():
 
 def test_pushforward_linear():
     p = params()
-    t = np.array([0.7])
     a = RNG.standard_normal(10) + 1j * RNG.standard_normal(10)
     b = RNG.standard_normal(10) + 1j * RNG.standard_normal(10)
-    pm = pushforward_map(p, t)
+    pm = pushforward_map(p, ep_state(p, np.array([0.7])))
     np.testing.assert_allclose(pm.apply(a + 2.0 * b), pm.apply(a) + 2.0 * pm.apply(b),
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("r", [R_ONE, R_WOBBLE, R_POLY], ids=["constant", "sinusoid", "polynomial"])
+@pytest.mark.parametrize("coupling", [0.0, 0.5])
+def test_pushforward_element_equals_map_column_sum(r, coupling):
+    # the element's own quadratic form pushed through T^T S T equals the
+    # full generator map applied to its coefficients
+    p = params(coupling=coupling, r=r, c2=0.3, c3=0.25)
+    ep = ep_state(p, np.linspace(0.0, 3.0, 61))
+    pm = pushforward_map(p, ep)
+    for _ in range(3):
+        e = RNG.standard_normal(10) + 1j * RNG.standard_normal(10)
+        np.testing.assert_allclose(pushforward(p, ep, e), pm.apply(e), rtol=0, atol=1e-14)
+    per_sample = RNG.standard_normal((ep.t.size, 10)) + 1j * RNG.standard_normal((ep.t.size, 10))
+    np.testing.assert_allclose(pushforward(p, ep, per_sample), pm.apply(per_sample),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(invariant_IH(p, ep), pm.apply(reference_H0(p)),
+                               rtol=0, atol=1e-14)
+
+
 def test_pushforward_shift_vanishes_at_trivial_params():
     p = params(c2=0.0, c3=0.0)
-    np.testing.assert_allclose(pushforward_shift(p, np.array([0.0, 1.0])), 0.0, atol=1e-15)
+    np.testing.assert_allclose(pushforward_shift(p, ep_state(p, np.array([0.0, 1.0]))), 0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +193,7 @@ def test_reference_h0():
 
 def test_invariant_trivial_params():
     p = params(alpha=2.0, beta=1.0, coupling=1.0, c2=0.0, c3=0.0)
-    inv = invariant_IH(p, np.array([0.8]))[0]
+    inv = invariant_IH(p, ep_state(p, np.array([0.8])))[0]
     want = (1.0 * (unit("J0") + unit("J3")) + 2.0 * (unit("J0") - unit("J3"))
             + 1.0j * (unit("J1") + unit("K3")))
     np.testing.assert_allclose(inv, want, atol=1e-13)
@@ -176,14 +202,15 @@ def test_invariant_trivial_params():
 def test_invariant_satisfies_invariant_equation():
     p = params(alpha=2.0, beta=1.0, coupling=0.5, r=R_WOBBLE, c2=0.2, c3=0.2)
     grid = np.arange(0.0, 2.0 + 1e-12, 1e-3)
-    inv = invariant_IH(p, grid)
-    a, b, lam = target_coefficients(p, grid)
+    ep = ep_state(p, grid)
+    inv = invariant_IH(p, ep)
+    a, b, lam = target_coefficients(p, ep)
     assert lr_residual(inv, build_H_modified(a, b, lam), grid) < 1e-8
 
 
 def test_invariant_hermitian_without_coupling():
     p = params(coupling=0.0, c2=0.0, c3=0.0)
-    inv = invariant_IH(p, np.array([0.5, 1.5]))
+    inv = invariant_IH(p, ep_state(p, np.array([0.5, 1.5])))
     assert np.abs(inv.imag).max() < 1e-14
 
 
@@ -239,7 +266,7 @@ def test_dyson_static_domain_errors():
 def test_dyson_time_exponent_trivial_swaps_kappas():
     p = params(alpha=2.0, beta=1.0, coupling=1.0, c2=0.0, c3=0.0)
     stat = dyson_static(p)
-    exps = dyson_time_exponent(p, np.array([1.1]), stat)[0]
+    exps = dyson_time_exponent(p, ep_state(p, np.array([1.1])), stat)[0]
     k1, k2 = stat.params.kappa1, stat.params.kappa2
     want = k2 * (unit("Q3") - unit("J2")) + k1 * (unit("Q3") + unit("J2"))
     np.testing.assert_allclose(exps, want, atol=1e-13)
@@ -247,16 +274,25 @@ def test_dyson_time_exponent_trivial_swaps_kappas():
 
 def test_dyson_time_identity_without_coupling():
     p = params(coupling=0.0, c2=0.3, c3=0.2)
-    eta = dyson_time(p, np.array([0.0, 0.9, 1.7]))
+    eta = dyson_time(p, ep_state(p, np.array([0.0, 0.9, 1.7])), dyson_static(p))
     np.testing.assert_allclose(eta, np.broadcast_to(np.eye(4), eta.shape), atol=1e-14)
+
+
+def test_symplectic_inverse_equals_expm_of_negated_exponent():
+    p = params(alpha=2.0, beta=1.0, coupling=1.0, r=R_WOBBLE, c2=0.3, c3=0.2)
+    x = to_matrix(dyson_time_exponent(p, ep_state(p, np.linspace(0.0, 4.0, 201)), dyson_static(p)))
+    eta = expm(x)
+    np.testing.assert_allclose(symplectic_inverse(eta), expm(-x), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(eta @ symplectic_inverse(eta),
+                               np.broadcast_to(np.eye(4), eta.shape), rtol=0, atol=1e-13)
 
 
 def test_dyson_time_exponent_is_static_image():
     p = params(alpha=2.0, beta=1.0, coupling=1.0, r=R_WOBBLE, c2=0.2, c3=0.3)
     stat = dyson_static(p)
-    t = np.linspace(0.0, 2.0, 9)
-    exps = dyson_time_exponent(p, t, stat)
-    image = pushforward(p, t, stat.exponent.coeffs)
+    ep = ep_state(p, np.linspace(0.0, 2.0, 9))
+    exps = dyson_time_exponent(p, ep, stat)
+    image = pushforward(p, ep, stat.exponent.coeffs)
     np.testing.assert_allclose(exps, image, atol=1e-12)
 
 
@@ -266,7 +302,8 @@ def test_dyson_time_exponent_is_static_image():
 
 def test_hermitian_invariant_trivial_no_coupling():
     p = params(alpha=2.0, beta=1.0, coupling=0.0, c2=0.0, c3=0.0)
-    ih = hermitian_invariant_Ih(p, np.array([0.6]))[0]
+    ep = ep_state(p, np.array([0.6]))
+    ih = hermitian_invariant_Ih(invariant_IH(p, ep), dyson_time(p, ep, dyson_static(p)))[0]
     want = 1.0 * (unit("J0") + unit("J3")) + 2.0 * (unit("J0") - unit("J3"))
     np.testing.assert_allclose(ih, want, atol=1e-13)
 
@@ -274,17 +311,17 @@ def test_hermitian_invariant_trivial_no_coupling():
 def test_hermitian_invariant_real_and_consistent():
     p = params(alpha=2.0, beta=1.0, coupling=1.0, c2=0.3, c3=0.3)
     stat = dyson_static(p)
-    t = np.sort(RNG.uniform(0.0, 4.0, size=50))
-    ih = hermitian_invariant_Ih(p, t, stat)
+    ep = ep_state(p, np.sort(RNG.uniform(0.0, 4.0, size=50)))
+    ih = hermitian_invariant_Ih(invariant_IH(p, ep), dyson_time(p, ep, stat))
     assert np.abs(ih.imag).max() < 1e-8
-    np.testing.assert_allclose(ih, pushforward(p, t, stat.h0.coeffs), atol=1e-8)
-    np.testing.assert_allclose(ih, hermitian_invariant_expansion(p, t, stat), atol=1e-8)
+    np.testing.assert_allclose(ih, pushforward(p, ep, stat.h0.coeffs), atol=1e-8)
+    np.testing.assert_allclose(ih, hermitian_invariant_expansion(p, ep, stat), atol=1e-8)
 
 
 def test_hermitian_hamiltonian_trivial_no_coupling():
     p = params(alpha=2.0, beta=1.0, coupling=0.0, c2=0.0, c3=0.0, r=R_WOBBLE)
     t = np.array([0.0, 1.2])
-    h = hermitian_hamiltonian_h(p, t)
+    h = hermitian_hamiltonian_h(p, ep_state(p, t), dyson_static(p))
     r = R_WOBBLE(t)
     want = np.outer(r, 2.0 * (unit("J0") - unit("J3")) + 1.0 * (unit("J0") + unit("J3")))
     np.testing.assert_allclose(h, want, atol=1e-13)
@@ -293,29 +330,34 @@ def test_hermitian_hamiltonian_trivial_no_coupling():
 def test_hermitian_hamiltonian_is_hermitian_and_matches_image():
     p = params(alpha=3.0, beta=1.0, coupling=0.8, r=R_WOBBLE, c2=0.2, c3=0.2)
     stat = dyson_static(p)
-    t = np.linspace(0.0, 2.0, 41)
-    h = hermitian_hamiltonian_h(p, t, stat)
+    ep = ep_state(p, np.linspace(0.0, 2.0, 41))
+    h = hermitian_hamiltonian_h(p, ep, stat)
     assert np.abs(h.imag).max() < 1e-12
-    pm = pushforward_map(p, t)
-    ep = ep_state(p, t)
+    pm = pushforward_map(p, ep)
     h_image = ep.r[:, None] * pm.apply(stat.h0.coeffs) - pm.shift
     np.testing.assert_allclose(h, h_image, atol=1e-12)
 
 
+def tdde_on(p, grid):
+    stat = dyson_static(p)
+    ep = ep_state(p, grid)
+    return tdde_residual(p, ep, dyson_time(p, ep, stat), stat)
+
+
 def test_tdde_residual_trivial():
     p = params(alpha=2.0, beta=1.0, coupling=0.0, c2=0.0, c3=0.0)
-    assert tdde_residual(p, np.linspace(0.0, 1.0, 101)) < 1e-10
+    assert tdde_on(p, np.linspace(0.0, 1.0, 101)) < 1e-10
 
 
 def test_tdde_residual_and_convergence():
     p = params(alpha=2.0, beta=1.0, coupling=0.5, c2=0.2, c3=0.2)
     grid = np.arange(0.0, 2.0 + 1e-12, 1e-3)
-    assert tdde_residual(p, grid) < 1e-6
+    assert tdde_on(p, grid) < 1e-6
     # 4th-order decay under step halving
     errs = []
     for step in (8e-3, 4e-3, 2e-3):
         g = np.arange(0.0, 2.0 + step / 2.0, step)
-        errs.append(tdde_residual(p, g))
+        errs.append(tdde_on(p, g))
     assert 10.0 < errs[0] / errs[1] < 24.0
     assert 10.0 < errs[1] / errs[2] < 24.0
 
@@ -327,7 +369,7 @@ def test_tdde_residual_and_convergence():
 def test_pde_residuals_trivial():
     p = params(alpha=2.0, beta=1.0, coupling=1.0, c2=0.0, c3=0.0, r=R_WOBBLE)
     xy = RNG.uniform(-2.0, 2.0, size=(10, 2))
-    b0x, b0y, v0 = pde_constraint_residuals(p, np.array([0.5, 1.5]), xy)
+    b0x, b0y, v0 = pde_constraint_residuals(p, ep_state(p, np.array([0.5, 1.5])), xy)
     assert b0x == 0.0 and b0y == 0.0
     assert v0 < 1e-12  # potential matches with lam = coupling * r
 
@@ -336,7 +378,7 @@ def test_pde_residuals_generic():
     p = params(alpha=2.0, beta=1.0, coupling=1.0, c2=0.3, c3=0.3)
     ts = RNG.uniform(0.0, 4.0, size=20)
     xy = RNG.uniform(-2.0, 2.0, size=(20, 2))
-    b0x, b0y, v0 = pde_constraint_residuals(p, ts, xy)
+    b0x, b0y, v0 = pde_constraint_residuals(p, ep_state(p, ts), xy)
     assert max(b0x, b0y, v0) < 1e-8
 
 
@@ -346,8 +388,8 @@ def test_pde_residuals_ignore_phase_constant():
                               r=p1.r, c2=p1.c2, c3=p1.c3, c1_phase=3.7)
     ts = np.array([0.4, 1.3])
     xy = RNG.uniform(-1.0, 1.0, size=(5, 2))
-    np.testing.assert_allclose(pde_constraint_residuals(p1, ts, xy),
-                               pde_constraint_residuals(p2, ts, xy), atol=1e-13)
+    np.testing.assert_allclose(pde_constraint_residuals(p1, ep_state(p1, ts), xy),
+                               pde_constraint_residuals(p2, ep_state(p2, ts), xy), atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +398,18 @@ def test_pde_residuals_ignore_phase_constant():
 
 def test_metric_positive_definite():
     p = params(alpha=2.0, beta=1.0, coupling=1.0, r=R_WOBBLE, c2=0.4, c3=0.4)
-    t = np.linspace(0.0, 4.0, 401)
-    assert metric_is_positive(p, t).all()
-    evs = metric_eigenvalues(p, t[::80])
+    eta = dyson_time(p, ep_state(p, np.linspace(0.0, 4.0, 401)), dyson_static(p))
+    assert metric_is_positive(eta).all()
+    evs = metric_eigenvalues(eta[::80])
     assert (evs > 0).all()
     assert (np.diff(evs, axis=1) >= 0).all()
-    want = np.stack([scipy.linalg.eigvalsh(r) for r in metric_matrices(p, t[::80])])
+    want = np.stack([scipy.linalg.eigvalsh(r) for r in metric_matrices(eta[::80])])
     np.testing.assert_allclose(evs, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_metric_hermitian():
     p = params(coupling=0.8)
-    rho = metric_matrices(p, np.array([0.3, 2.1]))
+    rho = metric_matrices(dyson_time(p, ep_state(p, np.array([0.3, 2.1])), dyson_static(p)))
     np.testing.assert_allclose(rho, np.conj(np.transpose(rho, (0, 2, 1))), atol=1e-14)
 
 
@@ -385,3 +427,32 @@ def test_complex_delta_condition_is_arctanh_domain():
     assert (alpha**2 - beta**2) ** 2 < 4 * alpha * beta * coupling**2
     with pytest.raises(ArctanhDomain):
         dyson_static(params(alpha=alpha, beta=beta, coupling=coupling))
+
+
+# ---------------------------------------------------------------------------
+# scenario run: one EP state per grid, one Dyson map
+
+
+PT_CFG = {
+    "mode": "point-transform",
+    "grid": {"t0": 0.0, "t1": 1.0, "steps": 1001},
+    "params": {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "c2": 0.2, "c3": 0.3,
+               "r": {"kind": "sinusoid", "amp": 0.2, "freq": 1.0, "phase": 0.0,
+                     "offset": 1.0}},
+}
+
+
+def test_point_transform_run_accumulates_tau_once_per_grid(tmp_path, monkeypatch):
+    # grid, half-step grid, and the single time of the image-row records
+    calls = []
+    accumulate = pt._accumulated_tau
+
+    def counted(p, ts, *args, **kwargs):
+        calls.append(np.size(ts))
+        return accumulate(p, ts, *args, **kwargs)
+
+    monkeypatch.setattr(pt, "_accumulated_tau", counted)
+    report = run_scenario(PT_CFG, str(tmp_path))
+    assert report["all_pass"]
+    assert len(calls) <= 3, calls
+
