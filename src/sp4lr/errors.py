@@ -18,7 +18,7 @@ class NonCommuting(Sp4lrError):
 
 
 class StepNotConverged(Sp4lrError):
-    """Product-integration step halving stalled before reaching the requested tolerance."""
+    """Product-integration step halving cannot reach, or stalled before reaching, the requested tolerance."""
 
 
 class DegenerateAlpha(Sp4lrError):

@@ -9,10 +9,14 @@ the structure constants rather than typed in; the two published
 hand-written forms of M, which disagree with each other in two entries,
 are kept in :mod:`sp4lr.crosschecks` for the adjudication report.
 
-Solvers: product integration of the time-ordered exponential (midpoint
-exponentials with step halving), the plain matrix exponential of the
-accumulated integral for commuting families, and the closed form for
-proportional profiles a = lam, omega_x = alpha*lam, omega_y = lam.
+The solvers do not integrate that 10-dimensional system.  ``to_matrix``
+is a Lie-algebra homomorphism, so I(t) = U I(0) U^-1 with the 4x4
+propagator  dU/dt = -i H(t) U,  and conjugation keeps I^2 = 1 and
+det I = 1 by construction.  U comes from 4th-order two-point
+Gauss-Legendre Magnus steps, refined per interval (time-ordered), or
+from the exponential of the accumulated integral of H (commuting
+families).  The closed form covers the proportional profiles a = lam,
+omega_x = alpha*lam, omega_y = lam.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, GeneratorId, commutator, structure_constants
+from .algebra import (AlgebraElement, GeneratorId, commutator, conjugate_by, structure_constants,
+                      to_matrix)
 from .errors import ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, StepNotConverged
-from .hamiltonian import CoupledOscillatorParams, _h_coeffs
+from .hamiltonian import CoupledOscillatorParams, _h_coeffs, build_H_coeffs
 from .numerics import central_diff, expm, frobenius
 from .profiles import ScalarProfile
 
@@ -126,22 +131,111 @@ def _commutativity_probe(p, grid, n_samples: int = 12) -> float:
     return worst
 
 
+_EPS = np.finfo(float).eps
+# two-point Gauss-Legendre nodes on the unit interval
+_GL_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+
+
+def _ordered_product(steps) -> np.ndarray:
+    """steps[..., n-1, :, :] @ ... @ steps[..., 0, :, :] by pairwise reduction."""
+    while steps.shape[-3] > 1:
+        paired = steps[..., 1::2, :, :] @ steps[..., 0:-1:2, :, :]
+        if steps.shape[-3] % 2:
+            paired = np.concatenate([paired, steps[..., -1:, :, :]], axis=-3)
+        steps = paired
+    return steps[..., 0, :, :]
+
+
+def _magnus_propagators(p, t0, h, n: int) -> np.ndarray:
+    """4x4 propagators of the intervals [t0, t0 + h], each split into ``n``
+    two-point Gauss-Legendre Magnus substeps; one ``expm`` for the stack.
+
+    With A = -i H(t) at the nodes t1 < t2 of a substep of length s,
+    Omega = (s/2)(A1 + A2) + (sqrt(3) s^2 / 12)[A2, A1] (4th order).
+    """
+    s = (h / n)[:, None, None]
+    nodes = t0[:, None, None] + (np.arange(n)[:, None] + _GL_NODES) * s
+    a = -1j * to_matrix(build_H_coeffs(p, nodes))
+    a1, a2 = a[..., 0, :, :], a[..., 1, :, :]
+    s = s[..., None]
+    omega = 0.5 * s * (a1 + a2) + (np.sqrt(3.0) / 12.0) * s**2 * (a2 @ a1 - a1 @ a2)
+    return _ordered_product(expm(omega))
+
+
+def _prefix_products(props) -> np.ndarray:
+    """U[0] = 1 and U[k+1] = props[k] @ U[k], accumulated in time order."""
+    u = np.empty((len(props) + 1, 4, 4), dtype=complex)
+    u[0] = np.eye(4)
+    for k, step in enumerate(props):
+        u[k + 1] = step @ u[k]
+    return u
+
+
+def _not_converged(why, t0, worst, delta):
+    k = int(np.argmax(delta))
+    return StepNotConverged("%s: worst interval starts at t = %.6g with delta %.3e"
+                            % (why, t0[worst[k]], delta[k]))
+
+
+def _refined_propagators(p, t, step_tol: float, max_halvings: int) -> np.ndarray:
+    """Interval propagators, each halved until two refinements agree below step_tol."""
+    if not step_tol > 0:
+        raise ValueError("step_tol must be positive")
+    t0, h = t[:-1], np.diff(t)
+    props = _magnus_propagators(p, t0, h, 1)
+    active = np.arange(h.size)  # intervals still being refined
+    last = np.full(h.size, np.inf)  # their delta one halving earlier
+    n = 1
+    for _ in range(max_halvings):
+        n *= 2
+        finer = _magnus_propagators(p, t0[active], h[active], n)
+        delta = frobenius(finer - props[active])
+        props[active] = finer
+        open_ = delta >= step_tol
+        # delta falls 16x per halving (4th order), so step_tol takes about
+        # n (delta / step_tol)^(1/4) substeps, each adding about one rounding
+        # unit of the propagator to the delta: refuse at once where that
+        # floor lies above step_tol, or where delta has stopped falling
+        floor = n * (delta / step_tol) ** 0.25 * _EPS * frobenius(finer)
+        stuck = open_ & ((delta >= last[active]) | (floor >= step_tol))
+        if np.any(stuck):
+            raise _not_converged("refinement cannot reach %.1e above the rounding floor"
+                                 % step_tol, t0, active[stuck], delta[stuck])
+        last[active] = delta
+        active = active[open_]
+        if active.size == 0:
+            return props
+    raise _not_converged("interval refinement stalled above %.1e after %d halvings"
+                         % (step_tol, max_halvings), t0, active, last[active])
+
+
 def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
            step_tol: float = 1e-11, comm_tol: float = 1e-12,
            substeps: int | None = None, max_halvings: int = 12) -> np.ndarray:
     """Propagate the coefficient vector over ``grid``; returns shape (N, 10).
 
+    ``to_matrix`` is a Lie-algebra homomorphism, so the invariant is
+    I(t) = U(t) I(0) U(t)^-1 with the 4x4 propagator dU/dt = -i H(t) U;
+    the coefficients are read back from that conjugation
+    (:func:`sp4lr.algebra.conjugate_by`, which raises ProjectionLeak if
+    the result leaves the algebra).
+
     ``time_ordered``
-        Per-interval midpoint product integration
-        c(t_{k+1}) = expm(M(t_{k+1/2}) dt) c(t_k).  With ``substeps``
-        None, each interval is recursively halved until two successive
-        refinements agree below ``step_tol`` (StepNotConverged if the
-        halving cap is hit); a fixed ``substeps`` disables the adaptivity
-        (used for order-of-convergence studies).
+        U is the product of per-interval propagators, each a product of
+        4th-order two-point Gauss-Legendre Magnus steps.  With
+        ``substeps`` None, every interval starts with one substep and the
+        intervals whose two last refinements still differ by ``step_tol``
+        or more (Frobenius norm) are halved again; converged intervals
+        are kept.  StepNotConverged, naming the worst interval and its
+        delta, is raised when the ``max_halvings`` cap is hit, when an
+        interval's delta stops falling between halvings, or as soon as
+        the 4th-order rate puts ``step_tol`` below the rounding floor of
+        the substeps it would take.  A fixed ``substeps`` disables the
+        adaptivity (used for order-of-convergence studies).
     ``commuting``
-        c(t) = expm(int_0^t M ds) c(0), valid when M commutes with
-        itself across times; a sampled commutativity probe guards the
-        assumption (NonCommuting on failure).
+        U(t) = expm(-i int_0^t H ds), valid when H commutes with itself
+        across times; a sampled commutativity probe of the coefficient
+        matrix M guards the assumption (NonCommuting on failure).
     """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
@@ -151,50 +245,20 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
     if mode == "commuting":
         if _commutativity_probe(p, t) > comm_tol:
             raise NonCommuting("sampled ||[M(t), M(t')]|| exceeds %.1e" % comm_tol)
-        ma, mx, my, ml = _pieces()
-        ia = p.a.antiderivative(t)
-        ix = p.omega_x.antiderivative(t)
-        iy = p.omega_y.antiderivative(t)
-        il = p.lam.antiderivative(t)
-        sh = t.shape + (1, 1)
-        integral = (ia.reshape(sh) * ma + ix.reshape(sh) * mx
-                    + iy.reshape(sh) * my + il.reshape(sh) * ml)
-        return np.einsum("nij,j->ni", expm(integral), c0)
-
-    if mode != "time_ordered":
+        integral = _h_coeffs(p.a.antiderivative(t), p.omega_x.antiderivative(t),
+                             p.omega_y.antiderivative(t), p.lam.antiderivative(t))
+        u = expm(-1j * to_matrix(integral))
+    elif mode == "time_ordered":
+        if substeps is not None:
+            props = _magnus_propagators(p, t[:-1], np.diff(t), substeps)
+        else:
+            props = _refined_propagators(p, t, step_tol, max_halvings)
+        u = _prefix_products(props)
+    else:
         raise ValueError("mode must be 'time_ordered' or 'commuting'")
 
-    def steps_for(n):
-        """Propagators for every interval split into n midpoint substeps."""
-        h = np.diff(t) / n
-        props = None
-        for k in range(n):
-            mids = t[:-1] + (k + 0.5) * h
-            ek = expm(build_M(p, mids) * h[:, None, None])
-            props = ek if props is None else ek @ props
-        return props
-
-    if substeps is not None:
-        props = steps_for(substeps)
-    else:
-        n = 1
-        props = steps_for(1)
-        for _ in range(max_halvings):
-            finer = steps_for(2 * n)
-            delta = float(np.max(frobenius(finer - props)))
-            props = finer
-            n *= 2
-            if delta < step_tol:
-                break
-        else:
-            raise StepNotConverged(
-                "interval refinement stalled above %.1e after %d halvings"
-                % (step_tol, max_halvings))
-
-    traj = np.empty((t.size, 10), dtype=complex)
+    traj = coefficients_of_element(conjugate_by(u, assemble_invariant(c0).coeffs))
     traj[0] = c0
-    for k in range(t.size - 1):
-        traj[k + 1] = props[k] @ traj[k]
     return traj
 
 
@@ -345,8 +409,8 @@ def lr_residual(invariant, hamiltonian, grid, hbar: float = 1.0) -> float:
 
     def as_stack(obj):
         if callable(obj):
-            return np.stack([np.asarray(obj(tk).coeffs if hasattr(obj(tk), "coeffs")
-                                        else obj(tk), dtype=complex) for tk in t])
+            return np.stack([np.asarray(getattr(v, "coeffs", v), dtype=complex)
+                             for v in map(obj, t)])
         return np.asarray(obj, dtype=complex)
 
     icoef = as_stack(invariant)

@@ -1,10 +1,12 @@
 """Tests for the invariant coefficient ODE, its solvers and the closed form."""
 
+import time
+
 import numpy as np
 import pytest
 
 from sp4lr.algebra import AlgebraElement, to_matrix
-from sp4lr.errors import ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting
+from sp4lr.errors import ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, StepNotConverged
 from sp4lr.hamiltonian import CoupledOscillatorParams, build_H_coeffs
 from sp4lr.lr_ode import (
     ANSATZ_COMBINATIONS,
@@ -19,6 +21,7 @@ from sp4lr.lr_ode import (
     involution_residuals,
     lr_residual,
 )
+from sp4lr.numerics import frobenius
 from sp4lr.profiles import ScalarProfile
 
 C0 = np.zeros(10, dtype=complex)
@@ -141,8 +144,8 @@ def test_evolve_matches_closed_form_alpha3():
     assert np.abs(got - want).max() < 1e-6
 
 
-def test_second_order_slope_under_substep_halving():
-    # fixed substeps expose the 2nd-order product-integration error
+def test_fourth_order_slope_under_substep_halving():
+    # fixed substeps expose the 4th-order error of the two-point Magnus step
     p = CoupledOscillatorParams(
         a=ScalarProfile.sinusoid(0.5, 1.0, 0.0, 1.0),
         omega_x=ScalarProfile.sinusoid(0.2, 2.0, 0.4, 1.3),
@@ -153,7 +156,53 @@ def test_second_order_slope_under_substep_halving():
     errs = [np.abs(evolve(C0, grid, p, mode="time_ordered", substeps=n) - ref).max()
             for n in (2, 4, 8)]
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
-    assert 3.0 < r1 < 5.5 and 3.0 < r2 < 5.5
+    assert 12.0 <= r1 <= 20.0 and 12.0 <= r2 <= 20.0
+
+
+def test_group_route_keeps_involution_on_driven_ode():
+    # a drive like the lr-ode scenarios: conjugating I(0) by the 4x4
+    # propagator keeps I^2 = 1 and det I = 1 at every sample
+    p = CoupledOscillatorParams(
+        a=ScalarProfile.constant(1.0),
+        omega_x=ScalarProfile.sinusoid(0.35, 1.25, 1.0, 1.5),
+        omega_y=ScalarProfile.constant(1.0),
+        lam=ScalarProfile.sinusoid(0.3, 1.25, 0.5, 0.45))
+    m = invariant_matrix(evolve(C0, np.linspace(0.0, 5.0, 2001), p))
+    assert frobenius(m @ m - np.eye(4)).max() < 1e-11
+    assert np.abs(np.linalg.det(m) - 1.0).max() < 1e-11
+
+
+# strongly driven case: a = 1, omega_x = 4 + 3 sin 5t, omega_y = 1,
+# lam = 0.1 + 2 sin 3t on 401 points of [0, 20]
+DRIVEN = CoupledOscillatorParams(
+    a=ScalarProfile.constant(1.0),
+    omega_x=ScalarProfile.sinusoid(3.0, 5.0, 0.0, 4.0),
+    omega_y=ScalarProfile.constant(1.0),
+    lam=ScalarProfile.sinusoid(2.0, 3.0, 0.0, 0.1))
+DRIVEN_GRID = np.linspace(0.0, 20.0, 401)
+
+
+@pytest.fixture(scope="module")
+def driven_traj():
+    return evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered")
+
+
+def test_driven_evolve_converges_to_fine_substeps(driven_traj):
+    ref = evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered", substeps=256)
+    assert np.abs(driven_traj - ref).max() < 1e-9
+
+
+def test_driven_evolve_keeps_involution(driven_traj):
+    m = invariant_matrix(driven_traj)
+    assert frobenius(m @ m - np.eye(4)).max() < 1e-10
+    assert np.abs(np.linalg.det(m) - 1.0).max() < 1e-10
+
+
+def test_driven_evolve_below_rounding_floor_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(StepNotConverged, match=r"t = [0-9.]+ with delta"):
+        evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered", step_tol=1e-16)
+    assert time.perf_counter() - start < 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +346,21 @@ def test_lr_residual_accepts_callables():
     assert lr_residual(i_of_t, h_of_t, grid) < 1e-12
 
 
+def test_lr_residual_calls_each_callable_once_per_sample():
+    p = const_params(0.7, 1.3, 0.9, 0.4)
+    grid = np.linspace(0.0, 0.5, 51)
+    calls = {"invariant": 0, "hamiltonian": 0}
+
+    def counting(key):
+        def element(t):
+            calls[key] += 1
+            return AlgebraElement(build_H_coeffs(p, np.array([t]))[0])
+        return element
+
+    lr_residual(counting("invariant"), counting("hamiltonian"), grid)
+    assert calls == {"invariant": grid.size, "hamiltonian": grid.size}
+
+
 def test_step_not_converged():
     from sp4lr.errors import StepNotConverged
 
@@ -308,3 +372,10 @@ def test_step_not_converged():
     with pytest.raises(StepNotConverged):
         evolve(C0, np.linspace(0.0, 1.0, 6), p, mode="time_ordered",
                step_tol=1e-16, max_halvings=2)
+
+
+@pytest.mark.parametrize("step_tol", [0.0, -1e-11, float("nan")])
+def test_evolve_rejects_step_tol_that_cannot_be_met(step_tol):
+    with pytest.raises(ValueError, match="step_tol"):
+        evolve(C0, np.linspace(0.0, 1.0, 11), const_params(0.7, 1.3, 0.9, 0.4),
+               mode="time_ordered", step_tol=step_tol)
