@@ -46,7 +46,7 @@ from .lr_ode import (
     involution_residuals,
     lr_residual,
 )
-from .numerics import Tolerances, central_diff, cumulative_simpson, eig4, expm
+from .numerics import central_diff, cumulative_simpson, eig4, expm
 from .point_transform import (
     DysonParams,
     EPState,

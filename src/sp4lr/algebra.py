@@ -27,7 +27,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ProjectionLeak
-from .numerics import DEFAULT_TOL, expm, frobenius
+from .numerics import PROJ_TOL, expm, frobenius
 
 __all__ = [
     "GeneratorId",
@@ -315,7 +315,7 @@ def symplectic_inverse(g) -> np.ndarray:
     return -OMEGA @ np.swapaxes(np.asarray(g), -1, -2) @ OMEGA
 
 
-def conjugate_by(g, e, proj_tol: float = DEFAULT_TOL.proj_tol):
+def conjugate_by(g, e, proj_tol: float = PROJ_TOL):
     """Adjoint action g e g^-1 of a group element g in Sp(4, C).
 
     ``g`` is a 4x4 matrix or a stack (N, 4, 4) paired with one element
@@ -332,7 +332,7 @@ def conjugate_by(g, e, proj_tol: float = DEFAULT_TOL.proj_tol):
     return coeffs
 
 
-def group_conjugate(exponent, e, proj_tol: float = DEFAULT_TOL.proj_tol):
+def group_conjugate(exponent, e, proj_tol: float = PROJ_TOL):
     """Adjoint action exp(X) e exp(-X) computed in the 4x4 representation.
 
     X lies in the algebra, so exp(X) lies in Sp(4, C) and exp(-X) is its
@@ -369,7 +369,7 @@ def parity_matrix(convention: str = "reflection") -> np.ndarray:
 
 
 def parity_action(e, convention: str = "reflection",
-                  proj_tol: float = DEFAULT_TOL.proj_tol):
+                  proj_tol: float = PROJ_TOL):
     """Conjugate by the parity matrix and project back onto the algebra."""
     p = parity_matrix(convention)
     pinv = np.linalg.inv(p)

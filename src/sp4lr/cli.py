@@ -3,9 +3,14 @@
 ``sp4lr run --config scenario.json [--out dir]`` loads a JSON scenario,
 runs one of the five pipeline modes, writes CSV trajectories plus a JSON
 report, and exits 0 when every check passes, 2 on a check failure and 1
-on a configuration or domain error.  ``sp4lr run --describe`` prints the
-configuration schema with defaults.  The environment variable
-``SP4_SEED`` fixes the seed used for randomized sample points.
+on a configuration or domain error.
+
+Before any numerics run, the config is read through one field table
+(``_FIELDS``, and ``profiles.PROFILE_KINDS`` for profiles), which fills
+in defaults; an unknown or missing field, or a bool, string, null or
+non-finite value where a number belongs, exits 1 with
+``ConfigInvalid("<field.path>: ...")``.  ``sp4lr run --describe`` prints
+that table.  The environment variable ``SP4_SEED`` overrides ``seed``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from . import crosschecks
 from .algebra import (
     AlgebraElement,
     adjoint,
-    commutator,
     generator_matrices,
     parity_action,
     pt_map,
@@ -33,6 +37,7 @@ from .algebra import (
 from .errors import ConfigInvalid, Sp4lrError
 from .hamiltonian import (
     CoupledOscillatorParams,
+    build_H,
     build_H_coeffs,
     build_H_modified,
     classify_regime,
@@ -40,6 +45,7 @@ from .hamiltonian import (
 )
 from .lr_ode import (
     ClosedFormParams,
+    _commutativity_probe,
     assemble_invariant,
     closed_form_on_grid,
     evolve,
@@ -63,51 +69,76 @@ from .point_transform import (
     target_coefficients,
     tdde_residual,
 )
-from .profiles import ScalarProfile
+from .profiles import PROFILE_KINDS, Field, ScalarProfile
 
 __all__ = ["main", "run_scenario", "emit_plot_data", "describe_schema"]
 
 _MODES = ("algebra-check", "lr-closed-form", "lr-ode", "point-transform", "regime-map")
 
-_SCHEMA = {
-    "mode": "one of %s" % (list(_MODES),),
-    "grid": {"t0": 0.0, "t1": 5.0, "steps": 5001},
-    "hbar": "1.0; lr-closed-form, lr-ode and point-transform solve in units with "
-            "hbar = 1 and reject any other value",
-    "seed": "int, optional; overridden by env SP4_SEED",
+_COUPLED = {name: Field("profile") for name in ("a", "omega_x", "omega_y", "lam")}
+
+# Every config field, the one place a default is written: a Field, or a
+# dict of the fields of an object.  "params" holds one object per mode.
+_FIELDS = {
+    "mode": Field("choice", one_of=_MODES),
+    "grid": {"t0": Field("number", 0.0), "t1": Field("number", 5.0),
+             "steps": Field("integer", 5001)},
+    # the coefficient solvers are written in units with hbar = 1
+    "hbar": Field("number", 1.0, one_of=(1.0,)),
+    "seed": Field("integer", 20240801),  # the environment's SP4_SEED overrides it
     "params": {
-        "algebra-check": {"samples": 100},
-        "lr-closed-form": {"alpha": 3.0, "lam": {"kind": "constant", "value": 1.0}},
+        "algebra-check": {"samples": Field("integer", 100)},
+        "lr-closed-form": {"alpha": Field("number", 3.0), "lam": Field("profile")},
         "lr-ode": {
-            "a": {"kind": "constant", "value": 1.0},
-            "omega_x": {"kind": "constant", "value": 1.0},
-            "omega_y": {"kind": "constant", "value": 1.0},
-            "lam": {"kind": "constant", "value": 1.0},
-            "solver": "time_ordered | commuting",
-            "c0": "optional list of 10 [re, im] pairs",
+            **_COUPLED,
+            "solver": Field("choice", "time_ordered", ("time_ordered", "commuting")),
+            "c0": Field("pairs", [[0.0, 0.0]] * 2 + [[1.0, 0.0]] * 2 + [[0.0, 0.0]] * 6),
+            "lr_tol": Field("number", 1e-6),
         },
         "point-transform": {
-            "alpha": 2.0, "beta": 1.0, "coupling": 0.5, "c2": 0.2, "c3": 0.2,
-            "c1_phase": 0.0, "r": {"kind": "constant", "value": 1.0},
+            "alpha": Field("number"), "beta": Field("number"), "coupling": Field("number", 0.0),
+            "c2": Field("number", 0.0), "c3": Field("number", 0.0),
+            "c1_phase": Field("number", 0.0), "r": Field("profile"),
         },
-        "regime-map": {
-            "a": {"kind": "constant", "value": 1.0},
-            "omega_x": {"kind": "constant", "value": 1.0},
-            "omega_y": {"kind": "constant", "value": 1.0},
-            "lam": {"kind": "sinusoid", "amp": 1.0, "freq": 1.0, "phase": 0.0, "offset": 0.5},
-        },
-    },
-    "profiles": {
-        "constant": {"kind": "constant", "value": 1.0},
-        "sinusoid": {"kind": "sinusoid", "amp": 1.0, "freq": 1.0, "phase": 0.0, "offset": 0.0},
-        "polynomial": {"kind": "polynomial", "coeffs": [0.0, 1.0]},
-        "tabulated": {"kind": "tabulated", "times": [0.0, 1.0], "values": [1.0, 1.0]},
+        "regime-map": _COUPLED,
     },
 }
 
 
+def _described(spec):
+    return {name: _described(f) if isinstance(f, dict) else f.describe()
+            for name, f in spec.items()}
+
+
 def describe_schema() -> str:
-    return json.dumps(_SCHEMA, indent=2, sort_keys=True)
+    """The field table of the loader, and the fields of each profile kind, as JSON."""
+    return json.dumps({**_described(_FIELDS), "profiles": _described(PROFILE_KINDS)},
+                      indent=2, sort_keys=True)
+
+
+def _resolve(spec, cfg, path=""):
+    """``cfg`` read through ``spec``: unknown fields rejected, every value
+    checked, defaults filled in; an absent object counts as empty."""
+    if not isinstance(cfg, dict):
+        raise ConfigInvalid("%s: expected an object, got %r" % (path or "config", cfg))
+    prefix = path + "." if path else ""
+    unknown = sorted(set(cfg) - set(spec))
+    if unknown:
+        raise ConfigInvalid("%s%s: unknown field" % (prefix, unknown[0]))
+    return {name: _resolve(f, cfg.get(name, {}), prefix + name) if isinstance(f, dict)
+            else f.pick(cfg, name, prefix + name) for name, f in spec.items()}
+
+
+def _resolve_config(cfg) -> dict:
+    """The scenario config read through ``_FIELDS``; profiles resolve to
+    :class:`ScalarProfile` and SP4_SEED replaces the seed."""
+    mode = _FIELDS["mode"].pick(cfg, "mode", "mode") if isinstance(cfg, dict) else None
+    resolved = _resolve({**_FIELDS, "params": _FIELDS["params"].get(mode, {})}, cfg)
+    _require(resolved["grid"]["steps"] >= 5, "grid.steps: need at least 5 points")
+    _require(resolved["grid"]["t1"] > resolved["grid"]["t0"], "grid.t1 must exceed grid.t0")
+    if "SP4_SEED" in os.environ:
+        resolved["seed"] = int(os.environ["SP4_SEED"])
+    return resolved
 
 
 def emit_plot_data(trajectory, path):
@@ -171,59 +202,16 @@ def _require(cond, msg):
         raise ConfigInvalid(msg)
 
 
-def _load_grid(cfg):
-    g = cfg.get("grid", {})
-    t0 = float(g.get("t0", 0.0))
-    t1 = float(g.get("t1", 5.0))
-    steps = int(g.get("steps", 5001))
-    _require(steps >= 5, "grid.steps: need at least 5 points")
-    _require(t1 > t0, "grid.t1 must exceed grid.t0")
-    return np.linspace(t0, t1, steps)
-
-
-def _profile(cfg, field):
-    try:
-        return ScalarProfile.from_config(cfg[field])
-    except KeyError:
-        raise ConfigInvalid("params.%s: missing profile" % field)
-    except (ValueError, TypeError) as exc:
-        raise ConfigInvalid("params.%s: %s" % (field, exc))
-
-
-def _require_unit_hbar(cfg):
-    """Reject a config hbar other than 1: the coefficient-level solvers
-    (closed_form_c, evolve, the pushforward and the Dyson map) are written
-    in units with hbar = 1, so the residuals would mix two unit systems."""
-    try:
-        hbar = float(cfg.get("hbar", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid("hbar: %s" % exc)
-    _require(hbar == 1.0, "hbar: %r unsupported; this mode solves in units with hbar = 1" % hbar)
-
-
-def _seed(cfg):
-    env = os.environ.get("SP4_SEED")
-    if env is not None:
-        return int(env)
-    return int(cfg.get("seed", 20240801))
-
-
 # ---------------------------------------------------------------------------
 # modes
 
 
 def _run_algebra_check(cfg, grid, outdir, checks, artifacts):
-    rng = np.random.default_rng(_seed(cfg))
+    rng = np.random.default_rng(cfg["seed"])
     gen = generator_matrices()
     f = structure_constants()
     # commutator table against the matrix representation
-    worst = 0.0
-    for i in range(10):
-        for j in range(i + 1, 10):
-            lhs = gen[i] @ gen[j] - gen[j] @ gen[i]
-            rhs = np.tensordot(f[i, j], gen, axes=(0, 0))
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-    checks.add("commutator_table", worst, 1e-12)
+    checks.add("commutator_table", crosschecks._commutator_table_error(gen), 1e-12)
     # symplectic condition, exact
     sympl = max(float(np.abs(OMEGA @ gen[i] + gen[i].T @ OMEGA).max()) for i in range(10))
     checks.add("symplectic_condition", sympl, 0.0)
@@ -240,10 +228,8 @@ def _run_algebra_check(cfg, grid, outdir, checks, artifacts):
             sq = max(sq, float(np.abs(pt_map(pt_map(e, variant), variant).coeffs - e.coeffs).max()))
     checks.add("pt_involution", sq, 1e-15)
     # parity vs adjoint on random Hamiltonians
-    from .hamiltonian import build_H
-
     worst = 0.0
-    for _ in range(int(cfg.get("params", {}).get("samples", 100))):
+    for _ in range(cfg["params"]["samples"]):
         a, wx, wy, lam = rng.uniform(0.2, 3.0, size=4)
         p = CoupledOscillatorParams(*(ScalarProfile.constant(v) for v in (a, wx, wy, lam)))
         h = build_H(p, 0.0)
@@ -252,15 +238,30 @@ def _run_algebra_check(cfg, grid, outdir, checks, artifacts):
     return {}
 
 
+def _lr_artifacts(grid, traj, params, outdir, stem, artifacts):
+    """Write ``<stem>_trajectory.csv`` and ``<stem>_residuals.csv``; return the
+    per-sample ||I^2 - 1||_F and |det I - 1| and the LR residual."""
+    mats = invariant_matrix(traj)
+    sq = frobenius(mats @ mats - np.eye(4))
+    det = np.abs(np.linalg.det(mats) - 1.0)
+    worst, defect = lr_residual(assemble_invariant(traj), build_H_coeffs(params, grid), grid,
+                                return_samples=True)
+    names, cols = _complex_columns(["c%d" % (k + 1) for k in range(10)], traj)
+    names, cols = ["t"] + names, [grid] + cols
+    path = os.path.join(outdir, stem + "_trajectory.csv")
+    path2 = os.path.join(outdir, stem + "_residuals.csv")
+    emit_plot_data((names, cols), path)
+    emit_plot_data((names + ["inv_sq_err", "det_err", "lr_residual"], cols + [sq, det, defect]),
+                   path2)
+    artifacts += [path, path2]
+    return sq, det, worst
+
+
 def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
-    _require_unit_hbar(cfg)
-    p = cfg.get("params", {})
-    alpha = float(p.get("alpha", 3.0))
-    lam = _profile(p, "lam")
-    cf = ClosedFormParams(alpha=alpha, lam=lam)
+    cf = ClosedFormParams(**cfg["params"])
     traj = closed_form_on_grid(cf, grid)
     osc = cf.oscillator_params()
-    rng = np.random.default_rng(_seed(cfg))
+    rng = np.random.default_rng(cfg["seed"])
 
     checks.add("initial_condition",
                float(np.abs(traj[0] - np.array([0, 0, 1, 1, 0, 0, 0, 0, 0, 0])).max()), 0.0)
@@ -276,16 +277,12 @@ def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
     r1, r2, r7, r10 = involution_residuals(traj[idx])
     checks.add("involution_constraints",
                float(max(np.abs(r).max() for r in (r1, r2, r7, r10))), 1e-10)
-    mats = invariant_matrix(traj)
-    checks.add("invariant_squares_to_identity",
-               float(frobenius(mats @ mats - np.eye(4)).max()), 1e-10)
-    checks.add("unit_determinant",
-               float(np.abs(np.linalg.det(mats) - 1.0).max()), 1e-10)
-    inv = assemble_invariant(traj)
-    hc = build_H_coeffs(osc, grid)
-    checks.add("lr_residual", lr_residual(inv, hc, grid), 1e-8)
+    sq, det, lr_worst = _lr_artifacts(grid, traj, osc, outdir, "closed_form", artifacts)
+    checks.add("invariant_squares_to_identity", float(sq.max()), 1e-10)
+    checks.add("unit_determinant", float(det.max()), 1e-10)
+    checks.add("lr_residual", lr_worst, 1e-8)
 
-    from .lr_ode import _commutativity_probe  # sampled guard shared with evolve
+    # sampled guard shared with evolve
     checks.add("commutativity_probe", _commutativity_probe(osc, grid), 1e-12)
     c0 = traj[0]
     checks.add("cross_solver_time_ordered",
@@ -293,79 +290,22 @@ def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
     checks.add("cross_solver_commuting",
                float(np.abs(evolve(c0, grid, osc, mode="commuting") - traj).max()), 1e-8)
 
-    names = ["t"]
-    cnames, cols = _complex_columns(["c%d" % (k + 1) for k in range(10)], traj)
-    names += cnames
-    path = os.path.join(outdir, "closed_form_trajectory.csv")
-    emit_plot_data((names, [grid] + cols), path)
-    artifacts.append(path)
-    sq, det, defect = _residual_trail(grid, traj, osc)
-    path2 = os.path.join(outdir, "closed_form_residuals.csv")
-    emit_plot_data((names + ["inv_sq_err", "det_err", "lr_residual"],
-                    [grid] + cols + [sq, det, defect]), path2)
-    artifacts.append(path2)
-    return {"alpha": alpha}
-
-
-def _residual_trail(grid, traj, params):
-    """Per-sample defect columns: involution error, determinant error and
-    the pointwise invariant-equation defect."""
-    from .numerics import central_diff
-
-    inv = assemble_invariant(traj)
-    hc = build_H_coeffs(params, grid)
-    mats = invariant_matrix(traj)
-    sq = frobenius(mats @ mats - np.eye(4))
-    det = np.abs(np.linalg.det(mats) - 1.0)
-    didt = central_diff(inv, grid[1] - grid[0])
-    defect = np.abs(1j * didt - commutator(hc, inv)).max(axis=1)
-    return sq, det, defect
+    return {"alpha": cf.alpha}
 
 
 def _run_lr_ode(cfg, grid, outdir, checks, artifacts):
-    _require_unit_hbar(cfg)
-    p = cfg.get("params", {})
-    params = CoupledOscillatorParams(
-        a=_profile(p, "a"), omega_x=_profile(p, "omega_x"),
-        omega_y=_profile(p, "omega_y"), lam=_profile(p, "lam"))
-    solver = p.get("solver", "time_ordered")
-    _require(solver in ("time_ordered", "commuting"), "params.solver invalid")
-    if "c0" in p:
-        c0 = AlgebraElement.from_pairs(p["c0"]).coeffs
-    else:
-        c0 = np.zeros(10, dtype=complex)
-        c0[2] = c0[3] = 1.0
-    traj = evolve(c0, grid, params, mode=solver)
-    inv = assemble_invariant(traj)
-    hc = build_H_coeffs(params, grid)
-    checks.add("lr_residual",
-               lr_residual(inv, hc, grid),
-               float(p.get("lr_tol", 1e-6)))
-    names = ["t"]
-    cnames, cols = _complex_columns(["c%d" % (k + 1) for k in range(10)], traj)
-    path = os.path.join(outdir, "ode_trajectory.csv")
-    emit_plot_data((names + cnames, [grid] + cols), path)
-    artifacts.append(path)
-    sq, det, defect = _residual_trail(grid, traj, params)
-    path2 = os.path.join(outdir, "ode_residuals.csv")
-    emit_plot_data((names + cnames + ["inv_sq_err", "det_err", "lr_residual"],
-                    [grid] + cols + [sq, det, defect]), path2)
-    artifacts.append(path2)
+    p = dict(cfg["params"])
+    solver, c0, lr_tol = p.pop("solver"), p.pop("c0"), p.pop("lr_tol")
+    params = CoupledOscillatorParams(**p)
+    traj = evolve(AlgebraElement.from_pairs(c0).coeffs, grid, params, mode=solver)
+    checks.add("lr_residual", _lr_artifacts(grid, traj, params, outdir, "ode", artifacts)[2],
+               lr_tol)
     return {"solver": solver}
 
 
 def _run_point_transform(cfg, grid, outdir, checks, artifacts):
-    _require_unit_hbar(cfg)
-    p = cfg.get("params", {})
-    try:
-        params = PointTransformParams(
-            alpha=float(p["alpha"]), beta=float(p["beta"]),
-            coupling=float(p.get("coupling", p.get("Lambda", 0.0))),
-            r=_profile(p, "r"), c2=float(p.get("c2", 0.0)), c3=float(p.get("c3", 0.0)),
-            c1_phase=float(p.get("c1_phase", 0.0)))
-    except KeyError as exc:
-        raise ConfigInvalid("params.%s missing" % exc.args[0])
-    rng = np.random.default_rng(_seed(cfg))
+    params = PointTransformParams(**cfg["params"])
+    rng = np.random.default_rng(cfg["seed"])
 
     # one EP state per grid, passed to every stage evaluated on that grid
     ep = ep_state(params, grid)
@@ -442,15 +382,12 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
 
 
 def _run_regime_map(cfg, grid, outdir, checks, artifacts):
-    p = cfg.get("params", {})
-    params = CoupledOscillatorParams(
-        a=_profile(p, "a"), omega_x=_profile(p, "omega_x"),
-        omega_y=_profile(p, "omega_y"), lam=_profile(p, "lam"))
+    params = CoupledOscillatorParams(**cfg["params"])
     evs = instantaneous_eigenvalues(params, grid, method="numeric")
     # spectrum symmetric about zero: eigenvalues come in +- pairs
     pairing = float(np.abs(np.sort_complex(evs) + np.sort_complex(-evs)[:, ::-1]).max())
     checks.add("eigenvalue_pairing", pairing, 1e-10)
-    regimes = [classify_regime(params, t).value for t in grid]
+    regimes = [r.value for r in classify_regime(params, grid)]
     names = ["t"] + ["re%d" % (k + 1) for k in range(4)] + ["im%d" % (k + 1) for k in range(4)] + ["regime"]
     cols = [grid] + [evs[:, k].real for k in range(4)] + [evs[:, k].imag for k in range(4)] + [regimes]
     path = os.path.join(outdir, "eigenvalue_trajectory.csv")
@@ -470,21 +407,13 @@ _RUNNERS = {
 
 def run_scenario(cfg: dict, outdir: str) -> dict:
     """Execute one scenario; returns the report dict (also written to disk)."""
-    mode = cfg.get("mode")
-    _require(mode in _MODES, "mode: expected one of %s, got %r" % (list(_MODES), mode))
-    if "tolerances" in cfg:
-        from .numerics import Tolerances
-
-        try:
-            Tolerances(**cfg["tolerances"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid("tolerances: %s" % exc)
-    grid = _load_grid(cfg)
+    resolved = _resolve_config(cfg)
+    grid = np.linspace(resolved["grid"]["t0"], resolved["grid"]["t1"], resolved["grid"]["steps"])
     os.makedirs(outdir, exist_ok=True)
     checks = _Checks()
     artifacts: list[str] = []
     start = time.perf_counter()
-    extra = _RUNNERS[mode](cfg, grid, outdir, checks, artifacts)
+    extra = _RUNNERS[resolved["mode"]](resolved, grid, outdir, checks, artifacts)
     wall = time.perf_counter() - start
     report = {
         "scenario": cfg,
@@ -508,7 +437,8 @@ def main(argv=None) -> int:
     runp.add_argument("--config", help="path to the scenario JSON")
     runp.add_argument("--out", default=".", help="output directory (default: cwd)")
     runp.add_argument("--describe", action="store_true",
-                      help="print the config schema with defaults and exit")
+                      help="print the loader's field table (defaults, required fields, "
+                           "allowed values) and exit")
     args = parser.parse_args(argv)
     if args.command != "run":
         parser.print_help()
@@ -527,7 +457,7 @@ def main(argv=None) -> int:
         return 1
     try:
         report = run_scenario(cfg, args.out)
-    except (ConfigInvalid, Sp4lrError, ValueError) as exc:
+    except (Sp4lrError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     for row in report["checks"]:

@@ -41,5 +41,5 @@ class EqualFrequencies(Sp4lrError):
     """Static Dyson map undefined for alpha = +-beta with nonzero coupling."""
 
 
-class ConfigInvalid(Sp4lrError):
-    """Scenario configuration failed validation; message carries a field diagnostic."""
+class ConfigInvalid(Sp4lrError, ValueError):
+    """Scenario configuration failed validation; the message starts with the field path."""

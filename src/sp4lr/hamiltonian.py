@@ -146,14 +146,15 @@ def instantaneous_eigenvalues(p: CoupledOscillatorParams, t,
     raise ValueError("method must be 'numeric' or 'formula'")
 
 
-def classify_regime(p: CoupledOscillatorParams, t: float,
-                    tol: float = 1e-9) -> Regime:
+def classify_regime(p: CoupledOscillatorParams, t, tol: float = 1e-9):
     """Regime by the sign of the discriminant Omega+^2 - 4 lam^2.
 
     Values within ``tol`` of zero classify as the exceptional point; the
-    boundary is measure-zero so callers get a configurable band.
+    boundary is measure-zero so callers get a configurable band.  A
+    scalar ``t`` gives a :class:`Regime`, an array of times an object
+    array of them with the shape of ``t``.
     """
     disc = (p.omega_x(t) + p.omega_y(t)) ** 2 - 4.0 * p.lam(t) ** 2
-    if abs(disc) <= tol:
-        return Regime.EXCEPTIONAL_POINT
-    return Regime.PT_SYMMETRIC if disc > 0 else Regime.SPONTANEOUSLY_BROKEN
+    regimes = np.array([Regime.PT_SYMMETRIC, Regime.EXCEPTIONAL_POINT,
+                        Regime.SPONTANEOUSLY_BROKEN], dtype=object)
+    return regimes[np.where(np.abs(disc) <= tol, 1, np.where(disc > 0, 0, 2))]

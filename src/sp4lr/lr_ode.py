@@ -392,13 +392,16 @@ def invariant_matrix(c) -> np.ndarray:
     return 1j * m
 
 
-def lr_residual(invariant, hamiltonian, grid, hbar: float = 1.0) -> float:
+def lr_residual(invariant, hamiltonian, grid, hbar: float = 1.0,
+                return_samples: bool = False):
     """Max-norm defect of  i hbar dI/dt - [H, I]  over interior grid points.
 
     ``invariant`` and ``hamiltonian`` may be callables t -> AlgebraElement
     or precomputed coefficient stacks of shape (N, 10).  The time
     derivative uses the 4th-order central stencil; the two points at each
-    end are excluded from the maximum.
+    end are excluded from the maximum.  With ``return_samples`` the
+    result is ``(worst, per_sample)``, ``per_sample`` holding the defect
+    at every grid point, ends included.
     """
     t = np.asarray(grid, dtype=float)
     if t.size < 5:
@@ -417,5 +420,6 @@ def lr_residual(invariant, hamiltonian, grid, hbar: float = 1.0) -> float:
     hcoef = as_stack(hamiltonian)
     didt = central_diff(icoef, step)
     bracket = commutator(hcoef, icoef)
-    defect = 1j * hbar * didt - bracket
-    return float(np.abs(defect[2:-2]).max())
+    per_sample = np.abs(1j * hbar * didt - bracket).max(axis=1)
+    worst = float(per_sample[2:-2].max())
+    return (worst, per_sample) if return_samples else worst

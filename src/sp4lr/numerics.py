@@ -8,14 +8,14 @@ large-scale paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GridTooCoarse
 
 __all__ = [
-    "Tolerances",
+    "EXPM_TOL",
+    "PROJ_TOL",
+    "QUAD_TOL",
     "expm",
     "eig4",
     "cumulative_simpson",
@@ -24,29 +24,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Default numerical tolerances used across the package."""
-
-    expm_tol: float = 1e-13
-    proj_tol: float = 1e-10
-    fd_step: float | None = None  # None: use the grid step
-    quad_tol: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("expm_tol", "proj_tol", "quad_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be strictly positive" % name)
-        if self.fd_step is not None and self.fd_step <= 0:
-            raise ValueError("fd_step must be strictly positive")
-
-
-DEFAULT_TOL = Tolerances()
+EXPM_TOL = 1e-13  # truncation bound of expm's Taylor series
+PROJ_TOL = 1e-10  # projection residual allowed when a matrix is read back into the algebra
+QUAD_TOL = 1e-10  # per-interval error bound of the Simpson quadrature
 
 _EXPM_THETA = 0.5  # series evaluated only after scaling the 1-norm below this
 
 
-def expm(m, tol: float = DEFAULT_TOL.expm_tol):
+def expm(m, tol: float = EXPM_TOL):
     """Matrix exponential by scaling and squaring of a truncated Taylor series.
 
     Parameters
@@ -128,7 +113,7 @@ def eig4(m) -> np.ndarray:
     return _sort_real_imag(np.linalg.eigvals(m))
 
 
-def cumulative_simpson(f, grid, tol: float = DEFAULT_TOL.quad_tol,
+def cumulative_simpson(f, grid, tol: float = QUAD_TOL,
                        error_estimate: bool = True):
     """Cumulative integral of ``f`` on ``grid`` by per-interval Simpson rule.
 

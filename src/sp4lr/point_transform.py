@@ -48,7 +48,7 @@ from .algebra import (
 )
 from .errors import ArctanhDomain, EqualFrequencies, GridTooCoarse, ProjectionLeak
 from .hamiltonian import build_H_modified
-from .numerics import DEFAULT_TOL, central_diff, expm
+from .numerics import PROJ_TOL, central_diff, expm
 from .profiles import ScalarProfile
 
 __all__ = [
@@ -281,7 +281,7 @@ def _congruence(T: np.ndarray, s: np.ndarray, proj_tol: float) -> np.ndarray:
 
 
 def pushforward_map(p: PointTransformParams, ep: EPState,
-                    proj_tol: float = DEFAULT_TOL.proj_tol) -> PushforwardMap:
+                    proj_tol: float = PROJ_TOL) -> PushforwardMap:
     """Exact congruence action of the transformation on the generator basis.
 
     Builds the (N, 10, 10) image of all ten generators at the times of
@@ -304,7 +304,7 @@ def pushforward(p: PointTransformParams, ep: EPState, e) -> np.ndarray:
     :class:`ProjectionLeak` is raised if the image leaves the algebra
     span.
     """
-    return _congruence(_substitution_matrices(ep, p), quadratic_form(e), DEFAULT_TOL.proj_tol)
+    return _congruence(_substitution_matrices(ep, p), quadratic_form(e), PROJ_TOL)
 
 
 def invariant_IH(p: PointTransformParams, ep: EPState) -> np.ndarray:
@@ -464,7 +464,7 @@ def hermitian_hamiltonian_h(p: PointTransformParams, ep: EPState,
 
 def tdde_residual(p: PointTransformParams, ep: EPState, eta: np.ndarray,
                   static: DysonStatic, hbar: float = 1.0,
-                  proj_tol: float = DEFAULT_TOL.proj_tol,
+                  proj_tol: float = PROJ_TOL,
                   return_samples: bool = False):
     """Defect of the time-dependent Dyson equation on a uniform grid.
 

@@ -10,29 +10,99 @@ is the exact integral of the interpolant).
 
 from __future__ import annotations
 
+import sys
+from typing import NamedTuple
+
 import numpy as np
 
-from .errors import ProfileDomain
-from .numerics import DEFAULT_TOL, cumulative_simpson
+from .errors import ConfigInvalid, ProfileDomain
+from .numerics import QUAD_TOL, cumulative_simpson
 
-__all__ = ["ScalarProfile"]
+__all__ = ["Field", "PROFILE_KINDS", "REQUIRED", "ScalarProfile"]
+
+REQUIRED = "required"
+
+
+class Field(NamedTuple):
+    """One config value: its type, its default (REQUIRED if it has none)
+    and, for a choice or a pinned number, the values it may take."""
+
+    type: str  # a key of _EXPECTED, "choice" or "profile" (ScalarProfile.from_config)
+    default: object = REQUIRED
+    one_of: tuple = ()
+
+    def pick(self, mapping, name, path):
+        """``mapping[name]`` checked, or the default when it is absent."""
+        if name in mapping:
+            return self.check(mapping[name], path)
+        if self.default is REQUIRED:
+            raise ConfigInvalid("%s: missing" % path)
+        return self.default
+
+    def check(self, value, path):
+        """``value`` in this field's type; ConfigInvalid("<path>: ...") if it is not."""
+        if self.type == "profile":
+            try:
+                return ScalarProfile.from_config(value)
+            except ValueError as exc:
+                raise ConfigInvalid("%s.%s" % (path, exc)) from None
+        if self.type == "numbers":
+            ok, item = isinstance(value, list) and len(value) > 0, Field("number")
+        elif self.type == "pairs":
+            ok = isinstance(value, list) and len(value) == 10 and all(
+                isinstance(v, list) and len(v) == 2 for v in value)
+            item = Field("numbers")
+        elif self.type == "choice":
+            ok = value in self.one_of
+        else:  # abs() <= max rules out NaN, inf and ints past the float range
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and abs(value) <= sys.float_info.max
+                  and (self.type != "integer" or value == int(value))
+                  and (not self.one_of or value in self.one_of))
+        if not ok:
+            expected = "one of %s" % (list(self.one_of),) if self.one_of else _EXPECTED[self.type]
+            raise ConfigInvalid("%s: expected %s, got %r" % (path, expected, value))
+        if self.type in ("numbers", "pairs"):
+            return [item.check(v, "%s[%d]" % (path, k)) for k, v in enumerate(value)]
+        if self.type == "choice":
+            return value
+        return int(value) if self.type == "integer" else float(value)
+
+    def describe(self):
+        """This field as ``sp4lr run --describe`` prints it."""
+        out = {k: v for k, v in self._asdict().items() if v is not REQUIRED and v != ()}
+        return {**out, "required": self.default is REQUIRED}
+
+
+_EXPECTED = {"number": "a finite number", "integer": "an integer",
+             "numbers": "a non-empty list of numbers", "pairs": "a list of 10 [re, im] pairs"}
+
+
+# The fields of each profile kind.  A bare number in a config is a constant.
+PROFILE_KINDS = {
+    "constant": {"value": Field("number")},
+    "sinusoid": {"amp": Field("number"), "freq": Field("number"),
+                 "phase": Field("number", 0.0), "offset": Field("number", 0.0)},
+    "polynomial": {"coeffs": Field("numbers")},  # coeffs[k] multiplies t**k
+    "tabulated": {"times": Field("numbers"), "values": Field("numbers")},
+}
 
 
 class ScalarProfile:
     """Real function of time with derivative and accumulated antiderivative."""
 
     def __init__(self, kind: str, **args):
-        if kind not in ("constant", "sinusoid", "polynomial", "tabulated"):
-            raise ValueError("unknown profile kind %r" % kind)
+        if kind not in PROFILE_KINDS:
+            raise ValueError("kind: unknown profile kind %r" % kind)
         self.kind = kind
         self.args = args
         if kind == "tabulated":
             t = np.asarray(args["times"], dtype=float)
             v = np.asarray(args["values"], dtype=float)
             if t.ndim != 1 or t.size < 2 or t.shape != v.shape:
-                raise ValueError("tabulated profile needs matching 1-d times/values, >= 2 points")
+                raise ValueError("values: need as many as times, and at least 2")
             if np.any(np.diff(t) <= 0):
-                raise ValueError("tabulated times must be strictly increasing")
+                raise ValueError("times: must be strictly increasing")
             self._t, self._v = t, v
 
     # -- constructors ------------------------------------------------
@@ -58,21 +128,21 @@ class ScalarProfile:
 
     @classmethod
     def from_config(cls, cfg) -> "ScalarProfile":
-        """Build from a config mapping ({"kind": ..., ...}) or a bare number."""
-        if isinstance(cfg, (int, float)):
-            return cls.constant(cfg)
-        kind = cfg.get("kind")
-        args = {k: v for k, v in cfg.items() if k != "kind"}
-        if kind == "constant":
-            return cls.constant(args["value"])
-        if kind == "sinusoid":
-            return cls.sinusoid(args["amp"], args["freq"],
-                                args.get("phase", 0.0), args.get("offset", 0.0))
-        if kind == "polynomial":
-            return cls.polynomial(args["coeffs"])
-        if kind == "tabulated":
-            return cls.tabulated(args["times"], args["values"])
-        raise ValueError("unknown profile kind %r" % kind)
+        """Build from a bare number (a constant) or a mapping {"kind": ..., ...}.
+
+        The fields of each kind are those of ``PROFILE_KINDS``.  An unknown
+        kind or field, a missing field, a bool or a non-finite number raise
+        ConfigInvalid (a ValueError) whose message starts with the field
+        ("amp: ...").
+        """
+        if not isinstance(cfg, dict):
+            return cls.constant(Field("number").check(cfg, "value"))
+        kind = Field("choice", one_of=tuple(PROFILE_KINDS)).check(cfg.get("kind"), "kind")
+        fields = PROFILE_KINDS[kind]
+        unknown = sorted(set(cfg) - set(fields) - {"kind"})
+        if unknown:
+            raise ConfigInvalid("%s: unknown field of a %s profile" % (unknown[0], kind))
+        return cls(kind, **{name: f.pick(cfg, name, name) for name, f in fields.items()})
 
     def to_config(self):
         return {"kind": self.kind, **self.args}
@@ -117,7 +187,7 @@ class ScalarProfile:
         idx = np.clip(np.searchsorted(self._t, t, side="right") - 1, 0, slopes.size - 1)
         return slopes[idx]
 
-    def antiderivative(self, grid, tol: float = DEFAULT_TOL.quad_tol):
+    def antiderivative(self, grid, tol: float = QUAD_TOL):
         """Cumulative integral on ``grid`` starting at 0 at ``grid[0]``.
 
         Composite Simpson with per-interval error estimate below ``tol``

@@ -1,11 +1,19 @@
-"""Tests for the scenario CLI: modes, exit codes, CSV and report formats."""
+"""Tests for the scenario CLI: modes, exit codes, config loading, CSV and report formats."""
 
+import contextlib
 import csv
+import io
 import json
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sp4lr.cli import describe_schema, emit_plot_data, main, run_scenario
+from sp4lr.cli import _resolve_config, describe_schema, emit_plot_data, main, run_scenario
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -113,6 +121,8 @@ _CONST = {"kind": "constant", "value": 1.0}
     ("lr-closed-form", {"alpha": 3.0, "lam": _CONST}),
     ("lr-ode", {"a": _CONST, "omega_x": _CONST, "omega_y": _CONST, "lam": _CONST}),
     ("point-transform", {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "r": _CONST}),
+    ("algebra-check", {}),
+    ("regime-map", {"a": _CONST, "omega_x": _CONST, "omega_y": _CONST, "lam": _CONST}),
 ])
 def test_hbar_other_than_one_rejected(tmp_path, capsys, mode, params):
     # the coefficient solvers work in units with hbar = 1; another value
@@ -222,12 +232,180 @@ def test_seed_env_controls_sampling(tmp_path, monkeypatch):
     assert v1 != v2
 
 
-def test_tolerances_block_validated(tmp_path):
-    bad = write_cfg(tmp_path, {"mode": "algebra-check",
-                               "grid": {"t0": 0, "t1": 1, "steps": 5},
-                               "tolerances": {"quad_tol": -1.0}}, "cfg5.json")
-    assert main(["run", "--config", bad, "--out", str(tmp_path)]) == 1
-    unknown = write_cfg(tmp_path, {"mode": "algebra-check",
+def test_tolerances_block_validated(tmp_path, capsys):
+    # the block set nothing the solvers read; it is now an unknown field
+    for k, block in enumerate(({"quad_tol": -1.0}, {"eig_tol": 1e-10},
+                               {"expm_tol": 1e-3, "fd_step": 0.5})):
+        bad = write_cfg(tmp_path, {"mode": "algebra-check",
                                    "grid": {"t0": 0, "t1": 1, "steps": 5},
-                                   "tolerances": {"eig_tol": 1e-10}}, "cfg6.json")
-    assert main(["run", "--config", unknown, "--out", str(tmp_path)]) == 1
+                                   "tolerances": block}, "cfg%d.json" % k)
+        assert main(["run", "--config", bad, "--out", str(tmp_path)]) == 1
+        assert "error: tolerances: unknown field" in capsys.readouterr().err
+
+
+_GRID = {"t0": 0.0, "t1": 1.0, "steps": 11}
+_PT = {"mode": "point-transform", "grid": _GRID,
+       "params": {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "r": _CONST}}
+_COUPLED = {name: _CONST for name in ("a", "omega_x", "omega_y", "lam")}
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({**_PT, "typo": 3}, "typo"),
+    ({**_PT, "params": {**_PT["params"], "r": {**_CONST, "amp": 5}}}, "params.r.amp"),
+    ({**_PT, "params": {"alpha": 2.0, "beta": 1.0, "Lambda": 0.5, "r": _CONST}}, "params.Lambda"),
+    ({"mode": "lr-closed-form", "grid": _GRID, "params": {"alpha": math.nan, "lam": _CONST}},
+     "params.alpha"),
+    ({**_PT, "params": {"beta": 1.0, "r": _CONST}}, "params.alpha"),
+    ({"mode": "lr-closed-form", "grid": _GRID, "params": {"alpha": 3.0}}, "params.lam"),
+    ({"mode": "regime-map"}, "params.a"),
+    ({**_PT, "grid": {**_GRID, "steps": 10.5}}, "grid.steps"),
+], ids=["unknown-top-level", "extended-profile", "Lambda", "nan", "alpha-missing",
+        "profile-missing", "params-missing", "steps-not-integer"])
+def test_invalid_config_names_field(tmp_path, capsys, cfg, field):
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 1
+    assert "error: %s:" % field in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+_REQUIRED_ONLY = {
+    "algebra-check": {},
+    "lr-closed-form": {"lam": _CONST},
+    "lr-ode": _COUPLED,
+    "point-transform": {"alpha": 2.0, "beta": 1.0, "r": _CONST},
+    "regime-map": _COUPLED,
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_REQUIRED_ONLY))
+def test_required_fields_resolve_to_described_defaults(monkeypatch, mode):
+    monkeypatch.delenv("SP4_SEED", raising=False)
+    schema = json.loads(describe_schema())
+    given_cfg = {"mode": mode, "params": _REQUIRED_ONLY[mode]}
+
+    def walk(spec, got, given_obj):
+        assert set(got) == set(spec)
+        leaves = {name: f for name, f in spec.items() if "type" in f}
+        assert set(given_obj) <= set(spec)
+        assert set(given_obj) & set(leaves) == {n for n, f in leaves.items() if f["required"]}
+        for name, f in spec.items():
+            if name not in leaves:
+                walk(f, got[name], given_obj.get(name, {}))
+            elif not f["required"]:
+                assert got[name] == f["default"] and type(got[name]) is type(f["default"])
+
+    schema.pop("profiles")
+    walk({**schema, "params": schema["params"][mode]}, _resolve_config(given_cfg), given_cfg)
+
+
+# -- every single-field mutation of a valid config is rejected and named --
+
+_MODES = ("algebra-check", "lr-closed-form", "lr-ode", "point-transform", "regime-map")
+
+
+@st.composite
+def _valid_configs(draw):
+    def u(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    def profile(kinds=("constant", "sinusoid")):
+        if draw(st.sampled_from(kinds)) == "constant":
+            return {"kind": "constant", "value": u(0.6, 1.4)}
+        return {"kind": "sinusoid", "amp": u(0.05, 0.3), "freq": u(0.5, 2.0),
+                "phase": u(0.0, 6.0), "offset": u(0.8, 1.2)}
+
+    mode = draw(st.sampled_from(_MODES))
+    if mode == "algebra-check":
+        params = {"samples": draw(st.integers(0, 5))}
+    elif mode == "lr-closed-form":
+        # a driven lam needs a finer grid than these for the Simpson bound
+        params = {"alpha": u(0.5, 4.0), "lam": profile(("constant",))}
+    elif mode == "point-transform":
+        alpha, beta = u(1.2, 2.4), u(0.5, 1.0)
+        params = {"alpha": alpha, "beta": beta,
+                  "coupling": u(-0.8, 0.8) * (alpha**2 - beta**2) / (2.0 * math.sqrt(alpha * beta)),
+                  "c2": u(0.0, 0.4), "c3": u(0.0, 0.4), "r": profile()}
+    else:
+        params = {name: profile() for name in ("a", "omega_x", "omega_y", "lam")}
+    grid = {"t0": 0.0, "t1": u(0.5, 2.0), "steps": draw(st.integers(11, 41))}
+    return {"mode": mode, "grid": grid, "hbar": 1.0, "seed": draw(st.integers(0, 2**31 - 1)),
+            "params": params}
+
+
+def _paths(obj, path=()):
+    yield path, obj
+    if isinstance(obj, dict):
+        for name, value in obj.items():
+            yield from _paths(value, path + (name,))
+
+
+def _required_paths(cfg, schema):
+    """The required fields of ``cfg``, by the table that --describe prints."""
+    out = [("mode",)]
+    for name, f in schema["params"][cfg["mode"]].items():
+        if f["required"]:
+            out.append(("params", name))
+        if f["type"] == "profile":
+            fields = schema["profiles"][cfg["params"][name]["kind"]]
+            out += [("params", name, k) for k, g in fields.items() if g["required"]]
+            out.append(("params", name, "kind"))
+    return out
+
+
+def _at(cfg, path):
+    for name in path:
+        cfg = cfg[name]
+    return cfg
+
+
+@st.composite
+def _mutated_configs(draw):
+    """(config, field path the error must name); the path is None when unmutated."""
+    cfg = draw(_valid_configs())
+    profiles = [p for p, v in _paths(cfg) if isinstance(v, dict) and "kind" in v]
+    kind = draw(st.sampled_from(["none", "unknown", "number", "delete"]
+                                + (["profile"] if profiles else [])))
+    if kind == "none":
+        return cfg, None
+    mutated = json.loads(json.dumps(cfg))
+    if kind == "unknown":
+        path = draw(st.sampled_from([p for p, v in _paths(cfg) if isinstance(v, dict)])) + ("zz",)
+        value = draw(st.sampled_from([0.0, "x", None]))
+    elif kind == "number":
+        path = draw(st.sampled_from([p for p, v in _paths(cfg) if isinstance(v, (int, float))]))
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf, "1.0", True, False, None]))
+    elif kind == "delete":
+        path = draw(st.sampled_from(_required_paths(cfg, json.loads(describe_schema()))))
+        del _at(mutated, path[:-1])[path[-1]]
+        return mutated, path
+    else:  # a bad kind, or a field that the profile's kind does not have
+        profile = draw(st.sampled_from(profiles))
+        name, value = draw(st.sampled_from(
+            [("kind", "fractal"), ("amp", 1.0), ("value", 1.0), ("coeffs", [1.0])]).filter(
+            lambda nv: nv[0] == "kind" or nv[0] not in _at(cfg, profile)))
+        path = profile + (name,)
+    _at(mutated, path[:-1])[path[-1]] = value
+    return mutated, path
+
+
+def _run_in_process(cfg):
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", path, "--out", out])
+        return code, err.getvalue(), os.path.exists(os.path.join(out, "report.json"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(_mutated_configs())
+def test_single_mutation_rejected_with_field_path(case):
+    cfg, path = case
+    code, err, wrote_report = _run_in_process(cfg)
+    if path is None:
+        assert code in (0, 2) and wrote_report, err
+    else:
+        assert code == 1 and not wrote_report
+        assert "error: %s" % ".".join(path) in err, (err, cfg)

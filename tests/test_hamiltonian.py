@@ -182,6 +182,18 @@ def test_classify_regime():
     assert disc < 0
 
 
+def test_classify_regime_on_grid_equals_per_time():
+    # lam crosses Omega+/2 = 1 twice; the exceptional point is hit at t = 0 exactly
+    p = CoupledOscillatorParams(a=ScalarProfile.constant(1.0), omega_x=ScalarProfile.constant(1.0),
+                                omega_y=ScalarProfile.constant(1.0),
+                                lam=ScalarProfile.sinusoid(1.0, 1.0, 0.0, 1.0))
+    grid = np.linspace(0.0, 2.0 * np.pi, 601)
+    regimes = classify_regime(p, grid)
+    assert regimes.shape == grid.shape
+    assert list(regimes) == [classify_regime(p, t) for t in grid]
+    assert set(regimes) == set(Regime)
+
+
 def test_numeric_matches_dense_oracle():
     p = const_params(0.9, 1.7, 0.6, 0.3)
     got = instantaneous_eigenvalues(p, 0.0, method="numeric")

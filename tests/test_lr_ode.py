@@ -313,6 +313,16 @@ def test_lr_residual_constant_H_self():
     assert lr_residual(traj, h, grid) < 1e-12
 
 
+def test_lr_residual_return_samples():
+    cf = ClosedFormParams(2.0, ScalarProfile.sinusoid(0.2, 1.0, 0.0, 1.0))
+    grid = np.linspace(0.0, 1.0, 401)
+    inv = assemble_invariant(closed_form_on_grid(cf, grid))
+    h = build_H_coeffs(cf.oscillator_params(), grid)
+    worst, per_sample = lr_residual(inv, h, grid, return_samples=True)
+    assert per_sample.shape == grid.shape
+    assert worst == lr_residual(inv, h, grid) == per_sample[2:-2].max()
+
+
 def test_lr_residual_closed_form():
     cf = ClosedFormParams(3.0, ScalarProfile.constant(1.0))
     grid = np.arange(0.0, 5.0 + 1e-9, 1e-3)

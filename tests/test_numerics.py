@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 from sp4lr.errors import GridTooCoarse
-from sp4lr.numerics import Tolerances, central_diff, cumulative_simpson, eig4, expm, frobenius
+from sp4lr.numerics import central_diff, cumulative_simpson, eig4, expm, frobenius
 
 RNG = np.random.default_rng(1234)
 
@@ -13,13 +13,6 @@ RNG = np.random.default_rng(1234)
 def random_matrix(n, norm):
     m = RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
     return m * (norm / max(np.abs(m).sum(axis=0).max(), 1e-12))
-
-
-def test_tolerances_positive():
-    with pytest.raises(ValueError):
-        Tolerances(expm_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(fd_step=-1.0)
 
 
 def test_expm_zero_is_identity():

@@ -68,3 +68,27 @@ def test_from_config_bare_number():
 def test_unknown_kind():
     with pytest.raises(ValueError):
         ScalarProfile.from_config({"kind": "fractal"})
+
+
+def test_from_config_fills_defaults():
+    p = ScalarProfile.from_config({"kind": "sinusoid", "amp": 1, "freq": 2.0})
+    assert p.args == {"amp": 1.0, "freq": 2.0, "phase": 0.0, "offset": 0.0}
+    assert isinstance(p.args["amp"], float)
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"kind": "constant", "value": 1.0, "amp": 5.0}, "amp"),
+    ({"kind": "sinusoid", "amp": 1.0}, "freq"),
+    ({"kind": "sinusoid", "amp": float("nan"), "freq": 1.0}, "amp"),
+    ({"kind": "constant", "value": True}, "value"),
+    ({"kind": "polynomial", "coeffs": [1.0, float("inf")]}, "coeffs[1]"),
+    ({"kind": "polynomial", "coeffs": []}, "coeffs"),
+    ({"kind": "tabulated", "times": [0.0, 1.0], "values": [1.0]}, "values"),
+    ({"value": 1.0}, "kind"),
+    (True, "value"),
+    (float("inf"), "value"),
+    ("1.0", "value"),
+])
+def test_from_config_strict_names_field(cfg, field):
+    with pytest.raises(ValueError, match=r"^%s: " % field.replace("[", r"\[").replace("]", r"\]")):
+        ScalarProfile.from_config(cfg)
