@@ -14,7 +14,7 @@ is a Lie-algebra homomorphism, so I(t) = U I(0) U^-1 with the 4x4
 propagator  dU/dt = -i H(t) U,  and conjugation keeps I^2 = 1 and
 det I = 1 by construction.  U comes from 4th-order two-point
 Gauss-Legendre Magnus steps, refined per interval (time-ordered), or
-from the exponential of the accumulated integral of H (commuting
+from the exponential of the exact integral of H (commuting
 families).  The closed form covers the proportional profiles a = lam,
 omega_x = alpha*lam, omega_y = lam.
 """
@@ -233,7 +233,7 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
         the substeps it would take.  A fixed ``substeps`` disables the
         adaptivity (used for order-of-convergence studies).
     ``commuting``
-        U(t) = expm(-i int_0^t H ds), valid when H commutes with itself
+        U(t) = expm(-i int_{t0}^t H ds), valid when H commutes with itself
         across times; a sampled commutativity probe of the coefficient
         matrix M guards the assumption (NonCommuting on failure).
     """
@@ -245,8 +245,8 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
     if mode == "commuting":
         if _commutativity_probe(p, t) > comm_tol:
             raise NonCommuting("sampled ||[M(t), M(t')]|| exceeds %.1e" % comm_tol)
-        integral = _h_coeffs(p.a.antiderivative(t), p.omega_x.antiderivative(t),
-                             p.omega_y.antiderivative(t), p.lam.antiderivative(t))
+        integral = _h_coeffs(*(f.antiderivative(t, t[0])
+                               for f in (p.a, p.omega_x, p.omega_y, p.lam)))
         u = expm(-1j * to_matrix(integral))
     elif mode == "time_ordered":
         if substeps is not None:
@@ -271,7 +271,7 @@ class ClosedFormParams:
 
     def __post_init__(self):
         if self.alpha <= -1.0:
-            raise DegenerateAlpha("alpha must exceed -1 (sqrt(1+alpha) real)")
+            raise DegenerateAlpha("params.alpha: must exceed -1 (sqrt(1+alpha) real)")
 
     def oscillator_params(self) -> CoupledOscillatorParams:
         return CoupledOscillatorParams.proportional(self.alpha, self.lam)
@@ -300,7 +300,7 @@ def _sin_ratio(a, theta):
 
 
 def closed_form_c(params: ClosedFormParams, theta) -> np.ndarray:
-    """Closed-form coefficients at accumulated phase theta = int_0^t lam.
+    """Closed-form coefficients at the phase theta = int_{t0}^t lam.
 
     Scalar theta gives shape (10,); arrays give (..., 10).  At theta = 0
     the result is exactly (0, 0, 1, 1, 0, ..., 0).
@@ -329,8 +329,9 @@ def closed_form_c(params: ClosedFormParams, theta) -> np.ndarray:
 
 
 def closed_form_on_grid(params: ClosedFormParams, grid) -> np.ndarray:
-    """Closed form evaluated along a grid, with theta accumulated by quadrature."""
-    theta = params.lam.antiderivative(np.asarray(grid, dtype=float))
+    """Closed form evaluated along a grid, with theta = int_{grid[0]}^t lam exact."""
+    t = np.asarray(grid, dtype=float)
+    theta = params.lam.antiderivative(t, t[0])
     return closed_form_c(params, theta)
 
 

@@ -1,6 +1,9 @@
 """Shared numerical kernels: matrix exponential, batched eigenvalues
 (LAPACK through numpy), quadrature, finite differences and norms.
 
+``cumulative_simpson`` integrates an arbitrary callable; the solvers'
+profile integrals are exact (:meth:`sp4lr.profiles.ScalarProfile.antiderivative`).
+
 Everything here is sized for the fixed shapes of this problem (4x4 and
 10x10 complex matrices, 1-d time grids); there are no sparse or
 large-scale paths.

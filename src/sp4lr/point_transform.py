@@ -119,10 +119,11 @@ class PointTransformParams:
     c1_phase: float = 0.0
 
     def __post_init__(self):
-        if self.alpha == 0.0 or self.beta == 0.0:
-            raise ValueError("alpha and beta must be nonzero")
+        for name in ("alpha", "beta"):
+            if getattr(self, name) == 0.0:
+                raise ValueError("params.%s: must be nonzero" % name)
         if self.coupling != 0.0 and abs(self.alpha) == abs(self.beta):
-            raise EqualFrequencies("alpha = +-beta with nonzero coupling")
+            raise EqualFrequencies("params.beta: alpha = +-beta with nonzero coupling")
 
 
 @dataclass(frozen=True)
@@ -145,25 +146,6 @@ class EPState:
         return EPState(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
 
-def _accumulated_tau(p: PointTransformParams, ts: np.ndarray,
-                     max_step: float = 1e-3) -> np.ndarray:
-    """tau(t) = int_0^t r(s) ds at the requested times.
-
-    The requested times are merged with a filler grid of step <= max_step
-    so the Simpson accumulation is unaffected by where samples land.
-    """
-    ts = np.asarray(ts, dtype=float)
-    tmax = float(ts.max()) if ts.size else 0.0
-    tmin = float(ts.min()) if ts.size else 0.0
-    if tmin < 0:
-        raise ValueError("tau accumulation starts at t = 0; negative times unsupported")
-    filler = np.linspace(0.0, max(tmax, max_step), int(np.ceil(max(tmax, max_step) / max_step)) + 1)
-    grid = np.unique(np.concatenate([filler, np.atleast_1d(ts), [0.0]]))
-    acc = p.r.antiderivative(grid)
-    idx = np.searchsorted(grid, ts)
-    return acc[idx]
-
-
 def _ep_factor(c, freq, tau, r, r_t):
     """Scale factor sqrt(sqrt(1+c^2) + c cos(2*freq*tau)) and derivatives."""
     w = np.sqrt(1.0 + c * c) + c * np.cos(2.0 * freq * tau)
@@ -184,10 +166,11 @@ def ep_state(p: PointTransformParams, t) -> EPState:
     are both accepted.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    tau = _accumulated_tau(p, ts)
+    tau = p.r.antiderivative(ts, 0.0)
     r = np.atleast_1d(p.r(ts))
     if np.any(np.abs(r) < 1e-12):
-        raise ValueError("time-map density r(t) vanishes on the sampled window")
+        raise ValueError("params.r: time-map density r(t) vanishes at t = %r"
+                         % float(ts[np.argmin(np.abs(r))]))
     r_t = np.atleast_1d(p.r.derivative(ts))
     sig, sig_t, sig_tt = _ep_factor(p.c2, p.beta, tau, r, r_t)
     mu, mu_t, mu_tt = _ep_factor(p.c3, p.alpha, tau, r, r_t)
@@ -361,7 +344,7 @@ def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
         return DysonStatic(DysonParams(0.0, 0.0), AlgebraElement.zero(), eye,
                            h0_ref, complex(a_**2 - b_**2), False, 0.0)
     if abs(a_) == abs(b_):
-        raise EqualFrequencies("alpha = +-beta with nonzero coupling")
+        raise EqualFrequencies("params.beta: alpha = +-beta with nonzero coupling")
     arg = 2.0 * np.sqrt(a_ * b_) * lam / (a_**2 - b_**2)
     if abs(arg) >= 1.0:
         raise ArctanhDomain("|2 sqrt(alpha beta) Lambda / (alpha^2 - beta^2)| >= 1")

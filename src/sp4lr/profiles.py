@@ -2,10 +2,9 @@
 
 A :class:`ScalarProfile` is one of four kinds: constant, sinusoid
 ``amp*sin(freq*t + phase) + offset``, polynomial, or a linearly
-interpolated table.  Tabulated profiles refuse extrapolation.  The
-antiderivative is accumulated by composite Simpson quadrature on the run
-grid (exact piecewise-linear integration for tabulated profiles, which
-is the exact integral of the interpolant).
+interpolated table.  Tabulated profiles refuse extrapolation.  Every
+kind integrates in closed form, so the antiderivative is exact at any
+times (for a table, the exact integral of its interpolant).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigInvalid, ProfileDomain
-from .numerics import QUAD_TOL, cumulative_simpson
 
 __all__ = ["Field", "PROFILE_KINDS", "REQUIRED", "ScalarProfile"]
 
@@ -89,7 +87,7 @@ PROFILE_KINDS = {
 
 
 class ScalarProfile:
-    """Real function of time with derivative and accumulated antiderivative."""
+    """Real function of time with derivative and exact antiderivative."""
 
     def __init__(self, kind: str, **args):
         if kind not in PROFILE_KINDS:
@@ -104,6 +102,9 @@ class ScalarProfile:
             if np.any(np.diff(t) <= 0):
                 raise ValueError("times: must be strictly increasing")
             self._t, self._v = t, v
+            self._slopes = np.diff(v) / np.diff(t)
+            # integral of the interpolant from the first knot to each knot
+            self._at_knots = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))])
 
     # -- constructors ------------------------------------------------
     @classmethod
@@ -182,25 +183,34 @@ class ScalarProfile:
             c = self.args["coeffs"]
             dc = [k * c[k] for k in range(1, len(c))] or [0.0]
             return np.polynomial.polynomial.polyval(t, dc)
+        return self._slopes[self._segment(t)]
+
+    def _segment(self, t):
+        """Index of the table segment holding each ``t``."""
         self._check_domain(t)
-        slopes = np.diff(self._v) / np.diff(self._t)
-        idx = np.clip(np.searchsorted(self._t, t, side="right") - 1, 0, slopes.size - 1)
-        return slopes[idx]
+        return np.clip(np.searchsorted(self._t, t, side="right") - 1, 0, self._slopes.size - 1)
 
-    def antiderivative(self, grid, tol: float = QUAD_TOL):
-        """Cumulative integral on ``grid`` starting at 0 at ``grid[0]``.
+    def antiderivative(self, t, start):
+        """Exact integral from ``start`` to each of the times ``t``.
 
-        Composite Simpson with per-interval error estimate below ``tol``
-        for the closed-form kinds; the exact integral of the interpolant
-        for tabulated profiles.
+        ``t`` may be a scalar or an array in any order; ``start`` is a scalar.
         """
-        grid = np.asarray(grid, dtype=float)
-        if self.kind == "tabulated":
-            self._check_domain(grid)
-            # exact trapezoid of the piecewise-linear interpolant
-            vals = self(grid)
-            out = np.empty(grid.size)
-            out[0] = 0.0
-            np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid), out=out[1:])
-            return out
-        return cumulative_simpson(self, grid, tol=tol)
+        t = np.asarray(t, dtype=float)
+        h = t - start
+        if self.kind == "constant":
+            return self.args["value"] * h
+        if self.kind == "sinusoid":
+            # amp/f (cos(f s + phase) - cos(f t + phase)), written without
+            # the cancellation at small f h and finite at f = 0
+            s = self.args
+            return (s["amp"] * h * np.sinc(s["freq"] * h / (2.0 * np.pi))
+                    * np.sin(s["freq"] * (t + start) / 2.0 + s["phase"]) + s["offset"] * h)
+        if self.kind == "polynomial":
+            return np.polynomial.Polynomial(self.args["coeffs"]).integ(lbnd=start)(t)
+        return self._table_integral(t) - self._table_integral(start)
+
+    def _table_integral(self, t):
+        """Integral of the interpolant from the first knot to ``t``."""
+        idx = self._segment(t)
+        d = t - self._t[idx]
+        return self._at_knots[idx] + d * (self._v[idx] + 0.5 * self._slopes[idx] * d)

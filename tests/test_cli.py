@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sp4lr.cli import _resolve_config, describe_schema, emit_plot_data, main, run_scenario
@@ -259,8 +259,16 @@ _COUPLED = {name: _CONST for name in ("a", "omega_x", "omega_y", "lam")}
     ({"mode": "lr-closed-form", "grid": _GRID, "params": {"alpha": 3.0}}, "params.lam"),
     ({"mode": "regime-map"}, "params.a"),
     ({**_PT, "grid": {**_GRID, "steps": 10.5}}, "grid.steps"),
+    ({**_PT, "params": {**_PT["params"], "alpha": 0.0}}, "params.alpha"),
+    ({**_PT, "params": {**_PT["params"], "beta": 0.0}}, "params.beta"),
+    ({"mode": "lr-closed-form", "grid": _GRID, "params": {"alpha": -1.5, "lam": _CONST}},
+     "params.alpha"),
+    ({**_PT, "params": {**_PT["params"], "beta": 2.0}}, "params.beta"),
+    ({**_PT, "params": {**_PT["params"], "r": {"kind": "sinusoid", "amp": 1.0, "freq": 1.0}}},
+     "params.r"),
 ], ids=["unknown-top-level", "extended-profile", "Lambda", "nan", "alpha-missing",
-        "profile-missing", "params-missing", "steps-not-integer"])
+        "profile-missing", "params-missing", "steps-not-integer", "alpha-zero", "beta-zero",
+        "degenerate-alpha", "equal-frequencies", "vanishing-r"])
 def test_invalid_config_names_field(tmp_path, capsys, cfg, field):
     assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 1
     assert "error: %s:" % field in capsys.readouterr().err
@@ -307,8 +315,8 @@ def _valid_configs(draw):
     def u(lo, hi):
         return draw(st.floats(lo, hi))
 
-    def profile(kinds=("constant", "sinusoid")):
-        if draw(st.sampled_from(kinds)) == "constant":
+    def profile():
+        if draw(st.sampled_from(("constant", "sinusoid"))) == "constant":
             return {"kind": "constant", "value": u(0.6, 1.4)}
         return {"kind": "sinusoid", "amp": u(0.05, 0.3), "freq": u(0.5, 2.0),
                 "phase": u(0.0, 6.0), "offset": u(0.8, 1.2)}
@@ -317,8 +325,7 @@ def _valid_configs(draw):
     if mode == "algebra-check":
         params = {"samples": draw(st.integers(0, 5))}
     elif mode == "lr-closed-form":
-        # a driven lam needs a finer grid than these for the Simpson bound
-        params = {"alpha": u(0.5, 4.0), "lam": profile(("constant",))}
+        params = {"alpha": u(0.5, 4.0), "lam": profile()}
     elif mode == "point-transform":
         alpha, beta = u(1.2, 2.4), u(0.5, 1.0)
         params = {"alpha": alpha, "beta": beta,
@@ -398,9 +405,16 @@ def _run_in_process(cfg):
         return code, err.getvalue(), os.path.exists(os.path.join(out, "report.json"))
 
 
+# a driven lam on a coarse grid, once refused by a Simpson error bound
+_DRIVEN_LAM = {"mode": "lr-closed-form", "grid": {"t0": 0.0, "t1": 1.25, "steps": 12},
+               "params": {"alpha": 2.67, "lam": {"kind": "sinusoid", "amp": 0.3, "freq": 1.92,
+                                                 "phase": 2.76, "offset": 1.1}}}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(_mutated_configs())
+@example((_DRIVEN_LAM, None))
 def test_single_mutation_rejected_with_field_path(case):
     cfg, path = case
     code, err, wrote_report = _run_in_process(cfg)

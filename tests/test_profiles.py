@@ -36,19 +36,44 @@ def test_tabulated_interpolates_and_refuses_extrapolation():
         p(2.5)
     with pytest.raises(ProfileDomain):
         p(np.array([-0.1, 0.5]))
+    with pytest.raises(ProfileDomain):
+        p.antiderivative(2.5, 0.0)
 
 
 def test_antiderivative_cosine():
     p = ScalarProfile.sinusoid(1.0, 1.0, np.pi / 2.0)  # cos(t)
     grid = np.linspace(0.0, np.pi / 2.0, 201)
-    np.testing.assert_allclose(p.antiderivative(grid), np.sin(grid), atol=1e-10)
+    np.testing.assert_allclose(p.antiderivative(grid, 0.0), np.sin(grid), atol=1e-10)
 
 
 def test_antiderivative_tabulated_exact_for_interpolant():
     p = ScalarProfile.tabulated([0.0, 1.0, 3.0], [1.0, 3.0, -1.0])
-    grid = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
-    # trapezoid of the piecewise-linear interpolant is its exact integral
-    np.testing.assert_allclose(p.antiderivative(grid), [0.0, 0.75, 2.0, 4.0, 4.0])
+    # the knot at 1 lies inside the [0, 2] step: a trapezoid over the
+    # samples alone would give 2.0
+    for grid, want in (([0.0, 0.5, 1.0, 2.0, 3.0], [0.0, 0.75, 2.0, 4.0, 4.0]),
+                       ([0.0, 2.0], [0.0, 4.0])):
+        np.testing.assert_allclose(p.antiderivative(np.array(grid), 0.0), want)
+
+
+def _interpolant_integral(t):
+    # int_0^t of the interpolant of ([0, 1, 3], [1, 3, -1]), by segment
+    return np.where(t <= 1.0, t + t**2, 2.0 + 3.0 * (t - 1.0) - (t - 1.0) ** 2)
+
+
+@pytest.mark.parametrize("profile, integral", [
+    (ScalarProfile.constant(2.5), lambda t: 2.5 * t),
+    (ScalarProfile.sinusoid(0.7, 3.0, 0.4, 1.2),
+     lambda t: -0.7 / 3.0 * np.cos(3.0 * t + 0.4) + 1.2 * t),
+    (ScalarProfile.sinusoid(0.7, 0.0, 0.4, 1.2), lambda t: (0.7 * np.sin(0.4) + 1.2) * t),
+    (ScalarProfile.polynomial([1.0, -2.0, 3.0]), lambda t: t - t**2 + t**3),
+    (ScalarProfile.tabulated([0.0, 1.0, 3.0], [1.0, 3.0, -1.0]), _interpolant_integral),
+], ids=["constant", "sinusoid", "sinusoid-freq-0", "polynomial", "tabulated"])
+def test_antiderivative_exact_per_kind(profile, integral):
+    start = 0.6
+    t = np.array([1.7, 0.2, 2.9, 0.0, 1.0, 0.6])  # unsorted, one sample at start
+    np.testing.assert_allclose(profile.antiderivative(t, start), integral(t) - integral(start),
+                               rtol=0, atol=1e-14)
+    assert abs(profile.antiderivative(2.3, start) - (integral(2.3) - integral(start))) <= 1e-14
 
 
 def test_config_roundtrip():
