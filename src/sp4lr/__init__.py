@@ -38,7 +38,6 @@ from .hamiltonian import (
 from .lr_ode import (
     ClosedFormParams,
     assemble_invariant,
-    build_M,
     closed_form_c,
     closed_form_on_grid,
     evolve,

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import algebra, point_transform as pt
 from .algebra import AlgebraElement, GeneratorId, generator_matrices
-from .hamiltonian import CoupledOscillatorParams, build_H_modified, instantaneous_eigenvalues
-from .lr_ode import ANSATZ_COMBINATIONS, build_M, lr_residual
+from .hamiltonian import (CoupledOscillatorParams, build_H_coeffs, build_H_modified,
+                          instantaneous_eigenvalues)
+from .lr_ode import ANSATZ_COMBINATIONS, coefficients_of_element, lr_residual
 from .point_transform import _elem
 
 __all__ = ["DiscrepancyRecord", "standard_records", "point_transform_records"]
@@ -95,13 +96,22 @@ def ansatz_row7_record() -> DiscrepancyRecord:
     )
 
 
+def ode_matrix(params: CoupledOscillatorParams, t: float) -> np.ndarray:
+    """Coefficient matrix M(t) of dc/dt = M c, generated from the structure constants."""
+    h = build_H_coeffs(params, t)
+    return coefficients_of_element(-1j * algebra.commutator(h, ANSATZ_COMBINATIONS)).T
+
+
 def ode_matrix_variant_records() -> list[DiscrepancyRecord]:
     """The two hand-written forms of the coefficient matrix vs the generated one.
 
-    The equation-style form carries -omega_y in row 8; the matrix-style
-    form carries +a in row 2 (and -omega_x in row 8).  The generated
-    matrix agrees with the equation form everywhere except row 8 and
-    with the matrix form everywhere except row 2.
+    The invariant equation i dI/dt = [H, I] on I = sum_j c_j v_j gives
+    dc/dt = M c; column j of the generated M holds the coefficients of
+    -i [H, v_j] in the ansatz basis v.  The equation-style form carries
+    -omega_y in row 8; the matrix-style form carries +a in row 2 (and
+    -omega_x in row 8).  The generated matrix agrees with the equation
+    form everywhere except row 8 and with the matrix form everywhere
+    except row 2.
     """
     a, wx, wy, lam = 0.7, 1.3, 0.9, 0.4
     from .profiles import ScalarProfile
@@ -109,7 +119,7 @@ def ode_matrix_variant_records() -> list[DiscrepancyRecord]:
     params = CoupledOscillatorParams(
         a=ScalarProfile.constant(a), omega_x=ScalarProfile.constant(wx),
         omega_y=ScalarProfile.constant(wy), lam=ScalarProfile.constant(lam))
-    m_gen = build_M(params, 0.0)
+    m_gen = ode_matrix(params, 0.0)
 
     def hand_written(row8_coeff, row2_sign):
         m = np.zeros((10, 10), dtype=complex)
@@ -199,11 +209,11 @@ def invariant_image_variant(p: pt.PointTransformParams, ep: pt.EPState) -> np.nd
     a_, b_, lam = p.alpha, p.beta, p.coupling
     out = (np.outer(b_ / (2.0 * ep.sigma**2), _elem({_G.J3: 1, _G.J1: 1, _G.J0: 1, _G.Q2: 1}))
            + np.outer(a_ / (2.0 * ep.mu**2), _elem({_G.J0: 1, _G.Q2: 1, _G.J3: -1, _G.K1: -1}))
-           + np.outer(ep.sigma_t / (ep.r * ep.sigma), _elem({_G.K2: 1, _G.Q1: -1}))
-           + np.outer(ep.mu_t / (ep.r * ep.mu), _elem({_G.K2: 1, _G.Q1: 1}))
-           + np.outer(0.5 * (ep.sigma_t**2 / (b_ * ep.r**2) + b_ * ep.sigma**2),
+           + np.outer(ep.sigma_tau / ep.sigma, _elem({_G.K2: 1, _G.Q1: -1}))
+           + np.outer(ep.mu_tau / ep.mu, _elem({_G.K2: 1, _G.Q1: 1}))
+           + np.outer(0.5 * (ep.sigma_tau**2 / b_ + b_ * ep.sigma**2),
                       _elem({_G.J3: 1, _G.K1: -1, _G.J0: 1, _G.Q2: -1}))
-           + np.outer(0.5 * (ep.mu_t**2 / (a_ * ep.r**2) + a_ * ep.mu**2),
+           + np.outer(0.5 * (ep.mu_tau**2 / a_ + a_ * ep.mu**2),
                       _elem({_G.K1: 1, _G.J3: -1, _G.J0: 1, _G.Q2: -1}))).astype(complex)
     out += np.outer(1j * lam * ep.sigma * ep.mu, _elem({_G.J1: 1, _G.K3: 1}))
     return out
@@ -243,12 +253,11 @@ def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState,
 
 
 def ep_form_record(p: pt.PointTransformParams, ep: pt.EPState) -> DiscrepancyRecord:
-    """Canonical (linear) EP form vs the variant with a quadratic third term."""
+    """Canonical (linear) EP form vs the variant with a quadratic third term,
+    both written as r^2 times their tau-form (see :func:`point_transform.ep_residual`)."""
     adopted = float(np.abs(pt.ep_residual(p, ep)).max())
-    var_s = ep.sigma_tt - ep.r_t / ep.r * ep.sigma_t \
-        + p.beta**2 * ep.r**2 * ep.sigma**2 - p.beta**2 * ep.r**2 / ep.sigma**3
-    var_m = ep.mu_tt - ep.r_t / ep.r * ep.mu_t \
-        + p.alpha**2 * ep.r**2 * ep.mu**2 - p.alpha**2 * ep.r**2 / ep.mu**3
+    var_s = ep.r**2 * (ep.sigma_tautau + p.beta**2 * ep.sigma**2 - p.beta**2 / ep.sigma**3)
+    var_m = ep.r**2 * (ep.mu_tautau + p.alpha**2 * ep.mu**2 - p.alpha**2 / ep.mu**3)
     variant = float(max(np.abs(var_s).max(), np.abs(var_m).max()))
     return DiscrepancyRecord(
         name="ermakov_pinney_form",
@@ -263,18 +272,17 @@ def pushforward_row_records(p: pt.PointTransformParams, t: float = 0.7) -> list[
     """Image table rows that differ from the congruence map (J3' and K1')."""
     ep = pt.ep_state(p, np.atleast_1d(t))
     pm = pt.pushforward_map(p, ep)
-    sig, sig_t = ep.sigma[0], ep.sigma_t[0]
-    mu, mu_t = ep.mu[0], ep.mu_t[0]
-    r = ep.r[0]
+    sig, sig1 = ep.sigma[0], ep.sigma_tau[0]
+    mu, mu1 = ep.mu[0], ep.mu_tau[0]
     a_, b_ = p.alpha, p.beta
     half = 0.5 * (
         _elem({_G.J0: 1, _G.J3: -1, _G.K1: -1, _G.Q2: 1}) / mu**2
-        + 2.0 * mu_t / (a_ * mu * r) * _elem({_G.K2: 1, _G.Q1: 1})
+        + 2.0 * mu1 / (a_ * mu) * _elem({_G.K2: 1, _G.Q1: 1})
         - _elem({_G.J0: 1, _G.J3: 1, _G.K1: 1, _G.Q2: 1}) / sig**2
-        + (a_**2 * mu**2 * r**2 + mu_t**2) / (a_**2 * r**2)
+        + (a_**2 * mu**2 + mu1**2) / a_**2
         * _elem({_G.J0: 1, _G.J3: -1, _G.K1: 1, _G.Q2: -1})
-        + 2.0 * sig_t / (b_ * r * sig) * _elem({_G.Q1: 1, _G.K2: -1})
-        - (b_**2 * r**2 * sig**2 + sig_t**2) / (b_**2 * r**2)
+        + 2.0 * sig1 / (b_ * sig) * _elem({_G.Q1: 1, _G.K2: -1})
+        - (b_**2 * sig**2 + sig1**2) / b_**2
         * _elem({_G.J0: 1, _G.J3: 1, _G.K1: -1, _G.Q2: -1}))
     got_j3 = pm.matrix[0][:, int(_G.J3)]
     rec_j3 = DiscrepancyRecord(
@@ -287,13 +295,13 @@ def pushforward_row_records(p: pt.PointTransformParams, t: float = 0.7) -> list[
     k1_var = 0.25 * (
         _elem({_G.J0: 1, _G.J3: -1, _G.K1: -1, _G.Q2: 1}) / mu**2
         - _elem({_G.J0: 1, _G.J3: 1, _G.K1: 1, _G.Q2: 1}) / sig**2
-        + 2.0 * mu_t / (a_ * mu * r) * _elem({_G.K2: 1, _G.Q1: 1})
-        + 2.0 * sig_t / (b_ * r * sig) * _elem({_G.Q1: 1, _G.K2: -1})
-        - (a_**2 * mu**2 * r**2 - mu_t**2) / (a_**2 * r**2)
+        + 2.0 * mu1 / (a_ * mu) * _elem({_G.K2: 1, _G.Q1: 1})
+        + 2.0 * sig1 / (b_ * sig) * _elem({_G.Q1: 1, _G.K2: -1})
+        - (a_**2 * mu**2 - mu1**2) / a_**2
         * _elem({_G.J0: 1, _G.J3: -1, _G.K1: 1, _G.Q2: -1})
-        + (b_**2 * r**2 * sig**2 - sig_t**2) / (b_**2 * r**2)
+        + (b_**2 * sig**2 - sig1**2) / b_**2
         * _elem({_G.J0: 1, _G.J3: 1, _G.K1: -1, _G.Q2: -1})
-        + 2.0 * sig_t / (b_ * r * sig) * _elem({_G.Q1: 1, _G.K2: -1}))
+        + 2.0 * sig1 / (b_ * sig) * _elem({_G.Q1: 1, _G.K2: -1}))
     got_k1 = pm.matrix[0][:, int(_G.K1)]
     rec_k1 = DiscrepancyRecord(
         name="image_row_k1",

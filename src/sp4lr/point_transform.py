@@ -5,17 +5,22 @@ A time-independent reference oscillator pair
 coordinates (chi, upsilon) is mapped onto the time-dependent target
 ``H = a(t)(J0+J3) + b(t)(J0-J3) + i lam(t)(J1+K3)`` by the substitution
 
-    upsilon = sigma(t) * x,   chi = mu(t) * y,   tau = int r dt,
+    upsilon = sigma(tau) * x,   chi = mu(tau) * y,   tau = int r dt,
     Psi = A(x, y, t) * Phi,
 
-where sigma and mu are Ermakov-Pinney scale factors.  sigma pairs with
-the x direction and carries the beta frequency; mu pairs with y and
-carries alpha.  (The published presentation labels the substitution the
-other way round, but every operative formula downstream -- the closed
-EP solutions, the prefactor A, the transformed generators, the
-time-dependent Dyson map -- matches this pairing, and only this pairing
-lets the transformed reference Hamiltonian satisfy the invariant
-equation; the cross-check suite records the rejected variant.)
+where sigma and mu are Ermakov-Pinney scale factors: closed-form
+functions of the transformed time tau alone.  The EP state carries
+their tau-derivatives, and every time derivative is taken as
+d/dt = r d/dtau, so r only ever multiplies and a density r(t) that is
+zero somewhere on the grid, or changes sign, needs no special case.
+
+sigma pairs with the x direction and carries the beta frequency; mu
+pairs with y and carries alpha.  (The published presentation labels the
+substitution the other way round, but every operative formula
+downstream -- the closed EP solutions, the prefactor A, the transformed
+generators, the time-dependent Dyson map -- matches this pairing, and
+only this pairing lets the transformed reference Hamiltonian satisfy the
+invariant equation; the cross-check suite records the rejected variant.)
 
 The action on generators is computed exactly as a symplectic congruence
 on Weyl quadratic forms: the substitution is linear in phase space,
@@ -128,34 +133,36 @@ class PointTransformParams:
 
 @dataclass(frozen=True)
 class EPState:
-    """Ermakov-Pinney scale factors and derivatives at the sampled times."""
+    """Ermakov-Pinney scale factors at the sampled times ``t``.
+
+    ``tau`` is the transformed time and ``r`` = dtau/dt; ``sigma_tau``,
+    ``sigma_tautau`` (and those of ``mu``) are the first and second
+    derivatives with respect to tau.
+    """
 
     t: np.ndarray
     tau: np.ndarray
     r: np.ndarray
-    r_t: np.ndarray
     sigma: np.ndarray
-    sigma_t: np.ndarray
-    sigma_tt: np.ndarray
+    sigma_tau: np.ndarray
+    sigma_tautau: np.ndarray
     mu: np.ndarray
-    mu_t: np.ndarray
-    mu_tt: np.ndarray
+    mu_tau: np.ndarray
+    mu_tautau: np.ndarray
 
     def take(self, idx) -> "EPState":
-        """The state at the samples ``idx`` (an index array into ``t``)."""
+        """The state at the samples ``idx`` (an index array or slice into ``t``)."""
         return EPState(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
 
-def _ep_factor(c, freq, tau, r, r_t):
-    """Scale factor sqrt(sqrt(1+c^2) + c cos(2*freq*tau)) and derivatives."""
-    w = np.sqrt(1.0 + c * c) + c * np.cos(2.0 * freq * tau)
-    s = np.sqrt(w)
-    w_t = -2.0 * freq * r * c * np.sin(2.0 * freq * tau)
-    w_tt = -2.0 * freq * c * (r_t * np.sin(2.0 * freq * tau)
-                              + 2.0 * freq * r * r * np.cos(2.0 * freq * tau))
-    s_t = w_t / (2.0 * s)
-    s_tt = w_tt / (2.0 * s) - s_t * s_t / s
-    return s, s_t, s_tt
+def _ep_factor(c, freq, tau):
+    """Scale factor s = sqrt(w), w = sqrt(1+c^2) + c cos(2*freq*tau), and
+    its first two tau-derivatives s' = w'/(2s), s'' = w''/(2s) - s'^2/s."""
+    phase = 2.0 * freq * tau
+    s = np.sqrt(np.sqrt(1.0 + c * c) + c * np.cos(phase))
+    s1 = -freq * c * np.sin(phase) / s
+    s2 = -2.0 * freq * freq * c * np.cos(phase) / s - s1 * s1 / s
+    return s, s1, s2
 
 
 def ep_state(p: PointTransformParams, t) -> EPState:
@@ -167,31 +174,25 @@ def ep_state(p: PointTransformParams, t) -> EPState:
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     tau = p.r.antiderivative(ts, 0.0)
-    r = np.atleast_1d(p.r(ts))
-    if np.any(np.abs(r) < 1e-12):
-        raise ValueError("params.r: time-map density r(t) vanishes at t = %r"
-                         % float(ts[np.argmin(np.abs(r))]))
-    r_t = np.atleast_1d(p.r.derivative(ts))
-    sig, sig_t, sig_tt = _ep_factor(p.c2, p.beta, tau, r, r_t)
-    mu, mu_t, mu_tt = _ep_factor(p.c3, p.alpha, tau, r, r_t)
-    return EPState(t=ts, tau=tau, r=r, r_t=r_t,
-                   sigma=sig, sigma_t=sig_t, sigma_tt=sig_tt,
-                   mu=mu, mu_t=mu_t, mu_tt=mu_tt)
+    sig, sig1, sig2 = _ep_factor(p.c2, p.beta, tau)
+    mu, mu1, mu2 = _ep_factor(p.c3, p.alpha, tau)
+    return EPState(t=ts, tau=tau, r=p.r(ts), sigma=sig, sigma_tau=sig1, sigma_tautau=sig2,
+                   mu=mu, mu_tau=mu1, mu_tautau=mu2)
 
 
 def ep_residual(p: PointTransformParams, ep: EPState) -> np.ndarray:
     """Canonical Ermakov-Pinney residuals, shape (2, N).
 
-    Row 0: sigma'' - (r'/r) sigma' + beta^2 r^2 sigma - beta^2 r^2 / sigma^3,
-    row 1 the same with (mu, alpha).  The closed-form factors satisfy
-    this linear-in-sigma form; the variant with a quadratic third term is
-    evaluated in the cross-check suite.
+    Row 0: r^2 (sigma'' + beta^2 sigma - beta^2 / sigma^3) with ' = d/dtau,
+    the same quantity as the t-form d^2sigma/dt^2 - (dr/dt / r) dsigma/dt
+    + beta^2 r^2 sigma - beta^2 r^2 / sigma^3; row 1 the same with
+    (mu, alpha).  The closed-form factors satisfy this linear-in-sigma
+    form; the variant with a quadratic third term is evaluated in the
+    cross-check suite.
     """
-    rs = ep.sigma_tt - ep.r_t / ep.r * ep.sigma_t \
-        + p.beta**2 * ep.r**2 * ep.sigma - p.beta**2 * ep.r**2 / ep.sigma**3
-    rm = ep.mu_tt - ep.r_t / ep.r * ep.mu_t \
-        + p.alpha**2 * ep.r**2 * ep.mu - p.alpha**2 * ep.r**2 / ep.mu**3
-    return np.stack([rs, rm])
+    rs = ep.sigma_tautau + p.beta**2 * ep.sigma - p.beta**2 / ep.sigma**3
+    rm = ep.mu_tautau + p.alpha**2 * ep.mu - p.alpha**2 / ep.mu**3
+    return ep.r**2 * np.stack([rs, rm])
 
 
 def target_coefficients(p: PointTransformParams, ep: EPState):
@@ -218,9 +219,9 @@ def _substitution_matrices(ep: EPState, p: PointTransformParams) -> np.ndarray:
     T = np.zeros((n, 4, 4))
     T[:, 0, 1] = ep.mu
     T[:, 1, 0] = ep.sigma
-    T[:, 2, 1] = ep.mu_t / (p.alpha * ep.r)
+    T[:, 2, 1] = ep.mu_tau / p.alpha
     T[:, 2, 3] = 1.0 / ep.mu
-    T[:, 3, 0] = ep.sigma_t / (p.beta * ep.r)
+    T[:, 3, 0] = ep.sigma_tau / p.beta
     T[:, 3, 2] = 1.0 / ep.sigma
     return T
 
@@ -248,11 +249,11 @@ def pushforward_shift(p: PointTransformParams, ep: EPState) -> np.ndarray:
     generated by any reference h is  r * pushforward(h) - shift.
     """
     a_, b_ = p.alpha, p.beta
-    cx = ep.sigma_t**2 / (2.0 * b_ * ep.r) + b_ * ep.r * (ep.sigma**4 - 1.0) / (2.0 * ep.sigma**2)
-    cy = ep.mu_t**2 / (2.0 * a_ * ep.r) + a_ * ep.r * (ep.mu**4 - 1.0) / (2.0 * ep.mu**2)
-    out = (np.outer(ep.sigma_t / ep.sigma, _WXPX) + np.outer(ep.mu_t / ep.mu, _WYPY)
+    cx = ep.sigma_tau**2 / (2.0 * b_) + b_ * (ep.sigma**4 - 1.0) / (2.0 * ep.sigma**2)
+    cy = ep.mu_tau**2 / (2.0 * a_) + a_ * (ep.mu**4 - 1.0) / (2.0 * ep.mu**2)
+    out = (np.outer(ep.sigma_tau / ep.sigma, _WXPX) + np.outer(ep.mu_tau / ep.mu, _WYPY)
            + np.outer(cx, _X2) + np.outer(cy, _Y2))
-    return out.astype(complex)
+    return (ep.r[:, None] * out).astype(complex)
 
 
 def _congruence(T: np.ndarray, s: np.ndarray, proj_tol: float) -> np.ndarray:
@@ -378,12 +379,12 @@ def dyson_time_exponent(p: PointTransformParams, ep: EPState,
     """Exponent of the time-dependent Dyson map at the times of ``ep``, shape (N, 10).
 
     kappa2 (mu/sigma)(Q3-J2) + kappa1 (sigma/mu)(Q3+J2)
-    + (beta kappa1 sigma mu_t + alpha kappa2 mu sigma_t)/(alpha beta r) (K3+J1);
-    equal to the pushforward of the static exponent (tested).
+    + (beta kappa1 sigma mu' + alpha kappa2 mu sigma')/(alpha beta) (K3+J1),
+    ' = d/dtau; equal to the pushforward of the static exponent (tested).
     """
     k1, k2 = static.params.kappa1, static.params.kappa2
-    cxy = (p.beta * k1 * ep.sigma * ep.mu_t + p.alpha * k2 * ep.mu * ep.sigma_t) \
-        / (p.alpha * p.beta * ep.r)
+    cxy = (p.beta * k1 * ep.sigma * ep.mu_tau + p.alpha * k2 * ep.mu * ep.sigma_tau) \
+        / (p.alpha * p.beta)
     out = (np.outer(k2 * ep.mu / ep.sigma, _Q3mJ2)
            + np.outer(k1 * ep.sigma / ep.mu, _Q3pJ2)
            + np.outer(cxy, _XY))
@@ -414,15 +415,16 @@ def hermitian_invariant_Ih(inv: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
 def hermitian_invariant_expansion(p: PointTransformParams, ep: EPState,
                                   static: DysonStatic) -> np.ndarray:
-    """Closed expansion of the Hermitian invariant in Delta and the EP state."""
+    """Closed expansion of the Hermitian invariant in Delta and the EP state
+    (sigma, mu and their tau-derivatives; r does not enter)."""
     a_, b_, d = p.alpha, p.beta, static.delta
     out = 0.25 * (
         np.outer(2.0 * a_ / ep.mu**2, _elem({_G.J0: 1, _G.J3: -1, _G.K1: -1, _G.Q2: 1}))
         + np.outer(2.0 * b_ / ep.sigma**2, _elem({_G.J0: 1, _G.J3: 1, _G.K1: 1, _G.Q2: 1}))
-        + np.outer(4.0 * ep.mu_t / (ep.r * ep.mu), _WYPY)
-        + np.outer(((a_**2 + b_**2 + d) * ep.mu**2 + 2.0 * ep.mu_t**2 / ep.r**2) / a_, _Y2)
-        + np.outer(4.0 * ep.sigma_t / (ep.r * ep.sigma), _WXPX)
-        + np.outer(((a_**2 + b_**2 - d) * ep.sigma**2 + 2.0 * ep.sigma_t**2 / ep.r**2) / b_, _X2)
+        + np.outer(4.0 * ep.mu_tau / ep.mu, _WYPY)
+        + np.outer(((a_**2 + b_**2 + d) * ep.mu**2 + 2.0 * ep.mu_tau**2) / a_, _Y2)
+        + np.outer(4.0 * ep.sigma_tau / ep.sigma, _WXPX)
+        + np.outer(((a_**2 + b_**2 - d) * ep.sigma**2 + 2.0 * ep.sigma_tau**2) / b_, _X2)
     )
     return out.astype(complex)
 
@@ -490,11 +492,12 @@ def pde_constraint_residuals(p: PointTransformParams, ep: EPState, samples,
     Evaluates the first-derivative coefficients B0x, B0y and the
     potential V0 of the transformed equation with the closed prefactor
 
-        A = exp{ (i / (2 hbar r)) [x^2 sigma sigma_t / beta
-                                   + y^2 mu mu_t / alpha] + delta(t) },
+        A = exp{ (i / (2 hbar)) [x^2 sigma sigma' / beta
+                                 + y^2 mu mu' / alpha] + delta },
         delta = c1_phase - (1/2) ln(mu sigma),
 
-    and returns (max|B0x|, max|B0y|, max|V0 - V_target|) over all (x, y)
+    with ' = d/dtau; its time derivatives are taken as d/dt = r d/dtau.
+    Returns (max|B0x|, max|B0y|, max|V0 - V_target|) over all (x, y)
     samples and at the times of the EP state ``ep``, where
     V_target = (a x^2 + 2 i lam x y + b y^2)/2.
     """
@@ -503,21 +506,21 @@ def pde_constraint_residuals(p: PointTransformParams, ep: EPState, samples,
     a_, b_ = p.alpha, p.beta
     worst = [0.0, 0.0, 0.0]
     for k in range(ep.t.size):
-        sig, sig_t, sig_tt = ep.sigma[k], ep.sigma_t[k], ep.sigma_tt[k]
-        mu, mu_t, mu_tt = ep.mu[k], ep.mu_t[k], ep.mu_tt[k]
-        r, r_t = ep.r[k], ep.r_t[k]
+        sig, sig1, sig2 = ep.sigma[k], ep.sigma_tau[k], ep.sigma_tautau[k]
+        mu, mu1, mu2 = ep.mu[k], ep.mu_tau[k], ep.mu_tautau[k]
+        r = ep.r[k]
         x, y = xy[:, 0], xy[:, 1]
-        ax_a = 1j * sig * sig_t * x / (hbar * r * b_)
-        ay_a = 1j * mu * mu_t * y / (hbar * r * a_)
-        axx_a = 1j * sig * sig_t / (hbar * r * b_) + ax_a**2
-        ayy_a = 1j * mu * mu_t / (hbar * r * a_) + ay_a**2
-        # d/dt of the exponent: quadratic part plus delta_t
-        dqx = ((sig_t**2 + sig * sig_tt) / r - sig * sig_t * r_t / r**2) / b_
-        dqy = ((mu_t**2 + mu * mu_tt) / r - mu * mu_t * r_t / r**2) / a_
-        delta_t = -0.5 * (mu_t / mu + sig_t / sig)
+        ax_a = 1j * sig * sig1 * x / (hbar * b_)
+        ay_a = 1j * mu * mu1 * y / (hbar * a_)
+        axx_a = 1j * sig * sig1 / (hbar * b_) + ax_a**2
+        ayy_a = 1j * mu * mu1 / (hbar * a_) + ay_a**2
+        # d/dt = r d/dtau of the exponent: quadratic part plus delta_t
+        dqx = r * (sig1**2 + sig * sig2) / b_
+        dqy = r * (mu1**2 + mu * mu2) / a_
+        delta_t = -0.5 * r * (mu1 / mu + sig1 / sig)
         at_a = 1j / (2.0 * hbar) * (x**2 * dqx + y**2 * dqy) + delta_t
-        ups, ups_t, ups_x = sig * x, sig_t * x, sig
-        chi, chi_t, chi_y = mu * y, mu_t * y, mu
+        ups, ups_t, ups_x = sig * x, r * sig1 * x, sig
+        chi, chi_t, chi_y = mu * y, r * mu1 * y, mu
         b0x = -1j * hbar * ups_t / ups_x + (hbar**2 * r / (2.0 * ups_x**2)) * 2.0 * b_ * ax_a
         b0y = -1j * hbar * chi_t / chi_y + (hbar**2 * r / (2.0 * chi_y**2)) * 2.0 * a_ * ay_a
         v0 = (r / 2.0) * (b_ * ups**2 + 2j * p.coupling * chi * ups + a_ * chi**2) \

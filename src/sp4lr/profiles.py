@@ -87,7 +87,7 @@ PROFILE_KINDS = {
 
 
 class ScalarProfile:
-    """Real function of time with derivative and exact antiderivative."""
+    """Real function of time with an exact antiderivative."""
 
     def __init__(self, kind: str, **args):
         if kind not in PROFILE_KINDS:
@@ -170,20 +170,6 @@ class ScalarProfile:
             return np.polynomial.polynomial.polyval(t, self.args["coeffs"])
         self._check_domain(t)
         return np.interp(t, self._t, self._v)
-
-    def derivative(self, t):
-        """First derivative; analytic for closed-form kinds, piecewise slope for tables."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.zeros_like(t) if t.ndim else 0.0
-        if self.kind == "sinusoid":
-            s = self.args
-            return s["amp"] * s["freq"] * np.cos(s["freq"] * t + s["phase"])
-        if self.kind == "polynomial":
-            c = self.args["coeffs"]
-            dc = [k * c[k] for k in range(1, len(c))] or [0.0]
-            return np.polynomial.polynomial.polyval(t, dc)
-        return self._slopes[self._segment(t)]
 
     def _segment(self, t):
         """Index of the table segment holding each ``t``."""

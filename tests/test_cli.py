@@ -264,11 +264,9 @@ _COUPLED = {name: _CONST for name in ("a", "omega_x", "omega_y", "lam")}
     ({"mode": "lr-closed-form", "grid": _GRID, "params": {"alpha": -1.5, "lam": _CONST}},
      "params.alpha"),
     ({**_PT, "params": {**_PT["params"], "beta": 2.0}}, "params.beta"),
-    ({**_PT, "params": {**_PT["params"], "r": {"kind": "sinusoid", "amp": 1.0, "freq": 1.0}}},
-     "params.r"),
 ], ids=["unknown-top-level", "extended-profile", "Lambda", "nan", "alpha-missing",
         "profile-missing", "params-missing", "steps-not-integer", "alpha-zero", "beta-zero",
-        "degenerate-alpha", "equal-frequencies", "vanishing-r"])
+        "degenerate-alpha", "equal-frequencies"])
 def test_invalid_config_names_field(tmp_path, capsys, cfg, field):
     assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 1
     assert "error: %s:" % field in capsys.readouterr().err

@@ -5,14 +5,14 @@ import time
 import numpy as np
 import pytest
 
-from sp4lr.algebra import AlgebraElement, to_matrix
+from sp4lr.algebra import to_matrix
+from sp4lr.crosschecks import ode_matrix
 from sp4lr.errors import ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, StepNotConverged
 from sp4lr.hamiltonian import CoupledOscillatorParams, build_H_coeffs
 from sp4lr.lr_ode import (
     ANSATZ_COMBINATIONS,
     ClosedFormParams,
     assemble_invariant,
-    build_M,
     closed_form_c,
     closed_form_on_grid,
     coefficients_of_element,
@@ -71,7 +71,7 @@ def test_combinations_are_elementary_quadratics():
 
 def test_M_unit_substitution():
     p = const_params(1.0, 1.0, 1.0, 1.0)
-    m = build_M(p, 0.0)
+    m = ode_matrix(p, 0.0)
     cdot = m @ C0
     want = np.zeros(10, dtype=complex)
     want[6] = -1j
@@ -82,13 +82,13 @@ def test_M_unit_substitution():
 
 def test_M_row9_entry():
     p = const_params(0.7, 1.3, 0.9, 0.4)
-    m = build_M(p, 0.0)
+    m = ode_matrix(p, 0.0)
     assert m[8, 0] == pytest.approx(0.35)  # a/2
 
 
 def test_M_structural_nonzeros():
     p = const_params(0.7, 1.3, 0.9, 0.4)
-    m = build_M(p, 0.0)
+    m = ode_matrix(p, 0.0)
     assert int(np.count_nonzero(np.abs(m) > 1e-13)) == 24
 
 
@@ -98,7 +98,7 @@ def test_M_consistent_with_invariant_equation():
 
     rng = np.random.default_rng(9)
     p = const_params(0.7, 1.3, 0.9, 0.4)
-    m = build_M(p, 0.0)
+    m = ode_matrix(p, 0.0)
     c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     h = build_H_coeffs(p, np.array([0.0]))[0]
     bracket = commutator(h, assemble_invariant(c).coeffs)
@@ -229,7 +229,7 @@ def test_closed_form_solves_ode_all_alphas():
     for alpha in (0.0, 1.0, 2.0, 3.0, 5.0):
         cf = ClosedFormParams(alpha, ScalarProfile.constant(1.0))
         p = cf.oscillator_params()
-        m = build_M(p, 0.0)
+        m = ode_matrix(p, 0.0)
         for theta in (0.4, 1.7):
             cdot = (closed_form_c(cf, theta + h) - closed_form_c(cf, theta - h)) / (2 * h)
             np.testing.assert_allclose(cdot, m @ closed_form_c(cf, theta),
@@ -346,29 +346,6 @@ def test_lr_residual_evolved_smooth_profiles():
 def test_lr_residual_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
         lr_residual(np.zeros((4, 10)), np.zeros((4, 10)), np.linspace(0, 1, 4))
-
-
-def test_lr_residual_accepts_callables():
-    p = const_params(0.7, 1.3, 0.9, 0.4)
-    grid = np.linspace(0.0, 0.5, 51)
-    h_of_t = lambda t: AlgebraElement(build_H_coeffs(p, np.array([t]))[0])
-    i_of_t = lambda t: h_of_t(t)
-    assert lr_residual(i_of_t, h_of_t, grid) < 1e-12
-
-
-def test_lr_residual_calls_each_callable_once_per_sample():
-    p = const_params(0.7, 1.3, 0.9, 0.4)
-    grid = np.linspace(0.0, 0.5, 51)
-    calls = {"invariant": 0, "hamiltonian": 0}
-
-    def counting(key):
-        def element(t):
-            calls[key] += 1
-            return AlgebraElement(build_H_coeffs(p, np.array([t]))[0])
-        return element
-
-    lr_residual(counting("invariant"), counting("hamiltonian"), grid)
-    assert calls == {"invariant": grid.size, "hamiltonian": grid.size}
 
 
 def test_step_not_converged():

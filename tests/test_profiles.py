@@ -11,27 +11,22 @@ def test_constant():
     p = ScalarProfile.constant(2.5)
     assert p(0.3) == 2.5
     np.testing.assert_array_equal(p(np.array([0.0, 1.0])), [2.5, 2.5])
-    assert p.derivative(1.0) == 0.0
 
 
 def test_sinusoid():
     p = ScalarProfile.sinusoid(0.2, 3.0, 0.5, 1.0)
     t = np.linspace(0, 2, 7)
     np.testing.assert_allclose(p(t), 0.2 * np.sin(3 * t + 0.5) + 1.0)
-    np.testing.assert_allclose(p.derivative(t), 0.6 * np.cos(3 * t + 0.5))
 
 
 def test_polynomial():
     p = ScalarProfile.polynomial([1.0, -2.0, 3.0])
     assert p(2.0) == pytest.approx(1 - 4 + 12)
-    assert p.derivative(2.0) == pytest.approx(-2 + 12)
 
 
 def test_tabulated_interpolates_and_refuses_extrapolation():
     p = ScalarProfile.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
     assert p(0.5) == pytest.approx(1.0)
-    assert p.derivative(0.5) == pytest.approx(2.0)
-    assert p.derivative(1.5) == pytest.approx(-2.0)
     with pytest.raises(ProfileDomain):
         p(2.5)
     with pytest.raises(ProfileDomain):
