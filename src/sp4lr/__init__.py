@@ -2,7 +2,6 @@
 oscillators on the symplectic sp(4) algebra."""
 
 from .algebra import (
-    AlgebraElement,
     GeneratorId,
     adjoint,
     commutator,
@@ -30,7 +29,6 @@ from .errors import (
 from .hamiltonian import (
     CoupledOscillatorParams,
     Regime,
-    build_H,
     build_H_modified,
     classify_regime,
     instantaneous_eigenvalues,

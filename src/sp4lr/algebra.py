@@ -7,6 +7,11 @@ with three faces kept in exact correspondence:
 * the coordinate representation as quadratic operators in (x, y, px, py),
 * structure constants generated from the matrices, never hand-typed.
 
+An algebra element is its complex coefficient array over that basis,
+shape (10,), or a stack of them, shape (..., 10); ``GeneratorId`` is an
+``IntEnum`` and indexes the last axis (``h[..., GeneratorId.J1]``).
+Every function here takes and returns such arrays.
+
 The bridge between the first two is ``M = i Omega S`` where S is the
 symmetric (Weyl-ordered) quadratic-form matrix of the operator over
 z = (x, y, px, py).  Because (i Omega)^2 = 1 the same formula inverts
@@ -21,7 +26,6 @@ commutation table to close, and the K1 quadratic must carry +y^2 for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -33,7 +37,6 @@ __all__ = [
     "GeneratorId",
     "GENERATOR_NAMES",
     "OMEGA",
-    "AlgebraElement",
     "matrix_of",
     "generator_matrices",
     "quadratic_form_of",
@@ -138,85 +141,9 @@ def quadratic_form_of(g) -> np.ndarray:
     return (1j * OMEGA @ matrix_of(g)).real.copy()
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Complex coefficient vector over the frozen 10-generator basis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (10,):
-            raise ValueError("AlgebraElement needs exactly 10 coefficients")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def zero(cls) -> "AlgebraElement":
-        return cls(np.zeros(10, dtype=complex))
-
-    @classmethod
-    def unit(cls, g) -> "AlgebraElement":
-        c = np.zeros(10, dtype=complex)
-        c[int(GeneratorId[g] if isinstance(g, str) else GeneratorId(g))] = 1.0
-        return cls(c)
-
-    @classmethod
-    def from_dict(cls, terms: dict) -> "AlgebraElement":
-        c = np.zeros(10, dtype=complex)
-        for name, val in terms.items():
-            c[GeneratorId[name]] += val
-        return cls(c)
-
-    def __add__(self, other):
-        return AlgebraElement(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return AlgebraElement(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return AlgebraElement(self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return AlgebraElement(-self.coeffs)
-
-    def __getitem__(self, g):
-        return self.coeffs[int(GeneratorId[g] if isinstance(g, str) else GeneratorId(g))]
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """Hermitian as an operator: all coefficients real.
-
-        Hermiticity of physical operators is realness of coefficients in
-        the coordinate representation; it is not Hermiticity of the 4x4
-        matrix (the Q and K matrices are anti-Hermitian).
-        """
-        return bool(np.abs(self.coeffs.imag).max() <= tol)
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.coeffs).max())
-
-    # 10 complex pairs (re, im) in frozen basis order
-    def to_pairs(self):
-        return [[float(c.real), float(c.imag)] for c in self.coeffs]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "AlgebraElement":
-        if len(pairs) != 10:
-            raise ValueError("expected 10 (re, im) pairs")
-        return cls(np.array([complex(re, im) for re, im in pairs]))
-
-
-def _coeffs_of(e):
-    return e.coeffs if isinstance(e, AlgebraElement) else np.asarray(e, dtype=complex)
-
-
 def to_matrix(e) -> np.ndarray:
     """Linear combination of the generator matrices; accepts stacks (..., 10)."""
-    c = _coeffs_of(e)
-    return np.tensordot(c, _GEN, axes=(-1, 0))
+    return np.tensordot(np.asarray(e, dtype=complex), _GEN, axes=(-1, 0))
 
 
 def from_matrix(m, return_residual: bool = True):
@@ -273,31 +200,30 @@ def structure_constants() -> np.ndarray:
     return _STRUCTURE
 
 
-def commutator(a, b):
+def commutator(a, b) -> np.ndarray:
     """Lie bracket by bilinear expansion over the structure constants.
 
-    Accepts AlgebraElements or coefficient stacks (..., 10); stacks
-    broadcast sample-wise and return a coefficient array.
+    ``a`` and ``b`` are coefficient arrays (..., 10); their leading axes
+    broadcast sample-wise against each other.
     """
-    ca, cb = _coeffs_of(a), _coeffs_of(b)
-    out = np.einsum("...i,...j,ijk->...k", ca, cb, structure_constants())
-    if isinstance(a, AlgebraElement) and isinstance(b, AlgebraElement):
-        return AlgebraElement(out)
-    return out
+    ca, cb = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return np.einsum("...i,...j,ijk->...k", ca, cb, structure_constants())
 
 
-def adjoint(e):
-    """Operator adjoint in the coordinate representation: conjugate coefficients."""
-    if isinstance(e, AlgebraElement):
-        return AlgebraElement(e.coeffs.conj())
-    return _coeffs_of(e).conj()
+def adjoint(e) -> np.ndarray:
+    """Operator adjoint in the coordinate representation: conjugate coefficients.
+
+    An element is Hermitian as an operator when its coefficients are
+    real; that is not Hermiticity of its 4x4 matrix (the Q and K
+    matrices are anti-Hermitian).
+    """
+    return np.asarray(e, dtype=complex).conj()
 
 
-def pt_map(e, variant: str = "PT"):
+def pt_map(e, variant: str = "PT") -> np.ndarray:
     """Antilinear PT (or PT-tilde) symmetry: per-generator sign flip plus conjugation."""
     signs = {"PT": _PT_SIGNS, "PT_tilde": _PT_TILDE_SIGNS}[variant]
-    c = _coeffs_of(e).conj() * signs
-    return AlgebraElement(c) if isinstance(e, AlgebraElement) else c
+    return np.asarray(e, dtype=complex).conj() * signs
 
 
 def pt_signs(variant: str = "PT") -> np.ndarray:
@@ -315,7 +241,7 @@ def symplectic_inverse(g) -> np.ndarray:
     return -OMEGA @ np.swapaxes(np.asarray(g), -1, -2) @ OMEGA
 
 
-def conjugate_by(g, e, proj_tol: float = PROJ_TOL):
+def conjugate_by(g, e, proj_tol: float = PROJ_TOL) -> np.ndarray:
     """Adjoint action g e g^-1 of a group element g in Sp(4, C).
 
     ``g`` is a 4x4 matrix or a stack (N, 4, 4) paired with one element
@@ -327,12 +253,10 @@ def conjugate_by(g, e, proj_tol: float = PROJ_TOL):
     coeffs, resid = from_matrix(g @ to_matrix(e) @ symplectic_inverse(g))
     if np.max(resid) > proj_tol:
         raise ProjectionLeak("conjugation residual %.3e exceeds %.3e" % (float(np.max(resid)), proj_tol))
-    if isinstance(e, AlgebraElement):
-        return AlgebraElement(coeffs)
     return coeffs
 
 
-def group_conjugate(exponent, e, proj_tol: float = PROJ_TOL):
+def group_conjugate(exponent, e, proj_tol: float = PROJ_TOL) -> np.ndarray:
     """Adjoint action exp(X) e exp(-X) computed in the 4x4 representation.
 
     X lies in the algebra, so exp(X) lies in Sp(4, C) and exp(-X) is its
@@ -368,15 +292,17 @@ def parity_matrix(convention: str = "reflection") -> np.ndarray:
     raise ValueError("unknown parity convention %r" % convention)
 
 
-def parity_action(e, convention: str = "reflection",
-                  proj_tol: float = PROJ_TOL):
-    """Conjugate by the parity matrix and project back onto the algebra."""
+def parity_action(e, convention: str = "reflection") -> np.ndarray:
+    """Conjugate by the parity matrix and project back onto the algebra.
+
+    ``e`` is one element (10,) or a stack (..., 10); raises
+    :class:`ProjectionLeak` if an image leaves the span by more than
+    ``PROJ_TOL``.
+    """
     p = parity_matrix(convention)
     pinv = np.linalg.inv(p)
     coeffs, resid = from_matrix(p @ to_matrix(e) @ pinv)
-    if np.max(resid) > proj_tol:
+    if np.max(resid) > PROJ_TOL:
         raise ProjectionLeak("parity conjugation residual %.3e exceeds %.3e"
-                             % (float(np.max(resid)), proj_tol))
-    if isinstance(e, AlgebraElement):
-        return AlgebraElement(coeffs)
+                             % (float(np.max(resid)), PROJ_TOL))
     return coeffs

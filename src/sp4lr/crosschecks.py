@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import algebra, point_transform as pt
-from .algebra import AlgebraElement, GeneratorId, generator_matrices
+from .algebra import GeneratorId, generator_matrices
 from .hamiltonian import (CoupledOscillatorParams, build_H_coeffs, build_H_modified,
                           instantaneous_eigenvalues)
 from .lr_ode import ANSATZ_COMBINATIONS, coefficients_of_element, lr_residual
@@ -178,11 +178,7 @@ def parity_convention_record() -> DiscrepancyRecord:
     target = algebra.pt_signs("PT")
 
     def action_signs(convention):
-        signs = np.zeros(10)
-        for g in range(10):
-            img = algebra.parity_action(AlgebraElement.unit(g), convention=convention)
-            signs[g] = img.coeffs[g].real
-        return signs
+        return np.diagonal(algebra.parity_action(np.eye(10), convention)).real
 
     refl = action_signs("reflection") * t_signs
     twoj3 = action_signs("two_j3") * t_signs

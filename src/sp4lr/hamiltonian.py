@@ -1,6 +1,6 @@
 """Time-dependent PT-symmetric coupled-oscillator Hamiltonians.
 
-Two families are built as algebra elements:
+Two families are built as coefficient arrays over the sp(4) basis:
 
 * the spatially coupled pair with common kinetic coefficient,
   expanded as  (a/2)(J0+Q2) + (Omega+/2)(J0-Q2) + (Omega-/2)(J3-K1)
@@ -16,14 +16,13 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import AlgebraElement, GeneratorId, to_matrix
+from .algebra import GeneratorId, to_matrix
 from .numerics import _sort_real_imag, eig4
 from .profiles import ScalarProfile
 
 __all__ = [
     "CoupledOscillatorParams",
     "Regime",
-    "build_H",
     "build_H_coeffs",
     "build_H_modified",
     "instantaneous_eigenvalues",
@@ -79,34 +78,24 @@ def _h_coeffs(a, wx, wy, lam):
     return c
 
 
-def build_H(p: CoupledOscillatorParams, t: float) -> AlgebraElement:
-    """Coupled-oscillator Hamiltonian at time ``t`` as an algebra element."""
-    return AlgebraElement(_h_coeffs(p.a(t), p.omega_x(t), p.omega_y(t), p.lam(t)))
-
-
-def build_H_coeffs(p: CoupledOscillatorParams, tgrid) -> np.ndarray:
-    """Vectorized coefficients of :func:`build_H` over a time grid, shape (N, 10)."""
-    t = np.asarray(tgrid, dtype=float)
+def build_H_coeffs(p: CoupledOscillatorParams, t) -> np.ndarray:
+    """Coupled-oscillator Hamiltonian at time(s) ``t``, shape ``t.shape + (10,)``."""
+    t = np.asarray(t, dtype=float)
     return _h_coeffs(p.a(t), p.omega_x(t), p.omega_y(t), p.lam(t))
 
 
-def build_H_modified(a, b, lam, t=None) -> AlgebraElement | np.ndarray:
+def build_H_modified(a, b, lam) -> np.ndarray:
     """Modified pair a (J3+J0) + b (J0-J3) + i lam (J1+K3).
 
-    ``a``, ``b``, ``lam`` may be profiles (then ``t`` is required) or
-    plain numbers/arrays (then ``t`` is ignored).  Array inputs return a
-    coefficient stack.
+    ``a``, ``b``, ``lam`` are numbers or arrays (profile values already
+    evaluated); the result has their broadcast shape + (10,).
     """
-    if isinstance(a, ScalarProfile):
-        a, b, lam = a(t), b(t), lam(t)
     a, b, lam = np.broadcast_arrays(a, b, lam)
     c = np.zeros(np.shape(a) + (10,), dtype=complex)
     c[..., GeneratorId.J0] = a + np.asarray(b, dtype=float)
     c[..., GeneratorId.J3] = np.asarray(a, dtype=float) - b
     c[..., GeneratorId.J1] = 1j * lam
     c[..., GeneratorId.K3] = 1j * lam
-    if c.ndim == 1:
-        return AlgebraElement(c)
     return c
 
 

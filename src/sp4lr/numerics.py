@@ -168,7 +168,7 @@ def cumulative_simpson(f, grid, tol: float = QUAD_TOL,
 _ONESIDED4 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 
 
-def central_diff(samples, step: float, order: int = 4):
+def central_diff(samples, step: float):
     """Differentiate uniformly spaced samples with a 4th-order stencil.
 
     Interior points use the 5-point central stencil; the two points at
@@ -178,8 +178,6 @@ def central_diff(samples, step: float, order: int = 4):
 
     ``samples`` may have arbitrary trailing dimensions (time on axis 0).
     """
-    if order != 4:
-        raise ValueError("only the 4th-order stencil is implemented")
     y = np.asarray(samples)
     n = y.shape[0]
     if n < 5:

@@ -42,7 +42,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .algebra import (
-    AlgebraElement,
     GeneratorId,
     conjugate_by,
     from_matrix,
@@ -51,7 +50,7 @@ from .algebra import (
     symplectic_inverse,
     to_matrix,
 )
-from .errors import ArctanhDomain, EqualFrequencies, GridTooCoarse, ProjectionLeak
+from .errors import ArctanhDomain, ConfigInvalid, EqualFrequencies, GridTooCoarse, ProjectionLeak
 from .hamiltonian import build_H_modified
 from .numerics import PROJ_TOL, central_diff, expm
 from .profiles import ScalarProfile
@@ -129,6 +128,9 @@ class PointTransformParams:
                 raise ValueError("params.%s: must be nonzero" % name)
         if self.coupling != 0.0 and abs(self.alpha) == abs(self.beta):
             raise EqualFrequencies("params.beta: alpha = +-beta with nonzero coupling")
+        if self.coupling != 0.0 and self.alpha * self.beta < 0.0:
+            raise ConfigInvalid("params.beta: must have the sign of alpha when the coupling "
+                                "is nonzero (the static map needs sqrt(alpha/beta) real)")
 
 
 @dataclass(frozen=True)
@@ -207,10 +209,9 @@ def target_coefficients(p: PointTransformParams, ep: EPState):
     return a, b, lam
 
 
-def reference_H0(p: PointTransformParams) -> AlgebraElement:
+def reference_H0(p: PointTransformParams) -> np.ndarray:
     """Reference Hamiltonian alpha (J0'+J3') + beta (J0'-J3') + i Lambda (J1'+K3')."""
-    return AlgebraElement(_elem({_G.J0: p.alpha + p.beta, _G.J3: p.alpha - p.beta})
-                          + 1j * p.coupling * _XY)
+    return build_H_modified(p.alpha, p.beta, p.coupling)
 
 
 def _substitution_matrices(ep: EPState, p: PointTransformParams) -> np.ndarray:
@@ -236,16 +237,16 @@ class PushforwardMap:
     shift: np.ndarray   # (N, 10)
 
     def apply(self, e) -> np.ndarray:
-        c = e.coeffs if isinstance(e, AlgebraElement) else np.asarray(e, dtype=complex)
+        c = np.asarray(e, dtype=complex)
         return np.einsum("nij,...j->n...i", self.matrix, c) if c.ndim == 1 \
             else np.einsum("nij,nj->ni", self.matrix, c)
 
 
 def pushforward_shift(p: PointTransformParams, ep: EPState) -> np.ndarray:
-    """Inhomogeneous element from transforming i hbar d/dtau, shape (N, 10).
+    """Inhomogeneous element from transforming i d/dtau (hbar = 1), shape (N, 10).
 
     The transformed reference TDSE reads
-    r * image(h) = i hbar d/dt + shift, so the target-frame Hamiltonian
+    r * image(h) = i d/dt + shift, so the target-frame Hamiltonian
     generated by any reference h is  r * pushforward(h) - shift.
     """
     a_, b_ = p.alpha, p.beta
@@ -256,16 +257,15 @@ def pushforward_shift(p: PointTransformParams, ep: EPState) -> np.ndarray:
     return (ep.r[:, None] * out).astype(complex)
 
 
-def _congruence(T: np.ndarray, s: np.ndarray, proj_tol: float) -> np.ndarray:
+def _congruence(T: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Coefficients of the quadratic forms T^T s T (stacks broadcast)."""
     coeffs, resid = from_quadratic_form(np.swapaxes(T, -1, -2) @ s @ T)
-    if float(np.max(resid)) > proj_tol:
+    if float(np.max(resid)) > PROJ_TOL:
         raise ProjectionLeak("pushforward image left the algebra span")
     return coeffs
 
 
-def pushforward_map(p: PointTransformParams, ep: EPState,
-                    proj_tol: float = PROJ_TOL) -> PushforwardMap:
+def pushforward_map(p: PointTransformParams, ep: EPState) -> PushforwardMap:
     """Exact congruence action of the transformation on the generator basis.
 
     Builds the (N, 10, 10) image of all ten generators at the times of
@@ -273,7 +273,7 @@ def pushforward_map(p: PointTransformParams, ep: EPState,
     is ten times smaller.
     """
     T = _substitution_matrices(ep, p)
-    coeffs = _congruence(T[:, None], quadratic_form(np.eye(10)), proj_tol)
+    coeffs = _congruence(T[:, None], quadratic_form(np.eye(10)))
     matrix = np.transpose(coeffs, (0, 2, 1))  # column g holds the image of generator g
     return PushforwardMap(t=ep.t, matrix=matrix, shift=pushforward_shift(p, ep))
 
@@ -281,14 +281,14 @@ def pushforward_map(p: PointTransformParams, ep: EPState,
 def pushforward(p: PointTransformParams, ep: EPState, e) -> np.ndarray:
     """Image of an element (given in the primed basis) at the times of ``ep``.
 
-    ``e`` is one element (AlgebraElement or 10 coefficients) or one
-    element per sample, shape (N, 10); the result has shape (N, 10).
+    ``e`` is one element, shape (10,), or one element per sample, shape
+    (N, 10); the result has shape (N, 10).
     Its quadratic form S is built once and pushed through T^T S T as a
     batch of 4x4 products, then back through the +i Omega bridge;
     :class:`ProjectionLeak` is raised if the image leaves the algebra
     span.
     """
-    return _congruence(_substitution_matrices(ep, p), quadratic_form(e), PROJ_TOL)
+    return _congruence(_substitution_matrices(ep, p), quadratic_form(e))
 
 
 def invariant_IH(p: PointTransformParams, ep: EPState) -> np.ndarray:
@@ -310,14 +310,18 @@ class DysonParams:
 
 @dataclass(frozen=True)
 class DysonStatic:
-    """Static Dyson map for the reference Hamiltonian."""
+    """Static Dyson map for the reference Hamiltonian.
+
+    ``exponent`` (the algebra element whose exponential is ``eta_matrix``)
+    and ``h0`` (the Hermitian counterpart of the reference Hamiltonian)
+    are coefficient arrays, shape (10,).
+    """
 
     params: DysonParams
-    exponent: AlgebraElement
+    exponent: np.ndarray
     eta_matrix: np.ndarray
-    h0: AlgebraElement
+    h0: np.ndarray
     delta: complex
-    complex_delta: bool
     check_residual: float
 
 
@@ -334,16 +338,15 @@ def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
 
     A negative radicand would make Delta complex, but that condition is
     algebraically identical to the artanh argument leaving (-1, 1), so
-    such parameter sets raise ArctanhDomain before Delta is formed; the
-    ``complex_delta`` flag is kept as a defensive marker and Hermiticity
-    is only asserted when it is clear.
+    such parameter sets raise ArctanhDomain before Delta is formed, and
+    the real-coefficient postcondition on h0 always applies.
     """
     a_, b_, lam = p.alpha, p.beta, p.coupling
     h0_ref = reference_H0(p)
     if lam == 0.0:
         eye = np.eye(4, dtype=complex)
-        return DysonStatic(DysonParams(0.0, 0.0), AlgebraElement.zero(), eye,
-                           h0_ref, complex(a_**2 - b_**2), False, 0.0)
+        return DysonStatic(DysonParams(0.0, 0.0), np.zeros(10, dtype=complex), eye,
+                           h0_ref, complex(a_**2 - b_**2), 0.0)
     if abs(a_) == abs(b_):
         raise EqualFrequencies("params.beta: alpha = +-beta with nonzero coupling")
     arg = 2.0 * np.sqrt(a_ * b_) * lam / (a_**2 - b_**2)
@@ -351,27 +354,25 @@ def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
         raise ArctanhDomain("|2 sqrt(alpha beta) Lambda / (alpha^2 - beta^2)| >= 1")
     k1 = 0.5 * np.sqrt(a_ / b_) * np.arctanh(arg)
     k2 = -0.5 * np.sqrt(b_ / a_) * np.arctanh(arg)
-    exponent = AlgebraElement(k1 * _Q3mJ2 + k2 * _Q3pJ2)
+    exponent = k1 * _Q3mJ2 + k2 * _Q3pJ2
     eta = expm(to_matrix(exponent))
     h0_conj = conjugate_by(eta, h0_ref)
 
     rad = (a_**2 - b_**2) ** 2 - 4.0 * a_ * b_ * lam**2
     delta = complex(np.sign(a_**2 - b_**2) * np.lib.scimath.sqrt(rad))
-    complex_delta = rad < 0
     d = delta
     c_j3 = ((a_ + b_) * d - (a_ - b_) ** 3) / (4.0 * a_ * b_)
     c_j0 = ((b_ - a_) * d + (a_ + b_) ** 3) / (4.0 * a_ * b_)
     pref = (a_**2 - b_**2 - d) / (4.0 * a_ * b_)
-    h0_closed = AlgebraElement(_elem({_G.J3: 1}) * c_j3 + _elem({_G.J0: 1}) * c_j0
-                               + pref * ((a_ + b_) * _elem({_G.K1: 1}) - (a_ - b_) * _elem({_G.Q2: 1})))
-    resid = float(np.abs(h0_conj.coeffs - h0_closed.coeffs).max())
-    if not complex_delta:
-        imag_leak = float(np.abs(h0_conj.coeffs.imag).max())
-        if max(resid, imag_leak) > tol:
-            raise ProjectionLeak(
-                "static-map postcondition failed: residual %.3e, imag %.3e" % (resid, imag_leak))
+    h0_closed = (_elem({_G.J3: 1}) * c_j3 + _elem({_G.J0: 1}) * c_j0
+                 + pref * ((a_ + b_) * _elem({_G.K1: 1}) - (a_ - b_) * _elem({_G.Q2: 1})))
+    resid = float(np.abs(h0_conj - h0_closed).max())
+    imag_leak = float(np.abs(h0_conj.imag).max())
+    if max(resid, imag_leak) > tol:
+        raise ProjectionLeak(
+            "static-map postcondition failed: residual %.3e, imag %.3e" % (resid, imag_leak))
     return DysonStatic(DysonParams(float(k1), float(k2)), exponent, eta,
-                       h0_closed, delta, complex_delta, resid)
+                       h0_closed, delta, resid)
 
 
 def dyson_time_exponent(p: PointTransformParams, ep: EPState,
@@ -448,14 +449,12 @@ def hermitian_hamiltonian_h(p: PointTransformParams, ep: EPState,
 
 
 def tdde_residual(p: PointTransformParams, ep: EPState, eta: np.ndarray,
-                  static: DysonStatic, hbar: float = 1.0,
-                  proj_tol: float = PROJ_TOL,
-                  return_samples: bool = False):
+                  static: DysonStatic, return_samples: bool = False):
     """Defect of the time-dependent Dyson equation on a uniform grid.
 
     ``ep`` is the EP state on the grid and ``eta`` the Dyson map on it
     (:func:`dyson_time`).  Compares h(t) against
-    eta H eta^-1 + i hbar (d eta/dt) eta^-1 with the eta derivative taken
+    eta H eta^-1 + i (d eta/dt) eta^-1 (hbar = 1) with the eta derivative taken
     by the 4th-order central stencil and eta^-1 = -Omega eta^T Omega
     (eta is symplectic); the maximum excludes the two points at each end.
     """
@@ -470,10 +469,10 @@ def tdde_residual(p: PointTransformParams, ep: EPState, eta: np.ndarray,
     h_target = to_matrix(build_H_modified(a, b, lam))
     conj = eta @ h_target @ eta_inv
     _, conj_resid = from_matrix(conj)
-    if float(np.max(conj_resid)) > proj_tol:
+    if float(np.max(conj_resid)) > PROJ_TOL:
         raise ProjectionLeak("similarity-transformed Hamiltonian left the algebra span")
     deta = central_diff(eta, step)
-    rhs = conj + 1j * hbar * deta @ eta_inv
+    rhs = conj + 1j * deta @ eta_inv
     rhs_coeffs, resid = from_matrix(rhs)
     # the stencil error of d(eta)/dt is itself out-of-span; fold it into
     # the defect instead of mistaking it for a conjugation leak
@@ -485,52 +484,48 @@ def tdde_residual(p: PointTransformParams, ep: EPState, eta: np.ndarray,
     return worst
 
 
-def pde_constraint_residuals(p: PointTransformParams, ep: EPState, samples,
-                             hbar: float = 1.0):
+def pde_constraint_residuals(p: PointTransformParams, ep: EPState, samples):
     """Residuals of the transformed differential equation at spatial samples.
 
     Evaluates the first-derivative coefficients B0x, B0y and the
-    potential V0 of the transformed equation with the closed prefactor
+    potential V0 of the transformed equation (hbar = 1) with the closed
+    prefactor
 
-        A = exp{ (i / (2 hbar)) [x^2 sigma sigma' / beta
-                                 + y^2 mu mu' / alpha] + delta },
+        A = exp{ (i / 2) [x^2 sigma sigma' / beta + y^2 mu mu' / alpha] + delta },
         delta = c1_phase - (1/2) ln(mu sigma),
 
     with ' = d/dtau; its time derivatives are taken as d/dt = r d/dtau.
     Returns (max|B0x|, max|B0y|, max|V0 - V_target|) over all (x, y)
     samples and at the times of the EP state ``ep``, where
-    V_target = (a x^2 + 2 i lam x y + b y^2)/2.
+    V_target = (a x^2 + 2 i lam x y + b y^2)/2; the times run along the
+    first axis and the samples along the second.
     """
     xy = np.asarray(samples, dtype=float).reshape(-1, 2)
-    a_t, b_t, lam_t = target_coefficients(p, ep)
+    x, y = xy[:, 0], xy[:, 1]
+    a_t, b_t, lam_t = (v[:, None] for v in target_coefficients(p, ep))
     a_, b_ = p.alpha, p.beta
-    worst = [0.0, 0.0, 0.0]
-    for k in range(ep.t.size):
-        sig, sig1, sig2 = ep.sigma[k], ep.sigma_tau[k], ep.sigma_tautau[k]
-        mu, mu1, mu2 = ep.mu[k], ep.mu_tau[k], ep.mu_tautau[k]
-        r = ep.r[k]
-        x, y = xy[:, 0], xy[:, 1]
-        ax_a = 1j * sig * sig1 * x / (hbar * b_)
-        ay_a = 1j * mu * mu1 * y / (hbar * a_)
-        axx_a = 1j * sig * sig1 / (hbar * b_) + ax_a**2
-        ayy_a = 1j * mu * mu1 / (hbar * a_) + ay_a**2
-        # d/dt = r d/dtau of the exponent: quadratic part plus delta_t
-        dqx = r * (sig1**2 + sig * sig2) / b_
-        dqy = r * (mu1**2 + mu * mu2) / a_
-        delta_t = -0.5 * r * (mu1 / mu + sig1 / sig)
-        at_a = 1j / (2.0 * hbar) * (x**2 * dqx + y**2 * dqy) + delta_t
-        ups, ups_t, ups_x = sig * x, r * sig1 * x, sig
-        chi, chi_t, chi_y = mu * y, r * mu1 * y, mu
-        b0x = -1j * hbar * ups_t / ups_x + (hbar**2 * r / (2.0 * ups_x**2)) * 2.0 * b_ * ax_a
-        b0y = -1j * hbar * chi_t / chi_y + (hbar**2 * r / (2.0 * chi_y**2)) * 2.0 * a_ * ay_a
-        v0 = (r / 2.0) * (b_ * ups**2 + 2j * p.coupling * chi * ups + a_ * chi**2) \
-            - 1j * hbar * (at_a - ax_a * ups_t / ups_x - ay_a * chi_t / chi_y) \
-            - (hbar**2 * r / 2.0) * ((a_ / chi_y**2) * ayy_a + (b_ / ups_x**2) * axx_a)
-        v_target = 0.5 * (a_t[k] * x**2 + 2j * lam_t[k] * x * y + b_t[k] * y**2)
-        worst[0] = max(worst[0], float(np.abs(b0x).max()))
-        worst[1] = max(worst[1], float(np.abs(b0y).max()))
-        worst[2] = max(worst[2], float(np.abs(v0 - v_target).max()))
-    return tuple(worst)
+    sig, sig1, sig2 = ep.sigma[:, None], ep.sigma_tau[:, None], ep.sigma_tautau[:, None]
+    mu, mu1, mu2 = ep.mu[:, None], ep.mu_tau[:, None], ep.mu_tautau[:, None]
+    r = ep.r[:, None]
+    ax_a = 1j * sig * sig1 * x / b_
+    ay_a = 1j * mu * mu1 * y / a_
+    axx_a = 1j * sig * sig1 / b_ + ax_a**2
+    ayy_a = 1j * mu * mu1 / a_ + ay_a**2
+    # d/dt = r d/dtau of the exponent: quadratic part plus delta_t
+    dqx = r * (sig1**2 + sig * sig2) / b_
+    dqy = r * (mu1**2 + mu * mu2) / a_
+    delta_t = -0.5 * r * (mu1 / mu + sig1 / sig)
+    at_a = 1j / 2.0 * (x**2 * dqx + y**2 * dqy) + delta_t
+    ups, ups_t, ups_x = sig * x, r * sig1 * x, sig
+    chi, chi_t, chi_y = mu * y, r * mu1 * y, mu
+    b0x = -1j * ups_t / ups_x + (r / (2.0 * ups_x**2)) * 2.0 * b_ * ax_a
+    b0y = -1j * chi_t / chi_y + (r / (2.0 * chi_y**2)) * 2.0 * a_ * ay_a
+    v0 = (r / 2.0) * (b_ * ups**2 + 2j * p.coupling * chi * ups + a_ * chi**2) \
+        - 1j * (at_a - ax_a * ups_t / ups_x - ay_a * chi_t / chi_y) \
+        - (r / 2.0) * ((a_ / chi_y**2) * ayy_a + (b_ / ups_x**2) * axx_a)
+    v_target = 0.5 * (a_t * x**2 + 2j * lam_t * x * y + b_t * y**2)
+    return (float(np.abs(b0x).max()), float(np.abs(b0y).max()),
+            float(np.abs(v0 - v_target).max()))
 
 
 def metric_matrices(eta: np.ndarray) -> np.ndarray:

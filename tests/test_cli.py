@@ -101,6 +101,32 @@ def test_lr_ode_mode_and_exit_codes(tmp_path):
     assert main(["run", "--config", path2, "--out", str(tmp_path)]) == 2
 
 
+def test_lr_ode_complex_c0_is_row_zero(tmp_path):
+    # each [re, im] pair of c0 is one complex coefficient; the trajectory
+    # starts at c0 exactly (17 significant digits round-trip a double)
+    c0 = [[0.1, -0.2], [0.3, 0.25], [1.0, 0.5], [1.0, -1.0 / 3.0], [0.0, 0.7],
+          [-0.4, 0.0], [0.0, 0.0], [2.5, 1e-3], [-1e-5, 0.9], [0.6, -0.6]]
+    cfg = {"mode": "lr-ode", "grid": {"t0": 0.0, "t1": 1.0, "steps": 11},
+           "params": {**{name: _CONST for name in ("a", "omega_x", "omega_y", "lam")},
+                      "c0": c0}}
+    run_scenario(cfg, str(tmp_path))
+    with open(tmp_path / "ode_trajectory.csv") as fh:
+        header, row0 = next(csv.reader(fh)), next(csv.reader(fh))
+    assert header[1:3] == ["re_c1", "im_c1"]
+    assert [float(v) for v in row0[1:]] == [v for pair in c0 for v in pair]
+
+
+def test_lr_closed_form_large_coefficients_fail_only_on_the_stencil(tmp_path):
+    # an exactly commuting family with |omega_x| up to 165: the relative
+    # commutativity probe and both solvers pass; only the 4th-order
+    # lr_residual stencil cannot resolve omega_x at step 0.01
+    cfg = {"mode": "lr-closed-form", "grid": {"t0": 0.0, "t1": 20.0, "steps": 2001},
+           "params": {"alpha": 5.0, "lam": {"kind": "polynomial", "coeffs": [1.0, 0.3, -0.1]}}}
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [c["name"] for c in report["checks"] if c["status"] != "pass"] == ["lr_residual"]
+
+
 def test_config_errors_exit_one(tmp_path):
     bad = write_cfg(tmp_path, {"mode": "no-such-mode"})
     assert main(["run", "--config", bad, "--out", str(tmp_path)]) == 1
@@ -264,9 +290,12 @@ _COUPLED = {name: _CONST for name in ("a", "omega_x", "omega_y", "lam")}
     ({"mode": "lr-closed-form", "grid": _GRID, "params": {"alpha": -1.5, "lam": _CONST}},
      "params.alpha"),
     ({**_PT, "params": {**_PT["params"], "beta": 2.0}}, "params.beta"),
+    ({**_PT, "params": {**_PT["params"], "alpha": 1.0, "beta": -2.0, "coupling": 0.1}},
+     "params.beta"),
 ], ids=["unknown-top-level", "extended-profile", "Lambda", "nan", "alpha-missing",
         "profile-missing", "params-missing", "steps-not-integer", "alpha-zero", "beta-zero",
-        "degenerate-alpha", "equal-frequencies"])
+        "degenerate-alpha", "equal-frequencies", "opposite-signs-coupled"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_invalid_config_names_field(tmp_path, capsys, cfg, field):
     assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 1
     assert "error: %s:" % field in capsys.readouterr().err

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sp4lr.algebra import AlgebraElement, adjoint, parity_action, pt_map, to_matrix
+from sp4lr.algebra import GeneratorId, adjoint, parity_action, pt_map, to_matrix
 from sp4lr.hamiltonian import (
     CoupledOscillatorParams,
     Regime,
-    build_H,
     build_H_coeffs,
     build_H_modified,
     classify_regime,
@@ -21,6 +20,7 @@ from sp4lr.numerics import frobenius
 from sp4lr.profiles import ScalarProfile
 
 RNG = np.random.default_rng(20240801)
+G = GeneratorId
 
 
 def const_params(a, wx, wy, lam):
@@ -48,34 +48,34 @@ def multiset_distance(got, want):
 
 def test_coefficient_structure():
     p = const_params(0.7, 1.3, 0.9, 0.4)
-    h = build_H(p, 0.0)
+    h = build_H_coeffs(p, 0.0)
     op, om = 1.3 + 0.9, 1.3 - 0.9
-    assert h["J0"] == pytest.approx((0.7 + op) / 2.0)
-    assert h["Q2"] == pytest.approx((0.7 - op) / 2.0)
-    assert h["J3"] == pytest.approx(om / 2.0)
-    assert h["K1"] == pytest.approx(-om / 2.0)
-    assert h["J1"] == pytest.approx(0.4j)
-    assert h["K3"] == pytest.approx(0.4j)
+    assert h[G.J0] == pytest.approx((0.7 + op) / 2.0)
+    assert h[G.Q2] == pytest.approx((0.7 - op) / 2.0)
+    assert h[G.J3] == pytest.approx(om / 2.0)
+    assert h[G.K1] == pytest.approx(-om / 2.0)
+    assert h[G.J1] == pytest.approx(0.4j)
+    assert h[G.K3] == pytest.approx(0.4j)
     # imaginary parts only on J1 and K3
-    imag = np.abs(h.coeffs.imag) > 0
+    imag = np.abs(h.imag) > 0
     assert list(np.nonzero(imag)[0]) == [1, 9]
 
 
 def test_kinetic_potential_cancellation():
     # the Q2 component cancels exactly when a equals omega_x + omega_y
-    h = build_H(const_params(1.0, 0.5, 0.5, 0.0), 0.0)
-    np.testing.assert_allclose(h.coeffs, AlgebraElement.unit("J0").coeffs, atol=1e-15)
+    h = build_H_coeffs(const_params(1.0, 0.5, 0.5, 0.0), 0.0)
+    np.testing.assert_allclose(h, np.eye(10)[G.J0], atol=1e-15)
     # generic equal frequencies keep a Q2 component: (3/2) J0 - (1/2) Q2
-    h2 = build_H(const_params(1.0, 1.0, 1.0, 0.0), 0.0)
-    assert h2["J0"] == pytest.approx(1.5)
-    assert h2["Q2"] == pytest.approx(-0.5)
+    h2 = build_H_coeffs(const_params(1.0, 1.0, 1.0, 0.0), 0.0)
+    assert h2[G.J0] == pytest.approx(1.5)
+    assert h2[G.Q2] == pytest.approx(-0.5)
 
 
 def test_pt_invariance():
     for _ in range(50):
         a, wx, wy, lam = RNG.uniform(0.2, 3.0, size=4)
-        h = build_H(const_params(a, wx, wy, lam), 0.0)
-        np.testing.assert_allclose(pt_map(h).coeffs, h.coeffs, atol=1e-14)
+        h = build_H_coeffs(const_params(a, wx, wy, lam), 0.0)
+        np.testing.assert_allclose(pt_map(h), h, atol=1e-14)
 
 
 def test_parity_equals_adjoint():
@@ -88,8 +88,8 @@ def test_parity_equals_adjoint():
             omega_x=ScalarProfile.constant(wx),
             omega_y=ScalarProfile.constant(wy),
             lam=ScalarProfile.sinusoid(0.2 * lam, 2.0, 0.3, lam))
-        h = build_H(p, t)
-        worst = max(worst, np.abs(parity_action(h).coeffs - adjoint(h).coeffs).max())
+        h = build_H_coeffs(p, t)
+        worst = max(worst, np.abs(parity_action(h) - adjoint(h)).max())
     assert worst < 1e-12
 
 
@@ -102,33 +102,32 @@ def test_build_H_coeffs_vectorized():
     t = np.linspace(0.0, 2.0, 7)
     stack = build_H_coeffs(p, t)
     for k, tk in enumerate(t):
-        np.testing.assert_allclose(stack[k], build_H(p, tk).coeffs, atol=0)
+        np.testing.assert_allclose(stack[k], build_H_coeffs(p, tk), atol=0)
 
 
 def test_modified_structure():
     h = build_H_modified(2.0, 1.0, 0.0)
-    assert h["J0"] == pytest.approx(3.0)
-    assert h["J3"] == pytest.approx(1.0)
-    assert np.abs(h.coeffs.imag).max() == 0.0  # lam = 0 is Hermitian
-    assert h.is_hermitian()
+    assert h[G.J0] == pytest.approx(3.0)
+    assert h[G.J3] == pytest.approx(1.0)
+    assert np.abs(h.imag).max() == 0.0  # lam = 0 is Hermitian
 
 
 def test_modified_equal_coefficients_is_isotropic():
     # a = b collapses onto 2a J0 + i lam (J1 + K3); note this differs
-    # from build_H with equal frequencies, whose kinetic term carries a
+    # from build_H_coeffs with equal frequencies, whose kinetic term carries a
     # different normalization (see the coefficient-structure test).
     h = build_H_modified(0.8, 0.8, 0.3)
-    want = 1.6 * AlgebraElement.unit("J0").coeffs \
-        + 0.3j * (AlgebraElement.unit("J1").coeffs + AlgebraElement.unit("K3").coeffs)
-    np.testing.assert_allclose(h.coeffs, want, atol=1e-15)
+    unit = np.eye(10)
+    want = 1.6 * unit[G.J0] + 0.3j * (unit[G.J1] + unit[G.K3])
+    np.testing.assert_allclose(h, want, atol=1e-15)
 
 
 def test_modified_with_profiles_and_arrays():
     a = ScalarProfile.constant(2.0)
     b = ScalarProfile.constant(1.0)
     lam = ScalarProfile.constant(0.5)
-    h = build_H_modified(a, b, lam, t=0.3)
-    assert h["J0"] == pytest.approx(3.0)
+    h = build_H_modified(a(0.3), b(0.3), lam(0.3))
+    assert h[G.J0] == pytest.approx(3.0)
     stack = build_H_modified(np.array([2.0, 2.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5]))
     assert stack.shape == (2, 10)
 
@@ -197,7 +196,7 @@ def test_classify_regime_on_grid_equals_per_time():
 def test_numeric_matches_dense_oracle():
     p = const_params(0.9, 1.7, 0.6, 0.3)
     got = instantaneous_eigenvalues(p, 0.0, method="numeric")
-    want = np.linalg.eigvals(to_matrix(build_H(p, 0.0)))
+    want = np.linalg.eigvals(to_matrix(build_H_coeffs(p, 0.0)))
     want = want[np.lexsort((want.imag, want.real))]
     np.testing.assert_allclose(got, want, atol=1e-10)
 

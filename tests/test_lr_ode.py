@@ -5,13 +5,15 @@ import time
 import numpy as np
 import pytest
 
-from sp4lr.algebra import to_matrix
+from sp4lr.algebra import GeneratorId, to_matrix
 from sp4lr.crosschecks import ode_matrix
 from sp4lr.errors import ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, StepNotConverged
 from sp4lr.hamiltonian import CoupledOscillatorParams, build_H_coeffs
 from sp4lr.lr_ode import (
     ANSATZ_COMBINATIONS,
+    COMM_TOL,
     ClosedFormParams,
+    _commutativity_probe,
     assemble_invariant,
     closed_form_c,
     closed_form_on_grid,
@@ -38,11 +40,11 @@ def const_params(a, wx, wy, lam):
 
 def test_assemble_c5_and_c9():
     e = assemble_invariant(np.eye(10)[4])
-    assert e["J1"] == 1.0 and e["K3"] == 1.0
-    assert np.abs(e.coeffs).sum() == 2.0
+    assert e[GeneratorId.J1] == 1.0 and e[GeneratorId.K3] == 1.0
+    assert np.abs(e).sum() == 2.0
     e9 = assemble_invariant(np.eye(10)[8])
     for name in ("J0", "J3", "K1", "Q2"):
-        assert e9[name] == 1.0
+        assert e9[GeneratorId[name]] == 1.0
 
 
 def test_assemble_linear_and_invertible():
@@ -50,7 +52,7 @@ def test_assemble_linear_and_invertible():
     c1, c2 = rng.standard_normal(10), rng.standard_normal(10)
     lhs = assemble_invariant(c1 + c2)
     rhs = assemble_invariant(c1) + assemble_invariant(c2)
-    np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-15)
+    np.testing.assert_allclose(lhs, rhs, atol=1e-15)
     np.testing.assert_allclose(coefficients_of_element(lhs), c1 + c2, atol=1e-13)
 
 
@@ -101,8 +103,8 @@ def test_M_consistent_with_invariant_equation():
     m = ode_matrix(p, 0.0)
     c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     h = build_H_coeffs(p, np.array([0.0]))[0]
-    bracket = commutator(h, assemble_invariant(c).coeffs)
-    np.testing.assert_allclose(assemble_invariant(m @ c).coeffs, -1j * bracket, atol=1e-12)
+    bracket = commutator(h, assemble_invariant(c))
+    np.testing.assert_allclose(assemble_invariant(m @ c), -1j * bracket, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,19 @@ def test_commuting_mode_rejects_noncommuting():
         lam=ScalarProfile.constant(0.7))
     with pytest.raises(NonCommuting):
         evolve(C0, np.linspace(0.0, 2.0, 101), p, mode="commuting")
+
+
+def test_commuting_probe_is_relative_to_the_size_of_H():
+    # an exactly commuting family with large coefficients (|omega_x| up to
+    # 165): the bracket's rounding floor is ~eps max|H|^2, above an absolute
+    # 1e-12, but the probe reads it relative to max|H|^2
+    cf = ClosedFormParams(5.0, ScalarProfile.polynomial([1.0, 0.3, -0.1]))
+    grid = np.linspace(0.0, 20.0, 2001)
+    osc = cf.oscillator_params()
+    assert _commutativity_probe(osc, grid) <= COMM_TOL
+    assert _commutativity_probe(const_params(0.0, 0.0, 0.0, 0.0), grid) == 0.0  # H = 0
+    want = closed_form_on_grid(cf, grid)
+    assert np.abs(evolve(want[0], grid, osc, mode="commuting") - want).max() < 1e-8
 
 
 def test_evolve_matches_closed_form_alpha3():

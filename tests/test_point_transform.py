@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from sp4lr.algebra import (
-    AlgebraElement,
     GeneratorId,
     adjoint,
     from_matrix,
@@ -13,7 +12,7 @@ from sp4lr.algebra import (
     to_matrix,
 )
 from sp4lr.cli import run_scenario
-from sp4lr.errors import ArctanhDomain, EqualFrequencies
+from sp4lr.errors import ArctanhDomain, ConfigInvalid, EqualFrequencies
 from sp4lr.hamiltonian import build_H_modified
 from sp4lr.lr_ode import lr_residual
 from sp4lr.numerics import central_diff, expm
@@ -55,7 +54,7 @@ def params(alpha=2.0, beta=1.0, coupling=0.5, r=R_ONE, c2=0.2, c3=0.2):
 
 
 def unit(name):
-    return AlgebraElement.unit(name).coeffs
+    return np.eye(10)[GeneratorId[name]]
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +182,12 @@ def test_pushforward_shift_vanishes_at_trivial_params():
 def test_reference_h0():
     p = params(alpha=2.0, beta=1.0, coupling=0.0)
     h0 = reference_H0(p)
-    assert h0["J0"] == 3.0 and h0["J3"] == 1.0
+    assert h0[_G.J0] == 3.0 and h0[_G.J3] == 1.0
     iso = reference_H0(params(alpha=1.5, beta=1.5, coupling=0.0))
-    np.testing.assert_allclose(iso.coeffs, 3.0 * unit("J0"), atol=0)
+    np.testing.assert_allclose(iso, 3.0 * unit("J0"), atol=0)
     coupled = reference_H0(params(coupling=1.0))
-    assert not coupled.is_hermitian()
-    assert np.abs(adjoint(coupled).coeffs - coupled.coeffs).max() > 0
+    assert np.abs(coupled.imag).max() > 1e-12  # not Hermitian: imaginary coefficients
+    assert np.abs(adjoint(coupled) - coupled).max() > 0
 
 
 def test_invariant_trivial_params():
@@ -222,7 +221,7 @@ def test_dyson_static_zero_coupling_identity():
     p = params(coupling=0.0)
     stat = dyson_static(p)
     np.testing.assert_array_equal(stat.eta_matrix, np.eye(4))
-    np.testing.assert_array_equal(stat.h0.coeffs, reference_H0(p).coeffs)
+    np.testing.assert_array_equal(stat.h0, reference_H0(p))
     assert stat.params.kappa1 == 0.0 and stat.params.kappa2 == 0.0
 
 
@@ -232,9 +231,9 @@ def test_dyson_static_zero_coupling_formula_limit():
         p = params(alpha=alpha, beta=beta, coupling=0.0)
         stat = dyson_static(p)
         assert stat.delta == pytest.approx(alpha**2 - beta**2)
-        assert stat.h0["J0"] == pytest.approx(alpha + beta)
-        assert stat.h0["J3"] == pytest.approx(alpha - beta)
-        assert abs(stat.h0["K1"]) == 0.0 and abs(stat.h0["Q2"]) == 0.0
+        assert stat.h0[_G.J0] == pytest.approx(alpha + beta)
+        assert stat.h0[_G.J3] == pytest.approx(alpha - beta)
+        assert abs(stat.h0[_G.K1]) == 0.0 and abs(stat.h0[_G.Q2]) == 0.0
 
 
 def test_dyson_static_constraints():
@@ -249,7 +248,7 @@ def test_dyson_static_constraints():
     assert abs(r1) < 1e-10 and abs(r2) < 1e-10
     # adjoint action of the exponent produces exactly the closed h0
     assert stat.check_residual < 1e-10
-    assert stat.h0.is_hermitian(1e-12)
+    assert np.abs(stat.h0.imag).max() <= 1e-12  # Hermitian: real coefficients
 
 
 def test_dyson_static_domain_errors():
@@ -257,6 +256,12 @@ def test_dyson_static_domain_errors():
         PointTransformParams(alpha=1.0, beta=1.0, coupling=0.5, r=R_ONE)
     with pytest.raises(ArctanhDomain):
         dyson_static(params(alpha=1.2, beta=1.0, coupling=2.0))
+    # sqrt(alpha/beta) of the static map is real only for alpha beta > 0
+    for alpha, beta in [(1.0, -2.0), (-1.0, 2.0)]:
+        with pytest.raises(ConfigInvalid, match="^params.beta:"):
+            params(alpha=alpha, beta=beta, coupling=0.1)
+        # without coupling the map is the identity and any signs are allowed
+        assert dyson_static(params(alpha=alpha, beta=beta, coupling=0.0)).check_residual == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +297,7 @@ def test_dyson_time_exponent_is_static_image():
     stat = dyson_static(p)
     ep = ep_state(p, np.linspace(0.0, 2.0, 9))
     exps = dyson_time_exponent(p, ep, stat)
-    image = pushforward(p, ep, stat.exponent.coeffs)
+    image = pushforward(p, ep, stat.exponent)
     np.testing.assert_allclose(exps, image, atol=1e-12)
 
 
@@ -314,7 +319,7 @@ def test_hermitian_invariant_real_and_consistent():
     ep = ep_state(p, np.sort(RNG.uniform(0.0, 4.0, size=50)))
     ih = hermitian_invariant_Ih(invariant_IH(p, ep), dyson_time(p, ep, stat))
     assert np.abs(ih.imag).max() < 1e-8
-    np.testing.assert_allclose(ih, pushforward(p, ep, stat.h0.coeffs), atol=1e-8)
+    np.testing.assert_allclose(ih, pushforward(p, ep, stat.h0), atol=1e-8)
     np.testing.assert_allclose(ih, hermitian_invariant_expansion(p, ep, stat), atol=1e-8)
 
 
@@ -334,7 +339,7 @@ def test_hermitian_hamiltonian_is_hermitian_and_matches_image():
     h = hermitian_hamiltonian_h(p, ep, stat)
     assert np.abs(h.imag).max() < 1e-12
     pm = pushforward_map(p, ep)
-    h_image = ep.r[:, None] * pm.apply(stat.h0.coeffs) - pm.shift
+    h_image = ep.r[:, None] * pm.apply(stat.h0) - pm.shift
     np.testing.assert_allclose(h, h_image, atol=1e-12)
 
 
@@ -378,8 +383,12 @@ def test_pde_residuals_generic():
     p = params(alpha=2.0, beta=1.0, coupling=1.0, c2=0.3, c3=0.3)
     ts = RNG.uniform(0.0, 4.0, size=20)
     xy = RNG.uniform(-2.0, 2.0, size=(20, 2))
-    b0x, b0y, v0 = pde_constraint_residuals(p, ep_state(p, ts), xy)
+    ep = ep_state(p, ts)
+    b0x, b0y, v0 = pde_constraint_residuals(p, ep, xy)
     assert max(b0x, b0y, v0) < 1e-8
+    # the broadcast over (times x samples) equals the worst of one time at a time
+    per_time = [pde_constraint_residuals(p, ep.take([k]), xy) for k in range(ts.size)]
+    assert (b0x, b0y, v0) == tuple(np.max(per_time, axis=0))
 
 
 def test_pde_residuals_ignore_phase_constant():
