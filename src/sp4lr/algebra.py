@@ -200,14 +200,37 @@ def structure_constants() -> np.ndarray:
     return _STRUCTURE
 
 
+_BRACKET_TERMS = None
+
+
+def _bracket_terms():
+    """The nonzero (i < j, k, f[i, j, k]) entries of :func:`structure_constants`.
+
+    Read from the generated tensor once; its 60 nonzeros (all +-i) pair
+    up by antisymmetry into 30 terms, three per output generator.
+    """
+    global _BRACKET_TERMS
+    if _BRACKET_TERMS is None:
+        f = structure_constants()
+        _BRACKET_TERMS = tuple((int(i), int(j), int(k), complex(f[i, j, k]))
+                               for i, j, k in np.argwhere(f != 0) if i < j)
+    return _BRACKET_TERMS
+
+
 def commutator(a, b) -> np.ndarray:
-    """Lie bracket by bilinear expansion over the structure constants.
+    """Lie bracket by the sparse bilinear form of the structure constants.
 
     ``a`` and ``b`` are coefficient arrays (..., 10); their leading axes
-    broadcast sample-wise against each other.
+    broadcast sample-wise against each other.  Each output generator k
+    sums f[i, j, k] (a_i b_j - a_j b_i) over its (i < j) terms of the
+    table generated from :func:`structure_constants`, three per k, so
+    no temporary is larger than one broadcast coefficient column.
     """
-    ca, cb = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    return np.einsum("...i,...j,ijk->...k", ca, cb, structure_constants())
+    ca, cb = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    out = np.zeros(ca.shape, dtype=complex)
+    for i, j, k, f in _bracket_terms():
+        out[..., k] += f * (ca[..., i] * cb[..., j] - ca[..., j] * cb[..., i])
+    return out
 
 
 def adjoint(e) -> np.ndarray:

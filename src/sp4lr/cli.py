@@ -140,11 +140,20 @@ def _resolve_config(cfg) -> dict:
     return resolved
 
 
+_CSV_CELLS = 2048  # cells formatted per block of rows
+
+
 def emit_plot_data(trajectory, path):
     """Write named columns to CSV with 17-significant-digit floats.
 
     ``trajectory`` is a (names, columns) pair of column names and 1-d
     arrays; the first column is time and must be strictly increasing.
+    A column of strings (a regime label, say) is written as is, in its
+    own position.  Rows are written in blocks of about ``_CSV_CELLS``
+    cells: each column's slice becomes Python floats with one
+    ``tolist``, and each row is one ``%``-format of them.  Only one block
+    is alive at a time, so the writer holds a few hundred kB beyond the
+    columns themselves, whatever the length of the file.
     Raises on an empty trajectory before creating the file.
     """
     names, cols = trajectory
@@ -157,14 +166,16 @@ def emit_plot_data(trajectory, path):
     tcol = np.asarray(cols[0], dtype=float)
     if np.any(np.diff(tcol) <= 0):
         raise ValueError("time column must be strictly increasing")
+    text = [c.dtype.kind in "US" for c in cols]
+    fmt = ",".join("%s" if t else "%.17g" for t in text) + "\n"
+    rows = max(1, _CSV_CELLS // len(cols))
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for k in range(n):
-            cells = []
-            for c in cols:
-                v = c[k]
-                cells.append(v if isinstance(v, str) else "%.17g" % float(v))
-            fh.write(",".join(cells) + "\n")
+        for b in range(0, n, rows):
+            # one expression: a block's floats are freed before the next is built
+            fh.writelines(fmt % row for row in zip(*[
+                c[b:b + rows].tolist() if t else np.asarray(c[b:b + rows], dtype=float).tolist()
+                for c, t in zip(cols, text)]))
     return path
 
 
@@ -232,8 +243,9 @@ def _run_algebra_check(cfg, grid, outdir, checks, artifacts):
 
 
 def _lr_artifacts(grid, traj, params, outdir, stem, artifacts):
-    """Write ``<stem>_trajectory.csv`` and ``<stem>_residuals.csv``; return the
-    per-sample ||I^2 - 1||_F and |det I - 1| and the LR residual."""
+    """Write ``<stem>_trajectory.csv`` (t and the coefficients) and
+    ``<stem>_residuals.csv`` (t and the three per-sample defects); return
+    the per-sample ||I^2 - 1||_F and |det I - 1| and the LR residual."""
     mats = invariant_matrix(traj)
     sq = frobenius(mats @ mats - np.eye(4))
     det = np.abs(np.linalg.det(mats) - 1.0)
@@ -244,8 +256,7 @@ def _lr_artifacts(grid, traj, params, outdir, stem, artifacts):
     path = os.path.join(outdir, stem + "_trajectory.csv")
     path2 = os.path.join(outdir, stem + "_residuals.csv")
     emit_plot_data((names, cols), path)
-    emit_plot_data((names + ["inv_sq_err", "det_err", "lr_residual"], cols + [sq, det, defect]),
-                   path2)
+    emit_plot_data((["t", "inv_sq_err", "det_err", "lr_residual"], [grid, sq, det, defect]), path2)
     artifacts += [path, path2]
     return sq, det, worst
 

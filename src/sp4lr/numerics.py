@@ -4,8 +4,8 @@
 ``cumulative_simpson`` integrates an arbitrary callable; the solvers'
 profile integrals are exact (:meth:`sp4lr.profiles.ScalarProfile.antiderivative`).
 
-Everything here is sized for the fixed shapes of this problem (4x4 and
-10x10 complex matrices, 1-d time grids); there are no sparse or
+Everything here is sized for the fixed shapes of this problem (stacks
+of 4x4 complex matrices, 1-d time grids); there are no sparse or
 large-scale paths.
 """
 
@@ -31,27 +31,29 @@ EXPM_TOL = 1e-13  # truncation bound of expm's Taylor series
 PROJ_TOL = 1e-10  # projection residual allowed when a matrix is read back into the algebra
 QUAD_TOL = 1e-10  # per-interval error bound of the Simpson quadrature
 
-_EXPM_THETA = 0.5  # series evaluated only after scaling the 1-norm below this
+_EXPM_THETA = 0.5  # each matrix is scaled until its 1-norm is at most this
 
 
-def expm(m, tol: float = EXPM_TOL):
+def expm(m):
     """Matrix exponential by scaling and squaring of a truncated Taylor series.
 
     Parameters
     ----------
     m : array_like, shape (..., n, n)
         Square complex matrix or stack of matrices.
-    tol : float
-        Bound on the series truncation error of the scaled matrix.
 
     Returns
     -------
     numpy.ndarray, shape (..., n, n)
 
-    The input is scaled by 2**-s so its 1-norm drops below 0.5, the
-    series is summed until the a-priori remainder bound
-    theta**(k+1)/(k+1)! / (1 - theta/(k+2)) falls below ``tol``, and the
-    result is squared s times.
+    Each matrix is scaled by its own 2**-s_i, the least power of two
+    that brings its 1-norm to at most 0.5.  The Taylor order k is the
+    smallest with theta**(k+1)/(k+1)! / (1 - theta/(k+2)) * 2**max(s)
+    below ``EXPM_TOL``, where theta is the largest scaled 1-norm of the
+    stack: the first factor bounds the truncation error of the scaled
+    series, and the squarings amplify it by up to 2**s_i.  In squaring
+    round j only the matrices with s_i > j are squared, so a small-norm
+    matrix is neither scaled nor squared by a large one beside it.
     """
     a = np.asarray(m, dtype=complex)
     if a.shape[-1] != a.shape[-2]:
@@ -60,28 +62,26 @@ def expm(m, tol: float = EXPM_TOL):
         raise ValueError("expm requires finite entries")
     n = a.shape[-1]
     norm = np.abs(a).sum(axis=-2).max(axis=-1)  # 1-norm per matrix
-    nmax = float(np.max(norm)) if norm.size else 0.0
-    s = max(0, int(np.ceil(np.log2(nmax / _EXPM_THETA))) if nmax > _EXPM_THETA else 0)
-    a = a / (2.0**s)
+    s = np.ceil(np.log2(np.maximum(norm, _EXPM_THETA) / _EXPM_THETA)).astype(int)
+    scale = 2.0**s
+    a = a / scale[..., None, None]
+    theta = float(np.max(norm / scale, initial=0.0))
+    smax = int(np.max(s, initial=0))
 
-    # truncation order from the remainder bound at theta
-    k, bound, fact = 1, _EXPM_THETA, 1.0
-    while True:
-        fact *= k + 1
-        bound = _EXPM_THETA ** (k + 1) / fact / (1.0 - _EXPM_THETA / (k + 2))
-        if bound < tol or k > 40:
-            break
+    # truncation order from the remainder bound at theta, amplified by the squarings
+    k, fact = 1, 2.0
+    while theta ** (k + 1) / fact / (1.0 - theta / (k + 2)) * 2.0**smax >= EXPM_TOL and k <= 40:
         k += 1
-    order = k
+        fact *= k + 1
 
-    eye = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
-    result = eye.copy()
-    term = eye
-    for j in range(1, order + 1):
+    result = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
+    term = result
+    for j in range(1, k + 1):
         term = term @ a / j
         result += term
-    for _ in range(s):
-        result = result @ result
+    for j in range(smax):
+        sq = s > j
+        result[sq] = result[sq] @ result[sq]
     return result
 
 

@@ -339,7 +339,9 @@ def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
     A negative radicand would make Delta complex, but that condition is
     algebraically identical to the artanh argument leaving (-1, 1), so
     such parameter sets raise ArctanhDomain before Delta is formed, and
-    the real-coefficient postcondition on h0 always applies.
+    the real-coefficient postcondition on h0 always applies.  The
+    denominator alpha^2 - beta^2 is nonzero: :class:`PointTransformParams`
+    rejects alpha = +-beta with nonzero coupling.
     """
     a_, b_, lam = p.alpha, p.beta, p.coupling
     h0_ref = reference_H0(p)
@@ -347,8 +349,6 @@ def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
         eye = np.eye(4, dtype=complex)
         return DysonStatic(DysonParams(0.0, 0.0), np.zeros(10, dtype=complex), eye,
                            h0_ref, complex(a_**2 - b_**2), 0.0)
-    if abs(a_) == abs(b_):
-        raise EqualFrequencies("params.beta: alpha = +-beta with nonzero coupling")
     arg = 2.0 * np.sqrt(a_ * b_) * lam / (a_**2 - b_**2)
     if abs(arg) >= 1.0:
         raise ArctanhDomain("|2 sqrt(alpha beta) Lambda / (alpha^2 - beta^2)| >= 1")

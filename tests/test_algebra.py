@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sp4lr.algebra import (
     GENERATOR_NAMES,
+    _bracket_terms,
     OMEGA,
     GeneratorId,
     REJECTED_VARIANTS,
@@ -152,6 +153,31 @@ def test_commutator_matches_matrix_bracket():
         proj, resid = from_matrix(ma @ mb - mb @ ma)
         assert resid < 1e-12
         np.testing.assert_allclose(alg, proj, atol=1e-12)
+
+
+def test_commutator_broadcasts_stacks():
+    # (N, 1, 10) against (1, M, 10): every pair, as the commutativity probe uses it
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((6, 1, 10)) + 1j * rng.standard_normal((6, 1, 10))
+    b = rng.standard_normal((1, 5, 10)) + 1j * rng.standard_normal((1, 5, 10))
+    got = commutator(a, b)
+    assert got.shape == (6, 5, 10)
+    ma, mb = to_matrix(a), to_matrix(b)
+    proj, resid = from_matrix(ma @ mb - mb @ ma)
+    assert resid.max() < 1e-12
+    np.testing.assert_allclose(got, proj, rtol=0, atol=1e-12)
+
+
+def test_bracket_table_is_generated_from_the_structure_constants():
+    terms = _bracket_terms()
+    assert all(i < j for i, j, _, _ in terms)
+    counts = np.bincount([k for _, _, k, _ in terms], minlength=10)
+    np.testing.assert_array_equal(counts, np.full(10, 3))
+    # the table and antisymmetry rebuild the tensor exactly
+    f = np.zeros((10, 10, 10), dtype=complex)
+    for i, j, k, c in terms:
+        f[i, j, k], f[j, i, k] = c, -c
+    np.testing.assert_array_equal(f, structure_constants())
 
 
 def test_structure_antisymmetry():

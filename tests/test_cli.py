@@ -14,6 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sp4lr.cli import _resolve_config, describe_schema, emit_plot_data, main, run_scenario
+from sp4lr.hamiltonian import build_H_coeffs
+from sp4lr.lr_ode import ClosedFormParams, assemble_invariant, closed_form_on_grid, lr_residual
+from sp4lr.profiles import ScalarProfile
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -57,6 +60,26 @@ def test_emit_plot_data_roundtrip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back_v, v)
 
 
+def test_emit_plot_data_matches_per_cell_format(tmp_path):
+    # 1000 rows fill no whole number of blocks; a string column sits
+    # between numeric ones, and the edge values keep their 17-digit text
+    rng = np.random.default_rng(9)
+    n = 1000
+    t = np.arange(n) * 0.01
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    v[:6] = [-0.0, 5e-324, 1e308, -1e308, 3.0, -42.0]
+    w = np.round(rng.standard_normal(n) * 1e6)  # integer-valued floats
+    label = ["PTSymmetric" if x > 0 else "Broken" for x in rng.standard_normal(n)]
+    names, cols = ["t", "v", "regime", "w"], [t, v, label, w]
+    path = str(tmp_path / "block.csv")
+    emit_plot_data((names, cols), path)
+    want = ",".join(names) + "\n" + "".join(
+        ",".join(c[k] if isinstance(c[k], str) else "%.17g" % float(c[k]) for c in cols) + "\n"
+        for k in range(n))
+    with open(path) as fh:
+        assert fh.read() == want
+
+
 def test_algebra_check_mode(tmp_path):
     cfg = {"mode": "algebra-check", "grid": {"t0": 0.0, "t1": 1.0, "steps": 5}}
     report = run_scenario(cfg, str(tmp_path))
@@ -78,8 +101,17 @@ def test_lr_closed_form_mode(tmp_path):
     assert traj.exists()
     header = traj.read_text().splitlines()[0].split(",")
     assert len(header) == 21  # t plus 10 complex pairs
-    resid = (tmp_path / "closed_form_residuals.csv").read_text().splitlines()[0].split(",")
-    assert len(resid) == 24
+    # t plus the three per-sample defects; the coefficients are in the trajectory file
+    with open(tmp_path / "closed_form_residuals.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "inv_sq_err", "det_err", "lr_residual"]
+    # the lr_residual column is the per-sample defect, written with 17 digits
+    cf = ClosedFormParams(alpha=3.0, lam=ScalarProfile.constant(1.0))
+    grid = np.linspace(0.0, 2.0, 2001)
+    traj = closed_form_on_grid(cf, grid)
+    _, defect = lr_residual(assemble_invariant(traj), build_H_coeffs(cf.oscillator_params(), grid),
+                            grid, return_samples=True)
+    assert [r[3] for r in rows[1:]] == ["%.17g" % v for v in defect]
 
 
 def test_lr_ode_mode_and_exit_codes(tmp_path):

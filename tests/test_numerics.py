@@ -49,6 +49,32 @@ def test_expm_batched_matches_scipy():
     np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11)
 
 
+def _mixed_norm_stack():
+    # 1-norms from 1e-3 to 50 in one stack; entry 1 (1-norm 2e-3) is
+    # summed alone to order 4 with a truncation bound below 3e-16
+    rng = np.random.default_rng(5)
+    norms = np.geomspace(1e-3, 50.0, 12)
+    norms[1] = 2e-3
+    m = rng.standard_normal((12, 4, 4)) + 1j * rng.standard_normal((12, 4, 4))
+    return m * (norms / np.abs(m).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+def test_expm_mixed_norm_stack_matches_scipy():
+    ms = _mixed_norm_stack()
+    got = expm(ms)
+    for g, m in zip(got, ms):
+        want = scipy_expm(m)
+        assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_expm_small_norm_matrix_ignores_its_stack():
+    # each matrix has its own scaling exponent: the norm-50 neighbour
+    # neither scales nor squares the small one
+    ms = _mixed_norm_stack()
+    inside, alone = expm(ms)[1], expm(ms[1])
+    assert np.abs(inside - alone).max() <= 1e-15 * np.abs(alone).max()
+
+
 def test_expm_rejects_nonsquare():
     with pytest.raises(ValueError):
         expm(np.zeros((3, 4)))
