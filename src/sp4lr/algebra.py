@@ -85,6 +85,13 @@ def _blk(a, b, c, d):
 
 OMEGA = _blk(_Z2, _I2, -_I2, _Z2)
 
+# Omega is a signed permutation, Omega @ x = _SIGNS[:, None] * x[_SWAP, :]:
+# it swaps the two row blocks of x and negates the new lower one, so the
+# products with it are index moves and sign flips, exact and without a
+# matrix product
+_SWAP = np.array([2, 3, 0, 1])
+_SIGNS = np.array([1.0, 1.0, -1.0, -1.0], dtype=complex)
+
 _GEN = np.stack([
     0.5j * _blk(_Z2, _I2, -_I2, _Z2),     # J0
     0.5j * _blk(_Z2, _S1, -_S1, _Z2),     # J1
@@ -138,7 +145,7 @@ def quadratic_form_of(g) -> np.ndarray:
     Defined through the bridge S = i Omega M, so the coordinate
     representation is generated from the matrices rather than typed in.
     """
-    return (1j * OMEGA @ matrix_of(g)).real.copy()
+    return _i_omega(matrix_of(g)).real.copy()
 
 
 def to_matrix(e) -> np.ndarray:
@@ -167,13 +174,17 @@ def from_matrix(m, return_residual: bool = True):
 
 def quadratic_form(e) -> np.ndarray:
     """Symmetric quadratic-form matrix S with element = (1/2) z^T S z."""
-    return 1j * OMEGA @ to_matrix(e)
+    return _i_omega(to_matrix(e))
+
+
+def _i_omega(m) -> np.ndarray:
+    """i Omega @ m for a stack (..., 4, k): the bridge between matrices and quadratic forms."""
+    return m[..., _SWAP, :] * (1j * _SIGNS[:, None])
 
 
 def from_quadratic_form(s, return_residual: bool = True):
     """Inverse of :func:`quadratic_form` (same +i Omega bridge both ways)."""
-    m = 1j * np.einsum("ij,...jk->...ik", OMEGA, np.asarray(s, dtype=complex))
-    return from_matrix(m, return_residual=return_residual)
+    return from_matrix(_i_omega(np.asarray(s, dtype=complex)), return_residual=return_residual)
 
 
 _STRUCTURE = None
@@ -260,8 +271,10 @@ def symplectic_inverse(g) -> np.ndarray:
     and no second exponential.  For a matrix that is only approximately
     symplectic (an ``expm`` of an algebra element, say) the deviation of
     g @ symplectic_inverse(g) from the identity measures that defect.
+    Omega is applied as the signed permutation it is, so the result
+    holds the entries of g^T moved and sign-flipped, exactly.
     """
-    return -OMEGA @ np.swapaxes(np.asarray(g), -1, -2) @ OMEGA
+    return np.swapaxes(np.asarray(g)[..., _SWAP[:, None], _SWAP], -1, -2) * np.outer(_SIGNS, _SIGNS)
 
 
 def conjugate_by(g, e, proj_tol: float = PROJ_TOL) -> np.ndarray:

@@ -11,6 +11,8 @@ large-scale paths.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import GridTooCoarse
@@ -51,22 +53,28 @@ def expm(m):
     smallest with theta**(k+1)/(k+1)! / (1 - theta/(k+2)) * 2**max(s)
     below ``EXPM_TOL``, where theta is the largest scaled 1-norm of the
     stack: the first factor bounds the truncation error of the scaled
-    series, and the squarings amplify it by up to 2**s_i.  In squaring
-    round j only the matrices with s_i > j are squared, so a small-norm
-    matrix is neither scaled nor squared by a large one beside it.
+    series, and the squarings amplify it by up to 2**s_i.  The degree-k
+    Taylor polynomial is evaluated by Paterson-Stockmeyer: with
+    q = ceil(sqrt(k)), the powers A .. A**q, then Horner in A**q over
+    blocks of degree below q (the top block reaches A**q), so
+    q - 1 + ceil(k/q) - 1 matrix products replace k (3 for k = 5).
+    In squaring round j only the matrices with s_i > j are squared, so
+    a small-norm matrix is neither scaled nor squared by a large one
+    beside it.
     """
     a = np.asarray(m, dtype=complex)
     if a.shape[-1] != a.shape[-2]:
         raise ValueError("expm expects square matrices, got shape %r" % (a.shape,))
     if not np.all(np.isfinite(a)):
         raise ValueError("expm requires finite entries")
-    n = a.shape[-1]
     norm = np.abs(a).sum(axis=-2).max(axis=-1)  # 1-norm per matrix
     s = np.ceil(np.log2(np.maximum(norm, _EXPM_THETA) / _EXPM_THETA)).astype(int)
-    scale = 2.0**s
-    a = a / scale[..., None, None]
-    theta = float(np.max(norm / scale, initial=0.0))
     smax = int(np.max(s, initial=0))
+    if smax:
+        scale = 2.0**s
+        a = a / scale[..., None, None]
+        norm = norm / scale
+    theta = float(np.max(norm, initial=0.0))
 
     # truncation order from the remainder bound at theta, amplified by the squarings
     k, fact = 1, 2.0
@@ -74,15 +82,30 @@ def expm(m):
         k += 1
         fact *= k + 1
 
-    result = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
-    term = result
-    for j in range(1, k + 1):
-        term = term @ a / j
-        result += term
+    coef = [1.0 / math.factorial(j) for j in range(k + 1)]
+    q = math.isqrt(k - 1) + 1  # ceil(sqrt(k))
+    powers = [a]  # powers[j - 1] = A**j
+    for _ in range(q - 1):
+        powers.append(powers[-1] @ a)
+    top = (k - 1) // q * q  # the top block spans degrees top .. k
+    result = _taylor_block(powers, coef, top, k)
+    for lo in range(top - q, -1, -q):
+        result = result @ powers[-1]
+        result += _taylor_block(powers, coef, lo, lo + q - 1)
     for j in range(smax):
         sq = s > j
         result[sq] = result[sq] @ result[sq]
     return result
+
+
+def _taylor_block(powers, coef, lo: int, hi: int) -> np.ndarray:
+    """sum_{j=lo}^{hi} coef[j] A**(j - lo), for hi > lo; ``powers[i]`` holds A**(i + 1)."""
+    out = coef[lo + 1] * powers[0]
+    for j in range(lo + 2, hi + 1):
+        out += coef[j] * powers[j - lo - 1]
+    diagonal = np.einsum("...ii->...i", out)  # a writeable view, whatever the layout of out
+    diagonal += coef[lo]
+    return out
 
 
 def _sort_real_imag(vals, rel_tol: float = 1e-12) -> np.ndarray:
@@ -92,7 +115,10 @@ def _sort_real_imag(vals, rel_tol: float = 1e-12) -> np.ndarray:
     neighbour count as equal, and such a run is ordered by imag.  A
     complex-conjugate pair, whose real parts tie only up to rounding,
     thus always lists its negative-imag member first, whatever the last
-    bits of the eigensolver's output.
+    bits of the eigensolver's output.  After the sort, imaginary parts
+    within the same tolerance are set to 0, so a real eigenvalue never
+    carries a +-1e-17 branch sign; the map is monotone, so the order
+    holds.
     """
     re = vals.real
     by_re = np.argsort(re, axis=-1, kind="stable")
@@ -104,7 +130,8 @@ def _sort_real_imag(vals, rel_tol: float = 1e-12) -> np.ndarray:
     runs = np.empty_like(runs_sorted)
     np.put_along_axis(runs, by_re, runs_sorted, axis=-1)
     order = np.lexsort((vals.imag, runs), axis=-1)
-    return np.take_along_axis(vals, order, axis=-1)
+    out = np.take_along_axis(vals, order, axis=-1)
+    return np.where(np.abs(out.imag) <= tol, out.real, out)
 
 
 def eig4(m) -> np.ndarray:

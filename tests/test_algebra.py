@@ -28,9 +28,11 @@ from sp4lr.algebra import (
     quadratic_form,
     quadratic_form_of,
     structure_constants,
+    symplectic_inverse,
     to_matrix,
 )
 from sp4lr.errors import ProjectionLeak
+from sp4lr.numerics import expm
 
 EPS = np.zeros((3, 3, 3))
 for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -267,6 +269,34 @@ def test_bridge_both_ways():
     c, r = from_quadratic_form(quadratic_form(e))
     np.testing.assert_allclose(c, e, atol=1e-13)
     assert r < 1e-12
+
+
+STACK_SHAPES = [(), (7,), (5, 2)]  # leading axes of (4,4), (N,4,4) and (N,2,4,4) inputs
+
+
+@pytest.mark.parametrize("lead", STACK_SHAPES)
+def test_bridge_is_omega_product_bitwise(lead):
+    # Omega is applied as the signed permutation it is; the entries are
+    # exactly those of the product with the matrix OMEGA
+    rng = np.random.default_rng(21)
+    e = rng.standard_normal(lead + (10,)) + 1j * rng.standard_normal(lead + (10,))
+    assert np.array_equal(quadratic_form(e), 1j * OMEGA @ to_matrix(e))
+    s = rng.standard_normal(lead + (4, 4)) + 1j * rng.standard_normal(lead + (4, 4))
+    assert np.array_equal(from_quadratic_form(s, return_residual=False),
+                          from_matrix(1j * OMEGA @ s, return_residual=False))
+
+
+@pytest.mark.parametrize("lead", STACK_SHAPES)
+def test_symplectic_inverse_is_omega_product_bitwise(lead):
+    rng = np.random.default_rng(22)
+    g = rng.standard_normal(lead + (4, 4)) + 1j * rng.standard_normal(lead + (4, 4))
+    got = symplectic_inverse(g)
+    assert got.shape == g.shape
+    assert np.array_equal(got, -OMEGA @ np.swapaxes(g, -1, -2) @ OMEGA)
+    # on a group element it is the inverse
+    u = expm(to_matrix(rng.standard_normal(lead + (10,)) * 0.3))
+    np.testing.assert_allclose(u @ symplectic_inverse(u),
+                               np.broadcast_to(np.eye(4), u.shape), rtol=0, atol=1e-13)
 
 
 def test_known_quadratic_forms():

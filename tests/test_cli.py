@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sp4lr.algebra import to_matrix
 from sp4lr.cli import _resolve_config, describe_schema, emit_plot_data, main, run_scenario
-from sp4lr.hamiltonian import build_H_coeffs
+from sp4lr.hamiltonian import CoupledOscillatorParams, build_H_coeffs
 from sp4lr.lr_ode import ClosedFormParams, assemble_invariant, closed_form_on_grid, lr_residual
 from sp4lr.profiles import ScalarProfile
 
@@ -258,6 +259,33 @@ def test_regime_map_mode(tmp_path):
                             "im1", "im2", "im3", "im4", "regime"}
     regimes = {r["regime"] for r in rows}
     assert "SpontaneouslyBroken" in regimes  # lam crosses Omega+/2 = 1
+
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+
+
+def test_regime_map_real_eigenvalues_carry_no_branch_sign(tmp_path):
+    # LAPACK returns the real eigenvalues of the shipped regime map with
+    # +-1e-17 imaginary parts of either sign; within the sort's tie
+    # tolerance they are written as 0, so im1 never flips sign between
+    # neighbouring real rows (42 flips before)
+    with open(os.path.join(SCENARIOS, "regime_map.json")) as fh:
+        cfg = json.load(fh)
+    report = run_scenario(cfg, str(tmp_path))
+    assert report["all_pass"]
+    rows = list(csv.DictReader((tmp_path / "eigenvalue_trajectory.csv").open()))
+    im = np.array([[float(r["im%d" % k]) for k in range(1, 5)] for r in rows])
+    real_rows = np.abs(im[:, 0]) < 1e-12
+    assert real_rows.sum() > 40
+    sign = np.sign(im[:, 0])
+    flips = real_rows[1:] & real_rows[:-1] & (sign[1:] != sign[:-1])
+    assert flips.sum() == 0
+    assert np.all(im[np.abs(im) < 1e-12] == 0.0)
+    # the noise is there in the raw spectrum of those rows
+    params = _resolve_config(cfg)["params"]
+    t = np.array([float(r["t"]) for r in rows])[real_rows]
+    raw = np.linalg.eigvals(to_matrix(build_H_coeffs(CoupledOscillatorParams(**params), t))).imag
+    assert (raw > 0).any() and (raw < 0).any() and np.abs(raw).max() < 1e-12
 
 
 def test_report_deterministic_modulo_walltime(tmp_path):

@@ -13,7 +13,10 @@ from sp4lr.lr_ode import (
     ANSATZ_COMBINATIONS,
     COMM_TOL,
     ClosedFormParams,
+    _GL_NODES,
     _commutativity_probe,
+    _magnus_propagators,
+    _prefix_products,
     assemble_invariant,
     closed_form_c,
     closed_form_on_grid,
@@ -218,6 +221,34 @@ def test_driven_evolve_below_rounding_floor_fails_fast():
     with pytest.raises(StepNotConverged, match=r"t = [0-9.]+ with delta"):
         evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered", step_tol=1e-16)
     assert time.perf_counter() - start < 2.0
+
+
+def test_magnus_exponent_in_coefficients_matches_matrix_form(monkeypatch):
+    # Omega is built from the coefficients through the bracket; on the
+    # strongly driven case the bracket term is 1e-6..1e-4 of Omega, so a
+    # sign slip there shows far above the 1e-15 tolerance
+    seen = []
+    monkeypatch.setattr("sp4lr.lr_ode.expm", lambda m: seen.append(m) or np.zeros_like(m))
+    t0, h = DRIVEN_GRID[100:104], np.diff(DRIVEN_GRID)[100:104]
+    for n in (1, 2, 8):
+        _magnus_propagators(DRIVEN, t0, h, n)
+        s = (h / n)[:, None, None, None]
+        nodes = t0[:, None, None] + (np.arange(n)[:, None] + _GL_NODES) * s[..., 0]
+        a = -1j * to_matrix(build_H_coeffs(DRIVEN, nodes))
+        a1, a2 = a[..., 0, :, :], a[..., 1, :, :]
+        bracket = (np.sqrt(3.0) / 12.0) * s**2 * (a2 @ a1 - a1 @ a2)
+        want = 0.5 * s * (a1 + a2) + bracket
+        assert np.abs(bracket).max() > 1e-7 * np.abs(want).max()
+        assert np.abs(seen[-1] - want).max() <= 1e-15 * np.abs(want).max(), n
+
+
+def test_prefix_products_equal_sequential_loop():
+    rng = np.random.default_rng(3)
+    props = rng.standard_normal((50, 4, 4)) + 1j * rng.standard_normal((50, 4, 4))
+    want = [np.eye(4, dtype=complex)]
+    for step in props:
+        want.append(step @ want[-1])
+    assert np.array_equal(_prefix_products(props), np.stack(want))
 
 
 # ---------------------------------------------------------------------------

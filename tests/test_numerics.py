@@ -1,11 +1,13 @@
 """Tests for the shared numerical kernels."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
 from sp4lr.errors import GridTooCoarse
-from sp4lr.numerics import central_diff, cumulative_simpson, eig4, expm, frobenius
+from sp4lr.numerics import EXPM_TOL, central_diff, cumulative_simpson, eig4, expm, frobenius
 
 RNG = np.random.default_rng(1234)
 
@@ -73,6 +75,85 @@ def test_expm_small_norm_matrix_ignores_its_stack():
     ms = _mixed_norm_stack()
     inside, alone = expm(ms)[1], expm(ms[1])
     assert np.abs(inside - alone).max() <= 1e-15 * np.abs(alone).max()
+
+
+def _taylor_order(theta, smax):
+    """The order rule of ``expm`` restated: the least k whose remainder
+    bound at the scaled 1-norm theta, amplified by 2**smax, is below EXPM_TOL."""
+    def bound(k):
+        return theta ** (k + 1) / math.factorial(k + 1) / (1.0 - theta / (k + 2)) * 2.0**smax
+
+    k = 1
+    while bound(k) >= EXPM_TOL:
+        k += 1
+    return k
+
+
+def _order_cases():
+    """One (k, smax) -> 1-norm per Taylor order the rule picks: unscaled
+    norms up to 0.5 (smax = 0), and norms 2**smax * theta with the scaled
+    norm theta in (0.25, 0.5] for smax = 1..6."""
+    cases = {}
+    for smax in range(7):
+        thetas = np.geomspace(1e-9, 0.5, 300) if smax == 0 else np.linspace(0.26, 0.5, 25)
+        for theta in thetas:
+            cases.setdefault((_taylor_order(theta, smax), smax), theta * 2.0**smax)
+    return cases
+
+
+def _scaled_taylor(m, k, smax):
+    """The degree-k Taylor sum of m / 2**smax term by term, squared smax times."""
+    a = m / 2.0**smax
+    acc = term = np.eye(4, dtype=complex)
+    for j in range(1, k + 1):
+        term = term @ a / j
+        acc = acc + term
+    for _ in range(smax):
+        acc = acc @ acc
+    return acc
+
+
+def test_expm_every_taylor_order_matches_scipy():
+    cases = _order_cases()
+    orders = {k for k, _ in cases}
+    assert {1, 4, 9} <= orders  # perfect squares, q = sqrt(k)
+    assert {2, 6, 12} <= orders  # q = ceil(sqrt(k)) divides k: the top block reaches A**q
+    assert {k for k, smax in cases if smax > 0} >= {10, 11, 12, 13}
+    rng = np.random.default_rng(11)
+    for (k, smax), norm in sorted(cases.items()):
+        for _ in range(3):
+            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            m *= norm / np.abs(m).sum(axis=0).max()
+            got = expm(m)
+            want = scipy_expm(m)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (k, smax)
+            # the same polynomial summed term by term: Paterson-Stockmeyer
+            # only reassociates it, so they agree to a few rounding units
+            ref = _scaled_taylor(m, k, smax)
+            bound = 8 * 2.0**smax * np.finfo(float).eps * np.abs(ref).max()
+            assert np.abs(got - ref).max() <= bound, (k, smax)
+
+
+def test_expm_order_one_is_identity_plus_matrix():
+    # a 1-norm below ~4.5e-7 takes k = 1, the q = 1 case with no Horner
+    # step: exactly I + A, with the identity counted once
+    m = random_matrix(4, 4e-7)
+    np.testing.assert_array_equal(expm(m), np.eye(4) + m)
+    np.testing.assert_array_equal(expm(np.stack([m, m])), np.stack([np.eye(4) + m] * 2))
+    np.testing.assert_array_equal(expm(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
+def test_expm_single_matrix_and_empty_stack():
+    m = random_matrix(4, 0.3)
+    got = expm(m)
+    assert got.shape == (4, 4)
+    np.testing.assert_allclose(expm(m[None])[0], got, rtol=0, atol=1e-15)
+    # a transposed (Fortran-ordered) input: the identity term still lands on the diagonal
+    ms = np.stack([random_matrix(4, 0.3), random_matrix(4, 3.0)])
+    np.testing.assert_allclose(expm(np.asfortranarray(ms)), expm(ms), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(expm(m.T), scipy_expm(m.T), rtol=0, atol=1e-13)
+    empty = expm(np.zeros((0, 4, 4)))
+    assert empty.shape == (0, 4, 4) and empty.dtype == complex
 
 
 def test_expm_rejects_nonsquare():
