@@ -26,6 +26,7 @@ import numpy as np
 from . import crosschecks
 from .algebra import (
     adjoint,
+    commutator,
     generator_matrices,
     parity_action,
     pt_map,
@@ -47,6 +48,7 @@ from .lr_ode import (
     _commutativity_probe,
     assemble_invariant,
     closed_form_on_grid,
+    closed_form_rate_on_grid,
     evolve,
     invariant_matrix,
     involution_residuals,
@@ -67,6 +69,7 @@ from .point_transform import (
     pushforward,
     target_coefficients,
     tdde_residual,
+    transport_generator,
 )
 from .profiles import PROFILE_KINDS, Field, ScalarProfile
 
@@ -128,12 +131,23 @@ def _resolve(spec, cfg, path=""):
             else f.pick(cfg, name, prefix + name) for name, f in spec.items()}
 
 
+# Upper bound on grid.steps.  The largest live arrays are (N, 4, 4) complex
+# stacks, 16 entries of 16 B: 256 B per sample each.  A point-transform
+# run holds about 12 stacks' worth at its peak (tracemalloc: 3.0 kB per
+# sample at 40001 steps; no array is longer than the grid), the LR modes
+# 13-14 (3.4-3.6 kB), so this bound keeps every run under about
+# 14 * 256 B * 250000 = 0.9 GB.
+_MAX_STEPS = 250_000
+
+
 def _resolve_config(cfg) -> dict:
     """The scenario config read through ``_FIELDS``; profiles resolve to
     :class:`ScalarProfile` and SP4_SEED replaces the seed."""
     mode = _FIELDS["mode"].pick(cfg, "mode", "mode") if isinstance(cfg, dict) else None
     resolved = _resolve({**_FIELDS, "params": _FIELDS["params"].get(mode, {})}, cfg)
     _require(resolved["grid"]["steps"] >= 5, "grid.steps: need at least 5 points")
+    _require(resolved["grid"]["steps"] <= _MAX_STEPS,
+             "grid.steps: at most %d points (about 3.5 kB of memory per point)" % _MAX_STEPS)
     _require(resolved["grid"]["t1"] > resolved["grid"]["t0"], "grid.t1 must exceed grid.t0")
     if "SP4_SEED" in os.environ:
         resolved["seed"] = int(os.environ["SP4_SEED"])
@@ -242,15 +256,17 @@ def _run_algebra_check(cfg, grid, outdir, checks, artifacts):
     return {}
 
 
-def _lr_artifacts(grid, traj, params, outdir, stem, artifacts):
+def _lr_artifacts(grid, traj, params, outdir, stem, artifacts, rate=None):
     """Write ``<stem>_trajectory.csv`` (t and the coefficients) and
     ``<stem>_residuals.csv`` (t and the three per-sample defects); return
-    the per-sample ||I^2 - 1||_F and |det I - 1| and the LR residual."""
+    the per-sample ||I^2 - 1||_F and |det I - 1| and the LR residual,
+    taken with the exact coefficient rate ``rate`` where the route has one."""
     mats = invariant_matrix(traj)
     sq = frobenius(mats @ mats - np.eye(4))
     det = np.abs(np.linalg.det(mats) - 1.0)
     worst, defect = lr_residual(assemble_invariant(traj), build_H_coeffs(params, grid), grid,
-                                return_samples=True)
+                                return_samples=True,
+                                didt=None if rate is None else assemble_invariant(rate))
     names, cols = _complex_columns(["c%d" % (k + 1) for k in range(10)], traj)
     names, cols = ["t"] + names, [grid] + cols
     path = os.path.join(outdir, stem + "_trajectory.csv")
@@ -281,7 +297,8 @@ def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
     r1, r2, r7, r10 = involution_residuals(traj[idx])
     checks.add("involution_constraints",
                float(max(np.abs(r).max() for r in (r1, r2, r7, r10))), 1e-10)
-    sq, det, lr_worst = _lr_artifacts(grid, traj, osc, outdir, "closed_form", artifacts)
+    sq, det, lr_worst = _lr_artifacts(grid, traj, osc, outdir, "closed_form", artifacts,
+                                      rate=closed_form_rate_on_grid(cf, grid))
     checks.add("invariant_squares_to_identity", float(sq.max()), 1e-10)
     checks.add("unit_determinant", float(det.max()), 1e-10)
     checks.add("lr_residual", lr_worst, 1e-8)
@@ -311,13 +328,8 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
     params = PointTransformParams(**cfg["params"])
     rng = np.random.default_rng(cfg["seed"])
 
-    # one EP state per grid, passed to every stage evaluated on that grid.
-    # The invariant equation is differentiated on a half-step grid, so
-    # the stencil truncation stays well below the tolerance under test;
-    # the scenario grid is its even samples
-    fine = np.linspace(grid[0], grid[-1], 2 * (grid.size - 1) + 1)
-    ep_fine = ep_state(params, fine)
-    ep = ep_fine.take(slice(None, None, 2))
+    # one EP state per grid, passed to every stage evaluated on that grid
+    ep = ep_state(params, grid)
     checks.add("ermakov_pinney_residual", float(np.abs(ep_residual(params, ep)).max()), 1e-8)
 
     stat = dyson_static(params)
@@ -331,12 +343,11 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
         checks.add("static_map_constraints", max(res1, res2), 1e-10)
         checks.add("static_map_postcondition", stat.check_residual, 1e-10)
 
-    inv_fine = invariant_IH(params, ep_fine)
-    inv = inv_fine[::2]
+    inv = invariant_IH(params, ep)
+    inv_rate = commutator(inv, transport_generator(params, ep))  # dI_H/dt, exact
     a, b, lam = target_coefficients(params, ep)
     checks.add("invariant_lr_residual",
-               lr_residual(inv_fine, build_H_modified(*target_coefficients(params, ep_fine)), fine),
-               1e-8)
+               lr_residual(inv, build_H_modified(a, b, lam), grid, didt=inv_rate), 1e-8)
 
     # one Dyson map per grid; its inverse is the symplectic one, exact
     # only as far as eta is symplectic.  The defect is measured relative
@@ -356,7 +367,7 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
     ih_expansion = hermitian_invariant_expansion(params, ep, stat)
     checks.add("hermitian_expansion_match", float(np.abs(ih - ih_expansion).max()), 1e-8)
 
-    checks.add("tdde_residual", tdde_residual(params, ep, eta, stat), 1e-6)
+    checks.add("tdde_residual", tdde_residual(params, ep, eta, stat), 1e-8)
 
     samples = rng.uniform(-2.0, 2.0, size=(20, 2))
     idx = rng.choice(grid.size, size=min(20, grid.size), replace=False)
@@ -377,7 +388,7 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
     emit_plot_data((names + inames + hnames, cols + icols + hcols), path)
     artifacts.append(path)
 
-    records = crosschecks.point_transform_records(params, ep, inv)
+    records = crosschecks.point_transform_records(params, ep, inv, inv_rate)
     return {
         "dyson": {"kappa1": stat.params.kappa1, "kappa2": stat.params.kappa2,
                   "delta": [stat.delta.real, stat.delta.imag]},

@@ -215,20 +215,24 @@ def invariant_image_variant(p: pt.PointTransformParams, ep: pt.EPState) -> np.nd
     return out
 
 
-def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState,
-                               inv: np.ndarray) -> tuple[DiscrepancyRecord, DiscrepancyRecord]:
+def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState, inv: np.ndarray,
+                               inv_rate: np.ndarray) -> tuple[DiscrepancyRecord, DiscrepancyRecord]:
     """The two records judged by the invariant equation on the grid ``ep.t``.
 
-    ``inv`` is the congruence image :func:`invariant_IH` on that grid;
+    ``inv`` is the congruence image :func:`invariant_IH` on that grid and
+    ``inv_rate`` its exact rate [I_H, K] (:func:`transport_generator`);
     its invariant-equation residual is the adopted residual of both.
     Returns the transformed-invariant record (congruence image vs the
     closed-expression variant) and the target-pairing record (adopted
     (a, b) = (beta r/sigma^2, alpha r/mu^2) vs the swapped pairing).
+    The pairing variant keeps the same invariant and so its exact rate;
+    the closed-expression variant has none and is differentiated by the
+    4th-order stencil, which its O(1) residual does not need below.
     """
     t = ep.t
     a, b, lam = pt.target_coefficients(p, ep)
     h = build_H_modified(a, b, lam)
-    adopted = lr_residual(inv, h, t)
+    adopted = lr_residual(inv, h, t, didt=inv_rate)
     image = DiscrepancyRecord(
         name="transformed_invariant_expression",
         adjudicator="invariant equation residual",
@@ -242,7 +246,7 @@ def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState,
         name="target_coefficient_pairing",
         adjudicator="invariant equation residual",
         adopted_residual=adopted,
-        variant_residual=lr_residual(inv, build_H_modified(a_sw, b_sw, lam), t),
+        variant_residual=lr_residual(inv, build_H_modified(a_sw, b_sw, lam), t, didt=inv_rate),
         note="the x-direction scale factor carries the beta frequency",
     )
     return image, pairing
@@ -324,14 +328,14 @@ def standard_records(params: CoupledOscillatorParams | None = None) -> list[Disc
     return recs
 
 
-def point_transform_records(p: pt.PointTransformParams, ep: pt.EPState,
-                            inv: np.ndarray) -> list[DiscrepancyRecord]:
+def point_transform_records(p: pt.PointTransformParams, ep: pt.EPState, inv: np.ndarray,
+                            inv_rate: np.ndarray) -> list[DiscrepancyRecord]:
     """Records adjudicating the point-transformation pipeline forms.
 
-    ``ep`` is the EP state on the scenario grid and ``inv`` the
-    invariant :func:`invariant_IH` on it.
+    ``ep`` is the EP state on the scenario grid, ``inv`` the invariant
+    :func:`invariant_IH` on it and ``inv_rate`` its exact rate.
     """
-    image, pairing = invariant_equation_records(p, ep, inv)
+    image, pairing = invariant_equation_records(p, ep, inv, inv_rate)
     recs = [image, ep_form_record(p, ep), pairing]
     recs += pushforward_row_records(p, t=float(ep.t[len(ep.t) // 3]))
     return recs

@@ -30,7 +30,13 @@ class ChiPlusZero(Sp4lrError):
 
 
 class GridTooCoarse(Sp4lrError):
-    """Grid has too few points (or too large a step) for the requested stencil or quadrature tolerance."""
+    """Grid has too few points for the 4th-order central stencil, or too large a step for the
+    Simpson quadrature tolerance.
+
+    Only the residuals without an exact time derivative use the stencil: lr-ode's
+    ``lr_residual`` and the closed-expression variant row of the crosschecks.  The
+    point-transform and closed-form certificates differentiate exactly and never raise it.
+    """
 
 
 class ArctanhDomain(Sp4lrError):

@@ -43,6 +43,7 @@ __all__ = [
     "evolve",
     "closed_form_c",
     "closed_form_on_grid",
+    "closed_form_rate_on_grid",
     "involution_residuals",
     "invariant_matrix",
     "lr_residual",
@@ -281,23 +282,18 @@ def _sin_ratio(a, theta):
     return (theta / 2.0) * (1.0 - x**2 / 6.0 + x**4 / 120.0)
 
 
-def closed_form_c(params: ClosedFormParams, theta) -> np.ndarray:
-    """Closed-form coefficients at the phase theta = int_{t0}^t lam.
-
-    Scalar theta gives shape (10,); arrays give (..., 10).  At theta = 0
-    the result is exactly (0, 0, 1, 1, 0, ..., 0).
-    """
+def _closed_form_combination(params: ClosedFormParams, cp, cm, rp, rm) -> np.ndarray:
+    """The ten coefficients as one linear combination of the mode terms
+    cos(a theta/2) (``cp``, ``cm``) and ``_sin_ratio(a, theta)`` (``rp``,
+    ``rm``) of a_plus and a_minus; applied to their theta-derivatives it
+    gives dc/dtheta."""
     alpha = params.alpha
     sq = np.sqrt(1.0 + alpha)
-    ap, am = params.mode_frequencies()
-    theta = np.asarray(theta, dtype=float)
-    cp, cm = np.cos(ap * theta / 2.0), np.cos(am * theta / 2.0)
-    rp, rm = _sin_ratio(ap, theta), _sin_ratio(am, theta)
     # complementary weights written as (w, 1 - w) so each pair sums to
     # exactly 1 and the seed value at theta = 0 is exact
     w3 = (sq + alpha) / (2.0 * sq)
     w4 = (sq + 1.0) / (2.0 * sq)
-    c = np.zeros(theta.shape + (10,), dtype=complex)
+    c = np.zeros(np.shape(cp) + (10,), dtype=complex)
     c[..., 0] = c[..., 1] = 1j / (2.0 * sq) * (cm - cp)
     c[..., 2] = w3 * cm + (1.0 - w3) * cp
     c[..., 3] = w4 * cm + (1.0 - w4) * cp
@@ -310,11 +306,44 @@ def closed_form_c(params: ClosedFormParams, theta) -> np.ndarray:
     return c
 
 
+def _mode_terms(params: ClosedFormParams, theta):
+    """a_plus, a_minus, then cos(a theta/2) and _sin_ratio(a, theta) of each."""
+    ap, am = params.mode_frequencies()
+    theta = np.asarray(theta, dtype=float)
+    return (ap, am, np.cos(ap * theta / 2.0), np.cos(am * theta / 2.0),
+            _sin_ratio(ap, theta), _sin_ratio(am, theta))
+
+
+def closed_form_c(params: ClosedFormParams, theta) -> np.ndarray:
+    """Closed-form coefficients at the phase theta = int_{t0}^t lam.
+
+    Scalar theta gives shape (10,); arrays give (..., 10).  At theta = 0
+    the result is exactly (0, 0, 1, 1, 0, ..., 0).
+    """
+    _, _, cp, cm, rp, rm = _mode_terms(params, theta)
+    return _closed_form_combination(params, cp, cm, rp, rm)
+
+
 def closed_form_on_grid(params: ClosedFormParams, grid) -> np.ndarray:
     """Closed form evaluated along a grid, with theta = int_{grid[0]}^t lam exact."""
     t = np.asarray(grid, dtype=float)
     theta = params.lam.antiderivative(t, t[0])
     return closed_form_c(params, theta)
+
+
+def closed_form_rate_on_grid(params: ClosedFormParams, grid) -> np.ndarray:
+    """dc/dt = lam(t) dc/dtheta of :func:`closed_form_on_grid`, exact at every sample.
+
+    The combination is linear in its mode terms, so dc/dtheta is the same
+    combination of their derivatives d cos(a theta/2)/dtheta =
+    -(a^2/2) _sin_ratio(a, theta) and d _sin_ratio(a, theta)/dtheta =
+    cos(a theta/2)/2, both continuous through a = 0.
+    """
+    t = np.asarray(grid, dtype=float)
+    ap, am, cp, cm, rp, rm = _mode_terms(params, params.lam.antiderivative(t, t[0]))
+    dc = _closed_form_combination(params, -0.5 * ap**2 * rp, -0.5 * am**2 * rm,
+                                  0.5 * cp, 0.5 * cm)
+    return params.lam(t)[:, None] * dc
 
 
 def involution_residuals(c, tol: float = 1e-12):
@@ -375,25 +404,31 @@ def invariant_matrix(c) -> np.ndarray:
     return 1j * m
 
 
-def lr_residual(invariant, hamiltonian, grid, return_samples: bool = False):
-    """Max-norm defect of  i dI/dt - [H, I]  (hbar = 1) over interior grid points.
+def lr_residual(invariant, hamiltonian, grid, return_samples: bool = False, didt=None):
+    """Max-norm defect of  i dI/dt - [H, I]  (hbar = 1) on ``grid``.
 
     ``invariant`` and ``hamiltonian`` are coefficient stacks of shape
-    (N, 10) on ``grid``.  The time derivative uses the 4th-order central
-    stencil; the two points at each end are excluded from the maximum.  With ``return_samples`` the
-    result is ``(worst, per_sample)``, ``per_sample`` holding the defect
-    at every grid point, ends included.
+    (N, 10) on ``grid``.  ``didt``, when given, is the exact rate of
+    ``invariant`` on the grid (the point transform's [I_H, K], the closed
+    form's lam dc/dtheta mapped onto the basis); then every sample counts
+    and the grid is not read.  Without it the derivative is taken by the
+    4th-order central stencil on a uniform grid of at least 5 points,
+    and the two points at each end are excluded from the maximum.  With
+    ``return_samples`` the result is ``(worst, per_sample)``,
+    ``per_sample`` holding the defect at every grid point, ends included.
     """
-    t = np.asarray(grid, dtype=float)
-    if t.size < 5:
-        raise GridTooCoarse("need at least 5 grid points for the 4th-order stencil")
-    step = t[1] - t[0]
-    if not np.allclose(np.diff(t), step, rtol=1e-9, atol=1e-15):
-        raise ValueError("lr_residual expects a uniform grid")
     icoef = np.asarray(invariant, dtype=complex)
-    hcoef = np.asarray(hamiltonian, dtype=complex)
-    didt = central_diff(icoef, step)
-    bracket = commutator(hcoef, icoef)
-    per_sample = np.abs(1j * didt - bracket).max(axis=1)
-    worst = float(per_sample[2:-2].max())
+    if didt is None:
+        t = np.asarray(grid, dtype=float)
+        if t.size < 5:
+            raise GridTooCoarse("need at least 5 grid points for the 4th-order stencil")
+        step = t[1] - t[0]
+        if not np.allclose(np.diff(t), step, rtol=1e-9, atol=1e-15):
+            raise ValueError("lr_residual expects a uniform grid")
+        didt, counted = central_diff(icoef, step), slice(2, -2)
+    else:
+        counted = slice(None)
+    bracket = commutator(np.asarray(hamiltonian, dtype=complex), icoef)
+    per_sample = np.abs(1j * np.asarray(didt) - bracket).max(axis=1)
+    worst = float(per_sample[counted].max())
     return (worst, per_sample) if return_samples else worst

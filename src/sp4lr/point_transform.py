@@ -28,6 +28,16 @@ z' = T(t) z, so an element with quadratic form S maps to T^T S T.  The
 published per-generator images coincide with this map for eight of the
 ten generators and are recorded as rejected variants for the other two.
 
+Every time derivative the certificates need is exact.  T is a path in
+Sp(4, R), so K = T^-1 dT/dt (:func:`transport_generator`, dT/dt = r
+dT/dtau from the EP state) lies in the algebra, and every image
+X(t) = T^-1 X0 T of a constant X0 moves as dX/dt = [X, K].  That gives
+the invariant's rate dI_H/dt = [I_H, K], the time-dependent Dyson map
+eta = T^-1 eta0 T of the static one with d(eta)/dt = [eta, K], and so the
+right side of the time-dependent Dyson equation with no finite
+difference and no matrix exponential on the grid: each residual is
+exact at every sample, ends included, on any grid.
+
 The functions evaluated on a grid take the grid's :class:`EPState`
 (``ep``, which carries the sample times ``ep.t``) and, where needed, the
 static map and the Dyson map on that grid (``eta``, from
@@ -50,9 +60,9 @@ from .algebra import (
     symplectic_inverse,
     to_matrix,
 )
-from .errors import ArctanhDomain, ConfigInvalid, EqualFrequencies, GridTooCoarse, ProjectionLeak
+from .errors import ArctanhDomain, ConfigInvalid, EqualFrequencies, ProjectionLeak
 from .hamiltonian import build_H_modified
-from .numerics import PROJ_TOL, central_diff, expm
+from .numerics import PROJ_TOL, expm
 from .profiles import ScalarProfile
 
 __all__ = [
@@ -69,6 +79,7 @@ __all__ = [
     "pushforward",
     "pushforward_shift",
     "invariant_IH",
+    "transport_generator",
     "dyson_static",
     "dyson_time_exponent",
     "dyson_time",
@@ -214,17 +225,40 @@ def reference_H0(p: PointTransformParams) -> np.ndarray:
     return build_H_modified(p.alpha, p.beta, p.coupling)
 
 
+# the nonzero entries of T, rows (chi, upsilon, p_chi, p_upsilon)
+_T_ENTRIES = ((0, 1), (1, 0), (2, 1), (2, 3), (3, 0), (3, 2))
+
+
+def _from_entries(values) -> np.ndarray:
+    """(N, 4, 4) stack holding ``values`` at ``_T_ENTRIES``, zero elsewhere."""
+    out = np.zeros((values[0].size, 4, 4))
+    for (i, j), v in zip(_T_ENTRIES, values):
+        out[:, i, j] = v
+    return out
+
+
 def _substitution_matrices(ep: EPState, p: PointTransformParams) -> np.ndarray:
     """Phase-space substitution z' = T z, rows (chi, upsilon, p_chi, p_upsilon)."""
-    n = ep.t.size
-    T = np.zeros((n, 4, 4))
-    T[:, 0, 1] = ep.mu
-    T[:, 1, 0] = ep.sigma
-    T[:, 2, 1] = ep.mu_tau / p.alpha
-    T[:, 2, 3] = 1.0 / ep.mu
-    T[:, 3, 0] = ep.sigma_tau / p.beta
-    T[:, 3, 2] = 1.0 / ep.sigma
-    return T
+    return _from_entries((ep.mu, ep.sigma, ep.mu_tau / p.alpha, 1.0 / ep.mu,
+                          ep.sigma_tau / p.beta, 1.0 / ep.sigma))
+
+
+def transport_generator(p: PointTransformParams, ep: EPState) -> np.ndarray:
+    """Coefficients of K = T^-1 dT/dt at the times of ``ep``, shape (N, 10).
+
+    dT/dt = r dT/dtau holds the tau-derivatives of the entries of T:
+    mu', sigma', mu''/alpha, -mu'/mu^2, sigma''/beta, -sigma'/sigma^2.
+    T is symplectic for any values of sigma, mu and their derivatives,
+    so K lies in the algebra exactly, and the image X = T^-1 X0 T of a
+    constant X0 moves as dX/dt = [X, K]: the invariant I_H as
+    ``commutator(inv, K)``, the Dyson map eta as [eta, K].
+    """
+    T = _substitution_matrices(ep, p)
+    rate = _from_entries((ep.mu_tau, ep.sigma_tau, ep.mu_tautau / p.alpha,
+                          -ep.mu_tau / ep.mu**2, ep.sigma_tautau / p.beta,
+                          -ep.sigma_tau / ep.sigma**2))
+    return from_matrix(symplectic_inverse(T) @ (ep.r[:, None, None] * rate),
+                       return_residual=False)
 
 
 @dataclass(frozen=True)
@@ -395,9 +429,15 @@ def dyson_time_exponent(p: PointTransformParams, ep: EPState,
 def dyson_time(p: PointTransformParams, ep: EPState, static: DysonStatic) -> np.ndarray:
     """Time-dependent Dyson map as 4x4 matrices, shape (N, 4, 4).
 
-    eta lies in Sp(4, C), so its inverse is ``symplectic_inverse(eta)``.
+    The similarity eta = T^-1 eta0 T of the static map eta0, with
+    T^-1 = ``symplectic_inverse(T)``: the exponential of the pushed-forward
+    exponent (:func:`dyson_time_exponent`) without an exponential on the
+    grid, equal to it within rounding (tested).  eta lies in Sp(4, C), so
+    its inverse is ``symplectic_inverse(eta)``, and it moves as
+    d(eta)/dt = [eta, K] (:func:`transport_generator`).
     """
-    return expm(to_matrix(dyson_time_exponent(p, ep, static)))
+    T = _substitution_matrices(ep, p)
+    return symplectic_inverse(T) @ static.eta_matrix @ T
 
 
 def hermitian_invariant_Ih(inv: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -450,35 +490,21 @@ def hermitian_hamiltonian_h(p: PointTransformParams, ep: EPState,
 
 def tdde_residual(p: PointTransformParams, ep: EPState, eta: np.ndarray,
                   static: DysonStatic, return_samples: bool = False):
-    """Defect of the time-dependent Dyson equation on a uniform grid.
+    """Defect of the time-dependent Dyson equation at every sample.
 
     ``ep`` is the EP state on the grid and ``eta`` the Dyson map on it
     (:func:`dyson_time`).  Compares h(t) against
-    eta H eta^-1 + i (d eta/dt) eta^-1 (hbar = 1) with the eta derivative taken
-    by the 4th-order central stencil and eta^-1 = -Omega eta^T Omega
-    (eta is symplectic); the maximum excludes the two points at each end.
+    eta H eta^-1 + i (d eta/dt) eta^-1 (hbar = 1).  With eta = T^-1 eta0 T,
+    d(eta)/dt = [eta, K] exactly (:func:`transport_generator`), so the
+    right side is eta (H + i K) eta^-1 - i K, one conjugation with the
+    symplectic inverse; no sample is excluded and the grid may be any.
+    With ``return_samples`` the result is ``(worst, per_sample)``.
     """
-    t = ep.t
-    if t.size < 5:
-        raise GridTooCoarse("need at least 5 grid points")
-    step = t[1] - t[0]
-    if not np.allclose(np.diff(t), step, rtol=1e-9, atol=1e-15):
-        raise ValueError("tdde_residual expects a uniform grid")
-    eta_inv = symplectic_inverse(eta)
     a, b, lam = target_coefficients(p, ep)
-    h_target = to_matrix(build_H_modified(a, b, lam))
-    conj = eta @ h_target @ eta_inv
-    _, conj_resid = from_matrix(conj)
-    if float(np.max(conj_resid)) > PROJ_TOL:
-        raise ProjectionLeak("similarity-transformed Hamiltonian left the algebra span")
-    deta = central_diff(eta, step)
-    rhs = conj + 1j * deta @ eta_inv
-    rhs_coeffs, resid = from_matrix(rhs)
-    # the stencil error of d(eta)/dt is itself out-of-span; fold it into
-    # the defect instead of mistaking it for a conjugation leak
-    defect = np.abs(hermitian_hamiltonian_h(p, ep, static) - rhs_coeffs)
-    per_sample = np.maximum(defect.max(axis=1), resid)
-    worst = float(per_sample[2:-2].max())
+    k = transport_generator(p, ep)
+    rhs = conjugate_by(eta, build_H_modified(a, b, lam) + 1j * k) - 1j * k
+    per_sample = np.abs(hermitian_hamiltonian_h(p, ep, static) - rhs).max(axis=1)
+    worst = float(per_sample.max())
     if return_samples:
         return worst, per_sample
     return worst

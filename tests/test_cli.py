@@ -7,16 +7,24 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sp4lr import cli
 from sp4lr.algebra import to_matrix
 from sp4lr.cli import _resolve_config, describe_schema, emit_plot_data, main, run_scenario
 from sp4lr.hamiltonian import CoupledOscillatorParams, build_H_coeffs
-from sp4lr.lr_ode import ClosedFormParams, assemble_invariant, closed_form_on_grid, lr_residual
+from sp4lr.lr_ode import (
+    ClosedFormParams,
+    assemble_invariant,
+    closed_form_on_grid,
+    closed_form_rate_on_grid,
+    lr_residual,
+)
 from sp4lr.profiles import ScalarProfile
 
 
@@ -106,13 +114,15 @@ def test_lr_closed_form_mode(tmp_path):
     with open(tmp_path / "closed_form_residuals.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "inv_sq_err", "det_err", "lr_residual"]
-    # the lr_residual column is the per-sample defect, written with 17 digits
+    # the lr_residual column is the exact per-sample defect, written with 17 digits
     cf = ClosedFormParams(alpha=3.0, lam=ScalarProfile.constant(1.0))
     grid = np.linspace(0.0, 2.0, 2001)
     traj = closed_form_on_grid(cf, grid)
     _, defect = lr_residual(assemble_invariant(traj), build_H_coeffs(cf.oscillator_params(), grid),
-                            grid, return_samples=True)
+                            grid, return_samples=True,
+                            didt=assemble_invariant(closed_form_rate_on_grid(cf, grid)))
     assert [r[3] for r in rows[1:]] == ["%.17g" % v for v in defect]
+    assert max(float(r[3]) for r in rows[1:]) <= 1e-13
 
 
 def test_lr_ode_mode_and_exit_codes(tmp_path):
@@ -149,15 +159,37 @@ def test_lr_ode_complex_c0_is_row_zero(tmp_path):
     assert [float(v) for v in row0[1:]] == [v for pair in c0 for v in pair]
 
 
-def test_lr_closed_form_large_coefficients_fail_only_on_the_stencil(tmp_path):
-    # an exactly commuting family with |omega_x| up to 165: the relative
-    # commutativity probe and both solvers pass; only the 4th-order
-    # lr_residual stencil cannot resolve omega_x at step 0.01
-    cfg = {"mode": "lr-closed-form", "grid": {"t0": 0.0, "t1": 20.0, "steps": 2001},
-           "params": {"alpha": 5.0, "lam": {"kind": "polynomial", "coeffs": [1.0, 0.3, -0.1]}}}
-    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+_KNOT_LAM = {"kind": "tabulated", "times": [0.0, 0.305, 2.0], "values": [1.0, 1.6, 0.7]}
+_EDGE_ALPHA, _EDGE_BETA = 2.4, 0.5
+
+
+@pytest.mark.parametrize("cfg", [
+    # |omega_x| up to 165: (|H| h)^4 / h is far above 1e-8 at step 0.01
+    {"mode": "lr-closed-form", "grid": {"t0": 0.0, "t1": 20.0, "steps": 2001},
+     "params": {"alpha": 5.0, "lam": {"kind": "polynomial", "coeffs": [1.0, 0.3, -0.1]}}},
+    # a kink in lam (or r) inside the grid
+    {"mode": "lr-closed-form", "grid": {"t0": 0.0, "t1": 2.0, "steps": 201},
+     "params": {"alpha": 3.0, "lam": _KNOT_LAM}},
+    {"mode": "lr-closed-form", "grid": {"t0": 0.0, "t1": 2.0, "steps": 2001},
+     "params": {"alpha": 3.0, "lam": _KNOT_LAM}},
+    {"mode": "point-transform", "grid": {"t0": 0.0, "t1": 4.0, "steps": 4001},
+     "params": {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "c2": 0.2, "c3": 0.2,
+                "r": {"kind": "tabulated", "times": [0.0, 0.305, 5.0],
+                      "values": [1.0, 1.6, 0.7]}}},
+    # artanh argument 1 - 1e-6: the stencil's tdde_residual read 1.6e-6
+    {"mode": "point-transform", "grid": {"t0": 0.0, "t1": 4.0, "steps": 4001},
+     "params": {"alpha": _EDGE_ALPHA, "beta": _EDGE_BETA, "c2": 0.4, "c3": 0.4,
+                "coupling": (1.0 - 1e-6) * (_EDGE_ALPHA**2 - _EDGE_BETA**2)
+                / (2.0 * math.sqrt(_EDGE_ALPHA * _EDGE_BETA)),
+                "r": {"kind": "sinusoid", "amp": 0.3, "freq": 1.0, "phase": 0.0, "offset": 1.0}}},
+], ids=["closed-form-alpha5", "closed-form-lam-knot-201", "closed-form-lam-knot-2001",
+        "point-transform-r-knot", "point-transform-arctanh-edge"])
+def test_exact_derivatives_certify_where_the_stencil_failed(tmp_path, cfg):
+    # each run is correct and exited 2 when these rows differentiated by
+    # the 4th-order central stencil; the exact rates pass every row
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert [c["name"] for c in report["checks"] if c["status"] != "pass"] == ["lr_residual"]
+    assert [c["name"] for c in report["checks"] if c["status"] != "pass"] == []
 
 
 def test_config_errors_exit_one(tmp_path):
@@ -171,6 +203,24 @@ def test_config_errors_exit_one(tmp_path):
     tiny_grid = write_cfg(tmp_path, {"mode": "algebra-check",
                                      "grid": {"t0": 0, "t1": 1, "steps": 2}}, "cfg4.json")
     assert main(["run", "--config", tiny_grid, "--out", str(tmp_path)]) == 1
+
+
+def test_grid_steps_above_the_memory_bound_fail_before_any_array(tmp_path, capsys):
+    # one point over the bound, whose time grid alone would take 2 MB
+    steps = cli._MAX_STEPS + 1
+    cfg = write_cfg(tmp_path, {"mode": "point-transform",
+                               "grid": {"t0": 0.0, "t1": 1.0, "steps": steps},
+                               "params": {"alpha": 2.0, "beta": 1.0, "r": _CONST}})
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", cfg, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: grid.steps: at most %d" % cli._MAX_STEPS)
+    assert peak < 8 * steps // 2
+    assert not (tmp_path / "report.json").exists()
 
 
 _CONST = {"kind": "constant", "value": 1.0}

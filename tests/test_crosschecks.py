@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from sp4lr.algebra import commutator
 from sp4lr.crosschecks import (
     ansatz_row7_record,
     ep_form_record,
@@ -14,13 +15,15 @@ from sp4lr.crosschecks import (
     pushforward_row_records,
     standard_records,
 )
-from sp4lr.point_transform import PointTransformParams, ep_state, invariant_IH
+from sp4lr.point_transform import PointTransformParams, ep_state, invariant_IH, transport_generator
 from sp4lr.profiles import ScalarProfile
 
 P = PointTransformParams(alpha=2.0, beta=1.0, coupling=0.5,
                          r=ScalarProfile.constant(1.0), c2=0.2, c3=0.2)
 GRID = np.arange(0.0, 2.0 + 1e-12, 2e-3)
 EP = ep_state(P, GRID)
+INV = invariant_IH(P, EP)
+INV_RATE = commutator(INV, transport_generator(P, EP))
 
 
 def test_generator_variant_flagged():
@@ -53,7 +56,7 @@ def test_parity_convention_record():
 
 
 def test_invariant_image_variant_fails_invariant_equation():
-    rec, _ = invariant_equation_records(P, EP, invariant_IH(P, EP))
+    rec, _ = invariant_equation_records(P, EP, INV, INV_RATE)
     assert rec.adopted_residual < 1e-8
     assert rec.variant_residual > 1e-3
     assert rec.variant_flagged
@@ -77,7 +80,7 @@ def test_ep_form_variant_flagged():
 
 
 def test_target_assignment_variant_flagged():
-    _, rec = invariant_equation_records(P, EP, invariant_IH(P, EP))
+    _, rec = invariant_equation_records(P, EP, INV, INV_RATE)
     assert rec.adopted_residual < 1e-8
     assert rec.variant_residual > 1e-3
     assert rec.variant_flagged
@@ -92,7 +95,7 @@ def test_pushforward_row_records():
 
 
 def test_bundles_and_serialization():
-    recs = standard_records() + point_transform_records(P, EP, invariant_IH(P, EP))
+    recs = standard_records() + point_transform_records(P, EP, INV, INV_RATE)
     names = [r.name for r in recs]
     assert len(names) == len(set(names))
     for rec in recs:

@@ -20,13 +20,14 @@ from sp4lr.lr_ode import (
     assemble_invariant,
     closed_form_c,
     closed_form_on_grid,
+    closed_form_rate_on_grid,
     coefficients_of_element,
     evolve,
     invariant_matrix,
     involution_residuals,
     lr_residual,
 )
-from sp4lr.numerics import frobenius
+from sp4lr.numerics import central_diff, frobenius
 from sp4lr.profiles import ScalarProfile
 
 C0 = np.zeros(10, dtype=complex)
@@ -387,6 +388,29 @@ def test_lr_residual_evolved_smooth_profiles():
     traj = evolve(C0, grid, p, mode="time_ordered")
     inv = assemble_invariant(traj)
     assert lr_residual(inv, build_H_coeffs(p, grid), grid) < 1e-6
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 3.0, 5.0])
+def test_closed_form_rate_matches_the_stencil(alpha):
+    # hyperbolic (alpha < 3), secular (a_minus = 0) and oscillating modes
+    cf = ClosedFormParams(alpha, ScalarProfile.sinusoid(0.3, 1.0, 0.2, 1.0))
+    grid = np.linspace(0.0, 2.0, 2001)
+    rate = closed_form_rate_on_grid(cf, grid)
+    stencil = central_diff(closed_form_on_grid(cf, grid), grid[1] - grid[0])
+    np.testing.assert_allclose(rate[2:-2], stencil[2:-2], rtol=0, atol=1e-9)
+
+
+def test_lr_residual_exact_rate_counts_every_sample_on_any_grid():
+    # with the exact rate the stencil is skipped: three uneven samples,
+    # and the maximum runs over all of them
+    cf = ClosedFormParams(3.0, ScalarProfile.polynomial([1.0, 0.3, -0.1]))
+    grid = np.array([0.0, 0.4, 2.5])
+    inv = assemble_invariant(closed_form_on_grid(cf, grid))
+    h = build_H_coeffs(cf.oscillator_params(), grid)
+    didt = assemble_invariant(closed_form_rate_on_grid(cf, grid))
+    worst, per_sample = lr_residual(inv, h, grid, return_samples=True, didt=didt)
+    assert worst == per_sample.max() <= 1e-13
+    assert lr_residual(inv, h, grid, didt=2.0 * didt) > 0.1
 
 
 def test_lr_residual_grid_too_coarse():
