@@ -6,7 +6,6 @@ from .algebra import (
     adjoint,
     commutator,
     from_matrix,
-    group_conjugate,
     matrix_of,
     parity_action,
     pt_map,
@@ -45,7 +44,7 @@ from .lr_ode import (
 )
 from .numerics import central_diff, cumulative_simpson, eig4, expm
 from .point_transform import (
-    DysonParams,
+    DysonStatic,
     EPState,
     PointTransformParams,
     dyson_static,

@@ -49,7 +49,6 @@ __all__ = [
     "adjoint",
     "pt_map",
     "conjugate_by",
-    "group_conjugate",
     "symplectic_inverse",
     "parity_matrix",
     "parity_action",
@@ -290,16 +289,6 @@ def conjugate_by(g, e, proj_tol: float = PROJ_TOL) -> np.ndarray:
     if np.max(resid) > proj_tol:
         raise ProjectionLeak("conjugation residual %.3e exceeds %.3e" % (float(np.max(resid)), proj_tol))
     return coeffs
-
-
-def group_conjugate(exponent, e, proj_tol: float = PROJ_TOL) -> np.ndarray:
-    """Adjoint action exp(X) e exp(-X) computed in the 4x4 representation.
-
-    X lies in the algebra, so exp(X) lies in Sp(4, C) and exp(-X) is its
-    symplectic inverse: one exponential per call, then
-    :func:`conjugate_by`, whose :class:`ProjectionLeak` check applies.
-    """
-    return conjugate_by(expm(to_matrix(exponent)), e, proj_tol)
 
 
 def parity_matrix(convention: str = "reflection") -> np.ndarray:

@@ -284,7 +284,7 @@ def pushforward_row_records(p: pt.PointTransformParams, t: float = 0.7) -> list[
         + 2.0 * sig1 / (b_ * sig) * _elem({_G.Q1: 1, _G.K2: -1})
         - (b_**2 * sig**2 + sig1**2) / b_**2
         * _elem({_G.J0: 1, _G.J3: 1, _G.K1: -1, _G.Q2: -1}))
-    got_j3 = pm.matrix[0][:, int(_G.J3)]
+    got_j3 = pm[0][:, int(_G.J3)]
     rec_j3 = DiscrepancyRecord(
         name="image_row_j3",
         adjudicator="symplectic congruence on quadratic forms",
@@ -302,7 +302,7 @@ def pushforward_row_records(p: pt.PointTransformParams, t: float = 0.7) -> list[
         + (b_**2 * sig**2 - sig1**2) / b_**2
         * _elem({_G.J0: 1, _G.J3: 1, _G.K1: -1, _G.Q2: -1})
         + 2.0 * sig1 / (b_ * sig) * _elem({_G.Q1: 1, _G.K2: -1}))
-    got_k1 = pm.matrix[0][:, int(_G.K1)]
+    got_k1 = pm[0][:, int(_G.K1)]
     rec_k1 = DiscrepancyRecord(
         name="image_row_k1",
         adjudicator="symplectic congruence on quadratic forms",

@@ -22,9 +22,13 @@ generators, the time-dependent Dyson map -- matches this pairing, and
 only this pairing lets the transformed reference Hamiltonian satisfy the
 invariant equation; the cross-check suite records the rejected variant.)
 
-The action on generators is computed exactly as a symplectic congruence
-on Weyl quadratic forms: the substitution is linear in phase space,
-z' = T(t) z, so an element with quadratic form S maps to T^T S T.  The
+The substitution is linear in phase space, z' = T(t) z with T in
+Sp(4, R), and every image on the grid is the one similarity
+X(t) = T^-1 X0 T of the 4x4 matrix X0, with the exact symplectic
+inverse T^-1 = -Omega T^T Omega: the pushed-forward generators and
+elements, the invariant I_H and the Dyson map eta.  It is the symplectic
+congruence T^T S T of the published presentation on Weyl quadratic
+forms, because i Omega T^T S T = T^-1 M T for M = i Omega S.  The
 published per-generator images coincide with this map for eight of the
 ten generators and are recorded as rejected variants for the other two.
 
@@ -40,9 +44,10 @@ exact at every sample, ends included, on any grid.
 
 The functions evaluated on a grid take the grid's :class:`EPState`
 (``ep``, which carries the sample times ``ep.t``) and, where needed, the
-static map and the Dyson map on that grid (``eta``, from
-:func:`dyson_time`): a caller builds each once per grid and passes it
-on, and no function rebuilds them.
+static map, the Dyson map on that grid (``eta``, from :func:`dyson_time`)
+and the rate K on it (``k``, from :func:`transport_generator`): a caller
+builds each once per grid and passes it on, and no function rebuilds
+them.
 """
 
 from __future__ import annotations
@@ -51,28 +56,18 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import (
-    GeneratorId,
-    conjugate_by,
-    from_matrix,
-    from_quadratic_form,
-    quadratic_form,
-    symplectic_inverse,
-    to_matrix,
-)
+from .algebra import GeneratorId, conjugate_by, from_matrix, symplectic_inverse, to_matrix
 from .errors import ArctanhDomain, ConfigInvalid, EqualFrequencies, ProjectionLeak
 from .hamiltonian import build_H_modified
-from .numerics import PROJ_TOL, expm
 from .profiles import ScalarProfile
 
 __all__ = [
     "PointTransformParams",
     "EPState",
-    "DysonParams",
     "DysonStatic",
-    "PushforwardMap",
     "ep_state",
     "ep_residual",
+    "ermakov_first_integral",
     "target_coefficients",
     "reference_H0",
     "pushforward_map",
@@ -208,6 +203,22 @@ def ep_residual(p: PointTransformParams, ep: EPState) -> np.ndarray:
     return ep.r**2 * np.stack([rs, rm])
 
 
+def ermakov_first_integral(p: PointTransformParams, ep: EPState) -> np.ndarray:
+    """Relative defects of the Ermakov first integrals, shape (2, N).
+
+    Row 0: (sigma'^2 + beta^2 sigma^2 + beta^2 / sigma^2)
+    / (2 beta^2 sqrt(1 + c2^2)) - 1 with ' = d/dtau; row 1 the same with
+    (mu, alpha, c3).  The closed-form factors conserve both integrals
+    exactly, so unlike :func:`ep_residual` these rows tie each first
+    tau-derivative to its value.
+    """
+    rs = (ep.sigma_tau**2 + p.beta**2 * (ep.sigma**2 + ep.sigma**-2)) \
+        / (2.0 * p.beta**2 * np.sqrt(1.0 + p.c2**2))
+    rm = (ep.mu_tau**2 + p.alpha**2 * (ep.mu**2 + ep.mu**-2)) \
+        / (2.0 * p.alpha**2 * np.sqrt(1.0 + p.c3**2))
+    return np.stack([rs, rm]) - 1.0
+
+
 def target_coefficients(p: PointTransformParams, ep: EPState):
     """Target profile values (a, b, lam) at the times of the EP state ``ep``.
 
@@ -261,21 +272,6 @@ def transport_generator(p: PointTransformParams, ep: EPState) -> np.ndarray:
                        return_residual=False)
 
 
-@dataclass(frozen=True)
-class PushforwardMap:
-    """Time-indexed linear action on coefficient vectors plus the
-    inhomogeneous shift from the transformed time derivative."""
-
-    t: np.ndarray
-    matrix: np.ndarray  # (N, 10, 10), image coefficients = matrix @ coeffs
-    shift: np.ndarray   # (N, 10)
-
-    def apply(self, e) -> np.ndarray:
-        c = np.asarray(e, dtype=complex)
-        return np.einsum("nij,...j->n...i", self.matrix, c) if c.ndim == 1 \
-            else np.einsum("nij,nj->ni", self.matrix, c)
-
-
 def pushforward_shift(p: PointTransformParams, ep: EPState) -> np.ndarray:
     """Inhomogeneous element from transforming i d/dtau (hbar = 1), shape (N, 10).
 
@@ -291,38 +287,28 @@ def pushforward_shift(p: PointTransformParams, ep: EPState) -> np.ndarray:
     return (ep.r[:, None] * out).astype(complex)
 
 
-def _congruence(T: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Coefficients of the quadratic forms T^T s T (stacks broadcast)."""
-    coeffs, resid = from_quadratic_form(np.swapaxes(T, -1, -2) @ s @ T)
-    if float(np.max(resid)) > PROJ_TOL:
-        raise ProjectionLeak("pushforward image left the algebra span")
-    return coeffs
+def pushforward_map(p: PointTransformParams, ep: EPState) -> np.ndarray:
+    """Images of the ten generators at the times of ``ep``, shape (N, 10, 10).
 
-
-def pushforward_map(p: PointTransformParams, ep: EPState) -> PushforwardMap:
-    """Exact congruence action of the transformation on the generator basis.
-
-    Builds the (N, 10, 10) image of all ten generators at the times of
-    ``ep``; for the image of one element use :func:`pushforward`, which
-    is ten times smaller.
+    Column g at sample n holds the image of generator g, so the image of
+    an element c is ``pushforward_map(p, ep) @ c``; for one element use
+    :func:`pushforward` directly, which is ten times smaller.
     """
-    T = _substitution_matrices(ep, p)
-    coeffs = _congruence(T[:, None], quadratic_form(np.eye(10)))
-    matrix = np.transpose(coeffs, (0, 2, 1))  # column g holds the image of generator g
-    return PushforwardMap(t=ep.t, matrix=matrix, shift=pushforward_shift(p, ep))
+    images = pushforward(p, ep, np.eye(10)[:, None])  # (10, N, 10), generator first
+    return np.transpose(images, (1, 2, 0))
 
 
 def pushforward(p: PointTransformParams, ep: EPState, e) -> np.ndarray:
-    """Image of an element (given in the primed basis) at the times of ``ep``.
+    """Image T^-1 X T of an element X (given in the primed basis) at the times of ``ep``.
 
     ``e`` is one element, shape (10,), or one element per sample, shape
-    (N, 10); the result has shape (N, 10).
-    Its quadratic form S is built once and pushed through T^T S T as a
-    batch of 4x4 products, then back through the +i Omega bridge;
-    :class:`ProjectionLeak` is raised if the image leaves the algebra
-    span.
+    (N, 10); the result has shape (N, 10).  A stack whose leading axes
+    broadcast against the N samples, (10, 1, 10) say, gives a stack of
+    images.  The similarity runs in the 4x4 representation with the
+    exact symplectic inverse of T (:func:`algebra.conjugate_by`), which
+    raises :class:`ProjectionLeak` if the image leaves the algebra span.
     """
-    return _congruence(_substitution_matrices(ep, p), quadratic_form(e))
+    return conjugate_by(symplectic_inverse(_substitution_matrices(ep, p)), e)
 
 
 def invariant_IH(p: PointTransformParams, ep: EPState) -> np.ndarray:
@@ -337,35 +323,42 @@ def invariant_IH(p: PointTransformParams, ep: EPState) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DysonParams:
-    kappa1: float
-    kappa2: float
-
-
-@dataclass(frozen=True)
 class DysonStatic:
     """Static Dyson map for the reference Hamiltonian.
 
-    ``exponent`` (the algebra element whose exponential is ``eta_matrix``)
-    and ``h0`` (the Hermitian counterpart of the reference Hamiltonian)
-    are coefficient arrays, shape (10,).
+    ``kappa1``, ``kappa2`` are the constants of the exponent; ``exponent``
+    (the algebra element whose exponential is ``eta_matrix``) and ``h0``
+    (the Hermitian counterpart of the reference Hamiltonian) are
+    coefficient arrays, shape (10,).  ``check_residual`` is the distance
+    of the adjoint action on H0 from the closed h0, and
+    ``constraint_residual`` the larger defect of the two constraints the
+    kappas solve.
     """
 
-    params: DysonParams
+    kappa1: float
+    kappa2: float
     exponent: np.ndarray
     eta_matrix: np.ndarray
     h0: np.ndarray
     delta: complex
     check_residual: float
+    constraint_residual: float
 
 
 def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
-    """Static map eta = exp[kappa1 (Q3-J2) + kappa2 (Q3+J2)] and its h0.
+    """Static map eta = exp X, X = kappa1 (Q3-J2) + kappa2 (Q3+J2), and its h0.
 
     kappa1 = (1/2) sqrt(alpha/beta) artanh(2 sqrt(alpha beta) Lambda /
     (alpha^2 - beta^2)), kappa2 the negative mirror with the inverse
-    frequency ratio.  The Hermitian counterpart h0 is produced by the
-    adjoint action and must agree with its closed expansion in
+    frequency ratio.  As a 4x4 matrix X squares to w^2 times the
+    identity, w^2 = -kappa1 kappa2, w = (1/2) |artanh(...)|, so
+    eta = cosh(w) 1 + (sinh(w)/w) X in closed form, symplectic to
+    rounding; w > 0 whenever Lambda != 0.  The kappas solve
+    2 Lambda cos(2s) = (alpha +- beta)(kappa1 +- kappa2) sin(2s)/s with
+    s = sqrt(kappa1 kappa2) = i w, which ``constraint_residual`` measures.
+
+    The Hermitian counterpart h0 is produced by the adjoint action and
+    must agree with its closed expansion in
     Delta = sign(alpha^2-beta^2) sqrt((alpha^2-beta^2)^2 - 4 alpha beta Lambda^2),
     the root that tends to alpha^2-beta^2 as Lambda -> 0 (negative for
     alpha < beta).
@@ -381,16 +374,24 @@ def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
     h0_ref = reference_H0(p)
     if lam == 0.0:
         eye = np.eye(4, dtype=complex)
-        return DysonStatic(DysonParams(0.0, 0.0), np.zeros(10, dtype=complex), eye,
-                           h0_ref, complex(a_**2 - b_**2), 0.0)
+        return DysonStatic(0.0, 0.0, np.zeros(10, dtype=complex), eye,
+                           h0_ref, complex(a_**2 - b_**2), 0.0, 0.0)
     arg = 2.0 * np.sqrt(a_ * b_) * lam / (a_**2 - b_**2)
     if abs(arg) >= 1.0:
         raise ArctanhDomain("|2 sqrt(alpha beta) Lambda / (alpha^2 - beta^2)| >= 1")
-    k1 = 0.5 * np.sqrt(a_ / b_) * np.arctanh(arg)
-    k2 = -0.5 * np.sqrt(b_ / a_) * np.arctanh(arg)
+    ath = np.arctanh(arg)
+    k1 = 0.5 * np.sqrt(a_ / b_) * ath
+    k2 = -0.5 * np.sqrt(b_ / a_) * ath
     exponent = k1 * _Q3mJ2 + k2 * _Q3pJ2
-    eta = expm(to_matrix(exponent))
+    w = 0.5 * abs(ath)
+    eta = np.cosh(w) * np.eye(4) + (np.sinh(w) / w) * to_matrix(exponent)
     h0_conj = conjugate_by(eta, h0_ref)
+
+    # cos(2s) = cosh(2w) and sin(2s)/s = sinh(2w)/w for s = i w
+    lhs = 2.0 * lam * np.cosh(2.0 * w)
+    ratio = np.sinh(2.0 * w) / w
+    constraint = max(abs(lhs - (a_ + b_) * (k1 + k2) * ratio),
+                     abs(lhs - (a_ - b_) * (k1 - k2) * ratio))
 
     rad = (a_**2 - b_**2) ** 2 - 4.0 * a_ * b_ * lam**2
     delta = complex(np.sign(a_**2 - b_**2) * np.lib.scimath.sqrt(rad))
@@ -405,8 +406,8 @@ def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
     if max(resid, imag_leak) > tol:
         raise ProjectionLeak(
             "static-map postcondition failed: residual %.3e, imag %.3e" % (resid, imag_leak))
-    return DysonStatic(DysonParams(float(k1), float(k2)), exponent, eta,
-                       h0_closed, delta, resid)
+    return DysonStatic(float(k1), float(k2), exponent, eta, h0_closed, delta, resid,
+                       float(constraint))
 
 
 def dyson_time_exponent(p: PointTransformParams, ep: EPState,
@@ -417,7 +418,7 @@ def dyson_time_exponent(p: PointTransformParams, ep: EPState,
     + (beta kappa1 sigma mu' + alpha kappa2 mu sigma')/(alpha beta) (K3+J1),
     ' = d/dtau; equal to the pushforward of the static exponent (tested).
     """
-    k1, k2 = static.params.kappa1, static.params.kappa2
+    k1, k2 = static.kappa1, static.kappa2
     cxy = (p.beta * k1 * ep.sigma * ep.mu_tau + p.alpha * k2 * ep.mu * ep.sigma_tau) \
         / (p.alpha * p.beta)
     out = (np.outer(k2 * ep.mu / ep.sigma, _Q3mJ2)
@@ -488,20 +489,20 @@ def hermitian_hamiltonian_h(p: PointTransformParams, ep: EPState,
     return out.astype(complex)
 
 
-def tdde_residual(p: PointTransformParams, ep: EPState, eta: np.ndarray,
+def tdde_residual(p: PointTransformParams, ep: EPState, eta: np.ndarray, k: np.ndarray,
                   static: DysonStatic, return_samples: bool = False):
     """Defect of the time-dependent Dyson equation at every sample.
 
-    ``ep`` is the EP state on the grid and ``eta`` the Dyson map on it
-    (:func:`dyson_time`).  Compares h(t) against
+    ``ep`` is the EP state on the grid, ``eta`` the Dyson map on it
+    (:func:`dyson_time`) and ``k`` the coefficients of K = T^-1 dT/dt on
+    it (:func:`transport_generator`).  Compares h(t) against
     eta H eta^-1 + i (d eta/dt) eta^-1 (hbar = 1).  With eta = T^-1 eta0 T,
-    d(eta)/dt = [eta, K] exactly (:func:`transport_generator`), so the
-    right side is eta (H + i K) eta^-1 - i K, one conjugation with the
-    symplectic inverse; no sample is excluded and the grid may be any.
+    d(eta)/dt = [eta, K] exactly, so the right side is
+    eta (H + i K) eta^-1 - i K, one conjugation with the symplectic
+    inverse; no sample is excluded and the grid may be any.
     With ``return_samples`` the result is ``(worst, per_sample)``.
     """
     a, b, lam = target_coefficients(p, ep)
-    k = transport_generator(p, ep)
     rhs = conjugate_by(eta, build_H_modified(a, b, lam) + 1j * k) - 1j * k
     per_sample = np.abs(hermitian_hamiltonian_h(p, ep, static) - rhs).max(axis=1)
     worst = float(per_sample.max())

@@ -211,15 +211,16 @@ def pipeline_runs():
         inv = invariant_IH(p, ep)
         a, b, lam = target_coefficients(p, ep)
         eta = dyson_time(p, ep, stat)
+        k = transport_generator(p, ep)
         ih = hermitian_invariant_Ih(inv, eta)
         runs.append({
             "params": p, "eta": eta,
             "ep_resid": float(np.abs(ep_residual(p, ep)).max()),
             "lr": lr_residual(inv, build_H_modified(a, b, lam), GRID_04,
-                              didt=commutator(inv, transport_generator(p, ep))),
+                              didt=commutator(inv, k)),
             "imag_leak": float(np.abs(ih.imag).max()),
             "image_match": float(np.abs(ih - pushforward(p, ep, stat.h0)).max()),
-            "tdde": tdde_residual(p, ep, eta, stat),
+            "tdde": tdde_residual(p, ep, eta, k, stat),
         })
     return runs
 
@@ -242,7 +243,7 @@ def test_criterion_5_point_transform_pipeline(pipeline_runs):
     stat = dyson_static(p)
     for step in (8e-3, 4e-3, 2e-3, 1e-3):
         ep = ep_state(p, np.arange(0.0, 4.0 + step / 2.0, step))
-        defect = tdde_residual(p, ep, dyson_time(p, ep, stat), stat)
+        defect = tdde_residual(p, ep, dyson_time(p, ep, stat), transport_generator(p, ep), stat)
         assert defect <= 1e-13, "step %g: Dyson-equation defect %.3e" % (step, defect)
     _criterion_parts(5, "point-transform pipeline", [
         ("Ermakov-Pinney residual", worst["ep_resid"], 1e-8),
@@ -273,7 +274,7 @@ def test_criterion_6_static_dyson_map():
     p = PointTransformParams(alpha=2.0, beta=1.0, coupling=1.0,
                              r=ScalarProfile.constant(1.0))
     stat = dyson_static(p)
-    k1, k2 = stat.params.kappa1, stat.params.kappa2
+    k1, k2 = stat.kappa1, stat.kappa2
     s = np.lib.scimath.sqrt(k1 * k2)
     lhs = 2.0 * p.coupling * np.cos(2.0 * s)
     res1 = abs(lhs - (p.alpha + p.beta) * (k1 + k2) * np.sin(2.0 * s) / s)

@@ -1,14 +1,22 @@
 """Tests for the point-transformation pipeline."""
 
+import dataclasses
+import json
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import sp4lr.cli as cli
+import sp4lr.point_transform as pt
 from sp4lr.algebra import (
     GeneratorId,
     adjoint,
     commutator,
     from_matrix,
+    from_quadratic_form,
+    quadratic_form,
     symplectic_inverse,
     to_matrix,
 )
@@ -19,11 +27,13 @@ from sp4lr.lr_ode import lr_residual
 from sp4lr.numerics import central_diff, expm
 from sp4lr.point_transform import (
     PointTransformParams,
+    _substitution_matrices,
     dyson_static,
     dyson_time,
     dyson_time_exponent,
     ep_residual,
     ep_state,
+    ermakov_first_integral,
     hermitian_hamiltonian_h,
     hermitian_invariant_expansion,
     hermitian_invariant_Ih,
@@ -43,6 +53,7 @@ from sp4lr.point_transform import (
 from sp4lr.profiles import ScalarProfile
 
 RNG = np.random.default_rng(20240801)
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 _G = GeneratorId
 
 R_ONE = ScalarProfile.constant(1.0)
@@ -98,6 +109,16 @@ def test_ep_derivatives_match_finite_differences():
     np.testing.assert_allclose(dm2[2:-2], (ep.r * ep.mu_tautau)[2:-2], atol=1e-8)
 
 
+def test_ermakov_first_integral_ties_the_rate_to_the_value():
+    p = params(r=R_WOBBLE, c2=0.3, c3=0.4)
+    ep = ep_state(p, np.linspace(0.0, 4.0, 401))
+    assert np.abs(ermakov_first_integral(p, ep)).max() <= 1e-12
+    # a scaled sigma' still satisfies the EP equation, but not the integral
+    bad = dataclasses.replace(ep, sigma_tau=ep.sigma_tau * (1.0 + 1e-6))
+    defect = np.abs(ermakov_first_integral(p, bad)).max(axis=1)
+    assert defect[0] > 1e-8 and defect[1] <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # target coefficients
 
@@ -130,16 +151,16 @@ def test_target_value_at_zero():
 
 def test_pushforward_trivial_role_swap():
     p = params(c2=0.0, c3=0.0)
-    pm = pushforward_map(p, ep_state(p, np.array([0.4])))
-    np.testing.assert_allclose(pm.apply(unit("J0"))[0], unit("J0"), atol=1e-14)
-    np.testing.assert_allclose(pm.apply(unit("Q1"))[0], -unit("Q1"), atol=1e-14)
-    np.testing.assert_allclose(pm.apply(unit("K2"))[0], unit("K2"), atol=1e-14)
-    np.testing.assert_allclose(pm.apply(unit("J3"))[0], -unit("J3"), atol=1e-14)
+    pm = pushforward_map(p, ep_state(p, np.array([0.4])))[0]
+    np.testing.assert_allclose(pm @ unit("J0"), unit("J0"), atol=1e-14)
+    np.testing.assert_allclose(pm @ unit("Q1"), -unit("Q1"), atol=1e-14)
+    np.testing.assert_allclose(pm @ unit("K2"), unit("K2"), atol=1e-14)
+    np.testing.assert_allclose(pm @ unit("J3"), -unit("J3"), atol=1e-14)
     # at unit scale factors the map is the x<->y phase-space swap
     swap = np.zeros((4, 4))
     swap[0, 1] = swap[1, 0] = swap[2, 3] = swap[3, 2] = 1.0
     for g in range(10):
-        img = pm.apply(np.eye(10)[g])[0]
+        img = pm[:, g]
         want, resid = from_matrix(swap @ to_matrix(np.eye(10)[g]) @ swap)
         assert resid < 1e-13
         np.testing.assert_allclose(img, want, atol=1e-13)
@@ -150,26 +171,41 @@ def test_pushforward_linear():
     a = RNG.standard_normal(10) + 1j * RNG.standard_normal(10)
     b = RNG.standard_normal(10) + 1j * RNG.standard_normal(10)
     pm = pushforward_map(p, ep_state(p, np.array([0.7])))
-    np.testing.assert_allclose(pm.apply(a + 2.0 * b), pm.apply(a) + 2.0 * pm.apply(b),
-                               atol=1e-12)
+    np.testing.assert_allclose(pm @ (a + 2.0 * b), pm @ a + 2.0 * (pm @ b), atol=1e-12)
 
 
 @pytest.mark.parametrize("r", [R_ONE, R_WOBBLE, R_POLY], ids=["constant", "sinusoid", "polynomial"])
 @pytest.mark.parametrize("coupling", [0.0, 0.5])
 def test_pushforward_element_equals_map_column_sum(r, coupling):
-    # the element's own quadratic form pushed through T^T S T equals the
-    # full generator map applied to its coefficients
+    # the element's own image T^-1 X T equals the full generator map
+    # applied to its coefficients
     p = params(coupling=coupling, r=r, c2=0.3, c3=0.25)
     ep = ep_state(p, np.linspace(0.0, 3.0, 61))
     pm = pushforward_map(p, ep)
     for _ in range(3):
         e = RNG.standard_normal(10) + 1j * RNG.standard_normal(10)
-        np.testing.assert_allclose(pushforward(p, ep, e), pm.apply(e), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(pushforward(p, ep, e), pm @ e, rtol=0, atol=1e-14)
     per_sample = RNG.standard_normal((ep.t.size, 10)) + 1j * RNG.standard_normal((ep.t.size, 10))
-    np.testing.assert_allclose(pushforward(p, ep, per_sample), pm.apply(per_sample),
-                               rtol=0, atol=1e-14)
-    np.testing.assert_allclose(invariant_IH(p, ep), pm.apply(reference_H0(p)),
-                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(pushforward(p, ep, per_sample),
+                               np.einsum("nij,nj->ni", pm, per_sample), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(invariant_IH(p, ep), pm @ reference_H0(p), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("p", [
+    params(r=R_WOBBLE),  # point_transform_core.json
+    params(alpha=0.6, beta=1.7, coupling=0.3, r=R_WOBBLE),
+    params(r=ScalarProfile.sinusoid(2.0, 1.0, 0.0, 0.5)),  # r = 0.5 + 2 sin t changes sign
+], ids=["core", "alpha_below_beta", "r_changes_sign"])
+def test_pushforward_is_the_quadratic_form_congruence(p):
+    # the published map T^T S T on Weyl quadratic forms is the reference
+    # of the similarity T^-1 X T
+    ep = ep_state(p, np.linspace(0.0, 4.0, 401))
+    T = _substitution_matrices(ep, p)
+    elements = [RNG.standard_normal(10) + 1j * RNG.standard_normal(10) for _ in range(3)]
+    for e in elements + [reference_H0(p), dyson_static(p).h0]:
+        want, resid = from_quadratic_form(np.swapaxes(T, -1, -2) @ quadratic_form(e) @ T)
+        assert resid.max() < 1e-12
+        assert np.abs(pushforward(p, ep, e) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_pushforward_shift_vanishes_at_trivial_params():
@@ -224,7 +260,8 @@ def test_dyson_static_zero_coupling_identity():
     stat = dyson_static(p)
     np.testing.assert_array_equal(stat.eta_matrix, np.eye(4))
     np.testing.assert_array_equal(stat.h0, reference_H0(p))
-    assert stat.params.kappa1 == 0.0 and stat.params.kappa2 == 0.0
+    assert stat.kappa1 == 0.0 and stat.kappa2 == 0.0
+    assert stat.constraint_residual == 0.0
 
 
 def test_dyson_static_zero_coupling_formula_limit():
@@ -241,16 +278,30 @@ def test_dyson_static_zero_coupling_formula_limit():
 def test_dyson_static_constraints():
     p = params(alpha=2.0, beta=1.0, coupling=1.0)
     stat = dyson_static(p)
-    k1, k2 = stat.params.kappa1, stat.params.kappa2
+    k1, k2 = stat.kappa1, stat.kappa2
     assert k1 * k2 <= 0.0
+    # the paper's form of the constraints, in complex arithmetic
     s = np.lib.scimath.sqrt(k1 * k2)
     lhs = 2.0 * p.coupling * np.cos(2.0 * s)
     r1 = lhs - (p.alpha + p.beta) * (k1 + k2) * np.sin(2.0 * s) / s
     r2 = lhs - (p.alpha - p.beta) * (k1 - k2) * np.sin(2.0 * s) / s
     assert abs(r1) < 1e-10 and abs(r2) < 1e-10
+    assert stat.constraint_residual == pytest.approx(max(abs(r1), abs(r2)), rel=0, abs=1e-14)
     # adjoint action of the exponent produces exactly the closed h0
     assert stat.check_residual < 1e-10
     assert np.abs(stat.h0.imag).max() <= 1e-12  # Hermitian: real coefficients
+
+
+def test_dyson_static_closed_form_is_symplectic():
+    # eta0 = cosh(w) + (sinh(w)/w) X with X^2 = w^2 = -kappa1 kappa2;
+    # expm's truncation left a symplectic defect of 8.1e-15 here
+    p = params(alpha=1.69, beta=0.77, coupling=-0.118)
+    stat = dyson_static(p)
+    x = to_matrix(stat.exponent)
+    np.testing.assert_allclose(x @ x, -stat.kappa1 * stat.kappa2 * np.eye(4), rtol=0, atol=1e-16)
+    eta0 = stat.eta_matrix
+    assert np.abs(eta0 @ symplectic_inverse(eta0) - np.eye(4)).max() <= 2e-15
+    np.testing.assert_allclose(eta0, expm(x), rtol=0, atol=1e-14)
 
 
 def test_dyson_static_domain_errors():
@@ -274,7 +325,7 @@ def test_dyson_time_exponent_trivial_swaps_kappas():
     p = params(alpha=2.0, beta=1.0, coupling=1.0, c2=0.0, c3=0.0)
     stat = dyson_static(p)
     exps = dyson_time_exponent(p, ep_state(p, np.array([1.1])), stat)[0]
-    k1, k2 = stat.params.kappa1, stat.params.kappa2
+    k1, k2 = stat.kappa1, stat.kappa2
     want = k2 * (unit("Q3") - unit("J2")) + k1 * (unit("Q3") + unit("J2"))
     np.testing.assert_allclose(exps, want, atol=1e-13)
 
@@ -372,15 +423,14 @@ def test_hermitian_hamiltonian_is_hermitian_and_matches_image():
     ep = ep_state(p, np.linspace(0.0, 2.0, 41))
     h = hermitian_hamiltonian_h(p, ep, stat)
     assert np.abs(h.imag).max() < 1e-12
-    pm = pushforward_map(p, ep)
-    h_image = ep.r[:, None] * pm.apply(stat.h0) - pm.shift
+    h_image = ep.r[:, None] * (pushforward_map(p, ep) @ stat.h0) - pushforward_shift(p, ep)
     np.testing.assert_allclose(h, h_image, atol=1e-12)
 
 
 def tdde_on(p, grid):
     stat = dyson_static(p)
     ep = ep_state(p, grid)
-    return tdde_residual(p, ep, dyson_time(p, ep, stat), stat)
+    return tdde_residual(p, ep, dyson_time(p, ep, stat), transport_generator(p, ep), stat)
 
 
 def test_tdde_residual_trivial():
@@ -464,7 +514,8 @@ def test_vanishing_time_density_on_grid_matches_offset_neighbour():
         ep = ep_state(p, grid)
         static = dyson_static(p)
         eta = dyson_time(p, ep, static)
-        _, per_sample = tdde_residual(p, ep, eta, static, return_samples=True)
+        _, per_sample = tdde_residual(p, ep, eta, transport_generator(p, ep), static,
+                                      return_samples=True)
         out.append((ep.r, invariant_IH(p, ep), eta, per_sample))
     (r, inv, eta, tdde), (_, inv_off, eta_off, _) = out
     assert r[200] == 0.0
@@ -512,3 +563,34 @@ def test_point_transform_run_accumulates_tau_once_per_grid(tmp_path, monkeypatch
     assert report["all_pass"]
     assert calls == [PT_CFG["grid"]["steps"], 1], calls
 
+
+
+def test_point_transform_run_builds_the_transport_generator_once(tmp_path, monkeypatch):
+    # K = T^-1 dT/dt feeds both the invariant's rate and the Dyson equation
+    calls = []
+    build = pt.transport_generator
+
+    def counted(p, ep):
+        calls.append(ep.t.size)
+        return build(p, ep)
+
+    monkeypatch.setattr(pt, "transport_generator", counted)
+    monkeypatch.setattr(cli, "transport_generator", counted)
+    report = run_scenario(PT_CFG, str(tmp_path))
+    assert report["all_pass"]
+    assert calls == [PT_CFG["grid"]["steps"]], calls
+
+
+def test_sigma_rate_fault_fails_only_the_first_integral(tmp_path, monkeypatch):
+    # every exact rate holds for any sigma', so of all rows only the
+    # Ermakov first integral sees sigma' scaled by 1 + 1e-6
+    def faulty(p, t):
+        ep = ep_state(p, t)
+        return dataclasses.replace(ep, sigma_tau=ep.sigma_tau * (1.0 + 1e-6))
+
+    monkeypatch.setattr(cli, "ep_state", faulty)
+    config = os.path.join(SCENARIOS, "point_transform_core.json")
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [r["name"] for r in report["checks"] if r["status"] == "fail"] \
+        == ["ermakov_first_integral"]
