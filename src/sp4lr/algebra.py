@@ -31,7 +31,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ProjectionLeak
-from .numerics import PROJ_TOL, expm, frobenius
+from .numerics import PROJ_TOL, frobenius
 
 __all__ = [
     "GeneratorId",
@@ -276,18 +276,19 @@ def symplectic_inverse(g) -> np.ndarray:
     return np.swapaxes(np.asarray(g)[..., _SWAP[:, None], _SWAP], -1, -2) * np.outer(_SIGNS, _SIGNS)
 
 
-def conjugate_by(g, e, proj_tol: float = PROJ_TOL) -> np.ndarray:
+def conjugate_by(g, e) -> np.ndarray:
     """Adjoint action g e g^-1 of a group element g in Sp(4, C).
 
     ``g`` is a 4x4 matrix or a stack (N, 4, 4) paired with one element
     or with one element per sample; g^-1 is :func:`symplectic_inverse`.
     Raises :class:`ProjectionLeak` if the result does not project back
-    onto the algebra within ``proj_tol`` (signals a non-symplectic ``g``
-    or a numerical defect; the adjoint action itself preserves the span).
+    onto the algebra within ``PROJ_TOL``, read at call time (signals a
+    non-symplectic ``g`` or a numerical defect; the adjoint action itself
+    preserves the span).
     """
     coeffs, resid = from_matrix(g @ to_matrix(e) @ symplectic_inverse(g))
-    if np.max(resid) > proj_tol:
-        raise ProjectionLeak("conjugation residual %.3e exceeds %.3e" % (float(np.max(resid)), proj_tol))
+    if np.max(resid) > PROJ_TOL:
+        raise ProjectionLeak("conjugation residual %.3e exceeds %.3e" % (float(np.max(resid)), PROJ_TOL))
     return coeffs
 
 
@@ -300,20 +301,17 @@ def parity_matrix(convention: str = "reflection") -> np.ndarray:
         the PT sign table and satisfies P H P = H^dagger for the
         coupled-oscillator Hamiltonians; it is the default.
     ``two_j3``
-        The matrix 2*J3 (an involution, (2 J3)^2 = 1).
-    ``exp_j3``
-        exp(i pi J3); equals i times ``two_j3``, so its adjoint action
-        coincides with ``two_j3``.
+        The matrix 2*J3 (an involution, (2 J3)^2 = 1).  exp(i pi J3)
+        equals i times it, so conjugation by that group element acts
+        exactly as this convention does.
 
-    The three candidates do not all act alike; the cross-check report
+    The two conventions do not act alike; the cross-check report
     records their per-generator sign tables.
     """
     if convention == "reflection":
         return _PARITY_REFLECTION.copy()
     if convention == "two_j3":
         return 2.0 * matrix_of("J3")
-    if convention == "exp_j3":
-        return expm(1j * np.pi * matrix_of("J3"))
     raise ValueError("unknown parity convention %r" % convention)
 
 
@@ -322,11 +320,10 @@ def parity_action(e, convention: str = "reflection") -> np.ndarray:
 
     ``e`` is one element (10,) or a stack (..., 10); raises
     :class:`ProjectionLeak` if an image leaves the span by more than
-    ``PROJ_TOL``.
+    ``PROJ_TOL``.  Every convention is an involution, so P^-1 = P.
     """
     p = parity_matrix(convention)
-    pinv = np.linalg.inv(p)
-    coeffs, resid = from_matrix(p @ to_matrix(e) @ pinv)
+    coeffs, resid = from_matrix(p @ to_matrix(e) @ p)
     if np.max(resid) > PROJ_TOL:
         raise ProjectionLeak("parity conjugation residual %.3e exceeds %.3e"
                              % (float(np.max(resid)), PROJ_TOL))

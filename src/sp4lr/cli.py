@@ -397,7 +397,7 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
 
 def _run_regime_map(cfg, grid, outdir, checks, artifacts):
     params = CoupledOscillatorParams(**cfg["params"])
-    evs = instantaneous_eigenvalues(params, grid, method="numeric")
+    evs = instantaneous_eigenvalues(params, grid)
     # spectrum symmetric about zero: eigenvalues come in +- pairs
     pairing = float(np.abs(np.sort_complex(evs) + np.sort_complex(-evs)[:, ::-1]).max())
     checks.add("eigenvalue_pairing", pairing, 1e-10)

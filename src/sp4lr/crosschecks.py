@@ -5,9 +5,10 @@ form (sign, factor or symbol-pairing variants).  This module evaluates
 each rejected candidate against the independent identity that
 adjudicates it -- the commutation table, the invariant equation, the
 canonical Ermakov-Pinney form, or the numeric spectrum -- and records
-both residuals side by side.  Nothing here is asserted; the records feed
-the scenario reports and the acceptance suite, which checks that the
-adopted forms pass while the variants are flagged.
+both residuals side by side.  Nothing here is asserted.  The
+point-transformation records feed the report of a point-transform run;
+those of :func:`standard_records` feed no report.  The test suite
+checks both sets: the adopted forms pass while the variants are flagged.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import algebra, point_transform as pt
 from .algebra import GeneratorId, generator_matrices
 from .hamiltonian import (CoupledOscillatorParams, build_H_coeffs, build_H_modified,
-                          instantaneous_eigenvalues)
+                          eigenvalue_formula, instantaneous_eigenvalues)
 from .lr_ode import ANSATZ_COMBINATIONS, coefficients_of_element, lr_residual
 from .point_transform import _elem
 
@@ -157,8 +158,8 @@ def ode_matrix_variant_records() -> list[DiscrepancyRecord]:
 
 def eigenvalue_formula_record(params: CoupledOscillatorParams, t: float = 0.3) -> DiscrepancyRecord:
     """Closed eigenvalue expression vs the numeric 4x4 spectrum."""
-    numeric = instantaneous_eigenvalues(params, t, method="numeric")
-    formula = instantaneous_eigenvalues(params, t, method="formula")
+    numeric = instantaneous_eigenvalues(params, t)
+    formula = eigenvalue_formula(params.a(t), params.omega_x(t) + params.omega_y(t), params.lam(t))
     return DiscrepancyRecord(
         name="eigenvalue_closed_form",
         adjudicator="numeric 4x4 eigensolver",
@@ -268,9 +269,9 @@ def ep_form_record(p: pt.PointTransformParams, ep: pt.EPState) -> DiscrepancyRec
     )
 
 
-def pushforward_row_records(p: pt.PointTransformParams, t: float = 0.7) -> list[DiscrepancyRecord]:
-    """Image table rows that differ from the congruence map (J3' and K1')."""
-    ep = pt.ep_state(p, np.atleast_1d(t))
+def pushforward_row_records(p: pt.PointTransformParams, ep: pt.EPState) -> list[DiscrepancyRecord]:
+    """Image table rows that differ from the congruence map (J3' and K1'),
+    at the one sample of the EP state ``ep``."""
     pm = pt.pushforward_map(p, ep)
     sig, sig1 = ep.sigma[0], ep.sigma_tau[0]
     mu, mu1 = ep.mu[0], ep.mu_tau[0]
@@ -337,5 +338,5 @@ def point_transform_records(p: pt.PointTransformParams, ep: pt.EPState, inv: np.
     """
     image, pairing = invariant_equation_records(p, ep, inv, inv_rate)
     recs = [image, ep_form_record(p, ep), pairing]
-    recs += pushforward_row_records(p, t=float(ep.t[len(ep.t) // 3]))
+    recs += pushforward_row_records(p, ep.take([len(ep.t) // 3]))
     return recs

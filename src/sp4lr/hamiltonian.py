@@ -22,6 +22,7 @@ from .profiles import ScalarProfile
 
 __all__ = [
     "CoupledOscillatorParams",
+    "REGIME_TOL",
     "Regime",
     "build_H_coeffs",
     "build_H_modified",
@@ -29,6 +30,8 @@ __all__ = [
     "eigenvalue_formula",
     "classify_regime",
 ]
+
+REGIME_TOL = 1e-9  # |Omega+^2 - 4 lam^2| at or below this is the exceptional point
 
 
 @dataclass(frozen=True)
@@ -43,19 +46,7 @@ class CoupledOscillatorParams:
     @classmethod
     def proportional(cls, alpha: float, lam: ScalarProfile) -> "CoupledOscillatorParams":
         """a = lam, omega_x = alpha*lam, omega_y = lam (commuting family)."""
-        if lam.kind == "constant":
-            ax = ScalarProfile.constant(alpha * lam.args["value"])
-        elif lam.kind == "sinusoid":
-            s = lam.args
-            if s["offset"] != 0.0:
-                ax = ScalarProfile.sinusoid(alpha * s["amp"], s["freq"], s["phase"], alpha * s["offset"])
-            else:
-                ax = ScalarProfile.sinusoid(alpha * s["amp"], s["freq"], s["phase"])
-        elif lam.kind == "polynomial":
-            ax = ScalarProfile.polynomial([alpha * c for c in lam.args["coeffs"]])
-        else:
-            ax = ScalarProfile.tabulated(lam.args["times"], [alpha * v for v in lam.args["values"]])
-        return cls(a=lam, omega_x=ax, omega_y=lam, lam=lam)
+        return cls(a=lam, omega_x=lam.scaled(alpha), omega_y=lam, lam=lam)
 
 
 class Regime(Enum):
@@ -118,32 +109,26 @@ def eigenvalue_formula(a, omega_plus, lam) -> np.ndarray:
     return _sort_real_imag(np.stack(eps, axis=-1))
 
 
-def instantaneous_eigenvalues(p: CoupledOscillatorParams, t,
-                              method: str = "numeric") -> np.ndarray:
+def instantaneous_eigenvalues(p: CoupledOscillatorParams, t) -> np.ndarray:
     """Four instantaneous eigenvalues, sorted by (real, imag).
 
     ``t`` is a scalar (shape (4,) result) or an array of times (shape
-    ``t.shape + (4,)``).  ``numeric`` diagonalizes the 4x4 matrix
-    representation with LAPACK through numpy, one batched call for the
-    whole grid (the trusted route); ``formula`` evaluates
-    :func:`eigenvalue_formula`.
+    ``t.shape + (4,)``).  The 4x4 matrix representation is diagonalized
+    with LAPACK through numpy, one batched call for the whole grid (the
+    trusted route; :func:`eigenvalue_formula` is the published closed form).
     """
-    if method == "numeric":
-        return eig4(to_matrix(build_H_coeffs(p, t)))
-    if method == "formula":
-        return eigenvalue_formula(p.a(t), p.omega_x(t) + p.omega_y(t), p.lam(t))
-    raise ValueError("method must be 'numeric' or 'formula'")
+    return eig4(to_matrix(build_H_coeffs(p, t)))
 
 
-def classify_regime(p: CoupledOscillatorParams, t, tol: float = 1e-9):
+def classify_regime(p: CoupledOscillatorParams, t):
     """Regime by the sign of the discriminant Omega+^2 - 4 lam^2.
 
-    Values within ``tol`` of zero classify as the exceptional point; the
-    boundary is measure-zero so callers get a configurable band.  A
-    scalar ``t`` gives a :class:`Regime`, an array of times an object
-    array of them with the shape of ``t``.
+    Values within ``REGIME_TOL`` of zero classify as the exceptional point:
+    the boundary is measure-zero, so it gets a band.  A scalar ``t``
+    gives a :class:`Regime`, an array of times an object array of them
+    with the shape of ``t``.
     """
     disc = (p.omega_x(t) + p.omega_y(t)) ** 2 - 4.0 * p.lam(t) ** 2
     regimes = np.array([Regime.PT_SYMMETRIC, Regime.EXCEPTIONAL_POINT,
                         Regime.SPONTANEOUSLY_BROKEN], dtype=object)
-    return regimes[np.where(np.abs(disc) <= tol, 1, np.where(disc > 0, 0, 2))]
+    return regimes[np.where(np.abs(disc) <= REGIME_TOL, 1, np.where(disc > 0, 0, 2))]

@@ -37,6 +37,8 @@ from .profiles import ScalarProfile
 __all__ = [
     "ANSATZ_COMBINATIONS",
     "COMM_TOL",
+    "MAX_HALVINGS",
+    "STEP_TOL",
     "ClosedFormParams",
     "assemble_invariant",
     "coefficients_of_element",
@@ -86,6 +88,9 @@ def coefficients_of_element(e) -> np.ndarray:
 # bound on the relative commutativity probe: about 4500 eps, far below
 # the O(0.1)-O(1) reading of a generic drive
 COMM_TOL = 1e-12
+STEP_TOL = 1e-11  # Frobenius gap at which two refinements of an interval agree
+MAX_HALVINGS = 12  # refinements of one interval before StepNotConverged
+CHI_TOL = 1e-12  # |chi_plus| below which the involution constraints are undefined
 
 
 def _commutativity_probe(p, grid) -> float:
@@ -160,41 +165,38 @@ def _not_converged(why, t0, worst, delta):
                             % (why, t0[worst[k]], delta[k]))
 
 
-def _refined_propagators(p, t, step_tol: float, max_halvings: int) -> np.ndarray:
-    """Interval propagators, each halved until two refinements agree below step_tol."""
-    if not step_tol > 0:
-        raise ValueError("step_tol must be positive")
+def _refined_propagators(p, t) -> np.ndarray:
+    """Interval propagators, each halved until two refinements agree below ``STEP_TOL``."""
     t0, h = t[:-1], np.diff(t)
     props = _magnus_propagators(p, t0, h, 1)
     active = np.arange(h.size)  # intervals still being refined
     last = np.full(h.size, np.inf)  # their delta one halving earlier
     n = 1
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         n *= 2
         finer = _magnus_propagators(p, t0[active], h[active], n)
         delta = frobenius(finer - props[active])
         props[active] = finer
-        open_ = delta >= step_tol
-        # delta falls 16x per halving (4th order), so step_tol takes about
-        # n (delta / step_tol)^(1/4) substeps, each adding about one rounding
+        open_ = delta >= STEP_TOL
+        # delta falls 16x per halving (4th order), so STEP_TOL takes about
+        # n (delta / STEP_TOL)^(1/4) substeps, each adding about one rounding
         # unit of the propagator to the delta: refuse at once where that
-        # floor lies above step_tol, or where delta has stopped falling
-        floor = n * (delta / step_tol) ** 0.25 * _EPS * frobenius(finer)
-        stuck = open_ & ((delta >= last[active]) | (floor >= step_tol))
+        # floor lies above STEP_TOL, or where delta has stopped falling
+        floor = n * (delta / STEP_TOL) ** 0.25 * _EPS * frobenius(finer)
+        stuck = open_ & ((delta >= last[active]) | (floor >= STEP_TOL))
         if np.any(stuck):
             raise _not_converged("refinement cannot reach %.1e above the rounding floor"
-                                 % step_tol, t0, active[stuck], delta[stuck])
+                                 % STEP_TOL, t0, active[stuck], delta[stuck])
         last[active] = delta
         active = active[open_]
         if active.size == 0:
             return props
     raise _not_converged("interval refinement stalled above %.1e after %d halvings"
-                         % (step_tol, max_halvings), t0, active, last[active])
+                         % (STEP_TOL, MAX_HALVINGS), t0, active, last[active])
 
 
 def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
-           step_tol: float = 1e-11,
-           substeps: int | None = None, max_halvings: int = 12) -> np.ndarray:
+           substeps: int | None = None) -> np.ndarray:
     """Propagate the coefficient vector over ``grid``; returns shape (N, 10).
 
     ``to_matrix`` is a Lie-algebra homomorphism, so the invariant is
@@ -207,14 +209,15 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
         U is the product of per-interval propagators, each a product of
         4th-order two-point Gauss-Legendre Magnus steps.  With
         ``substeps`` None, every interval starts with one substep and the
-        intervals whose two last refinements still differ by ``step_tol``
+        intervals whose two last refinements still differ by ``STEP_TOL``
         or more (Frobenius norm) are halved again; converged intervals
         are kept.  StepNotConverged, naming the worst interval and its
-        delta, is raised when the ``max_halvings`` cap is hit, when an
+        delta, is raised after ``MAX_HALVINGS`` halvings, when an
         interval's delta stops falling between halvings, or as soon as
-        the 4th-order rate puts ``step_tol`` below the rounding floor of
-        the substeps it would take.  A fixed ``substeps`` disables the
-        adaptivity (used for order-of-convergence studies).
+        the 4th-order rate puts ``STEP_TOL`` below the rounding floor of
+        the substeps it would take (both constants are read at call
+        time).  A fixed ``substeps`` disables the adaptivity (used for
+        order-of-convergence studies).
     ``commuting``
         U(t) = expm(-i int_{t0}^t H ds), valid when H commutes with itself
         across times; a sampled commutativity probe of H guards the
@@ -235,7 +238,7 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
         if substeps is not None:
             props = _magnus_propagators(p, t[:-1], np.diff(t), substeps)
         else:
-            props = _refined_propagators(p, t, step_tol, max_halvings)
+            props = _refined_propagators(p, t)
         u = _prefix_products(props)
     else:
         raise ValueError("mode must be 'time_ordered' or 'commuting'")
@@ -346,7 +349,7 @@ def closed_form_rate_on_grid(params: ClosedFormParams, grid) -> np.ndarray:
     return params.lam(t)[:, None] * dc
 
 
-def involution_residuals(c, tol: float = 1e-12):
+def involution_residuals(c):
     """Residuals (r1, r2, r7, r10) of the involution constraints.
 
     Each residual is the constraint expression minus the coefficient it
@@ -361,7 +364,7 @@ def involution_residuals(c, tol: float = 1e-12):
     c9, c10 = c[..., 8], c[..., 9]
     chi_p = c3 * c4 + c5 * c6
     chi_m = c3 * c4 - c5 * c6
-    if np.any(np.abs(chi_p) < tol):
+    if np.any(np.abs(chi_p) < CHI_TOL):
         raise ChiPlusZero("chi_plus vanishes; constraints undefined")
     # (c3*c4 - 1) is exact near the seed (Sterbenz); keep it grouped
     arg = 4.0 * c8 * c9 + (c3 * c4 - 1.0) + c5 * c6

@@ -21,6 +21,7 @@ __all__ = [
     "EXPM_TOL",
     "PROJ_TOL",
     "QUAD_TOL",
+    "TIE_TOL",
     "expm",
     "eig4",
     "cumulative_simpson",
@@ -32,6 +33,7 @@ __all__ = [
 EXPM_TOL = 1e-13  # truncation bound of expm's Taylor series
 PROJ_TOL = 1e-10  # projection residual allowed when a matrix is read back into the algebra
 QUAD_TOL = 1e-10  # per-interval error bound of the Simpson quadrature
+TIE_TOL = 1e-12  # relative gap below which the eigenvalue sort treats real parts as tied
 
 _EXPM_THETA = 0.5  # each matrix is scaled until its 1-norm is at most this
 
@@ -108,10 +110,10 @@ def _taylor_block(powers, coef, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _sort_real_imag(vals, rel_tol: float = 1e-12) -> np.ndarray:
+def _sort_real_imag(vals) -> np.ndarray:
     """Sort along the last axis by (real, imag), real parts compared with a tolerance.
 
-    Real parts within ``rel_tol * max|vals|`` of the row of their sorted
+    Real parts within ``TIE_TOL * max|vals|`` of the row of their sorted
     neighbour count as equal, and such a run is ordered by imag.  A
     complex-conjugate pair, whose real parts tie only up to rounding,
     thus always lists its negative-imag member first, whatever the last
@@ -123,7 +125,7 @@ def _sort_real_imag(vals, rel_tol: float = 1e-12) -> np.ndarray:
     re = vals.real
     by_re = np.argsort(re, axis=-1, kind="stable")
     re_sorted = np.take_along_axis(re, by_re, axis=-1)
-    tol = rel_tol * np.abs(vals).max(axis=-1, keepdims=True)
+    tol = TIE_TOL * np.abs(vals).max(axis=-1, keepdims=True)
     jumps = np.diff(re_sorted, axis=-1) > tol
     runs_sorted = np.concatenate(
         [np.zeros(jumps.shape[:-1] + (1,), dtype=int), np.cumsum(jumps, axis=-1)], axis=-1)

@@ -57,7 +57,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .algebra import GeneratorId, conjugate_by, from_matrix, symplectic_inverse, to_matrix
-from .errors import ArctanhDomain, ConfigInvalid, EqualFrequencies, ProjectionLeak
+from .errors import ArctanhDomain, ConfigInvalid, EqualFrequencies
 from .hamiltonian import build_H_modified
 from .profiles import ScalarProfile
 
@@ -345,7 +345,7 @@ class DysonStatic:
     constraint_residual: float
 
 
-def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
+def dyson_static(p: PointTransformParams) -> DysonStatic:
     """Static map eta = exp X, X = kappa1 (Q3-J2) + kappa2 (Q3+J2), and its h0.
 
     kappa1 = (1/2) sqrt(alpha/beta) artanh(2 sqrt(alpha beta) Lambda /
@@ -357,16 +357,18 @@ def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
     2 Lambda cos(2s) = (alpha +- beta)(kappa1 +- kappa2) sin(2s)/s with
     s = sqrt(kappa1 kappa2) = i w, which ``constraint_residual`` measures.
 
-    The Hermitian counterpart h0 is produced by the adjoint action and
-    must agree with its closed expansion in
+    The Hermitian counterpart h0 is the closed expansion in
     Delta = sign(alpha^2-beta^2) sqrt((alpha^2-beta^2)^2 - 4 alpha beta Lambda^2),
     the root that tends to alpha^2-beta^2 as Lambda -> 0 (negative for
-    alpha < beta).
+    alpha < beta).  ``check_residual`` is the distance of the adjoint
+    action eta H0 eta^-1 from it.  It is measured here and judged by
+    the ``static_map_postcondition`` row of a point-transform report,
+    not raised on.  h0 is real, so that distance also bounds the
+    imaginary part of the adjoint image.
 
     A negative radicand would make Delta complex, but that condition is
     algebraically identical to the artanh argument leaving (-1, 1), so
-    such parameter sets raise ArctanhDomain before Delta is formed, and
-    the real-coefficient postcondition on h0 always applies.  The
+    such parameter sets raise ArctanhDomain before Delta is formed.  The
     denominator alpha^2 - beta^2 is nonzero: :class:`PointTransformParams`
     rejects alpha = +-beta with nonzero coupling.
     """
@@ -402,10 +404,6 @@ def dyson_static(p: PointTransformParams, tol: float = 1e-10) -> DysonStatic:
     h0_closed = (_elem({_G.J3: 1}) * c_j3 + _elem({_G.J0: 1}) * c_j0
                  + pref * ((a_ + b_) * _elem({_G.K1: 1}) - (a_ - b_) * _elem({_G.Q2: 1})))
     resid = float(np.abs(h0_conj - h0_closed).max())
-    imag_leak = float(np.abs(h0_conj.imag).max())
-    if max(resid, imag_leak) > tol:
-        raise ProjectionLeak(
-            "static-map postcondition failed: residual %.3e, imag %.3e" % (resid, imag_leak))
     return DysonStatic(float(k1), float(k2), exponent, eta, h0_closed, delta, resid,
                        float(constraint))
 

@@ -148,6 +148,14 @@ class ScalarProfile:
     def to_config(self):
         return {"kind": self.kind, **self.args}
 
+    def scaled(self, factor: float) -> "ScalarProfile":
+        """factor * self, of the same kind: the fields it is linear in are multiplied."""
+        linear = {"constant": ("value",), "sinusoid": ("amp", "offset"),
+                  "polynomial": ("coeffs",), "tabulated": ("values",)}[self.kind]
+        args = {name: np.multiply(factor, v).tolist() if name in linear else v
+                for name, v in self.args.items()}
+        return ScalarProfile(self.kind, **args)
+
     # -- evaluation --------------------------------------------------
     def _check_domain(self, t):
         if self.kind != "tabulated":

@@ -87,7 +87,7 @@ def test_target_assignment_variant_flagged():
 
 
 def test_pushforward_row_records():
-    recs = pushforward_row_records(P, t=0.7)
+    recs = pushforward_row_records(P, ep_state(P, [0.7]))
     by_name = {r.name: r for r in recs}
     assert by_name["image_row_j3"].adopted_residual < 1e-12
     assert by_name["image_row_j3"].variant_flagged

@@ -31,6 +31,10 @@ GRID = np.linspace(0.0, 6.0, 121)
 _PERMS = np.array(list(itertools.permutations(range(4))))
 
 
+def formula_eigenvalues(p, t):
+    return eigenvalue_formula(p.a(t), p.omega_x(t) + p.omega_y(t), p.lam(t))
+
+
 def random_params(rng):
     """Time-dependent profiles whose lam sweeps through the PT-broken edge."""
     a, wx, wy, lam = rng.uniform(0.2, 3.0, size=4)
@@ -195,7 +199,7 @@ def test_classify_regime_on_grid_equals_per_time():
 
 def test_numeric_matches_dense_oracle():
     p = const_params(0.9, 1.7, 0.6, 0.3)
-    got = instantaneous_eigenvalues(p, 0.0, method="numeric")
+    got = instantaneous_eigenvalues(p, 0.0)
     want = np.linalg.eigvals(to_matrix(build_H_coeffs(p, 0.0)))
     want = want[np.lexsort((want.imag, want.real))]
     np.testing.assert_allclose(got, want, atol=1e-10)
@@ -210,16 +214,16 @@ def test_instantaneous_eigenvalues_batched_equals_scalar():
         assert batched.shape == (GRID.size, 4)
         stacked = np.stack([instantaneous_eigenvalues(p, t) for t in GRID])
         np.testing.assert_allclose(batched, stacked, rtol=0, atol=1e-12)
-        formula = instantaneous_eigenvalues(p, GRID, method="formula")
+        formula = formula_eigenvalues(p, GRID)
         np.testing.assert_array_equal(
-            formula, np.stack([instantaneous_eigenvalues(p, t, method="formula") for t in GRID]))
+            formula, np.stack([formula_eigenvalues(p, t) for t in GRID]))
 
 
 def test_instantaneous_eigenvalues_sorted_by_real_imag():
     for _ in range(10):
         p = random_params(RNG)
-        for method in ("numeric", "formula"):
-            vals = instantaneous_eigenvalues(p, GRID, method=method)
+        for spectrum in (instantaneous_eigenvalues, formula_eigenvalues):
+            vals = spectrum(p, GRID)
             dre, dim = np.diff(vals.real, axis=-1), np.diff(vals.imag, axis=-1)
             # real parts within the tie tolerance count as equal (a run of
             # up to four) and are ordered by imag

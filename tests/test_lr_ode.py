@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+import sp4lr.lr_ode as lr_ode
 from sp4lr.algebra import GeneratorId, to_matrix
 from sp4lr.crosschecks import ode_matrix
 from sp4lr.errors import ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, StepNotConverged
@@ -217,10 +218,11 @@ def test_driven_evolve_keeps_involution(driven_traj):
     assert np.abs(np.linalg.det(m) - 1.0).max() < 1e-10
 
 
-def test_driven_evolve_below_rounding_floor_fails_fast():
+def test_driven_evolve_below_rounding_floor_fails_fast(monkeypatch):
+    monkeypatch.setattr(lr_ode, "STEP_TOL", 1e-16)
     start = time.perf_counter()
     with pytest.raises(StepNotConverged, match=r"t = [0-9.]+ with delta"):
-        evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered", step_tol=1e-16)
+        evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered")
     assert time.perf_counter() - start < 2.0
 
 
@@ -418,21 +420,13 @@ def test_lr_residual_grid_too_coarse():
         lr_residual(np.zeros((4, 10)), np.zeros((4, 10)), np.linspace(0, 1, 4))
 
 
-def test_step_not_converged():
-    from sp4lr.errors import StepNotConverged
-
+def test_step_not_converged(monkeypatch):
+    monkeypatch.setattr(lr_ode, "STEP_TOL", 1e-16)
+    monkeypatch.setattr(lr_ode, "MAX_HALVINGS", 2)
     p = CoupledOscillatorParams(
         a=ScalarProfile.sinusoid(0.5, 3.0, 0.0, 1.0),
         omega_x=ScalarProfile.sinusoid(0.4, 2.0, 0.3, 1.3),
         omega_y=ScalarProfile.constant(0.9),
         lam=ScalarProfile.sinusoid(0.3, 1.5, 0.0, 0.7))
     with pytest.raises(StepNotConverged):
-        evolve(C0, np.linspace(0.0, 1.0, 6), p, mode="time_ordered",
-               step_tol=1e-16, max_halvings=2)
-
-
-@pytest.mark.parametrize("step_tol", [0.0, -1e-11, float("nan")])
-def test_evolve_rejects_step_tol_that_cannot_be_met(step_tol):
-    with pytest.raises(ValueError, match="step_tol"):
-        evolve(C0, np.linspace(0.0, 1.0, 11), const_params(0.7, 1.3, 0.9, 0.4),
-               mode="time_ordered", step_tol=step_tol)
+        evolve(C0, np.linspace(0.0, 1.0, 6), p, mode="time_ordered")

@@ -561,7 +561,7 @@ def test_point_transform_run_accumulates_tau_once_per_grid(tmp_path, monkeypatch
     monkeypatch.setattr(ScalarProfile, "antiderivative", counted)
     report = run_scenario(PT_CFG, str(tmp_path))
     assert report["all_pass"]
-    assert calls == [PT_CFG["grid"]["steps"], 1], calls
+    assert calls == [PT_CFG["grid"]["steps"]], calls
 
 
 
@@ -594,3 +594,17 @@ def test_sigma_rate_fault_fails_only_the_first_integral(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "report.json").read_text())
     assert [r["name"] for r in report["checks"] if r["status"] == "fail"] \
         == ["ermakov_first_integral"]
+
+
+def test_static_map_fault_fails_the_postcondition_row(tmp_path, monkeypatch):
+    # eta0 H0 eta0^-1 misses the closed h0 when H0 carries a coupling off
+    # by 1 + 1e-6; the report row, not an exception, must say so
+    def faulty(p):
+        return build_H_modified(p.alpha, p.beta, p.coupling * (1.0 + 1e-6))
+
+    monkeypatch.setattr(pt, "reference_H0", faulty)
+    config = os.path.join(SCENARIOS, "point_transform_core.json")
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    status = {r["name"]: r["status"] for r in report["checks"]}
+    assert status["static_map_postcondition"] == "fail"

@@ -112,3 +112,19 @@ def test_from_config_fills_defaults():
 def test_from_config_strict_names_field(cfg, field):
     with pytest.raises(ValueError, match=r"^%s: " % field.replace("[", r"\[").replace("]", r"\]")):
         ScalarProfile.from_config(cfg)
+
+
+@pytest.mark.parametrize("profile", [
+    ScalarProfile.constant(2.5),
+    ScalarProfile.sinusoid(0.7, 3.0, 0.4, 1.2),
+    ScalarProfile.polynomial([1.0, -2.0, 3.0]),
+    ScalarProfile.tabulated([0.0, 1.0, 3.0], [1.0, 3.0, -1.0]),
+], ids=["constant", "sinusoid", "polynomial", "tabulated"])
+def test_scaled_profile_is_the_multiple(profile):
+    alpha = -1.7
+    scaled = profile.scaled(alpha)
+    assert scaled.kind == profile.kind
+    t = np.array([1.7, 0.2, 2.9, 0.0, 1.0, 0.6])
+    np.testing.assert_allclose(scaled(t), alpha * profile(t), rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(scaled.antiderivative(t, 0.6), alpha * profile.antiderivative(t, 0.6),
+                               rtol=1e-15, atol=1e-15)
