@@ -254,7 +254,7 @@ def _run_algebra_check(cfg, grid, outdir, checks, artifacts):
         h = build_H_coeffs(p, 0.0)
         worst = max(worst, float(np.abs(parity_action(h) - adjoint(h)).max()))
     checks.add("parity_equals_adjoint", worst, 1e-12)
-    return {}
+    return {"known_discrepancies": [r.to_dict() for r in crosschecks.standard_records()]}
 
 
 def _lr_artifacts(grid, traj, params, outdir, stem, artifacts, rate=None):

@@ -6,9 +6,10 @@ each rejected candidate against the independent identity that
 adjudicates it -- the commutation table, the invariant equation, the
 canonical Ermakov-Pinney form, or the numeric spectrum -- and records
 both residuals side by side.  Nothing here is asserted.  The
-point-transformation records feed the report of a point-transform run;
-those of :func:`standard_records` feed no report.  The test suite
-checks both sets: the adopted forms pass while the variants are flagged.
+point-transformation records feed the report of a point-transform run,
+those of :func:`standard_records` the report of an algebra-check run,
+each under ``known_discrepancies``.  The test suite checks both sets:
+the adopted forms pass while the variants are flagged.
 """
 
 from __future__ import annotations

@@ -12,14 +12,17 @@ entries, for the adjudication report.
 The solvers do not integrate that 10-dimensional system.  ``to_matrix``
 is a Lie-algebra homomorphism, so I(t) = U I(0) U^-1 with the 4x4
 propagator  dU/dt = -i H(t) U,  and conjugation keeps I^2 = 1 and
-det I = 1 by construction.  U comes from 4th-order two-point
-Gauss-Legendre Magnus steps, refined per interval (time-ordered), or
-from the exponential of the exact integral of H (commuting
-families).  Each Magnus exponent is formed from the coefficients of H
-at the two nodes through the bracket and mapped by ``to_matrix`` once,
-so the only 4x4 products are those of ``expm`` and of the ordered
-product of the steps.  The closed form covers the proportional
-profiles a = lam, omega_x = alpha*lam, omega_y = lam.
+det I = 1 by construction.  U comes from one 6th-order three-node
+Gauss-Legendre Magnus step per interval (time-ordered), whose gap to
+the 4th-order two-node exponent is the error estimate that decides
+which intervals are split into substeps, or from the exponential of
+the exact integral of H (commuting families), split at anchors so that
+no large-norm stack is scaled and squared.  Each Magnus exponent is
+formed from the coefficients of H at the nodes through the bracket and
+mapped by ``to_matrix`` once, so the only 4x4 products are those of
+``expm`` and of the ordered product of the steps.  The closed form
+covers the proportional profiles a = lam, omega_x = alpha*lam,
+omega_y = lam.
 """
 
 from __future__ import annotations
@@ -111,8 +114,11 @@ def _commutativity_probe(p, grid) -> float:
 
 
 _EPS = np.finfo(float).eps
-# two-point Gauss-Legendre nodes on the unit interval
-_GL_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+# Gauss-Legendre nodes on the unit interval: three for the 6th-order
+# step, then two for the 4th-order exponent of its error estimate
+_GL_NODES = 0.5 + np.array([-np.sqrt(15.0) / 10.0, 0.0, np.sqrt(15.0) / 10.0,
+                            -np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
+_ANCHOR_STRIDE = 32  # samples per anchor of the split commuting exponential
 
 
 def _ordered_product(steps) -> np.ndarray:
@@ -125,23 +131,45 @@ def _ordered_product(steps) -> np.ndarray:
     return steps[..., 0, :, :]
 
 
-def _magnus_propagators(p, t0, h, n: int) -> np.ndarray:
-    """4x4 propagators of the intervals [t0, t0 + h], each split into ``n``
-    two-point Gauss-Legendre Magnus substeps; one ``expm`` for the stack.
+def _magnus_exponents(p, t0, h, n: int):
+    """6th- and 4th-order Magnus exponents, in coefficients, of the ``n``
+    substeps that split each interval [t0, t0 + h]; shape (m, n, 10) each.
 
-    With A = -i H(t) at the nodes t1 < t2 of a substep of length s,
-    Omega = (s/2)(A1 + A2) + (sqrt(3) s^2 / 12)[A2, A1] (4th order).
-    Omega is formed from the coefficients h1, h2 of H(t1), H(t2) and
-    mapped once by ``to_matrix``: the map is a homomorphism, so
-    [A2, A1] = -M([h2, h1]) and
-    Omega = M(-(i s/2)(h1 + h2) - (sqrt(3) s^2 / 12)[h2, h1]) exactly.
+    With A = -i H at the three Gauss-Legendre nodes of a substep of
+    length s (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151, §4),
+    alpha1 = s A2, alpha2 = (sqrt(15)/3) s (A3 - A1),
+    alpha3 = (10/3) s (A3 - 2 A2 + A1), C1 = [alpha1, alpha2],
+    C2 = -(1/60)[alpha1, 2 alpha3 + C1] and
+    Omega6 = alpha1 + alpha3/12 + (1/240)[-20 alpha1 - alpha3 + C1, alpha2 + C2].
+    Omega4 = (s/2)(B1 + B2) + (sqrt(3) s^2 / 12)[B2, B1] takes B = -i H at
+    the two nodes of the 4th-order rule, so that Omega6 - Omega4 sees
+    quadrature error even where every bracket vanishes.  ``to_matrix``
+    is a homomorphism, so each exponent equals its matrix form with
+    matrix commutators.
     """
     s = (h / n)[:, None, None]
     nodes = t0[:, None, None] + (np.arange(n)[:, None] + _GL_NODES) * s
-    hc = build_H_coeffs(p, nodes)
-    h1, h2 = hc[..., 0, :], hc[..., 1, :]
-    omega = -0.5j * s * (h1 + h2) - (np.sqrt(3.0) / 12.0) * s**2 * commutator(h2, h1)
-    return _ordered_product(expm(to_matrix(omega)))
+    sa = (-1j * s)[..., None] * build_H_coeffs(p, nodes)
+    a1, a2, a3, b1, b2 = np.moveaxis(sa, -2, 0)  # s A and s B at the nodes
+    alpha1 = a2
+    alpha2 = (np.sqrt(15.0) / 3.0) * (a3 - a1)
+    alpha3 = (10.0 / 3.0) * (a3 - 2.0 * a2 + a1)
+    c1 = commutator(alpha1, alpha2)
+    c2 = (-1.0 / 60.0) * commutator(alpha1, 2.0 * alpha3 + c1)
+    omega6 = (alpha1 + alpha3 / 12.0
+              + commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0)
+    omega4 = 0.5 * (b1 + b2) + (np.sqrt(3.0) / 12.0) * commutator(b2, b1)
+    return omega6, omega4
+
+
+def _magnus_propagators(p, t0, h, n: int):
+    """4x4 propagators of the intervals [t0, t0 + h], each the ordered
+    product of ``n`` 6th-order Magnus substeps, one ``expm`` for the stack,
+    and each interval's error estimate: the sum over its substeps of
+    ||to_matrix(Omega6 - Omega4)||_F, which costs no ``expm``."""
+    omega6, omega4 = _magnus_exponents(p, t0, h, n)
+    delta = frobenius(to_matrix(omega6 - omega4)).sum(axis=-1)
+    return _ordered_product(expm(to_matrix(omega6))), delta
 
 
 def _prefix_products(props) -> np.ndarray:
@@ -166,33 +194,49 @@ def _not_converged(why, t0, worst, delta):
 
 
 def _refined_propagators(p, t) -> np.ndarray:
-    """Interval propagators, each halved until two refinements agree below ``STEP_TOL``."""
+    """Interval propagators of one 6th-order step each; the intervals whose
+    error estimate is ``STEP_TOL`` or more are split into twice as many
+    substeps and taken again."""
     t0, h = t[:-1], np.diff(t)
-    props = _magnus_propagators(p, t0, h, 1)
+    props = np.empty((h.size, 4, 4), dtype=complex)
     active = np.arange(h.size)  # intervals still being refined
-    last = np.full(h.size, np.inf)  # their delta one halving earlier
+    last = np.full(h.size, np.inf)  # their delta at half as many substeps
     n = 1
-    for _ in range(MAX_HALVINGS):
-        n *= 2
-        finer = _magnus_propagators(p, t0[active], h[active], n)
-        delta = frobenius(finer - props[active])
-        props[active] = finer
+    for _ in range(MAX_HALVINGS + 1):
+        props[active], delta = _magnus_propagators(p, t0[active], h[active], n)
         open_ = delta >= STEP_TOL
-        # delta falls 16x per halving (4th order), so STEP_TOL takes about
-        # n (delta / STEP_TOL)^(1/4) substeps, each adding about one rounding
-        # unit of the propagator to the delta: refuse at once where that
-        # floor lies above STEP_TOL, or where delta has stopped falling
-        floor = n * (delta / STEP_TOL) ** 0.25 * _EPS * frobenius(finer)
-        stuck = open_ & ((delta >= last[active]) | (floor >= STEP_TOL))
+        active, delta = active[open_], delta[open_]
+        if active.size == 0:
+            return props
+        # the estimate falls 16x per halving (n substeps of local gap
+        # O(s^5) sum to O(h^5 / n^4); the step's own error falls 64x),
+        # so STEP_TOL takes about n (delta / STEP_TOL)^(1/4)
+        # substeps, each adding about one rounding unit of the propagator:
+        # refuse at once where that floor lies above STEP_TOL, or where
+        # delta has stopped falling
+        floor = n * (delta / STEP_TOL) ** 0.25 * _EPS * frobenius(props[active])
+        stuck = (delta >= last[active]) | (floor >= STEP_TOL)
         if np.any(stuck):
             raise _not_converged("refinement cannot reach %.1e above the rounding floor"
                                  % STEP_TOL, t0, active[stuck], delta[stuck])
         last[active] = delta
-        active = active[open_]
-        if active.size == 0:
-            return props
+        n *= 2
     raise _not_converged("interval refinement stalled above %.1e after %d halvings"
                          % (STEP_TOL, MAX_HALVINGS), t0, active, last[active])
+
+
+def _commuting_propagators(p, t) -> np.ndarray:
+    """U_k = expm(-i M(Theta_k)) with Theta_k = int_{t0}^{t_k} H, split at
+    every ``_ANCHOR_STRIDE``-th sample a into expm(-i M(Theta_k - Theta_a))
+    expm(-i M(Theta_a)), exact when H commutes across times.  Only the
+    anchors' stack carries the norm of the whole integral; the full stack
+    carries that of at most ``_ANCHOR_STRIDE`` - 1 intervals, so it is
+    neither scaled nor squared by the largest norm."""
+    theta = to_matrix(_h_coeffs(*(f.antiderivative(t, t[0])
+                                  for f in (p.a, p.omega_x, p.omega_y, p.lam))))
+    k = np.arange(t.size) // _ANCHOR_STRIDE  # the anchor of each sample
+    anchors = theta[::_ANCHOR_STRIDE]
+    return expm(-1j * (theta - anchors[k])) @ expm(-1j * anchors)[k]
 
 
 def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
@@ -206,37 +250,40 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
     the result leaves the algebra).
 
     ``time_ordered``
-        U is the product of per-interval propagators, each a product of
-        4th-order two-point Gauss-Legendre Magnus steps.  With
-        ``substeps`` None, every interval starts with one substep and the
-        intervals whose two last refinements still differ by ``STEP_TOL``
-        or more (Frobenius norm) are halved again; converged intervals
-        are kept.  StepNotConverged, naming the worst interval and its
-        delta, is raised after ``MAX_HALVINGS`` halvings, when an
+        U is the product of per-interval propagators, each one 6th-order
+        three-node Gauss-Legendre Magnus step, one ``expm`` per interval.
+        With ``substeps`` None, the error estimate of each interval, the
+        Frobenius norm of the gap between its 6th-order exponent and the
+        4th-order two-node one, summed over its substeps, is compared with
+        ``STEP_TOL``; the intervals at or above it are split into twice
+        as many substeps and taken again, the others are kept.
+        StepNotConverged, naming the worst interval and its estimate
+        (delta), is raised after ``MAX_HALVINGS`` halvings, when an
         interval's delta stops falling between halvings, or as soon as
-        the 4th-order rate puts ``STEP_TOL`` below the rounding floor of
-        the substeps it would take (both constants are read at call
-        time).  A fixed ``substeps`` disables the adaptivity (used for
-        order-of-convergence studies).
+        the estimate's rate (16x per halving) puts ``STEP_TOL`` below the
+        rounding floor of the substeps it would take (both constants are
+        read at call time).  A fixed ``substeps``, an int of at least 1,
+        disables the adaptivity (used for order-of-convergence studies).
     ``commuting``
         U(t) = expm(-i int_{t0}^t H ds), valid when H commutes with itself
-        across times; a sampled commutativity probe of H guards the
+        across times, taken split at an anchor every ``_ANCHOR_STRIDE``
+        samples; a sampled commutativity probe of H guards the
         assumption (NonCommuting when it exceeds ``COMM_TOL``).
     """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
         raise ValueError("grid must be 1-d and strictly increasing")
+    if substeps is not None and not (isinstance(substeps, (int, np.integer)) and substeps >= 1):
+        raise ValueError("substeps must be an int >= 1 or None, got %r" % (substeps,))
     c0 = np.asarray(c0, dtype=complex)
 
     if mode == "commuting":
         if _commutativity_probe(p, t) > COMM_TOL:
             raise NonCommuting("sampled |[H(t), H(t')]| / max|H|^2 exceeds %.1e" % COMM_TOL)
-        integral = _h_coeffs(*(f.antiderivative(t, t[0])
-                               for f in (p.a, p.omega_x, p.omega_y, p.lam)))
-        u = expm(-1j * to_matrix(integral))
+        u = _commuting_propagators(p, t)
     elif mode == "time_ordered":
         if substeps is not None:
-            props = _magnus_propagators(p, t[:-1], np.diff(t), substeps)
+            props = _magnus_propagators(p, t[:-1], np.diff(t), substeps)[0]
         else:
             props = _refined_propagators(p, t)
         u = _prefix_products(props)

@@ -96,6 +96,13 @@ def test_algebra_check_mode(tmp_path):
     names = {c["name"] for c in report["checks"]}
     assert {"commutator_table", "jacobi_identity", "symplectic_condition",
             "pt_involution", "parity_equals_adjoint"} <= names
+    # the ledger of standard_records: every variant flagged against its adjudicator
+    ledger = report["known_discrepancies"]
+    assert [r["name"] for r in ledger] == [
+        "generator_j2_scaling", "ansatz_combination_7_sign", "ode_matrix_equation_form",
+        "ode_matrix_tabular_form", "eigenvalue_closed_form", "parity_convention"]
+    assert all(r["variant_flagged"] for r in ledger)
+    assert json.loads((tmp_path / "report.json").read_text())["known_discrepancies"] == ledger
 
 
 def test_lr_closed_form_mode(tmp_path):

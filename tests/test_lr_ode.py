@@ -9,14 +9,15 @@ import sp4lr.lr_ode as lr_ode
 from sp4lr.algebra import GeneratorId, to_matrix
 from sp4lr.crosschecks import ode_matrix
 from sp4lr.errors import ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, StepNotConverged
-from sp4lr.hamiltonian import CoupledOscillatorParams, build_H_coeffs
+from sp4lr.hamiltonian import CoupledOscillatorParams, _h_coeffs, build_H_coeffs
 from sp4lr.lr_ode import (
     ANSATZ_COMBINATIONS,
     COMM_TOL,
     ClosedFormParams,
     _GL_NODES,
     _commutativity_probe,
-    _magnus_propagators,
+    _commuting_propagators,
+    _magnus_exponents,
     _prefix_products,
     assemble_invariant,
     closed_form_c,
@@ -28,7 +29,7 @@ from sp4lr.lr_ode import (
     involution_residuals,
     lr_residual,
 )
-from sp4lr.numerics import central_diff, frobenius
+from sp4lr.numerics import central_diff, expm, frobenius
 from sp4lr.profiles import ScalarProfile
 
 C0 = np.zeros(10, dtype=complex)
@@ -164,21 +165,6 @@ def test_evolve_matches_closed_form_alpha3():
     assert np.abs(got - want).max() < 1e-6
 
 
-def test_fourth_order_slope_under_substep_halving():
-    # fixed substeps expose the 4th-order error of the two-point Magnus step
-    p = CoupledOscillatorParams(
-        a=ScalarProfile.sinusoid(0.5, 1.0, 0.0, 1.0),
-        omega_x=ScalarProfile.sinusoid(0.2, 2.0, 0.4, 1.3),
-        omega_y=ScalarProfile.constant(0.9),
-        lam=ScalarProfile.sinusoid(0.3, 1.5, 0.0, 0.7))
-    grid = np.linspace(0.0, 2.0, 21)
-    ref = evolve(C0, grid, p, mode="time_ordered", substeps=256)
-    errs = [np.abs(evolve(C0, grid, p, mode="time_ordered", substeps=n) - ref).max()
-            for n in (2, 4, 8)]
-    r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
-    assert 12.0 <= r1 <= 20.0 and 12.0 <= r2 <= 20.0
-
-
 def test_group_route_keeps_involution_on_driven_ode():
     # a drive like the lr-ode scenarios: conjugating I(0) by the 4x4
     # propagator keeps I^2 = 1 and det I = 1 at every sample
@@ -207,9 +193,29 @@ def driven_traj():
     return evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered")
 
 
-def test_driven_evolve_converges_to_fine_substeps(driven_traj):
-    ref = evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered", substeps=256)
-    assert np.abs(driven_traj - ref).max() < 1e-9
+@pytest.fixture(scope="module")
+def driven_ref():
+    return evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered", substeps=256)
+
+
+def test_sixth_order_slope_under_substep_halving(driven_ref):
+    # fixed substeps expose the 6th-order error of the three-node Magnus
+    # step: one substep to two on the driven grid cuts the error 64x
+    e1, e2 = (np.abs(evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered", substeps=n)
+                     - driven_ref).max() for n in (1, 2))
+    assert 48.0 <= e1 / e2 <= 80.0
+
+
+def test_evolve_rejects_substeps_that_are_not_positive_ints():
+    # 2.5 once ran 3 substeps of h/2.5, covering 1.2 h of each interval
+    for bad in (2.5, 0, -1, "2"):
+        with pytest.raises(ValueError, match="substeps"):
+            evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered", substeps=bad)
+    assert evolve(C0, DRIVEN_GRID[:3], DRIVEN, substeps=np.int64(2)).shape == (3, 10)
+
+
+def test_driven_evolve_converges_to_fine_substeps(driven_traj, driven_ref):
+    assert np.abs(driven_traj - driven_ref).max() < 1e-9
 
 
 def test_driven_evolve_keeps_involution(driven_traj):
@@ -226,23 +232,63 @@ def test_driven_evolve_below_rounding_floor_fails_fast(monkeypatch):
     assert time.perf_counter() - start < 2.0
 
 
-def test_magnus_exponent_in_coefficients_matches_matrix_form(monkeypatch):
-    # Omega is built from the coefficients through the bracket; on the
-    # strongly driven case the bracket term is 1e-6..1e-4 of Omega, so a
-    # sign slip there shows far above the 1e-15 tolerance
-    seen = []
-    monkeypatch.setattr("sp4lr.lr_ode.expm", lambda m: seen.append(m) or np.zeros_like(m))
+def test_magnus_exponent_in_coefficients_matches_matrix_form():
+    # Omega6 and Omega4 are built from the coefficients through the
+    # bracket; written again with to_matrix matrices and matrix
+    # commutators, on the strongly driven case the bracket terms are
+    # 1e-6..1e-4 of Omega, so a sign slip there shows far above 1e-15
+    def comm(x, y):
+        return x @ y - y @ x
+
     t0, h = DRIVEN_GRID[100:104], np.diff(DRIVEN_GRID)[100:104]
     for n in (1, 2, 8):
-        _magnus_propagators(DRIVEN, t0, h, n)
+        omega6, omega4 = _magnus_exponents(DRIVEN, t0, h, n)
         s = (h / n)[:, None, None, None]
         nodes = t0[:, None, None] + (np.arange(n)[:, None] + _GL_NODES) * s[..., 0]
         a = -1j * to_matrix(build_H_coeffs(DRIVEN, nodes))
-        a1, a2 = a[..., 0, :, :], a[..., 1, :, :]
-        bracket = (np.sqrt(3.0) / 12.0) * s**2 * (a2 @ a1 - a1 @ a2)
-        want = 0.5 * s * (a1 + a2) + bracket
-        assert np.abs(bracket).max() > 1e-7 * np.abs(want).max()
-        assert np.abs(seen[-1] - want).max() <= 1e-15 * np.abs(want).max(), n
+        a1, a2, a3, b1, b2 = (a[..., k, :, :] for k in range(5))
+        al1 = s * a2
+        al2 = np.sqrt(15.0) / 3.0 * s * (a3 - a1)
+        al3 = 10.0 / 3.0 * s * (a3 - 2.0 * a2 + a1)
+        c1 = comm(al1, al2)
+        c2 = -comm(al1, 2.0 * al3 + c1) / 60.0
+        bracket6 = comm(-20.0 * al1 - al3 + c1, al2 + c2) / 240.0
+        want6 = al1 + al3 / 12.0 + bracket6
+        bracket4 = (np.sqrt(3.0) / 12.0) * s**2 * comm(b2, b1)
+        want4 = 0.5 * s * (b1 + b2) + bracket4
+        for got, want, bracket in ((omega6, want6, bracket6), (omega4, want4, bracket4)):
+            assert np.abs(bracket).max() > 1e-7 * np.abs(want).max()
+            assert np.abs(to_matrix(got) - want).max() <= 1e-15 * np.abs(want).max(), n
+
+
+def test_one_expm_per_evolve_where_the_estimate_passes(monkeypatch):
+    # the estimate costs no expm: an interval the first step settles takes
+    # one exponential, and the smooth lr-ode-like drive settles every one
+    calls = []
+    monkeypatch.setattr(lr_ode, "expm", lambda m: calls.append(m.shape) or expm(m))
+    p = CoupledOscillatorParams(
+        a=ScalarProfile.constant(1.0),
+        omega_x=ScalarProfile.sinusoid(0.35, 1.25, 1.0, 1.5),
+        omega_y=ScalarProfile.constant(1.0),
+        lam=ScalarProfile.sinusoid(0.3, 1.25, 0.5, 0.45))
+    evolve(C0, np.linspace(0.0, 5.0, 2001), p)
+    assert calls == [(2000, 1, 4, 4)]
+
+
+@pytest.mark.parametrize("alpha, lam", [
+    (3.0, ScalarProfile.constant(1.0)),  # a_minus = 0
+    (0.5, ScalarProfile.sinusoid(0.3, 1.0, 0.2, 1.0)),
+    (5.0, ScalarProfile.polynomial([1.0, 0.3, -0.1])),
+])
+def test_split_commuting_exponential_equals_the_unsplit_one(alpha, lam):
+    # on the grid of the shipped closed-form scenario; the unsplit stack
+    # reaches a 1-norm of 10-28 there and takes up to 6 squarings
+    osc = ClosedFormParams(alpha, lam).oscillator_params()
+    grid = np.linspace(0.0, 5.0, 5001)
+    integral = _h_coeffs(*(f.antiderivative(grid, 0.0)
+                           for f in (osc.a, osc.omega_x, osc.omega_y, osc.lam)))
+    want = expm(-1j * to_matrix(integral))
+    assert np.abs(_commuting_propagators(osc, grid) - want).max() <= 1e-13
 
 
 def test_prefix_products_equal_sequential_loop():
