@@ -20,9 +20,12 @@ the exact integral of H (commuting families), split at anchors so that
 no large-norm stack is scaled and squared.  Each Magnus exponent is
 formed from the coefficients of H at the nodes through the bracket and
 mapped by ``to_matrix`` once, so the only 4x4 products are those of
-``expm`` and of the ordered product of the steps.  The closed form
-covers the proportional profiles a = lam, omega_x = alpha*lam,
-omega_y = lam.
+``expm`` and of the ordered product of the steps.  They are real 4x4
+products: in the basis z = D z' with D = diag(1, i, 1, -i) over
+z = (x, y, px, py) every exponent -i M(...) of both Hamiltonian
+families is exactly real, and U goes back to complex once, before the
+conjugation.  The closed form covers the proportional profiles
+a = lam, omega_x = alpha*lam, omega_y = lam.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .profiles import ScalarProfile
 
 __all__ = [
     "ANSATZ_COMBINATIONS",
+    "CHI_TOL",
     "COMM_TOL",
     "MAX_HALVINGS",
     "STEP_TOL",
@@ -120,6 +124,36 @@ _GL_NODES = 0.5 + np.array([-np.sqrt(15.0) / 10.0, 0.0, np.sqrt(15.0) / 10.0,
                             -np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
 _ANCHOR_STRIDE = 32  # samples per anchor of the split commuting exponential
 
+# The canonical map y -> i y, py -> -i py, z = D z' with D = diag(1, i, 1, -i),
+# takes a matrix to D^-1 M D = M * _PHI, _PHI[j, k] = d_k / d_j, and back by
+# * _PHI.conj().  Both are entrywise products by units, exact in floating
+# point, and D^T Omega D = Omega, so a propagator stays symplectic.  The only
+# complex part of -i M(H) is that of the coupling i lam (J1 + K3), and in
+# this basis -i M(H) and every bracket, integral and exponential of such
+# matrices are real.
+_D = np.array([1.0, 1j, 1.0, -1j])
+_PHI = _D / _D[:, None]
+
+
+def _real_form(m) -> np.ndarray:
+    """D^-1 m D of a stack of exponents -i M(...), as a float array.
+
+    Raises ValueError, never dropping an imaginary part, where an entry
+    of D^-1 m D is not exactly real.
+    """
+    r = m * _PHI
+    if np.any(r.imag != 0):
+        if not np.all(np.isfinite(r)):
+            raise ValueError("the Hamiltonian coefficients on the grid are not finite")
+        raise ValueError("the Hamiltonian coefficients are outside the real-form family: "
+                         "-i M(H) is not real in the basis z = diag(1, i, 1, -i) z'")
+    return r.real
+
+
+def _complex_form(u) -> np.ndarray:
+    """D u D^-1: real-form propagators back in the basis z = (x, y, px, py)."""
+    return u * _PHI.conj()
+
 
 def _ordered_product(steps) -> np.ndarray:
     """steps[..., n-1, :, :] @ ... @ steps[..., 0, :, :] by pairwise reduction."""
@@ -163,27 +197,32 @@ def _magnus_exponents(p, t0, h, n: int):
 
 
 def _magnus_propagators(p, t0, h, n: int):
-    """4x4 propagators of the intervals [t0, t0 + h], each the ordered
-    product of ``n`` 6th-order Magnus substeps, one ``expm`` for the stack,
-    and each interval's error estimate: the sum over its substeps of
-    ||to_matrix(Omega6 - Omega4)||_F, which costs no ``expm``."""
+    """Real-form 4x4 propagators (see ``_real_form``) of the intervals
+    [t0, t0 + h], each the ordered product of ``n`` 6th-order Magnus
+    substeps, one ``expm`` for the stack, and each interval's error
+    estimate: the sum over its substeps of ||to_matrix(Omega6 - Omega4)||_F,
+    which costs no ``expm``."""
     omega6, omega4 = _magnus_exponents(p, t0, h, n)
     delta = frobenius(to_matrix(omega6 - omega4)).sum(axis=-1)
-    return _ordered_product(expm(to_matrix(omega6))), delta
+    return _ordered_product(expm(_real_form(to_matrix(omega6)))), delta
 
 
 def _prefix_products(props) -> np.ndarray:
-    """U[0] = 1 and U[k+1] = props[k] @ U[k], accumulated in time order.
+    """U[0] = 1 and U[k+1] = props[k] @ U[k], accumulated in time order,
+    in the dtype of ``props``.
 
-    Kept sequential: a scan that reassociates the products loses
-    accuracy (a pairwise-tree scan moved ``cross_solver_time_ordered``
-    of ``lr_closed_form_alpha3.json`` from 2.963e-12 to 4.3e-12).
+    Kept sequential for reproducibility: the error against the closed
+    form is rounding-dominated (``cross_solver_time_ordered`` reads
+    5.85e-13 on ``lr_closed_form_alpha3.json``), so any reassociation
+    moves it either way.  A two-level blocked scan (blocks of 32-71
+    steps) lowered that row to 4.1-4.4e-13 but was worse in 19-21 of 31
+    closed-form configs (the shipped one and 30 lr-sweep draws).
     """
-    u = np.empty((len(props) + 1, 4, 4), dtype=complex)
+    u = np.empty((len(props) + 1, 4, 4), dtype=props.dtype)
     u[0] = np.eye(4)
     views = list(u)
     for step, prev, nxt in zip(props, views, views[1:]):
-        np.matmul(step, prev, out=nxt)
+        np.dot(step, prev, out=nxt)
     return u
 
 
@@ -198,7 +237,7 @@ def _refined_propagators(p, t) -> np.ndarray:
     error estimate is ``STEP_TOL`` or more are split into twice as many
     substeps and taken again."""
     t0, h = t[:-1], np.diff(t)
-    props = np.empty((h.size, 4, 4), dtype=complex)
+    props = np.empty((h.size, 4, 4))
     active = np.arange(h.size)  # intervals still being refined
     last = np.full(h.size, np.inf)  # their delta at half as many substeps
     n = 1
@@ -226,17 +265,18 @@ def _refined_propagators(p, t) -> np.ndarray:
 
 
 def _commuting_propagators(p, t) -> np.ndarray:
-    """U_k = expm(-i M(Theta_k)) with Theta_k = int_{t0}^{t_k} H, split at
-    every ``_ANCHOR_STRIDE``-th sample a into expm(-i M(Theta_k - Theta_a))
-    expm(-i M(Theta_a)), exact when H commutes across times.  Only the
-    anchors' stack carries the norm of the whole integral; the full stack
-    carries that of at most ``_ANCHOR_STRIDE`` - 1 intervals, so it is
-    neither scaled nor squared by the largest norm."""
-    theta = to_matrix(_h_coeffs(*(f.antiderivative(t, t[0])
-                                  for f in (p.a, p.omega_x, p.omega_y, p.lam))))
+    """Real forms (see ``_real_form``) of U_k = expm(-i M(Theta_k)) with
+    Theta_k = int_{t0}^{t_k} H, split at every ``_ANCHOR_STRIDE``-th
+    sample a into expm(-i M(Theta_k - Theta_a)) expm(-i M(Theta_a)), exact
+    when H commutes across times.  Only the anchors' stack carries the
+    norm of the whole integral; the full stack carries that of at most
+    ``_ANCHOR_STRIDE`` - 1 intervals, so it is neither scaled nor squared
+    by the largest norm."""
+    theta = _real_form(-1j * to_matrix(_h_coeffs(*(f.antiderivative(t, t[0])
+                                                   for f in (p.a, p.omega_x, p.omega_y, p.lam)))))
     k = np.arange(t.size) // _ANCHOR_STRIDE  # the anchor of each sample
     anchors = theta[::_ANCHOR_STRIDE]
-    return expm(-1j * (theta - anchors[k])) @ expm(-1j * anchors)[k]
+    return expm(theta - anchors[k]) @ expm(anchors)[k]
 
 
 def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
@@ -247,7 +287,11 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
     I(t) = U(t) I(0) U(t)^-1 with the 4x4 propagator dU/dt = -i H(t) U;
     the coefficients are read back from that conjugation
     (:func:`sp4lr.algebra.conjugate_by`, which raises ProjectionLeak if
-    the result leaves the algebra).
+    the result leaves the algebra).  Every 4x4 product of the propagator
+    path is real: U is formed in the basis z = D z' with
+    D = diag(1, i, 1, -i), where -i M(H) is exactly real, and mapped back
+    by the exact similarity before the conjugation.  A Hamiltonian whose
+    coefficients leave that real-form family raises ValueError.
 
     ``time_ordered``
         U is the product of per-interval propagators, each one 6th-order
@@ -271,11 +315,14 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
         assumption (NonCommuting when it exceeds ``COMM_TOL``).
     """
     t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
-        raise ValueError("grid must be 1-d and strictly increasing")
+    if t.ndim != 1 or t.size < 2 or not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
+        raise ValueError("grid must be finite, 1-d and strictly increasing, with at least 2 points")
+    c0 = np.asarray(c0, dtype=complex)
+    if c0.shape != (10,) or not np.all(np.isfinite(c0)):
+        raise ValueError("c0 must be a finite coefficient vector of shape (10,), got shape %r"
+                         % (c0.shape,))
     if substeps is not None and not (isinstance(substeps, (int, np.integer)) and substeps >= 1):
         raise ValueError("substeps must be an int >= 1 or None, got %r" % (substeps,))
-    c0 = np.asarray(c0, dtype=complex)
 
     if mode == "commuting":
         if _commutativity_probe(p, t) > COMM_TOL:
@@ -290,7 +337,7 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
     else:
         raise ValueError("mode must be 'time_ordered' or 'commuting'")
 
-    traj = coefficients_of_element(conjugate_by(u, assemble_invariant(c0)))
+    traj = coefficients_of_element(conjugate_by(_complex_form(u), assemble_invariant(c0)))
     traj[0] = c0
     return traj
 

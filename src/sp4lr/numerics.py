@@ -5,8 +5,8 @@
 profile integrals are exact (:meth:`sp4lr.profiles.ScalarProfile.antiderivative`).
 
 Everything here is sized for the fixed shapes of this problem (stacks
-of 4x4 complex matrices, 1-d time grids); there are no sparse or
-large-scale paths.
+of 4x4 real or complex matrices, 1-d time grids); there are no sparse
+or large-scale paths.
 """
 
 from __future__ import annotations
@@ -44,11 +44,13 @@ def expm(m):
     Parameters
     ----------
     m : array_like, shape (..., n, n)
-        Square complex matrix or stack of matrices.
+        Square real or complex matrix or stack of matrices.
 
     Returns
     -------
     numpy.ndarray, shape (..., n, n)
+        Of dtype ``result_type(m, float)``: a real input stays real and
+        every product is taken in real arithmetic.
 
     Each matrix is scaled by its own 2**-s_i, the least power of two
     that brings its 1-norm to at most 0.5.  The Taylor order k is the
@@ -64,7 +66,8 @@ def expm(m):
     a small-norm matrix is neither scaled nor squared by a large one
     beside it.
     """
-    a = np.asarray(m, dtype=complex)
+    a = np.asarray(m)
+    a = a.astype(np.result_type(a, float), copy=False)
     if a.shape[-1] != a.shape[-2]:
         raise ValueError("expm expects square matrices, got shape %r" % (a.shape,))
     if not np.all(np.isfinite(a)):

@@ -310,8 +310,8 @@ def test_regime_map_mode(tmp_path):
     }
     report = run_scenario(cfg, str(tmp_path))
     assert report["all_pass"]
-    path = tmp_path / "eigenvalue_trajectory.csv"
-    rows = list(csv.DictReader(path.open()))
+    with (tmp_path / "eigenvalue_trajectory.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     assert set(rows[0]) == {"t", "re1", "re2", "re3", "re4",
                             "im1", "im2", "im3", "im4", "regime"}
     regimes = {r["regime"] for r in rows}
@@ -330,7 +330,8 @@ def test_regime_map_real_eigenvalues_carry_no_branch_sign(tmp_path):
         cfg = json.load(fh)
     report = run_scenario(cfg, str(tmp_path))
     assert report["all_pass"]
-    rows = list(csv.DictReader((tmp_path / "eigenvalue_trajectory.csv").open()))
+    with (tmp_path / "eigenvalue_trajectory.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     im = np.array([[float(r["im%d" % k]) for k in range(1, 5)] for r in rows])
     real_rows = np.abs(im[:, 0]) < 1e-12
     assert real_rows.sum() > 40

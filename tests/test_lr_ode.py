@@ -4,20 +4,25 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sp4lr.lr_ode as lr_ode
-from sp4lr.algebra import GeneratorId, to_matrix
+from sp4lr.algebra import GeneratorId, symplectic_inverse, to_matrix
 from sp4lr.crosschecks import ode_matrix
 from sp4lr.errors import ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, StepNotConverged
-from sp4lr.hamiltonian import CoupledOscillatorParams, _h_coeffs, build_H_coeffs
+from sp4lr.hamiltonian import CoupledOscillatorParams, _h_coeffs, build_H_coeffs, build_H_modified
 from sp4lr.lr_ode import (
     ANSATZ_COMBINATIONS,
     COMM_TOL,
     ClosedFormParams,
     _GL_NODES,
+    _PHI,
     _commutativity_probe,
     _commuting_propagators,
+    _complex_form,
     _magnus_exponents,
+    _magnus_propagators,
     _prefix_products,
     assemble_invariant,
     closed_form_c,
@@ -288,16 +293,116 @@ def test_split_commuting_exponential_equals_the_unsplit_one(alpha, lam):
     integral = _h_coeffs(*(f.antiderivative(grid, 0.0)
                            for f in (osc.a, osc.omega_x, osc.omega_y, osc.lam)))
     want = expm(-1j * to_matrix(integral))
-    assert np.abs(_commuting_propagators(osc, grid) - want).max() <= 1e-13
+    assert np.abs(_complex_form(_commuting_propagators(osc, grid)) - want).max() <= 1e-13
 
 
 def test_prefix_products_equal_sequential_loop():
+    # bitwise, in the dtype of the steps: real (the propagator path) and complex
     rng = np.random.default_rng(3)
-    props = rng.standard_normal((50, 4, 4)) + 1j * rng.standard_normal((50, 4, 4))
-    want = [np.eye(4, dtype=complex)]
-    for step in props:
-        want.append(step @ want[-1])
-    assert np.array_equal(_prefix_products(props), np.stack(want))
+    real = rng.standard_normal((50, 4, 4))
+    for props in (real, real + 1j * rng.standard_normal((50, 4, 4))):
+        want = [np.eye(4, dtype=props.dtype)]
+        for step in props:
+            want.append(step @ want[-1])
+        got = _prefix_products(props)
+        assert got.dtype == props.dtype
+        assert np.array_equal(got, np.stack(want))
+
+
+# ---------------------------------------------------------------------------
+# the real form: z = D z' with D = diag(1, i, 1, -i)
+
+
+_VALUES = st.floats(-3.0, 3.0, allow_nan=False)
+_PROFILES = st.one_of(
+    st.builds(ScalarProfile.constant, _VALUES),
+    st.builds(ScalarProfile.sinusoid, _VALUES, _VALUES, _VALUES, _VALUES),
+    st.builds(ScalarProfile.polynomial, st.lists(_VALUES, min_size=1, max_size=4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(_PROFILES, _PROFILES, _PROFILES, _PROFILES), st.sampled_from([1, 2, 3]))
+def test_exponents_are_exactly_real_in_the_real_form_basis(profiles, n):
+    # the Magnus exponents, the integral of H of the commuting path and the
+    # point-transform target, mapped by the similarity, carry an imaginary
+    # part of exactly 0: the guard of evolve never has anything to drop
+    p = CoupledOscillatorParams(*profiles)
+    t = np.linspace(-1.0, 2.0, 9)
+    omega6, omega4 = _magnus_exponents(p, t[:-1], np.diff(t), n)
+    integral = _h_coeffs(*(f.antiderivative(t, t[0]) for f in profiles))
+    modified = build_H_modified(*(f(t) for f in profiles[:3]))
+    for m in (to_matrix(omega6), to_matrix(omega4),
+              -1j * to_matrix(integral), -1j * to_matrix(modified)):
+        assert np.all((m * _PHI).imag == 0)
+
+
+@pytest.mark.parametrize("name, mode", [("build_H_coeffs", "time_ordered"),
+                                        ("_h_coeffs", "commuting")])
+def test_real_form_guard_rejects_a_real_j1_coefficient(monkeypatch, name, mode):
+    # a J1 coefficient with a real part makes -i M(H) complex in the real
+    # form; evolve raises instead of dropping that part
+    original = getattr(lr_ode, name)
+
+    def tilted(*args):
+        h = original(*args)
+        h[..., GeneratorId.J1] += 0.25
+        return h
+
+    monkeypatch.setattr(lr_ode, name, tilted)
+    osc = ClosedFormParams(2.0, ScalarProfile.constant(1.0)).oscillator_params()
+    with pytest.raises(ValueError, match="outside the real-form family"):
+        evolve(C0, np.linspace(0.0, 1.0, 11), osc, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["time_ordered", "commuting"])
+def test_real_form_guard_names_coefficients_that_are_not_finite(mode):
+    # a quadratic drive overflows on a long grid; the guard reports that,
+    # not a complex coefficient
+    p = CoupledOscillatorParams(
+        a=ScalarProfile.constant(1.0),
+        omega_x=ScalarProfile.polynomial([1.0, 0.0, 1e300]),
+        omega_y=ScalarProfile.constant(1.0),
+        lam=ScalarProfile.constant(0.5))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        evolve(C0, np.linspace(0.0, 1e6, 5), p, mode=mode)
+
+
+def test_real_path_propagators_equal_the_complex_formula():
+    # the complex arithmetic the real path replaced, written out: complex
+    # exponentials of to_matrix(Omega6), their ordered product and the
+    # time-ordered accumulation with @
+    t0, h = DRIVEN_GRID[:-1], np.diff(DRIVEN_GRID)
+    for n in (1, 2):
+        omega6, _ = _magnus_exponents(DRIVEN, t0, h, n)
+        steps = expm(to_matrix(omega6))
+        want = steps[:, 0] if n == 1 else steps[:, 1] @ steps[:, 0]
+        real = _magnus_propagators(DRIVEN, t0, h, n)[0]
+        assert real.dtype == float
+        # D^T Omega D = Omega: the real form is a real symplectic matrix
+        assert np.abs(symplectic_inverse(real) @ real - np.eye(4)).max() <= 1e-13
+        assert np.abs(_complex_form(real) - want).max() <= 1e-13
+        u = [np.eye(4, dtype=complex)]
+        for step in want:
+            u.append(step @ u[-1])
+        assert np.abs(_complex_form(_prefix_products(real)) - np.stack(u)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("grid, c0, field", [
+    ([0.0, np.nan, 1.0], C0, "grid"),
+    ([0.0, 0.5, np.inf], C0, "grid"),
+    ([0.0, 1.0, 1.0], C0, "grid"),
+    ([[0.0, 1.0], [2.0, 3.0]], C0, "grid"),
+    ([0.0], C0, "grid"),
+    ([0.0, 0.5, 1.0], C0[:9], "c0"),
+    ([0.0, 0.5, 1.0], np.stack([C0, C0]), "c0"),
+    ([0.0, 0.5, 1.0], np.where(np.arange(10) == 4, np.nan, C0), "c0"),
+])
+def test_evolve_rejects_bad_grid_and_c0_before_any_numerics(grid, c0, field):
+    # NaN compares False, so [0, nan, 1] once passed the ordering check and
+    # failed in expm; a mis-shaped c0 failed in a numpy broadcast
+    for mode in ("time_ordered", "commuting"):
+        with pytest.raises(ValueError, match="^%s must be" % field):
+            evolve(c0, grid, DRIVEN, mode=mode)
 
 
 # ---------------------------------------------------------------------------

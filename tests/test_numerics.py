@@ -69,6 +69,23 @@ def test_expm_mixed_norm_stack_matches_scipy():
         assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("case", ["taylor", "scaled", "mixed"])
+def test_expm_real_stack_stays_real(case):
+    # real arithmetic throughout: the same stack cast to complex gives the
+    # same exponentials to a rounding unit of each matrix
+    rng = np.random.default_rng(7)
+    if case == "mixed":
+        ms = _mixed_norm_stack().real
+    else:
+        ms = rng.standard_normal((6, 4, 4))
+        ms *= (0.4 if case == "taylor" else 6.0) / np.abs(ms).sum(axis=-2).max(axis=-1)[:, None, None]
+    got = expm(ms)
+    assert got.dtype == float
+    want = expm(ms.astype(complex))
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-15 * np.abs(w).max()
+
+
 def test_expm_small_norm_matrix_ignores_its_stack():
     # each matrix has its own scaling exponent: the norm-50 neighbour
     # neither scales nor squares the small one
@@ -152,8 +169,10 @@ def test_expm_single_matrix_and_empty_stack():
     ms = np.stack([random_matrix(4, 0.3), random_matrix(4, 3.0)])
     np.testing.assert_allclose(expm(np.asfortranarray(ms)), expm(ms), rtol=0, atol=1e-15)
     np.testing.assert_allclose(expm(m.T), scipy_expm(m.T), rtol=0, atol=1e-13)
+    # the dtype is result_type(m, float): a real stack stays real
     empty = expm(np.zeros((0, 4, 4)))
-    assert empty.shape == (0, 4, 4) and empty.dtype == complex
+    assert empty.shape == (0, 4, 4) and empty.dtype == float
+    assert expm(np.zeros((0, 4, 4), dtype=complex)).dtype == complex
 
 
 def test_expm_rejects_nonsquare():
