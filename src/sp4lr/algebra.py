@@ -89,7 +89,8 @@ OMEGA = _blk(_Z2, _I2, -_I2, _Z2)
 # products with it are index moves and sign flips, exact and without a
 # matrix product
 _SWAP = np.array([2, 3, 0, 1])
-_SIGNS = np.array([1.0, 1.0, -1.0, -1.0], dtype=complex)
+_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+_SIGN_TABLE = np.outer(_SIGNS, _SIGNS)  # real, so a real stack stays real
 
 _GEN = np.stack([
     0.5j * _blk(_Z2, _I2, -_I2, _Z2),     # J0
@@ -243,6 +244,100 @@ def commutator(a, b) -> np.ndarray:
     return out
 
 
+# The real form.  The canonical map y -> i y, py -> -i py, z = D z' with
+# D = diag(1, i, 1, -i), takes a matrix m to D^-1 m D, entrywise
+# m[j, k] d_k / d_j: a product by units, exact in floating point.  D is
+# unitary and D^T Omega D = Omega, so a symplectic matrix stays symplectic.
+# Under it each -i M(G_k) is either real or imaginary; the phase phi_k
+# (1 or i) that makes it real gives the real basis
+# R_k = D^-1 (-i phi_k M(G_k)) D, orthonormal (its Hilbert-Schmidt Gram
+# matrix is the identity, exactly).  An element c = phi r with r real,
+# the real coordinates of c, has -i M(c) = D (sum_k r_k R_k) D^-1, and
+# c = phi r with r complex has M(c) = D (i sum_k r_k R_k) D^-1.  The
+# phases and the basis are generated from the matrices here; the
+# bracket in real coordinates is built on first use.
+_REAL_D = np.array([1.0, 1j, 1.0, -1j])
+_UNIT_FORMS = -1j * _GEN * (_REAL_D / _REAL_D[:, None])
+_REAL_PHASES = np.where([np.all(m.imag == 0) for m in _UNIT_FORMS], 1.0 + 0j, 1j)
+_REAL_BASIS = (_REAL_PHASES[:, None, None] * _UNIT_FORMS).real
+_REAL_BASIS_FLAT = _REAL_BASIS.reshape(10, 16)
+
+_REAL_BRACKET_TERMS = None
+
+
+def _real_bracket_terms():
+    """The 30 terms of :func:`_bracket_terms` in real coordinates.
+
+    Each (i, j, k, f) becomes (i, j, k, g) with
+    g = -i f phi_i phi_j / phi_k, exactly +1 or -1, in the same order.
+    """
+    global _REAL_BRACKET_TERMS
+    if _REAL_BRACKET_TERMS is None:
+        terms = []
+        for i, j, k, f in _bracket_terms():
+            g = -1j * f * _REAL_PHASES[i] * _REAL_PHASES[j] / _REAL_PHASES[k]
+            if g not in (1.0, -1.0):
+                raise ValueError("bracket term (%d, %d, %d) is %r in real coordinates" % (i, j, k, g))
+            terms.append((i, j, k, g.real))
+        _REAL_BRACKET_TERMS = tuple(terms)
+    return _REAL_BRACKET_TERMS
+
+
+def _real_commutator(a, b) -> np.ndarray:
+    """The bracket of exponents in real coordinates, coefficient-major.
+
+    ``a`` and ``b`` are real arrays (10, ...) of the exponents
+    -i phi a and -i phi b; the result holds those of their matrix
+    commutator, so phi * result equals -1j * commutator(phi a, phi b)
+    (there with the coefficients on the last axis).  Each of the 30
+    terms of :func:`_real_bracket_terms` reads four whole coefficient
+    rows, contiguous in this layout.
+    """
+    out = np.zeros(np.broadcast(a, b).shape)
+    for i, j, k, g in _real_bracket_terms():
+        term = a[i] * b[j] - a[j] * b[i]
+        if g > 0:
+            out[k] += term
+        else:
+            out[k] -= term
+    return out
+
+
+def _real_matrix(r) -> np.ndarray:
+    """sum_k r_k R_k for real coordinates ``r`` of shape (10, ...), as a real stack (..., 4, 4)."""
+    return np.tensordot(r, _REAL_BASIS_FLAT, axes=(0, 0)).reshape(np.shape(r)[1:] + (4, 4))
+
+
+def _real_conjugate_by(u, r) -> np.ndarray:
+    """Real coordinates of u X u^-1 with X = sum_k r_k R_k, shape (N, m, 10).
+
+    ``u`` is a real group stack (N, 4, 4) in the basis z = D z', and
+    ``r`` holds m real coordinate rows (m, 10).  This is
+    :func:`conjugate_by` in the real form: u^-1 is
+    :func:`symplectic_inverse`, and the basis R is orthonormal, so each
+    image is projected by its inner products with R.  Raises
+    :class:`ProjectionLeak` where the remainder of the m images of a
+    sample, in Frobenius norm over all of them, exceeds ``PROJ_TOL`` or
+    is not finite (for the real and imaginary halves of one complex
+    element that is the residual :func:`conjugate_by` reads, since D is
+    unitary).  With u^-1 taken as the symplectic inverse, u X u^-1 is in
+    the algebra for any u, symplectic or not, so a finite remainder is
+    rounding.
+    """
+    x = (np.asarray(r, dtype=float) @ _REAL_BASIS_FLAT).reshape(-1, 4, 4)
+    n, m = len(u), len(x)
+    # u X for every X in one (4N, 4) @ (4, 4m) product; numpy's stacked
+    # matmul is slow on 4x4 blocks, so only the second product is stacked
+    ux = (u.reshape(-1, 4) @ x.transpose(1, 0, 2).reshape(4, -1)).reshape(n, 4, m, 4)
+    images = (ux.transpose(0, 2, 1, 3) @ symplectic_inverse(u)[:, None]).reshape(-1, 16)
+    coords = images @ _REAL_BASIS_FLAT.T
+    resid = np.sqrt(((images - coords @ _REAL_BASIS_FLAT) ** 2).reshape(n, -1).sum(axis=1))
+    coords = coords.reshape(n, m, 10)
+    if not np.max(resid) <= PROJ_TOL:
+        raise ProjectionLeak("conjugation residual %.3e exceeds %.3e" % (float(np.max(resid)), PROJ_TOL))
+    return coords
+
+
 def adjoint(e) -> np.ndarray:
     """Operator adjoint in the coordinate representation: conjugate coefficients.
 
@@ -271,9 +366,10 @@ def symplectic_inverse(g) -> np.ndarray:
     symplectic (an ``expm`` of an algebra element, say) the deviation of
     g @ symplectic_inverse(g) from the identity measures that defect.
     Omega is applied as the signed permutation it is, so the result
-    holds the entries of g^T moved and sign-flipped, exactly.
+    holds the entries of g^T moved and sign-flipped, exactly, in the
+    dtype of g: a real stack stays real.
     """
-    return np.swapaxes(np.asarray(g)[..., _SWAP[:, None], _SWAP], -1, -2) * np.outer(_SIGNS, _SIGNS)
+    return np.swapaxes(np.asarray(g)[..., _SWAP[:, None], _SWAP], -1, -2) * _SIGN_TABLE
 
 
 def conjugate_by(g, e) -> np.ndarray:

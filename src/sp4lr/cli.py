@@ -34,7 +34,7 @@ from .algebra import (
     symplectic_inverse,
     OMEGA,
 )
-from .errors import ConfigInvalid, Sp4lrError
+from .errors import ConfigInvalid, ProfileDomain, Sp4lrError
 from .hamiltonian import (
     CoupledOscillatorParams,
     build_H_coeffs,
@@ -155,7 +155,35 @@ def _resolve_config(cfg) -> dict:
     return resolved
 
 
+def _require_finite_profiles(params, grid):
+    """Evaluate each profile of ``params`` once on ``grid``, values only;
+    ConfigInvalid("params.<field>: ...") where one is not finite there
+    (a polynomial that overflows on a long grid, say) or is tabulated on
+    a window that does not cover it."""
+    for name, value in params.items():
+        if not isinstance(value, ScalarProfile):
+            continue
+        try:
+            with np.errstate(all="ignore"):
+                finite = np.isfinite(value(grid))
+        except ProfileDomain as exc:
+            raise ConfigInvalid("params.%s: %s" % (name, exc)) from None
+        if not np.all(finite):
+            raise ConfigInvalid("params.%s: not finite on the grid, first at t = %.17g"
+                                % (name, grid[np.argmin(finite)]))
+
+
 _CSV_CELLS = 2048  # cells formatted per block of rows
+
+
+def _constant_cell(col):
+    """``"%.17g"`` of a numeric column whose every value formats as its
+    first one (equal to it, with the same sign bit, so a NaN never and a
+    column of mixed +-0 never qualifies); None otherwise."""
+    first = col[0]
+    if np.all(col == first) and np.all(np.signbit(col) == np.signbit(first)):
+        return "%.17g" % first
+    return None
 
 
 def emit_plot_data(trajectory, path):
@@ -164,11 +192,14 @@ def emit_plot_data(trajectory, path):
     ``trajectory`` is a (names, columns) pair of column names and 1-d
     arrays; the first column is time and must be strictly increasing.
     A column of strings (a regime label, say) is written as is, in its
-    own position.  Rows are written in blocks of about ``_CSV_CELLS``
-    cells: each column's slice becomes Python floats with one
-    ``tolist``, and each row is one ``%``-format of them.  Only one block
-    is alive at a time, so the writer holds a few hundred kB beyond the
-    columns themselves, whatever the length of the file.
+    own position.  A numeric column after the first whose values all
+    format alike (a coefficient that is exactly 0, say; -0.0 stays
+    ``-0``) is formatted once and written into the row template.  The
+    other columns are written in blocks of about ``_CSV_CELLS`` cells:
+    each column's slice becomes Python floats with one ``tolist``, and
+    each row is one ``%``-format of them.  Only one block is alive at a
+    time, so the writer holds a few hundred kB beyond the columns
+    themselves, whatever the length of the file.
     Raises on an empty trajectory before creating the file.
     """
     names, cols = trajectory
@@ -178,19 +209,22 @@ def emit_plot_data(trajectory, path):
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ValueError("trajectory columns must share a length")
-    tcol = np.asarray(cols[0], dtype=float)
-    if np.any(np.diff(tcol) <= 0):
-        raise ValueError("time column must be strictly increasing")
     text = [c.dtype.kind in "US" for c in cols]
-    fmt = ",".join("%s" if t else "%.17g" for t in text) + "\n"
-    rows = max(1, _CSV_CELLS // len(cols))
+    cols = [c if t else np.asarray(c, dtype=float) for c, t in zip(cols, text)]
+    if np.any(np.diff(cols[0]) <= 0):
+        raise ValueError("time column must be strictly increasing")
+    # the time column is never baked in, so every row has a cell to format
+    cells = [None if t or j == 0 else _constant_cell(c)
+             for j, (c, t) in enumerate(zip(cols, text))]
+    fmt = ",".join("%s" if t else "%.17g" if cell is None else cell
+                   for t, cell in zip(text, cells)) + "\n"
+    live = [c for c, cell in zip(cols, cells) if cell is None]
+    rows = max(1, _CSV_CELLS // len(live))
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
         for b in range(0, n, rows):
             # one expression: a block's floats are freed before the next is built
-            fh.writelines(fmt % row for row in zip(*[
-                c[b:b + rows].tolist() if t else np.asarray(c[b:b + rows], dtype=float).tolist()
-                for c, t in zip(cols, text)]))
+            fh.writelines(fmt % row for row in zip(*[c[b:b + rows].tolist() for c in live]))
     return path
 
 
@@ -423,6 +457,7 @@ def run_scenario(cfg: dict, outdir: str) -> dict:
     """Execute one scenario; returns the report dict (also written to disk)."""
     resolved = _resolve_config(cfg)
     grid = np.linspace(resolved["grid"]["t0"], resolved["grid"]["t1"], resolved["grid"]["steps"])
+    _require_finite_profiles(resolved["params"], grid)
     os.makedirs(outdir, exist_ok=True)
     checks = _Checks()
     artifacts: list[str] = []

@@ -17,14 +17,19 @@ Gauss-Legendre Magnus step per interval (time-ordered), whose gap to
 the 4th-order two-node exponent is the error estimate that decides
 which intervals are split into substeps, or from the exponential of
 the exact integral of H (commuting families), split at anchors so that
-no large-norm stack is scaled and squared.  Each Magnus exponent is
-formed from the coefficients of H at the nodes through the bracket and
-mapped by ``to_matrix`` once, so the only 4x4 products are those of
-``expm`` and of the ordered product of the steps.  They are real 4x4
-products: in the basis z = D z' with D = diag(1, i, 1, -i) over
-z = (x, y, px, py) every exponent -i M(...) of both Hamiltonian
-families is exactly real, and U goes back to complex once, before the
-conjugation.  The closed form covers the proportional profiles
+no large-norm stack is scaled and squared.
+
+The whole path is real.  In the basis z = D z' with D = diag(1, i, 1, -i)
+over z = (x, y, px, py), -i M(H) of both Hamiltonian families is exactly
+real, and so is every bracket, integral and exponential of such
+matrices.  H enters once, in the real coordinates r of
+``algebra._REAL_BASIS`` (c = phi r, phi = (1, i, i, 1, 1, 1, i, 1, 1, i)
+over J0..K3), where an imaginary part that is not exactly 0 raises.
+The Magnus exponents are formed from r through the real bracket and
+mapped to real 4x4 stacks once, so the only 4x4 products are those of
+``expm``, of the ordered product of the steps and of the conjugation,
+all real; the invariant goes back to complex coefficients once, as
+c = phi r.  The closed form covers the proportional profiles
 a = lam, omega_x = alpha*lam, omega_y = lam.
 """
 
@@ -34,7 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GeneratorId, commutator, conjugate_by, to_matrix
+from .algebra import (
+    GeneratorId,
+    _REAL_PHASES,
+    _real_commutator,
+    _real_conjugate_by,
+    _real_matrix,
+    commutator,
+)
 from .errors import ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, StepNotConverged
 from .hamiltonian import CoupledOscillatorParams, _h_coeffs, build_H_coeffs
 from .numerics import central_diff, expm, frobenius
@@ -124,35 +136,21 @@ _GL_NODES = 0.5 + np.array([-np.sqrt(15.0) / 10.0, 0.0, np.sqrt(15.0) / 10.0,
                             -np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
 _ANCHOR_STRIDE = 32  # samples per anchor of the split commuting exponential
 
-# The canonical map y -> i y, py -> -i py, z = D z' with D = diag(1, i, 1, -i),
-# takes a matrix to D^-1 M D = M * _PHI, _PHI[j, k] = d_k / d_j, and back by
-# * _PHI.conj().  Both are entrywise products by units, exact in floating
-# point, and D^T Omega D = Omega, so a propagator stays symplectic.  The only
-# complex part of -i M(H) is that of the coupling i lam (J1 + K3), and in
-# this basis -i M(H) and every bracket, integral and exponential of such
-# matrices are real.
-_D = np.array([1.0, 1j, 1.0, -1j])
-_PHI = _D / _D[:, None]
+def _real_coordinates(h) -> np.ndarray:
+    """Real coordinates r = h conj(phi) of Hamiltonian coefficients ``h``
+    (..., 10), moved to the front: shape (10, ...).
 
-
-def _real_form(m) -> np.ndarray:
-    """D^-1 m D of a stack of exponents -i M(...), as a float array.
-
-    Raises ValueError, never dropping an imaginary part, where an entry
-    of D^-1 m D is not exactly real.
+    -i M(H) = D (sum_k r_k R_k) D^-1 (see ``algebra._REAL_BASIS``).  Raises
+    ValueError, never dropping an imaginary part, where a coefficient of
+    r is not exactly real.
     """
-    r = m * _PHI
+    r = np.asarray(h) * _REAL_PHASES.conj()
     if np.any(r.imag != 0):
         if not np.all(np.isfinite(r)):
             raise ValueError("the Hamiltonian coefficients on the grid are not finite")
         raise ValueError("the Hamiltonian coefficients are outside the real-form family: "
                          "-i M(H) is not real in the basis z = diag(1, i, 1, -i) z'")
-    return r.real
-
-
-def _complex_form(u) -> np.ndarray:
-    """D u D^-1: real-form propagators back in the basis z = (x, y, px, py)."""
-    return u * _PHI.conj()
+    return np.moveaxis(r.real, -1, 0)
 
 
 def _ordered_product(steps) -> np.ndarray:
@@ -166,8 +164,10 @@ def _ordered_product(steps) -> np.ndarray:
 
 
 def _magnus_exponents(p, t0, h, n: int):
-    """6th- and 4th-order Magnus exponents, in coefficients, of the ``n``
-    substeps that split each interval [t0, t0 + h]; shape (m, n, 10) each.
+    """6th- and 4th-order Magnus exponents, in real coordinates, of the
+    ``n`` substeps that split each interval [t0, t0 + h]; shape (10, m, n)
+    each, coefficient-major.  An exponent with coordinates w is
+    -i phi w, its real form sum_k w_k R_k (``algebra._real_matrix``).
 
     With A = -i H at the three Gauss-Legendre nodes of a substep of
     length s (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151, §4),
@@ -177,34 +177,37 @@ def _magnus_exponents(p, t0, h, n: int):
     Omega6 = alpha1 + alpha3/12 + (1/240)[-20 alpha1 - alpha3 + C1, alpha2 + C2].
     Omega4 = (s/2)(B1 + B2) + (sqrt(3) s^2 / 12)[B2, B1] takes B = -i H at
     the two nodes of the 4th-order rule, so that Omega6 - Omega4 sees
-    quadrature error even where every bracket vanishes.  ``to_matrix``
-    is a homomorphism, so each exponent equals its matrix form with
-    matrix commutators.
+    quadrature error even where every bracket vanishes.  H enters once,
+    through ``_real_coordinates``: the coordinates of s A are s r(H), and
+    every bracket is the real one of ``algebra._real_commutator``, so
+    each exponent equals its matrix form with matrix commutators.
     """
-    s = (h / n)[:, None, None]
-    nodes = t0[:, None, None] + (np.arange(n)[:, None] + _GL_NODES) * s
-    sa = (-1j * s)[..., None] * build_H_coeffs(p, nodes)
-    a1, a2, a3, b1, b2 = np.moveaxis(sa, -2, 0)  # s A and s B at the nodes
+    s = h / n
+    # nodes (5, m, n): Gauss-Legendre node, interval, substep
+    nodes = t0[:, None] + (np.arange(n) + _GL_NODES[:, None, None]) * s[:, None]
+    sa = np.multiply(_real_coordinates(build_H_coeffs(p, nodes)), s[:, None], order="C")
+    a1, a2, a3, b1, b2 = np.moveaxis(sa, 1, 0)  # s A and s B at the nodes, (10, m, n) each
     alpha1 = a2
     alpha2 = (np.sqrt(15.0) / 3.0) * (a3 - a1)
     alpha3 = (10.0 / 3.0) * (a3 - 2.0 * a2 + a1)
-    c1 = commutator(alpha1, alpha2)
-    c2 = (-1.0 / 60.0) * commutator(alpha1, 2.0 * alpha3 + c1)
+    c1 = _real_commutator(alpha1, alpha2)
+    c2 = (-1.0 / 60.0) * _real_commutator(alpha1, 2.0 * alpha3 + c1)
     omega6 = (alpha1 + alpha3 / 12.0
-              + commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0)
-    omega4 = 0.5 * (b1 + b2) + (np.sqrt(3.0) / 12.0) * commutator(b2, b1)
+              + _real_commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0)
+    omega4 = 0.5 * (b1 + b2) + (np.sqrt(3.0) / 12.0) * _real_commutator(b2, b1)
     return omega6, omega4
 
 
 def _magnus_propagators(p, t0, h, n: int):
-    """Real-form 4x4 propagators (see ``_real_form``) of the intervals
-    [t0, t0 + h], each the ordered product of ``n`` 6th-order Magnus
-    substeps, one ``expm`` for the stack, and each interval's error
-    estimate: the sum over its substeps of ||to_matrix(Omega6 - Omega4)||_F,
-    which costs no ``expm``."""
+    """Real-form 4x4 propagators D^-1 U D of the intervals [t0, t0 + h],
+    each the ordered product of ``n`` 6th-order Magnus substeps, one
+    ``expm`` for the stack, and each interval's error estimate: the sum
+    over its substeps of ||to_matrix(Omega6 - Omega4)||_F, which costs no
+    ``expm``.  D is unitary and the real basis orthonormal, so that norm
+    is the Euclidean norm of the gap in real coordinates."""
     omega6, omega4 = _magnus_exponents(p, t0, h, n)
-    delta = frobenius(to_matrix(omega6 - omega4)).sum(axis=-1)
-    return _ordered_product(expm(_real_form(to_matrix(omega6)))), delta
+    delta = np.sqrt(((omega6 - omega4) ** 2).sum(axis=0)).sum(axis=-1)
+    return _ordered_product(expm(_real_matrix(omega6))), delta
 
 
 def _prefix_products(props) -> np.ndarray:
@@ -265,15 +268,15 @@ def _refined_propagators(p, t) -> np.ndarray:
 
 
 def _commuting_propagators(p, t) -> np.ndarray:
-    """Real forms (see ``_real_form``) of U_k = expm(-i M(Theta_k)) with
+    """Real forms D^-1 U_k D of U_k = expm(-i M(Theta_k)) with
     Theta_k = int_{t0}^{t_k} H, split at every ``_ANCHOR_STRIDE``-th
     sample a into expm(-i M(Theta_k - Theta_a)) expm(-i M(Theta_a)), exact
     when H commutes across times.  Only the anchors' stack carries the
     norm of the whole integral; the full stack carries that of at most
     ``_ANCHOR_STRIDE`` - 1 intervals, so it is neither scaled nor squared
     by the largest norm."""
-    theta = _real_form(-1j * to_matrix(_h_coeffs(*(f.antiderivative(t, t[0])
-                                                   for f in (p.a, p.omega_x, p.omega_y, p.lam)))))
+    theta = _real_matrix(_real_coordinates(_h_coeffs(*(f.antiderivative(t, t[0])
+                                                       for f in (p.a, p.omega_x, p.omega_y, p.lam)))))
     k = np.arange(t.size) // _ANCHOR_STRIDE  # the anchor of each sample
     anchors = theta[::_ANCHOR_STRIDE]
     return expm(theta - anchors[k]) @ expm(anchors)[k]
@@ -284,14 +287,18 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
     """Propagate the coefficient vector over ``grid``; returns shape (N, 10).
 
     ``to_matrix`` is a Lie-algebra homomorphism, so the invariant is
-    I(t) = U(t) I(0) U(t)^-1 with the 4x4 propagator dU/dt = -i H(t) U;
-    the coefficients are read back from that conjugation
-    (:func:`sp4lr.algebra.conjugate_by`, which raises ProjectionLeak if
-    the result leaves the algebra).  Every 4x4 product of the propagator
-    path is real: U is formed in the basis z = D z' with
-    D = diag(1, i, 1, -i), where -i M(H) is exactly real, and mapped back
-    by the exact similarity before the conjugation.  A Hamiltonian whose
-    coefficients leave that real-form family raises ValueError.
+    I(t) = U(t) I(0) U(t)^-1 with the 4x4 propagator dU/dt = -i H(t) U.
+    Everything between H and the invariant is real: U is formed as the
+    real U' = D^-1 U D in the basis z = D z' with D = diag(1, i, 1, -i),
+    where -i M(H) is exactly real, from the real coordinates of H (a
+    Hamiltonian whose coefficients leave that real-form family raises
+    ValueError).  ``c0`` may be any complex vector: the real and
+    imaginary halves of the real coordinates r0 of
+    ``assemble_invariant(c0)`` are each conjugated by U' and projected
+    back onto the real basis (``algebra._real_conjugate_by``, which
+    raises ProjectionLeak where the remainder exceeds ``PROJ_TOL`` or is
+    not finite), and the coefficients are read back from
+    phi (y_re + i y_im).
 
     ``time_ordered``
         U is the product of per-interval propagators, each one 6th-order
@@ -337,7 +344,9 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
     else:
         raise ValueError("mode must be 'time_ordered' or 'commuting'")
 
-    traj = coefficients_of_element(conjugate_by(_complex_form(u), assemble_invariant(c0)))
+    r0 = assemble_invariant(c0) * _REAL_PHASES.conj()
+    y = _real_conjugate_by(u, [r0.real, r0.imag])
+    traj = coefficients_of_element(_REAL_PHASES * (y[:, 0] + 1j * y[:, 1]))
     traj[0] = c0
     return traj
 

@@ -22,6 +22,7 @@ from sp4lr.algebra import (
     conjugate_by,
     from_matrix,
     from_quadratic_form,
+    generator_matrices,
     matrix_of,
     parity_action,
     parity_matrix,
@@ -417,3 +418,78 @@ def test_conjugate_by_leak_guard(monkeypatch):
     e = rand_element(rng)
     with pytest.raises(ProjectionLeak):
         conjugate_by(group(x), e)
+
+
+def test_symplectic_inverse_keeps_a_real_stack_real():
+    # a real g stays float64, so a product with it takes numpy's real path
+    rng = np.random.default_rng(24)
+    g = rng.standard_normal((7, 4, 4))
+    got = symplectic_inverse(g)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, -OMEGA.real @ np.swapaxes(g, -1, -2) @ OMEGA.real)
+
+
+# ---------------------------------------------------------------------------
+# the real form: z = D z' with D = diag(1, i, 1, -i), c = phi r
+
+
+def test_real_phases_and_basis_are_generated_and_orthonormal():
+    phases = algebra._REAL_PHASES
+    assert np.array_equal(phases, [1, 1j, 1j, 1, 1, 1, 1j, 1, 1, 1j])
+    d = algebra._REAL_D
+    want = np.linalg.inv(np.diag(d)) @ (-1j * phases[:, None, None] * generator_matrices()) @ np.diag(d)
+    basis = algebra._REAL_BASIS
+    assert basis.dtype == np.float64
+    assert np.array_equal(basis, want)
+    flat = basis.reshape(10, 16)
+    assert np.array_equal(flat @ flat.T, np.eye(10))
+
+
+def test_real_bracket_times_phi_is_the_complex_bracket_bitwise():
+    # the 30 terms are +-1 and follow _bracket_terms in order, so every
+    # product and sum of the complex bracket is repeated in real numbers
+    terms = algebra._real_bracket_terms()
+    assert [t[:3] for t in terms] == [t[:3] for t in _bracket_terms()]
+    assert {g for *_, g in terms} == {1.0, -1.0}
+    rng = np.random.default_rng(25)
+    a, b = rng.standard_normal((2, 10, 6, 3))
+    phases = algebra._REAL_PHASES
+    got = phases * np.moveaxis(algebra._real_commutator(a, b), 0, -1)
+    want = -1j * commutator(phases * np.moveaxis(a, 0, -1), phases * np.moveaxis(b, 0, -1))
+    assert np.array_equal(got, want)
+
+
+def test_real_conjugation_equals_conjugate_by():
+    # a real group stack u' = expm(sum r_k R_k) is D^-1 u D for the complex
+    # u = exp(to_matrix(-i phi r)); conjugating the real and imaginary
+    # halves of a complex element's real coordinates gives conjugate_by
+    rng = np.random.default_rng(26)
+    d = algebra._REAL_D
+    phases = algebra._REAL_PHASES
+    x = 0.4 * rng.standard_normal((10, 50))
+    u_real = expm(algebra._real_matrix(x))
+    e = rand_element(rng)
+    r0 = e * phases.conj()
+    y = algebra._real_conjugate_by(u_real, [r0.real, r0.imag])
+    got = phases * (y[:, 0] + 1j * y[:, 1])
+    want = conjugate_by(u_real * (d[:, None] / d), e)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_real_conjugation_leak_guard(monkeypatch):
+    # with the symplectic inverse, u X u^-1 stays in the algebra for any
+    # u, so a u' pushed off the group leaves only rounding in the
+    # remainder: the guard reads it at PROJ_TOL 0, and an overflowed u'
+    # raises at any tolerance
+    rng = np.random.default_rng(27)
+    u_real = expm(algebra._real_matrix(0.4 * rng.standard_normal((10, 5))))
+    off = u_real + 1e-3 * rng.standard_normal(u_real.shape)
+    r = rng.standard_normal((2, 10))
+    algebra._real_conjugate_by(off, r)
+    overflowed = off.copy()
+    overflowed[3, 1, 2] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ProjectionLeak, match="conjugation residual"):
+        algebra._real_conjugate_by(overflowed, r)
+    monkeypatch.setattr(algebra, "PROJ_TOL", 0.0)
+    with pytest.raises(ProjectionLeak, match="conjugation residual"):
+        algebra._real_conjugate_by(off, r)

@@ -8,6 +8,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -82,11 +83,36 @@ def test_emit_plot_data_matches_per_cell_format(tmp_path):
     names, cols = ["t", "v", "regime", "w"], [t, v, label, w]
     path = str(tmp_path / "block.csv")
     emit_plot_data((names, cols), path)
-    want = ",".join(names) + "\n" + "".join(
-        ",".join(c[k] if isinstance(c[k], str) else "%.17g" % float(c[k]) for c in cols) + "\n"
-        for k in range(n))
     with open(path) as fh:
-        assert fh.read() == want
+        assert fh.read() == _per_cell_csv(names, cols)
+
+
+def _per_cell_csv(names, cols):
+    """The reference text: every cell formatted on its own."""
+    return ",".join(names) + "\n" + "".join(
+        ",".join(c[k] if isinstance(c[k], str) else "%.17g" % float(c[k]) for c in cols) + "\n"
+        for k in range(len(cols[0])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_emit_plot_data_constant_columns_match_per_cell_format(tmp_path, n):
+    # constant columns are formatted once into the row template; -0.0
+    # keeps its sign, and a column of mixed +-0 or holding a NaN is not
+    # constant, so every cell reads as the per-cell writer has it
+    t = np.arange(n) * 0.5
+    mixed = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)
+    nan_col = np.full(n, np.nan)
+    nan_col[-1] = 1.0 if n > 1 else np.nan
+    cols = [t, np.zeros(n), np.full(n, -0.0), mixed, nan_col, np.full(n, np.nan),
+            np.full(n, np.inf), np.full(n, -np.inf), np.full(n, 1.0 / 3.0),
+            ["Broken"] * n, np.linspace(-1.0, 1.0, n)]
+    names = ["t"] + ["c%d" % k for k in range(1, len(cols))]
+    path = str(tmp_path / "const.csv")
+    emit_plot_data((names, cols), path)
+    with open(path) as fh:
+        text = fh.read()
+    assert text == _per_cell_csv(names, cols)
+    assert text.count("\n") == n + 1
 
 
 def test_algebra_check_mode(tmp_path):
@@ -231,6 +257,24 @@ def test_grid_steps_above_the_memory_bound_fail_before_any_array(tmp_path, capsy
 
 
 _CONST = {"kind": "constant", "value": 1.0}
+
+
+@pytest.mark.parametrize("mode", ["lr-ode", "regime-map"])
+def test_profile_not_finite_on_the_grid_names_its_field(tmp_path, capsys, mode):
+    # omega_x overflows on [0, 1e6]; the profile is evaluated once on the
+    # grid before any numerics, so no RuntimeWarning is raised and the
+    # error names the field instead of a numpy message
+    cfg = {"mode": mode, "grid": {"t0": 0.0, "t1": 1e6, "steps": 11},
+           "params": {"a": _CONST, "omega_x": {"kind": "polynomial", "coeffs": [1.0, 0.0, 1e300]},
+                      "omega_y": _CONST, "lam": {"kind": "constant", "value": 0.5}}}
+    path = write_cfg(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--config", path, "--out", str(tmp_path)])
+    assert code == 1
+    assert caught == []
+    assert capsys.readouterr().err.startswith("error: params.omega_x: not finite on the grid")
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("mode, params", [

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sp4lr.lr_ode as lr_ode
-from sp4lr.algebra import GeneratorId, symplectic_inverse, to_matrix
+from sp4lr.algebra import _REAL_D, _REAL_PHASES, GeneratorId, symplectic_inverse, to_matrix
 from sp4lr.crosschecks import ode_matrix
 from sp4lr.errors import ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, StepNotConverged
 from sp4lr.hamiltonian import CoupledOscillatorParams, _h_coeffs, build_H_coeffs, build_H_modified
@@ -17,13 +17,12 @@ from sp4lr.lr_ode import (
     COMM_TOL,
     ClosedFormParams,
     _GL_NODES,
-    _PHI,
     _commutativity_probe,
     _commuting_propagators,
-    _complex_form,
     _magnus_exponents,
     _magnus_propagators,
     _prefix_products,
+    _real_coordinates,
     assemble_invariant,
     closed_form_c,
     closed_form_on_grid,
@@ -39,6 +38,16 @@ from sp4lr.profiles import ScalarProfile
 
 C0 = np.zeros(10, dtype=complex)
 C0[2] = C0[3] = 1.0
+
+
+def complex_form(u):
+    """D u D^-1: real-form 4x4 stacks back in the basis z = (x, y, px, py)."""
+    return u * (_REAL_D[:, None] / _REAL_D)
+
+
+def exponent_coefficients(w):
+    """Complex coefficients -i phi w of real exponent coordinates w (10, ...)."""
+    return -1j * _REAL_PHASES * np.moveaxis(w, 0, -1)
 
 
 def const_params(a, wx, wy, lam):
@@ -263,7 +272,8 @@ def test_magnus_exponent_in_coefficients_matches_matrix_form():
         want4 = 0.5 * s * (b1 + b2) + bracket4
         for got, want, bracket in ((omega6, want6, bracket6), (omega4, want4, bracket4)):
             assert np.abs(bracket).max() > 1e-7 * np.abs(want).max()
-            assert np.abs(to_matrix(got) - want).max() <= 1e-15 * np.abs(want).max(), n
+            got = to_matrix(exponent_coefficients(got))
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), n
 
 
 def test_one_expm_per_evolve_where_the_estimate_passes(monkeypatch):
@@ -293,7 +303,7 @@ def test_split_commuting_exponential_equals_the_unsplit_one(alpha, lam):
     integral = _h_coeffs(*(f.antiderivative(grid, 0.0)
                            for f in (osc.a, osc.omega_x, osc.omega_y, osc.lam)))
     want = expm(-1j * to_matrix(integral))
-    assert np.abs(_complex_form(_commuting_propagators(osc, grid)) - want).max() <= 1e-13
+    assert np.abs(complex_form(_commuting_propagators(osc, grid)) - want).max() <= 1e-13
 
 
 def test_prefix_products_equal_sequential_loop():
@@ -323,17 +333,20 @@ _PROFILES = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(st.tuples(_PROFILES, _PROFILES, _PROFILES, _PROFILES), st.sampled_from([1, 2, 3]))
 def test_exponents_are_exactly_real_in_the_real_form_basis(profiles, n):
-    # the Magnus exponents, the integral of H of the commuting path and the
-    # point-transform target, mapped by the similarity, carry an imaginary
-    # part of exactly 0: the guard of evolve never has anything to drop
+    # the coefficients of H at the Magnus nodes, the integral of H of the
+    # commuting path and the point-transform target carry real coordinates
+    # r = h conj(phi) with an imaginary part of exactly 0: the entry guard
+    # of evolve never has anything to drop, and phi r gives h back exactly
     p = CoupledOscillatorParams(*profiles)
     t = np.linspace(-1.0, 2.0, 9)
-    omega6, omega4 = _magnus_exponents(p, t[:-1], np.diff(t), n)
+    nodes = t[:-1, None, None] + (np.arange(n)[:, None] + _GL_NODES) * (np.diff(t) / n)[:, None, None]
     integral = _h_coeffs(*(f.antiderivative(t, t[0]) for f in profiles))
     modified = build_H_modified(*(f(t) for f in profiles[:3]))
-    for m in (to_matrix(omega6), to_matrix(omega4),
-              -1j * to_matrix(integral), -1j * to_matrix(modified)):
-        assert np.all((m * _PHI).imag == 0)
+    for h in (build_H_coeffs(p, nodes), integral, modified):
+        assert np.all((h * _REAL_PHASES.conj()).imag == 0)
+        r = _real_coordinates(h)
+        assert r.dtype == float
+        assert np.array_equal(_REAL_PHASES * np.moveaxis(r, 0, -1), h)
 
 
 @pytest.mark.parametrize("name, mode", [("build_H_coeffs", "time_ordered"),
@@ -374,17 +387,17 @@ def test_real_path_propagators_equal_the_complex_formula():
     t0, h = DRIVEN_GRID[:-1], np.diff(DRIVEN_GRID)
     for n in (1, 2):
         omega6, _ = _magnus_exponents(DRIVEN, t0, h, n)
-        steps = expm(to_matrix(omega6))
+        steps = expm(to_matrix(exponent_coefficients(omega6)))
         want = steps[:, 0] if n == 1 else steps[:, 1] @ steps[:, 0]
         real = _magnus_propagators(DRIVEN, t0, h, n)[0]
         assert real.dtype == float
         # D^T Omega D = Omega: the real form is a real symplectic matrix
         assert np.abs(symplectic_inverse(real) @ real - np.eye(4)).max() <= 1e-13
-        assert np.abs(_complex_form(real) - want).max() <= 1e-13
+        assert np.abs(complex_form(real) - want).max() <= 1e-13
         u = [np.eye(4, dtype=complex)]
         for step in want:
             u.append(step @ u[-1])
-        assert np.abs(_complex_form(_prefix_products(real)) - np.stack(u)).max() <= 1e-13
+        assert np.abs(complex_form(_prefix_products(real)) - np.stack(u)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("grid, c0, field", [
