@@ -7,6 +7,11 @@ with three faces kept in exact correspondence:
 * the coordinate representation as quadratic operators in (x, y, px, py),
 * structure constants generated from the matrices, never hand-typed.
 
+The basis is orthonormal in the Hilbert-Schmidt inner product, so a 4x4
+matrix is read back by its inner products with it, in one projection
+helper with one leak check on the remainder; the structure tensor and
+its bracket tables are built once, at import.
+
 An algebra element is its complex coefficient array over that basis,
 shape (10,), or a stack of them, shape (..., 10); ``GeneratorId`` is an
 ``IntEnum`` and indexes the last axis (``h[..., GeneratorId.J1]``).
@@ -31,7 +36,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ProjectionLeak
-from .numerics import PROJ_TOL, frobenius
+from .numerics import PROJ_TOL
 
 __all__ = [
     "GeneratorId",
@@ -114,14 +119,16 @@ REJECTED_VARIANTS = {
     "J2_antihermitian": 0.5j * _blk(_S2, _Z2, _Z2, _S2),
 }
 
+# rows orthonormal in the Hilbert-Schmidt inner product: _GENF.conj() @ _GENF.T
+# is the identity, exactly
 _GENF = _GEN.reshape(10, 16)
-_GRAM = _GENF.conj() @ _GENF.T  # Hilbert-Schmidt Gram matrix of the basis
-_GRAM_INV = np.linalg.inv(_GRAM)
 
 # sign tables of the antilinear algebra symmetries (applied with
 # coefficient conjugation): order J0 J1 J2 J3 Q1 Q2 Q3 K1 K2 K3
-_PT_SIGNS = np.array([1, -1, 1, 1, -1, 1, 1, 1, -1, -1], dtype=float)
-_PT_TILDE_SIGNS = np.array([-1, 1, 1, -1, -1, -1, 1, -1, -1, 1], dtype=float)
+_PT_SIGNS = {
+    "PT": np.array([1, -1, 1, 1, -1, 1, 1, 1, -1, -1], dtype=float),
+    "PT_tilde": np.array([-1, 1, 1, -1, -1, -1, 1, -1, -1, 1], dtype=float),
+}
 
 # phase-space reflection (y, py) -> (-y, -py); the parity consistent
 # with the PT sign table above and with P H P = H^dagger for the
@@ -153,23 +160,37 @@ def to_matrix(e) -> np.ndarray:
     return np.tensordot(np.asarray(e, dtype=complex), _GEN, axes=(-1, 0))
 
 
-def from_matrix(m, return_residual: bool = True):
-    """Least-squares projection onto the generator span.
+def _project(flat, basis):
+    """Coordinates (..., 10) of flattened 4x4 matrices ``flat`` (..., 16) over an
+    orthonormal ``basis`` (10, 16), and the Frobenius norm of each remainder.
 
-    Uses the precomputed Hilbert-Schmidt Gram matrix of the basis.
-    Accepts stacks (..., 4, 4).  Returns ``(coeffs, residual)`` where the
-    residual is the Frobenius norm of the unrepresentable remainder; pass
-    ``return_residual=False`` to get the coefficients only.
+    Many matrices per sample go in as one 2-D (rows, 16) stack: numpy's
+    stacked (n, m, 16) product is slower.
+    """
+    coords = flat @ basis.conj().T
+    rem = flat - coords @ basis
+    return coords, np.sqrt(np.einsum("...i,...i->...", rem, rem.conj()).real)
+
+
+def _check_leak(resid, what: str) -> None:
+    """Raise :class:`ProjectionLeak` unless every remainder is at most ``PROJ_TOL`` (so finite)."""
+    worst = np.max(resid)
+    if not worst <= PROJ_TOL:
+        raise ProjectionLeak("%s residual %.3e exceeds %.3e" % (what, float(worst), PROJ_TOL))
+
+
+def from_matrix(m, return_residual: bool = True):
+    """Orthogonal projection onto the generator span: inner products with
+    the orthonormal generator basis.  Accepts stacks (..., 4, 4).  Returns
+    ``(coeffs, residual)`` where the residual is the Frobenius norm of the
+    unrepresentable remainder; pass ``return_residual=False`` to get the
+    coefficients only.
     """
     a = np.asarray(m, dtype=complex)
     flat = a.reshape(a.shape[:-2] + (16,))
-    rhs = flat @ _GENF.conj().T
-    coeffs = rhs @ _GRAM_INV.T
     if not return_residual:
-        return coeffs
-    recon = np.tensordot(coeffs, _GEN, axes=(-1, 0))
-    resid = frobenius(a - recon)
-    return coeffs, resid
+        return flat @ _GENF.conj().T
+    return _project(flat, _GENF)
 
 
 def quadratic_form(e) -> np.ndarray:
@@ -187,45 +208,33 @@ def from_quadratic_form(s, return_residual: bool = True):
     return from_matrix(_i_omega(np.asarray(s, dtype=complex)), return_residual=return_residual)
 
 
-_STRUCTURE = None
+def _structure_tensor() -> np.ndarray:
+    """f[i, j] = from_matrix([X_i, X_j]) for all 100 generator pairs in one batched projection."""
+    f, resid = from_matrix(_GEN[:, None] @ _GEN[None] - _GEN[None] @ _GEN[:, None])
+    if resid.max() > 1e-12:
+        raise ProjectionLeak("generator commutator left the algebra span")
+    f += 0.0  # the batched product leaves -0.0 in nine zeros; one pair at a time gives +0.0
+    f.setflags(write=False)
+    return f
+
+
+_STRUCTURE = _structure_tensor()
+
+# The nonzero (i < j, k, f[i, j, k]) entries of the structure tensor: its
+# 60 nonzeros (all +-i) pair up by antisymmetry into 30 terms, three per
+# output generator.
+_BRACKET_TERMS = tuple((int(i), int(j), int(k), complex(_STRUCTURE[i, j, k]))
+                       for i, j, k in np.argwhere(_STRUCTURE != 0) if i < j)
 
 
 def structure_constants() -> np.ndarray:
-    """Structure tensor f with [X_i, X_j] = sum_k f[i, j, k] X_k.
+    """Read-only structure tensor f with [X_i, X_j] = sum_k f[i, j, k] X_k.
 
-    Generated once from the matrix representation; the matrices are the
-    ground truth and the published commutation table is enforced in the
-    test suite instead of being typed in here.
+    Generated at import by one batched projection of the generator
+    commutators; the matrices are the ground truth and the published
+    commutation table is enforced in the test suite, not typed in here.
     """
-    global _STRUCTURE
-    if _STRUCTURE is None:
-        f = np.zeros((10, 10, 10), dtype=complex)
-        for i in range(10):
-            for j in range(10):
-                c, r = from_matrix(_GEN[i] @ _GEN[j] - _GEN[j] @ _GEN[i])
-                if r > 1e-12:
-                    raise ProjectionLeak("generator commutator left the algebra span")
-                f[i, j] = c
-        f.setflags(write=False)
-        _STRUCTURE = f
     return _STRUCTURE
-
-
-_BRACKET_TERMS = None
-
-
-def _bracket_terms():
-    """The nonzero (i < j, k, f[i, j, k]) entries of :func:`structure_constants`.
-
-    Read from the generated tensor once; its 60 nonzeros (all +-i) pair
-    up by antisymmetry into 30 terms, three per output generator.
-    """
-    global _BRACKET_TERMS
-    if _BRACKET_TERMS is None:
-        f = structure_constants()
-        _BRACKET_TERMS = tuple((int(i), int(j), int(k), complex(f[i, j, k]))
-                               for i, j, k in np.argwhere(f != 0) if i < j)
-    return _BRACKET_TERMS
 
 
 def commutator(a, b) -> np.ndarray:
@@ -233,13 +242,13 @@ def commutator(a, b) -> np.ndarray:
 
     ``a`` and ``b`` are coefficient arrays (..., 10); their leading axes
     broadcast sample-wise against each other.  Each output generator k
-    sums f[i, j, k] (a_i b_j - a_j b_i) over its (i < j) terms of the
-    table generated from :func:`structure_constants`, three per k, so
-    no temporary is larger than one broadcast coefficient column.
+    sums f[i, j, k] (a_i b_j - a_j b_i) over its three (i < j) terms of
+    ``_BRACKET_TERMS``, read from :func:`structure_constants`, so no
+    temporary is larger than one broadcast coefficient column.
     """
     ca, cb = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
     out = np.zeros(ca.shape, dtype=complex)
-    for i, j, k, f in _bracket_terms():
+    for i, j, k, f in _BRACKET_TERMS:
         out[..., k] += f * (ca[..., i] * cb[..., j] - ca[..., j] * cb[..., i])
     return out
 
@@ -254,33 +263,26 @@ def commutator(a, b) -> np.ndarray:
 # matrix is the identity, exactly).  An element c = phi r with r real,
 # the real coordinates of c, has -i M(c) = D (sum_k r_k R_k) D^-1, and
 # c = phi r with r complex has M(c) = D (i sum_k r_k R_k) D^-1.  The
-# phases and the basis are generated from the matrices here; the
-# bracket in real coordinates is built on first use.
+# phases, the basis and the bracket in real coordinates are generated
+# from the matrices here.
 _REAL_D = np.array([1.0, 1j, 1.0, -1j])
 _UNIT_FORMS = -1j * _GEN * (_REAL_D / _REAL_D[:, None])
 _REAL_PHASES = np.where([np.all(m.imag == 0) for m in _UNIT_FORMS], 1.0 + 0j, 1j)
 _REAL_BASIS = (_REAL_PHASES[:, None, None] * _UNIT_FORMS).real
 _REAL_BASIS_FLAT = _REAL_BASIS.reshape(10, 16)
 
-_REAL_BRACKET_TERMS = None
+
+def _real_bracket_term(i, j, k, f):
+    """A term (i, j, k, f) of ``_BRACKET_TERMS`` in real coordinates: (i, j, k, g)
+    with g = -i f phi_i phi_j / phi_k, which must be exactly +1 or -1."""
+    g = -1j * f * _REAL_PHASES[i] * _REAL_PHASES[j] / _REAL_PHASES[k]
+    if g not in (1.0, -1.0):
+        raise ValueError("bracket term (%d, %d, %d) is %r in real coordinates" % (i, j, k, g))
+    return i, j, k, g.real
 
 
-def _real_bracket_terms():
-    """The 30 terms of :func:`_bracket_terms` in real coordinates.
-
-    Each (i, j, k, f) becomes (i, j, k, g) with
-    g = -i f phi_i phi_j / phi_k, exactly +1 or -1, in the same order.
-    """
-    global _REAL_BRACKET_TERMS
-    if _REAL_BRACKET_TERMS is None:
-        terms = []
-        for i, j, k, f in _bracket_terms():
-            g = -1j * f * _REAL_PHASES[i] * _REAL_PHASES[j] / _REAL_PHASES[k]
-            if g not in (1.0, -1.0):
-                raise ValueError("bracket term (%d, %d, %d) is %r in real coordinates" % (i, j, k, g))
-            terms.append((i, j, k, g.real))
-        _REAL_BRACKET_TERMS = tuple(terms)
-    return _REAL_BRACKET_TERMS
+# the 30 terms of the bracket in real coordinates, in the same order
+_REAL_BRACKET_TERMS = tuple(_real_bracket_term(*term) for term in _BRACKET_TERMS)
 
 
 def _real_commutator(a, b) -> np.ndarray:
@@ -290,11 +292,11 @@ def _real_commutator(a, b) -> np.ndarray:
     -i phi a and -i phi b; the result holds those of their matrix
     commutator, so phi * result equals -1j * commutator(phi a, phi b)
     (there with the coefficients on the last axis).  Each of the 30
-    terms of :func:`_real_bracket_terms` reads four whole coefficient
+    terms of ``_REAL_BRACKET_TERMS`` reads four whole coefficient
     rows, contiguous in this layout.
     """
     out = np.zeros(np.broadcast(a, b).shape)
-    for i, j, k, g in _real_bracket_terms():
+    for i, j, k, g in _REAL_BRACKET_TERMS:
         term = a[i] * b[j] - a[j] * b[i]
         if g > 0:
             out[k] += term
@@ -313,16 +315,11 @@ def _real_conjugate_by(u, r) -> np.ndarray:
 
     ``u`` is a real group stack (N, 4, 4) in the basis z = D z', and
     ``r`` holds m real coordinate rows (m, 10).  This is
-    :func:`conjugate_by` in the real form: u^-1 is
-    :func:`symplectic_inverse`, and the basis R is orthonormal, so each
-    image is projected by its inner products with R.  Raises
-    :class:`ProjectionLeak` where the remainder of the m images of a
-    sample, in Frobenius norm over all of them, exceeds ``PROJ_TOL`` or
-    is not finite (for the real and imaginary halves of one complex
-    element that is the residual :func:`conjugate_by` reads, since D is
-    unitary).  With u^-1 taken as the symplectic inverse, u X u^-1 is in
-    the algebra for any u, symplectic or not, so a finite remainder is
-    rounding.
+    :func:`conjugate_by` in the real form, with its inverse and its leak
+    check; the images are projected onto the orthonormal basis R, and the
+    remainder checked is, per sample, the Frobenius norm over all m
+    images (for the real and imaginary halves of one complex element,
+    the residual :func:`conjugate_by` reads, since D is unitary).
     """
     x = (np.asarray(r, dtype=float) @ _REAL_BASIS_FLAT).reshape(-1, 4, 4)
     n, m = len(u), len(x)
@@ -330,12 +327,9 @@ def _real_conjugate_by(u, r) -> np.ndarray:
     # matmul is slow on 4x4 blocks, so only the second product is stacked
     ux = (u.reshape(-1, 4) @ x.transpose(1, 0, 2).reshape(4, -1)).reshape(n, 4, m, 4)
     images = (ux.transpose(0, 2, 1, 3) @ symplectic_inverse(u)[:, None]).reshape(-1, 16)
-    coords = images @ _REAL_BASIS_FLAT.T
-    resid = np.sqrt(((images - coords @ _REAL_BASIS_FLAT) ** 2).reshape(n, -1).sum(axis=1))
-    coords = coords.reshape(n, m, 10)
-    if not np.max(resid) <= PROJ_TOL:
-        raise ProjectionLeak("conjugation residual %.3e exceeds %.3e" % (float(np.max(resid)), PROJ_TOL))
-    return coords
+    coords, resid = _project(images, _REAL_BASIS_FLAT)
+    _check_leak(np.linalg.norm(resid.reshape(n, m), axis=1), "conjugation")
+    return coords.reshape(n, m, 10)
 
 
 def adjoint(e) -> np.ndarray:
@@ -350,12 +344,14 @@ def adjoint(e) -> np.ndarray:
 
 def pt_map(e, variant: str = "PT") -> np.ndarray:
     """Antilinear PT (or PT-tilde) symmetry: per-generator sign flip plus conjugation."""
-    signs = {"PT": _PT_SIGNS, "PT_tilde": _PT_TILDE_SIGNS}[variant]
-    return np.asarray(e, dtype=complex).conj() * signs
+    return np.asarray(e, dtype=complex).conj() * pt_signs(variant)
 
 
 def pt_signs(variant: str = "PT") -> np.ndarray:
-    return {"PT": _PT_SIGNS, "PT_tilde": _PT_TILDE_SIGNS}[variant].copy()
+    """Per-generator sign table of the PT (or PT-tilde) symmetry."""
+    if variant not in _PT_SIGNS:
+        raise ValueError("unknown PT variant %r (expected one of %s)" % (variant, ", ".join(_PT_SIGNS)))
+    return _PT_SIGNS[variant].copy()
 
 
 def symplectic_inverse(g) -> np.ndarray:
@@ -377,14 +373,13 @@ def conjugate_by(g, e) -> np.ndarray:
 
     ``g`` is a 4x4 matrix or a stack (N, 4, 4) paired with one element
     or with one element per sample; g^-1 is :func:`symplectic_inverse`.
-    Raises :class:`ProjectionLeak` if the result does not project back
-    onto the algebra within ``PROJ_TOL``, read at call time (signals a
-    non-symplectic ``g`` or a numerical defect; the adjoint action itself
-    preserves the span).
+    With it g X g^-1 lies in the algebra for every g, symplectic or not,
+    so the projection's remainder is rounding; :class:`ProjectionLeak`
+    is raised where it is not finite or exceeds ``PROJ_TOL``, read at
+    call time.  A non-symplectic g is not detected.
     """
     coeffs, resid = from_matrix(g @ to_matrix(e) @ symplectic_inverse(g))
-    if np.max(resid) > PROJ_TOL:
-        raise ProjectionLeak("conjugation residual %.3e exceeds %.3e" % (float(np.max(resid)), PROJ_TOL))
+    _check_leak(resid, "conjugation")
     return coeffs
 
 
@@ -416,11 +411,10 @@ def parity_action(e, convention: str = "reflection") -> np.ndarray:
 
     ``e`` is one element (10,) or a stack (..., 10); raises
     :class:`ProjectionLeak` if an image leaves the span by more than
-    ``PROJ_TOL``.  Every convention is an involution, so P^-1 = P.
+    ``PROJ_TOL`` or is not finite.  Every convention is an involution,
+    so P^-1 = P.
     """
     p = parity_matrix(convention)
     coeffs, resid = from_matrix(p @ to_matrix(e) @ p)
-    if np.max(resid) > PROJ_TOL:
-        raise ProjectionLeak("parity conjugation residual %.3e exceeds %.3e"
-                             % (float(np.max(resid)), PROJ_TOL))
+    _check_leak(resid, "parity conjugation")
     return coeffs

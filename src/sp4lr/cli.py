@@ -365,7 +365,8 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
 
     # one EP state per grid, passed to every stage evaluated on that grid
     ep = ep_state(params, grid)
-    checks.add("ermakov_pinney_residual", float(np.abs(ep_residual(params, ep)).max()), 1e-8)
+    ep_resid = float(np.abs(ep_residual(params, ep)).max())
+    checks.add("ermakov_pinney_residual", ep_resid, 1e-8)
     # the first integrals are conserved to rounding: about 4500 eps
     checks.add("ermakov_first_integral",
                float(np.abs(ermakov_first_integral(params, ep)).max()), 1e-12)
@@ -379,8 +380,8 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
     k = transport_generator(params, ep)  # K = T^-1 dT/dt, once per grid
     inv_rate = commutator(inv, k)  # dI_H/dt, exact
     a, b, lam = target_coefficients(params, ep)
-    checks.add("invariant_lr_residual",
-               lr_residual(inv, build_H_modified(a, b, lam), grid, didt=inv_rate), 1e-8)
+    lr_resid = lr_residual(inv, build_H_modified(a, b, lam), grid, didt=inv_rate)
+    checks.add("invariant_lr_residual", lr_resid, 1e-8)
 
     # one Dyson map per grid; its inverse is the symplectic one, exact
     # only as far as eta is symplectic.  The defect is measured relative
@@ -421,7 +422,8 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
     emit_plot_data((names + inames + hnames, cols + icols + hcols), path)
     artifacts.append(path)
 
-    records = crosschecks.point_transform_records(params, ep, inv, inv_rate)
+    # the adopted residuals of the ledger are the two rows above
+    records = crosschecks.point_transform_records(params, ep, inv, inv_rate, ep_resid, lr_resid)
     return {
         "dyson": {"kappa1": stat.kappa1, "kappa2": stat.kappa2,
                   "delta": [stat.delta.real, stat.delta.imag]},

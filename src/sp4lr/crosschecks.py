@@ -218,12 +218,15 @@ def invariant_image_variant(p: pt.PointTransformParams, ep: pt.EPState) -> np.nd
 
 
 def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState, inv: np.ndarray,
-                               inv_rate: np.ndarray) -> tuple[DiscrepancyRecord, DiscrepancyRecord]:
+                               inv_rate: np.ndarray,
+                               adopted: float) -> tuple[DiscrepancyRecord, DiscrepancyRecord]:
     """The two records judged by the invariant equation on the grid ``ep.t``.
 
     ``inv`` is the congruence image :func:`invariant_IH` on that grid and
     ``inv_rate`` its exact rate [I_H, K] (:func:`transport_generator`);
-    its invariant-equation residual is the adopted residual of both.
+    ``adopted``, the adopted residual of both, is its invariant-equation
+    residual with that rate, as the run computes it for its
+    ``invariant_lr_residual`` row.
     Returns the transformed-invariant record (congruence image vs the
     closed-expression variant) and the target-pairing record (adopted
     (a, b) = (beta r/sigma^2, alpha r/mu^2) vs the swapped pairing).
@@ -234,7 +237,6 @@ def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState, inv: 
     t = ep.t
     a, b, lam = pt.target_coefficients(p, ep)
     h = build_H_modified(a, b, lam)
-    adopted = lr_residual(inv, h, t, didt=inv_rate)
     image = DiscrepancyRecord(
         name="transformed_invariant_expression",
         adjudicator="invariant equation residual",
@@ -254,10 +256,11 @@ def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState, inv: 
     return image, pairing
 
 
-def ep_form_record(p: pt.PointTransformParams, ep: pt.EPState) -> DiscrepancyRecord:
+def ep_form_record(p: pt.PointTransformParams, ep: pt.EPState, adopted: float) -> DiscrepancyRecord:
     """Canonical (linear) EP form vs the variant with a quadratic third term,
-    both written as r^2 times their tau-form (see :func:`point_transform.ep_residual`)."""
-    adopted = float(np.abs(pt.ep_residual(p, ep)).max())
+    both written as r^2 times their tau-form.  ``adopted`` is the largest
+    :func:`point_transform.ep_residual` of ``ep``, the run's
+    ``ermakov_pinney_residual`` row."""
     var_s = ep.r**2 * (ep.sigma_tautau + p.beta**2 * ep.sigma**2 - p.beta**2 / ep.sigma**3)
     var_m = ep.r**2 * (ep.mu_tautau + p.alpha**2 * ep.mu**2 - p.alpha**2 / ep.mu**3)
     variant = float(max(np.abs(var_s).max(), np.abs(var_m).max()))
@@ -331,13 +334,17 @@ def standard_records(params: CoupledOscillatorParams | None = None) -> list[Disc
 
 
 def point_transform_records(p: pt.PointTransformParams, ep: pt.EPState, inv: np.ndarray,
-                            inv_rate: np.ndarray) -> list[DiscrepancyRecord]:
+                            inv_rate: np.ndarray, ep_resid: float,
+                            lr_resid: float) -> list[DiscrepancyRecord]:
     """Records adjudicating the point-transformation pipeline forms.
 
     ``ep`` is the EP state on the scenario grid, ``inv`` the invariant
-    :func:`invariant_IH` on it and ``inv_rate`` its exact rate.
+    :func:`invariant_IH` on it and ``inv_rate`` its exact rate.  The
+    adopted residuals come from the run: ``ep_resid`` of
+    :func:`ep_form_record` and ``lr_resid`` of
+    :func:`invariant_equation_records`.
     """
-    image, pairing = invariant_equation_records(p, ep, inv, inv_rate)
-    recs = [image, ep_form_record(p, ep), pairing]
+    image, pairing = invariant_equation_records(p, ep, inv, inv_rate, lr_resid)
+    recs = [image, ep_form_record(p, ep, ep_resid), pairing]
     recs += pushforward_row_records(p, ep.take([len(ep.t) // 3]))
     return recs

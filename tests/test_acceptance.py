@@ -300,9 +300,10 @@ def test_criterion_8_known_discrepancy_ledger():
     grid = np.arange(0.0, 2.0 + 1e-12, 1e-3)
     ep = ep_state(p, grid)
     inv = invariant_IH(p, ep)
-    rec_inv, _ = invariant_equation_records(p, ep, inv,
-                                            commutator(inv, transport_generator(p, ep)))
-    rec_ep = ep_form_record(p, ep)
+    inv_rate = commutator(inv, transport_generator(p, ep))
+    lr_resid = lr_residual(inv, build_H_modified(*target_coefficients(p, ep)), grid, didt=inv_rate)
+    rec_inv, _ = invariant_equation_records(p, ep, inv, inv_rate, lr_resid)
+    rec_ep = ep_form_record(p, ep, float(np.abs(ep_residual(p, ep)).max()))
     # adopted forms pass their adjudicators; the variants are flagged
     assert rec_inv.adopted_residual < 1e-8
     assert rec_inv.variant_flagged and rec_inv.variant_residual > 1e-3

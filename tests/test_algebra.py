@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import sp4lr.algebra as algebra
 from sp4lr.algebra import (
     GENERATOR_NAMES,
-    _bracket_terms,
     OMEGA,
     GeneratorId,
     REJECTED_VARIANTS,
@@ -27,6 +26,7 @@ from sp4lr.algebra import (
     parity_action,
     parity_matrix,
     pt_map,
+    pt_signs,
     quadratic_form,
     quadratic_form_of,
     structure_constants,
@@ -173,7 +173,7 @@ def test_commutator_broadcasts_stacks():
 
 
 def test_bracket_table_is_generated_from_the_structure_constants():
-    terms = _bracket_terms()
+    terms = algebra._BRACKET_TERMS
     assert all(i < j for i, j, _, _ in terms)
     counts = np.bincount([k for _, _, k, _ in terms], minlength=10)
     np.testing.assert_array_equal(counts, np.full(10, 3))
@@ -182,6 +182,24 @@ def test_bracket_table_is_generated_from_the_structure_constants():
     for i, j, k, c in terms:
         f[i, j, k], f[j, i, k] = c, -c
     np.testing.assert_array_equal(f, structure_constants())
+
+
+def test_generator_basis_is_orthonormal_exactly():
+    # from_matrix reads coefficients as plain inner products with the
+    # generators; that needs the Hilbert-Schmidt Gram matrix to be I
+    flat = algebra._GENF
+    assert np.array_equal(flat.conj() @ flat.T, np.eye(10))
+
+
+def test_batched_structure_tensor_equals_per_pair_projection_bitwise():
+    gen = generator_matrices()
+    f = np.zeros((10, 10, 10), dtype=complex)
+    for i in range(10):
+        for j in range(10):
+            f[i, j] = from_matrix(gen[i] @ gen[j] - gen[j] @ gen[i])[0]
+    got = structure_constants()
+    assert got.tobytes() == f.tobytes()
+    assert not got.flags.writeable
 
 
 def test_structure_antisymmetry():
@@ -321,6 +339,13 @@ def test_pt_signs():
     assert pt_map(unit("J0"), "PT_tilde")[GeneratorId.J0] == -1.0
 
 
+@pytest.mark.parametrize("call, variant", [(lambda v: pt_map(unit("J1"), v), "PTT"),
+                                           (pt_signs, "pt")])
+def test_unknown_pt_variant_is_a_value_error(call, variant):
+    with pytest.raises(ValueError, match="unknown PT variant '%s'" % variant):
+        call(variant)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
                                    allow_infinity=False), min_size=10, max_size=10),
@@ -420,6 +445,20 @@ def test_conjugate_by_leak_guard(monkeypatch):
         conjugate_by(group(x), e)
 
 
+def test_conjugate_by_raises_on_a_nan_group_element():
+    g = group(0.3 * np.random.default_rng(44).standard_normal(10))
+    g[1, 2] = np.nan
+    with pytest.raises(ProjectionLeak, match="conjugation residual nan"):
+        conjugate_by(g, unit("J1"))
+
+
+def test_parity_action_raises_on_a_nan_element():
+    e = unit("J1")
+    e[GeneratorId.K3] = np.nan
+    with pytest.raises(ProjectionLeak, match="parity conjugation residual nan"):
+        parity_action(e)
+
+
 def test_symplectic_inverse_keeps_a_real_stack_real():
     # a real g stays float64, so a product with it takes numpy's real path
     rng = np.random.default_rng(24)
@@ -446,10 +485,10 @@ def test_real_phases_and_basis_are_generated_and_orthonormal():
 
 
 def test_real_bracket_times_phi_is_the_complex_bracket_bitwise():
-    # the 30 terms are +-1 and follow _bracket_terms in order, so every
+    # the 30 terms are +-1 and follow _BRACKET_TERMS in order, so every
     # product and sum of the complex bracket is repeated in real numbers
-    terms = algebra._real_bracket_terms()
-    assert [t[:3] for t in terms] == [t[:3] for t in _bracket_terms()]
+    terms = algebra._REAL_BRACKET_TERMS
+    assert [t[:3] for t in terms] == [t[:3] for t in algebra._BRACKET_TERMS]
     assert {g for *_, g in terms} == {1.0, -1.0}
     rng = np.random.default_rng(25)
     a, b = rng.standard_normal((2, 10, 6, 3))

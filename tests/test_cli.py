@@ -405,6 +405,46 @@ def test_report_deterministic_modulo_walltime(tmp_path):
         (out2 / "closed_form_trajectory.csv").read_bytes()
 
 
+def test_point_transform_computes_each_adopted_residual_once(tmp_path, monkeypatch):
+    # the ledger's adopted EP and invariant-equation residuals are the
+    # run's check rows, not a second evaluation
+    import sp4lr.crosschecks
+    import sp4lr.point_transform
+
+    calls = {"ep": 0, "lr_exact": 0, "lr_stencil": 0}
+
+    def counting_ep(fn):
+        def wrapped(*args, **kwargs):
+            calls["ep"] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def counting_lr(fn):
+        def wrapped(*args, **kwargs):
+            calls["lr_stencil" if kwargs.get("didt") is None else "lr_exact"] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (cli, sp4lr.point_transform):
+        monkeypatch.setattr(module, "ep_residual", counting_ep(module.ep_residual))
+    for module in (cli, sp4lr.crosschecks):
+        monkeypatch.setattr(module, "lr_residual", counting_lr(module.lr_residual))
+    cfg = {"mode": "point-transform", "grid": {"t0": 0.0, "t1": 1.0, "steps": 501},
+           "params": {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "c2": 0.2, "c3": 0.2,
+                      "r": {"kind": "sinusoid", "amp": 0.2, "freq": 1.0, "phase": 0.0,
+                            "offset": 1.0}}}
+    report = run_scenario(cfg, str(tmp_path))
+    assert report["all_pass"]
+    # one EP residual; exact-rate lr_residual for the row and the pairing
+    # variant, the stencil one for the closed-expression variant
+    assert calls == {"ep": 1, "lr_exact": 2, "lr_stencil": 1}
+    rows = {c["name"]: c["residual"] for c in report["checks"]}
+    ledger = {r["name"]: r["adopted_residual"] for r in report["known_discrepancies"]}
+    assert ledger["ermakov_pinney_form"] == rows["ermakov_pinney_residual"]
+    assert ledger["transformed_invariant_expression"] == rows["invariant_lr_residual"]
+    assert ledger["target_coefficient_pairing"] == rows["invariant_lr_residual"]
+
+
 def test_seed_env_controls_sampling(tmp_path, monkeypatch):
     cfg = {"mode": "point-transform", "grid": {"t0": 0.0, "t1": 1.0, "steps": 501},
            "params": {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "c2": 0.2, "c3": 0.2,

@@ -3,6 +3,8 @@
 import numpy as np
 
 from sp4lr.algebra import commutator
+from sp4lr.hamiltonian import build_H_modified
+from sp4lr.lr_ode import lr_residual
 from sp4lr.crosschecks import (
     ansatz_row7_record,
     ep_form_record,
@@ -15,7 +17,14 @@ from sp4lr.crosschecks import (
     pushforward_row_records,
     standard_records,
 )
-from sp4lr.point_transform import PointTransformParams, ep_state, invariant_IH, transport_generator
+from sp4lr.point_transform import (
+    PointTransformParams,
+    ep_residual,
+    ep_state,
+    invariant_IH,
+    target_coefficients,
+    transport_generator,
+)
 from sp4lr.profiles import ScalarProfile
 
 P = PointTransformParams(alpha=2.0, beta=1.0, coupling=0.5,
@@ -24,6 +33,9 @@ GRID = np.arange(0.0, 2.0 + 1e-12, 2e-3)
 EP = ep_state(P, GRID)
 INV = invariant_IH(P, EP)
 INV_RATE = commutator(INV, transport_generator(P, EP))
+# the adopted residuals, as a point-transform run computes them for its check rows
+EP_RESID = float(np.abs(ep_residual(P, EP)).max())
+LR_RESID = lr_residual(INV, build_H_modified(*target_coefficients(P, EP)), GRID, didt=INV_RATE)
 
 
 def test_generator_variant_flagged():
@@ -56,7 +68,7 @@ def test_parity_convention_record():
 
 
 def test_invariant_image_variant_fails_invariant_equation():
-    rec, _ = invariant_equation_records(P, EP, INV, INV_RATE)
+    rec, _ = invariant_equation_records(P, EP, INV, INV_RATE, LR_RESID)
     assert rec.adopted_residual < 1e-8
     assert rec.variant_residual > 1e-3
     assert rec.variant_flagged
@@ -73,14 +85,14 @@ def test_invariant_image_variant_differs_by_j1_k1_term():
 
 
 def test_ep_form_variant_flagged():
-    rec = ep_form_record(P, EP)
+    rec = ep_form_record(P, EP, EP_RESID)
     assert rec.adopted_residual < 1e-8
     assert rec.variant_residual > 1e-2
     assert rec.variant_flagged
 
 
 def test_target_assignment_variant_flagged():
-    _, rec = invariant_equation_records(P, EP, INV, INV_RATE)
+    _, rec = invariant_equation_records(P, EP, INV, INV_RATE, LR_RESID)
     assert rec.adopted_residual < 1e-8
     assert rec.variant_residual > 1e-3
     assert rec.variant_flagged
@@ -95,7 +107,7 @@ def test_pushforward_row_records():
 
 
 def test_bundles_and_serialization():
-    recs = standard_records() + point_transform_records(P, EP, INV, INV_RATE)
+    recs = standard_records() + point_transform_records(P, EP, INV, INV_RATE, EP_RESID, LR_RESID)
     names = [r.name for r in recs]
     assert len(names) == len(set(names))
     for rec in recs:
