@@ -20,7 +20,8 @@ Every function here takes and returns such arrays.
 The bridge between the first two is ``M = i Omega S`` where S is the
 symmetric (Weyl-ordered) quadratic-form matrix of the operator over
 z = (x, y, px, py).  Because (i Omega)^2 = 1 the same formula inverts
-itself: ``S = i Omega M``.
+itself: ``S = i Omega M``.  No runtime path needs the quadratic forms;
+the test suite carries the bridge as the oracle of the coordinate face.
 
 Two entries of the published generator set fail the adjudicating
 identities and are corrected here (see ``REJECTED_VARIANTS``): the J2
@@ -44,13 +45,10 @@ __all__ = [
     "OMEGA",
     "matrix_of",
     "generator_matrices",
-    "quadratic_form_of",
     "structure_constants",
     "commutator",
     "to_matrix",
     "from_matrix",
-    "quadratic_form",
-    "from_quadratic_form",
     "adjoint",
     "pt_map",
     "conjugate_by",
@@ -146,15 +144,6 @@ def generator_matrices() -> np.ndarray:
     return _GEN
 
 
-def quadratic_form_of(g) -> np.ndarray:
-    """Symmetric quadratic-form matrix S of a generator over z = (x, y, px, py).
-
-    Defined through the bridge S = i Omega M, so the coordinate
-    representation is generated from the matrices rather than typed in.
-    """
-    return _i_omega(matrix_of(g)).real.copy()
-
-
 def to_matrix(e) -> np.ndarray:
     """Linear combination of the generator matrices; accepts stacks (..., 10)."""
     return np.tensordot(np.asarray(e, dtype=complex), _GEN, axes=(-1, 0))
@@ -191,21 +180,6 @@ def from_matrix(m, return_residual: bool = True):
     if not return_residual:
         return flat @ _GENF.conj().T
     return _project(flat, _GENF)
-
-
-def quadratic_form(e) -> np.ndarray:
-    """Symmetric quadratic-form matrix S with element = (1/2) z^T S z."""
-    return _i_omega(to_matrix(e))
-
-
-def _i_omega(m) -> np.ndarray:
-    """i Omega @ m for a stack (..., 4, k): the bridge between matrices and quadratic forms."""
-    return m[..., _SWAP, :] * (1j * _SIGNS[:, None])
-
-
-def from_quadratic_form(s, return_residual: bool = True):
-    """Inverse of :func:`quadratic_form` (same +i Omega bridge both ways)."""
-    return from_matrix(_i_omega(np.asarray(s, dtype=complex)), return_residual=return_residual)
 
 
 def _structure_tensor() -> np.ndarray:

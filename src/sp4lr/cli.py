@@ -173,7 +173,10 @@ def _require_finite_profiles(params, grid):
                                 % (name, grid[np.argmin(finite)]))
 
 
-_CSV_CELLS = 2048  # cells formatted per block of rows
+# ---------------------------------------------------------------------------
+# CSV writer
+
+_CSV_CELLS = 2048  # numeric cells formatted per block of rows
 
 
 def _constant_cell(col):
@@ -186,22 +189,49 @@ def _constant_cell(col):
     return None
 
 
+def _text_bytes(col, name):
+    """A text column in UTF-8, one row of NUL-padded bytes per cell."""
+    enc = np.char.encode(col, "utf-8")
+    raw = enc.view(np.uint8).reshape(len(col), enc.itemsize)
+    if np.any((raw[:, :-1] == 0) & (raw[:, 1:] != 0)):
+        raise ValueError("column %s: a text cell holds a NUL byte" % name)
+    return raw
+
+
 def emit_plot_data(trajectory, path):
     """Write named columns to CSV with 17-significant-digit floats.
 
     ``trajectory`` is a (names, columns) pair of column names and 1-d
     arrays; the first column is time and must be strictly increasing.
-    A column of strings (a regime label, say) is written as is, in its
-    own position.  A numeric column after the first whose values all
-    format alike (a coefficient that is exactly 0, say; -0.0 stays
-    ``-0``) is formatted once and written into the row template.  The
-    other columns are written in blocks of about ``_CSV_CELLS`` cells:
-    each column's slice becomes Python floats with one ``tolist``, and
-    each row is one ``%``-format of them.  Only one block is alive at a
-    time, so the writer holds a few hundred kB beyond the columns
-    themselves, whatever the length of the file.
+    Every numeric cell reads exactly as ``"%.17g" % value``.  A column
+    of strings (a regime label, say) is written as is, in UTF-8, in its
+    own position; a string holding a NUL byte is rejected.  A numeric
+    column after the first whose values all format alike (a coefficient
+    that is exactly 0, say; -0.0 stays ``-0``) is formatted once, into
+    the row template.
+
+    The other numeric columns go through one vectorised kernel,
+    ``_csv17._format17``, in blocks of about ``_CSV_CELLS`` cells.  It is
+    exact, not close.  For 1e-40 <= |v| < 1e40 it takes X = floor(log10
+    |v|) and N = round(|v| 10^(16 - X)) from a double-double product
+    good to about 1e-14, so N is the correctly rounded 17-digit
+    significand wherever the fraction being rounded is more than 1e-6
+    from 1/2 and the product has 17 digits.  ``"%.17g"`` itself formats
+    the rest, one cell at a time: a fraction within 1e-6 of 1/2 (exact
+    ties included), a product of 16 or 18 digits (log10 rounded across a
+    power of ten), |v| outside that range, NaN and +-inf.  +-0 is laid
+    out by the kernel.
+
+    A block is laid out as a (rows, row bytes) array, each cell in a
+    fixed-width slot, and written in one write without its pad bytes.
+    One block is alive at a time: about 170 bytes a kernel cell, 0.33 MB
+    for the 2048 of ``_CSV_CELLS`` (tracemalloc peak), plus the block's
+    constant and text bytes, whatever the length of the file.
     Raises on an empty trajectory before creating the file.
     """
+    # imported on the first write: importing the CLI builds no table
+    from ._csv17 import _SLOT, _format17
+
     names, cols = trajectory
     if not names or any(len(np.atleast_1d(c)) == 0 for c in cols):
         raise ValueError("empty trajectory; nothing to write")
@@ -210,21 +240,43 @@ def emit_plot_data(trajectory, path):
     if any(len(c) != n for c in cols):
         raise ValueError("trajectory columns must share a length")
     text = [c.dtype.kind in "US" for c in cols]
-    cols = [c if t else np.asarray(c, dtype=float) for c, t in zip(cols, text)]
+    cols = [c.astype(str) if t else np.asarray(c, dtype=float) for c, t in zip(cols, text)]
     if np.any(np.diff(cols[0]) <= 0):
         raise ValueError("time column must be strictly increasing")
-    # the time column is never baked in, so every row has a cell to format
-    cells = [None if t or j == 0 else _constant_cell(c)
-             for j, (c, t) in enumerate(zip(cols, text))]
-    fmt = ",".join("%s" if t else "%.17g" if cell is None else cell
-                   for t, cell in zip(text, cells)) + "\n"
-    live = [c for c, cell in zip(cols, cells) if cell is None]
+    # one slot per column, each followed by its separator: a kernel cell,
+    # a text cell, or a constant cell baked into the row (the time column
+    # is never baked, so every row has a cell to format)
+    slots, live, texts, at = [], [], [], 0
+    for j, (name, c, t) in enumerate(zip(names, cols, text)):
+        cell = None if t or j == 0 else _constant_cell(c)
+        if t:
+            texts.append((at, _text_bytes(c, name)))
+            slots.append(bytes(texts[-1][1].shape[1]) + b",")
+        elif cell is None:
+            live.append((at, c))
+            slots.append(bytes(_SLOT) + b",")
+        else:
+            slots.append(cell.encode() + b",")
+        at += len(slots[-1])
+    row = np.frombuffer(b"".join(slots)[:-1] + b"\n", np.uint8)
+
+    def block_bytes(b, m):
+        """Rows b..b+m-1 without their pad bytes.  A function, so that
+        nothing of one block is alive while the next is formatted."""
+        cells = _format17(np.concatenate([c[b:b + m] for _, c in live]))
+        block = np.empty((m, row.size), np.uint8)
+        block[:] = row
+        for k, (at, _) in enumerate(live):
+            block[:, at:at + _SLOT] = cells[k * m:(k + 1) * m]
+        for at, raw in texts:
+            block[:, at:at + raw.shape[1]] = raw[b:b + m]
+        return block[block != 0]
+
     rows = max(1, _CSV_CELLS // len(live))
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
         for b in range(0, n, rows):
-            # one expression: a block's floats are freed before the next is built
-            fh.writelines(fmt % row for row in zip(*[c[b:b + rows].tolist() for c in live]))
+            fh.write(block_bytes(b, min(rows, n - b)))
     return path
 
 
@@ -359,6 +411,19 @@ def _run_lr_ode(cfg, grid, outdir, checks, artifacts):
     return {"solver": solver}
 
 
+def _inverse_defect(eta):
+    """Largest |eta eta^-1 - 1|_F / (|eta|_F |eta^-1|_F) over the samples.
+
+    The inverse is the symplectic one, exact only as far as eta is
+    symplectic.  The defect is measured relative to |eta| |eta^-1|, the
+    scale at which rounding enters the product: the absolute defect
+    grows with the conditioning of eta as the artanh argument of the
+    static map approaches 1."""
+    eta_inv = symplectic_inverse(eta)
+    return float((frobenius(eta @ eta_inv - np.eye(4))
+                  / (frobenius(eta) * frobenius(eta_inv))).max())
+
+
 def _run_point_transform(cfg, grid, outdir, checks, artifacts):
     params = PointTransformParams(**cfg["params"])
     rng = np.random.default_rng(cfg["seed"])
@@ -380,28 +445,23 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
     k = transport_generator(params, ep)  # K = T^-1 dT/dt, once per grid
     inv_rate = commutator(inv, k)  # dI_H/dt, exact
     a, b, lam = target_coefficients(params, ep)
-    lr_resid = lr_residual(inv, build_H_modified(a, b, lam), grid, didt=inv_rate)
+    h = build_H_modified(a, b, lam)  # the target Hamiltonian, once per grid
+    lr_resid = lr_residual(inv, h, grid, didt=inv_rate)
     checks.add("invariant_lr_residual", lr_resid, 1e-8)
 
-    # one Dyson map per grid; its inverse is the symplectic one, exact
-    # only as far as eta is symplectic.  The defect is measured relative
-    # to |eta| |eta^-1|, the scale at which rounding enters the product:
-    # the absolute defect grows with the conditioning of eta as the
-    # artanh argument of the static map approaches 1
+    # one Dyson map per grid; a stack that only a check row reads is not
+    # kept, since the run's memory peaks at the tdde_residual row
     eta = dyson_time(params, ep, stat)
-    eta_inv = symplectic_inverse(eta)
-    checks.add("dyson_inverse_identity",
-               float((frobenius(eta @ eta_inv - np.eye(4))
-                      / (frobenius(eta) * frobenius(eta_inv))).max()), 1e-12)
+    checks.add("dyson_inverse_identity", _inverse_defect(eta), 1e-12)
 
     ih = hermitian_invariant_Ih(inv, eta)
     checks.add("hermiticity_leak", float(np.abs(ih.imag).max()), 1e-8)
-    ih_image = pushforward(params, ep, stat.h0)
-    checks.add("invariant_image_match", float(np.abs(ih - ih_image).max()), 1e-8)
-    ih_expansion = hermitian_invariant_expansion(params, ep, stat)
-    checks.add("hermitian_expansion_match", float(np.abs(ih - ih_expansion).max()), 1e-8)
+    checks.add("invariant_image_match",
+               float(np.abs(ih - pushforward(params, ep, stat.h0)).max()), 1e-8)
+    checks.add("hermitian_expansion_match",
+               float(np.abs(ih - hermitian_invariant_expansion(params, ep, stat)).max()), 1e-8)
 
-    checks.add("tdde_residual", tdde_residual(params, ep, eta, k, stat), 1e-8)
+    checks.add("tdde_residual", tdde_residual(params, ep, eta, k, stat, h), 1e-8)
 
     samples = rng.uniform(-2.0, 2.0, size=(20, 2))
     idx = rng.choice(grid.size, size=min(20, grid.size), replace=False)
@@ -423,7 +483,8 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
     artifacts.append(path)
 
     # the adopted residuals of the ledger are the two rows above
-    records = crosschecks.point_transform_records(params, ep, inv, inv_rate, ep_resid, lr_resid)
+    records = crosschecks.point_transform_records(params, ep, inv, inv_rate, h, lam,
+                                                  ep_resid, lr_resid)
     return {
         "dyson": {"kappa1": stat.kappa1, "kappa2": stat.kappa2,
                   "delta": [stat.delta.real, stat.delta.imag]},

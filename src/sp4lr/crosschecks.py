@@ -218,14 +218,16 @@ def invariant_image_variant(p: pt.PointTransformParams, ep: pt.EPState) -> np.nd
 
 
 def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState, inv: np.ndarray,
-                               inv_rate: np.ndarray,
+                               inv_rate: np.ndarray, h: np.ndarray, lam: np.ndarray,
                                adopted: float) -> tuple[DiscrepancyRecord, DiscrepancyRecord]:
     """The two records judged by the invariant equation on the grid ``ep.t``.
 
     ``inv`` is the congruence image :func:`invariant_IH` on that grid and
     ``inv_rate`` its exact rate [I_H, K] (:func:`transport_generator`);
-    ``adopted``, the adopted residual of both, is its invariant-equation
-    residual with that rate, as the run computes it for its
+    ``h`` is the target Hamiltonian on it and ``lam`` its coupling, as the
+    run builds them from :func:`target_coefficients`; ``adopted``, the
+    adopted residual of both, is the invariant-equation residual of
+    ``inv`` against ``h`` with that rate, the run's
     ``invariant_lr_residual`` row.
     Returns the transformed-invariant record (congruence image vs the
     closed-expression variant) and the target-pairing record (adopted
@@ -235,8 +237,6 @@ def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState, inv: 
     4th-order stencil, which its O(1) residual does not need below.
     """
     t = ep.t
-    a, b, lam = pt.target_coefficients(p, ep)
-    h = build_H_modified(a, b, lam)
     image = DiscrepancyRecord(
         name="transformed_invariant_expression",
         adjudicator="invariant equation residual",
@@ -334,17 +334,18 @@ def standard_records(params: CoupledOscillatorParams | None = None) -> list[Disc
 
 
 def point_transform_records(p: pt.PointTransformParams, ep: pt.EPState, inv: np.ndarray,
-                            inv_rate: np.ndarray, ep_resid: float,
-                            lr_resid: float) -> list[DiscrepancyRecord]:
+                            inv_rate: np.ndarray, h: np.ndarray, lam: np.ndarray,
+                            ep_resid: float, lr_resid: float) -> list[DiscrepancyRecord]:
     """Records adjudicating the point-transformation pipeline forms.
 
     ``ep`` is the EP state on the scenario grid, ``inv`` the invariant
-    :func:`invariant_IH` on it and ``inv_rate`` its exact rate.  The
+    :func:`invariant_IH` on it, ``inv_rate`` its exact rate, and ``h``
+    and ``lam`` the target Hamiltonian and its coupling on it.  The
     adopted residuals come from the run: ``ep_resid`` of
     :func:`ep_form_record` and ``lr_resid`` of
     :func:`invariant_equation_records`.
     """
-    image, pairing = invariant_equation_records(p, ep, inv, inv_rate, lr_resid)
+    image, pairing = invariant_equation_records(p, ep, inv, inv_rate, h, lam, lr_resid)
     recs = [image, ep_form_record(p, ep, ep_resid), pairing]
     recs += pushforward_row_records(p, ep.take([len(ep.t) // 3]))
     return recs

@@ -43,11 +43,12 @@ difference and no matrix exponential on the grid: each residual is
 exact at every sample, ends included, on any grid.
 
 The functions evaluated on a grid take the grid's :class:`EPState`
-(``ep``, which carries the sample times ``ep.t``) and, where needed, the
-static map, the Dyson map on that grid (``eta``, from :func:`dyson_time`)
-and the rate K on it (``k``, from :func:`transport_generator`): a caller
-builds each once per grid and passes it on, and no function rebuilds
-them.
+(``ep``, which carries the sample times ``ep.t`` and the substitution T
+on them) and, where needed, the static map, the Dyson map on that grid
+(``eta``, from :func:`dyson_time`), the rate K on it (``k``, from
+:func:`transport_generator`) and the target Hamiltonian on it (``H``,
+``build_H_modified(*target_coefficients(p, ep))``): a caller builds each
+once per grid and passes it on, and no function rebuilds them.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ __all__ = [
     "reference_H0",
     "pushforward_map",
     "pushforward",
-    "pushforward_shift",
     "invariant_IH",
     "transport_generator",
     "dyson_static",
@@ -145,7 +145,12 @@ class EPState:
 
     ``tau`` is the transformed time and ``r`` = dtau/dt; ``sigma_tau``,
     ``sigma_tautau`` (and those of ``mu``) are the first and second
-    derivatives with respect to tau.
+    derivatives with respect to tau.  ``T`` is the phase-space
+    substitution z' = T z, shape (N, 4, 4), which :func:`ep_state`
+    builds from ``sigma``, ``sigma_tau``, ``mu`` and ``mu_tau``.  It is
+    not rebuilt on its own: a state made with any of those four changed
+    (by ``dataclasses.replace``, say) must be given the T built from the
+    new values, or T describes the old ones.
     """
 
     t: np.ndarray
@@ -157,6 +162,7 @@ class EPState:
     mu: np.ndarray
     mu_tau: np.ndarray
     mu_tautau: np.ndarray
+    T: np.ndarray
 
     def take(self, idx) -> "EPState":
         """The state at the samples ``idx`` (an index array or slice into ``t``)."""
@@ -178,14 +184,16 @@ def ep_state(p: PointTransformParams, t) -> EPState:
 
     sigma (x direction) oscillates at frequency 2*beta in the
     transformed time, mu (y direction) at 2*alpha.  Scalars and arrays
-    are both accepted.
+    are both accepted.  The state carries the substitution T on ``t``,
+    built here once per grid.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     tau = p.r.antiderivative(ts, 0.0)
     sig, sig1, sig2 = _ep_factor(p.c2, p.beta, tau)
     mu, mu1, mu2 = _ep_factor(p.c3, p.alpha, tau)
     return EPState(t=ts, tau=tau, r=p.r(ts), sigma=sig, sigma_tau=sig1, sigma_tautau=sig2,
-                   mu=mu, mu_tau=mu1, mu_tautau=mu2)
+                   mu=mu, mu_tau=mu1, mu_tautau=mu2,
+                   T=_substitution_matrices(p, sig, sig1, mu, mu1))
 
 
 def ep_residual(p: PointTransformParams, ep: EPState) -> np.ndarray:
@@ -248,10 +256,9 @@ def _from_entries(values) -> np.ndarray:
     return out
 
 
-def _substitution_matrices(ep: EPState, p: PointTransformParams) -> np.ndarray:
+def _substitution_matrices(p: PointTransformParams, sigma, sigma_tau, mu, mu_tau) -> np.ndarray:
     """Phase-space substitution z' = T z, rows (chi, upsilon, p_chi, p_upsilon)."""
-    return _from_entries((ep.mu, ep.sigma, ep.mu_tau / p.alpha, 1.0 / ep.mu,
-                          ep.sigma_tau / p.beta, 1.0 / ep.sigma))
+    return _from_entries((mu, sigma, mu_tau / p.alpha, 1.0 / mu, sigma_tau / p.beta, 1.0 / sigma))
 
 
 def transport_generator(p: PointTransformParams, ep: EPState) -> np.ndarray:
@@ -264,27 +271,11 @@ def transport_generator(p: PointTransformParams, ep: EPState) -> np.ndarray:
     constant X0 moves as dX/dt = [X, K]: the invariant I_H as
     ``commutator(inv, K)``, the Dyson map eta as [eta, K].
     """
-    T = _substitution_matrices(ep, p)
     rate = _from_entries((ep.mu_tau, ep.sigma_tau, ep.mu_tautau / p.alpha,
                           -ep.mu_tau / ep.mu**2, ep.sigma_tautau / p.beta,
                           -ep.sigma_tau / ep.sigma**2))
-    return from_matrix(symplectic_inverse(T) @ (ep.r[:, None, None] * rate),
+    return from_matrix(symplectic_inverse(ep.T) @ (ep.r[:, None, None] * rate),
                        return_residual=False)
-
-
-def pushforward_shift(p: PointTransformParams, ep: EPState) -> np.ndarray:
-    """Inhomogeneous element from transforming i d/dtau (hbar = 1), shape (N, 10).
-
-    The transformed reference TDSE reads
-    r * image(h) = i d/dt + shift, so the target-frame Hamiltonian
-    generated by any reference h is  r * pushforward(h) - shift.
-    """
-    a_, b_ = p.alpha, p.beta
-    cx = ep.sigma_tau**2 / (2.0 * b_) + b_ * (ep.sigma**4 - 1.0) / (2.0 * ep.sigma**2)
-    cy = ep.mu_tau**2 / (2.0 * a_) + a_ * (ep.mu**4 - 1.0) / (2.0 * ep.mu**2)
-    out = (np.outer(ep.sigma_tau / ep.sigma, _WXPX) + np.outer(ep.mu_tau / ep.mu, _WYPY)
-           + np.outer(cx, _X2) + np.outer(cy, _Y2))
-    return (ep.r[:, None] * out).astype(complex)
 
 
 def pushforward_map(p: PointTransformParams, ep: EPState) -> np.ndarray:
@@ -308,7 +299,7 @@ def pushforward(p: PointTransformParams, ep: EPState, e) -> np.ndarray:
     exact symplectic inverse of T (:func:`algebra.conjugate_by`), which
     raises :class:`ProjectionLeak` if the image leaves the algebra span.
     """
-    return conjugate_by(symplectic_inverse(_substitution_matrices(ep, p)), e)
+    return conjugate_by(symplectic_inverse(ep.T), e)
 
 
 def invariant_IH(p: PointTransformParams, ep: EPState) -> np.ndarray:
@@ -435,8 +426,7 @@ def dyson_time(p: PointTransformParams, ep: EPState, static: DysonStatic) -> np.
     its inverse is ``symplectic_inverse(eta)``, and it moves as
     d(eta)/dt = [eta, K] (:func:`transport_generator`).
     """
-    T = _substitution_matrices(ep, p)
-    return symplectic_inverse(T) @ static.eta_matrix @ T
+    return symplectic_inverse(ep.T) @ static.eta_matrix @ ep.T
 
 
 def hermitian_invariant_Ih(inv: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -476,8 +466,9 @@ def hermitian_hamiltonian_h(p: PointTransformParams, ep: EPState,
     h = (r alpha / mu^2)(J0-J3) + (r beta / sigma^2)(J0+J3)
         - (r mu^2 / 4 alpha)(alpha^2 - beta^2 - Delta) * y^2-combination
         - (r sigma^2 / 4 beta)(beta^2 - alpha^2 + Delta) * x^2-combination,
-    identical to r * pushforward(h0) - shift (tested) and to the right
-    side of the time-dependent Dyson equation (tdde_residual).
+    identical to r * pushforward(h0) less the element that transforming
+    i d/dtau adds (tested) and to the right side of the time-dependent
+    Dyson equation (tdde_residual).
     """
     a_, b_, d = p.alpha, p.beta, static.delta
     out = (np.outer(ep.r * a_ / ep.mu**2, _elem({_G.J0: 1, _G.J3: -1}))
@@ -488,20 +479,21 @@ def hermitian_hamiltonian_h(p: PointTransformParams, ep: EPState,
 
 
 def tdde_residual(p: PointTransformParams, ep: EPState, eta: np.ndarray, k: np.ndarray,
-                  static: DysonStatic, return_samples: bool = False):
+                  static: DysonStatic, H: np.ndarray, return_samples: bool = False):
     """Defect of the time-dependent Dyson equation at every sample.
 
     ``ep`` is the EP state on the grid, ``eta`` the Dyson map on it
-    (:func:`dyson_time`) and ``k`` the coefficients of K = T^-1 dT/dt on
-    it (:func:`transport_generator`).  Compares h(t) against
+    (:func:`dyson_time`), ``k`` the coefficients of K = T^-1 dT/dt on
+    it (:func:`transport_generator`) and ``H`` the target Hamiltonian on
+    it, ``build_H_modified(*target_coefficients(p, ep))``.  Compares
+    the Hermitian h(t) (:func:`hermitian_hamiltonian_h`) against
     eta H eta^-1 + i (d eta/dt) eta^-1 (hbar = 1).  With eta = T^-1 eta0 T,
     d(eta)/dt = [eta, K] exactly, so the right side is
     eta (H + i K) eta^-1 - i K, one conjugation with the symplectic
     inverse; no sample is excluded and the grid may be any.
     With ``return_samples`` the result is ``(worst, per_sample)``.
     """
-    a, b, lam = target_coefficients(p, ep)
-    rhs = conjugate_by(eta, build_H_modified(a, b, lam) + 1j * k) - 1j * k
+    rhs = conjugate_by(eta, H + 1j * k) - 1j * k
     per_sample = np.abs(hermitian_hamiltonian_h(p, ep, static) - rhs).max(axis=1)
     worst = float(per_sample.max())
     if return_samples:

@@ -220,7 +220,7 @@ def pipeline_runs():
                               didt=commutator(inv, k)),
             "imag_leak": float(np.abs(ih.imag).max()),
             "image_match": float(np.abs(ih - pushforward(p, ep, stat.h0)).max()),
-            "tdde": tdde_residual(p, ep, eta, k, stat),
+            "tdde": tdde_residual(p, ep, eta, k, stat, build_H_modified(a, b, lam)),
         })
     return runs
 
@@ -243,7 +243,8 @@ def test_criterion_5_point_transform_pipeline(pipeline_runs):
     stat = dyson_static(p)
     for step in (8e-3, 4e-3, 2e-3, 1e-3):
         ep = ep_state(p, np.arange(0.0, 4.0 + step / 2.0, step))
-        defect = tdde_residual(p, ep, dyson_time(p, ep, stat), transport_generator(p, ep), stat)
+        defect = tdde_residual(p, ep, dyson_time(p, ep, stat), transport_generator(p, ep), stat,
+                               build_H_modified(*target_coefficients(p, ep)))
         assert defect <= 1e-13, "step %g: Dyson-equation defect %.3e" % (step, defect)
     _criterion_parts(5, "point-transform pipeline", [
         ("Ermakov-Pinney residual", worst["ep_resid"], 1e-8),
@@ -301,8 +302,10 @@ def test_criterion_8_known_discrepancy_ledger():
     ep = ep_state(p, grid)
     inv = invariant_IH(p, ep)
     inv_rate = commutator(inv, transport_generator(p, ep))
-    lr_resid = lr_residual(inv, build_H_modified(*target_coefficients(p, ep)), grid, didt=inv_rate)
-    rec_inv, _ = invariant_equation_records(p, ep, inv, inv_rate, lr_resid)
+    a, b, lam = target_coefficients(p, ep)
+    h = build_H_modified(a, b, lam)
+    lr_resid = lr_residual(inv, h, grid, didt=inv_rate)
+    rec_inv, _ = invariant_equation_records(p, ep, inv, inv_rate, h, lam, lr_resid)
     rec_ep = ep_form_record(p, ep, float(np.abs(ep_residual(p, ep)).max()))
     # adopted forms pass their adjudicators; the variants are flagged
     assert rec_inv.adopted_residual < 1e-8

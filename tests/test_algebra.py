@@ -20,15 +20,12 @@ from sp4lr.algebra import (
     commutator,
     conjugate_by,
     from_matrix,
-    from_quadratic_form,
     generator_matrices,
     matrix_of,
     parity_action,
     parity_matrix,
     pt_map,
     pt_signs,
-    quadratic_form,
-    quadratic_form_of,
     structure_constants,
     symplectic_inverse,
     to_matrix,
@@ -276,7 +273,28 @@ def test_from_matrix_batched():
 
 
 # ---------------------------------------------------------------------------
-# quadratic-form bridge
+# quadratic-form bridge: the oracle of the coordinate face, S = i Omega M,
+# with Omega applied as the signed permutation that algebra keeps for it
+
+
+def _i_omega(m):
+    """i Omega @ m for a stack (..., 4, k)."""
+    return m[..., algebra._SWAP, :] * (1j * algebra._SIGNS[:, None])
+
+
+def quadratic_form(e):
+    """Symmetric quadratic-form matrix S of an element, element = (1/2) z^T S z."""
+    return _i_omega(to_matrix(e))
+
+
+def quadratic_form_of(g):
+    """Real quadratic-form matrix S of a generator over z = (x, y, px, py)."""
+    return _i_omega(matrix_of(g)).real.copy()
+
+
+def from_quadratic_form(s, return_residual=True):
+    """Inverse of :func:`quadratic_form` (the same bridge both ways)."""
+    return from_matrix(_i_omega(np.asarray(s, dtype=complex)), return_residual=return_residual)
 
 
 def test_bridge_both_ways():

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sp4lr import cli
+from sp4lr._csv17 import _format17
 from sp4lr.algebra import to_matrix
 from sp4lr.cli import _resolve_config, describe_schema, emit_plot_data, main, run_scenario
 from sp4lr.hamiltonian import CoupledOscillatorParams, build_H_coeffs
@@ -113,6 +114,102 @@ def test_emit_plot_data_constant_columns_match_per_cell_format(tmp_path, n):
         text = fh.read()
     assert text == _per_cell_csv(names, cols)
     assert text.count("\n") == n + 1
+
+
+def _kernel_text(values):
+    """The cells of the vectorised "%.17g" kernel, pad bytes dropped, each
+    followed by ","."""
+    slots = _format17(np.asarray(values, dtype=float))
+    cells = np.concatenate([slots, np.full((len(slots), 1), ord(","), np.uint8)], axis=1)
+    return cells[cells != 0].tobytes().decode()
+
+
+def _assert_kernel_exact(values):
+    values = np.asarray(values, dtype=float).ravel()
+    want = "".join("%.17g," % x for x in values.tolist())
+    got = _kernel_text(values)
+    if got != want:
+        bad = next(x for x in values.tolist() if _kernel_text([x]) != "%.17g," % x)
+        raise AssertionError("%r: kernel %r, %%.17g %r" % (bad, _kernel_text([bad]), "%.17g," % bad))
+
+
+def test_format17_is_exact_on_random_bit_patterns():
+    # every float64 is a bit pattern: NaNs, infinities, subnormals and
+    # the whole exponent range, most of them outside the fast range
+    bits = np.random.default_rng(20240801).integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+    _assert_kernel_exact(bits.view(np.float64))
+
+
+def test_format17_is_exact_in_the_fast_range():
+    # random mantissas with binary exponents across 1e-40 <= |v| < 1e40
+    rng = np.random.default_rng(7)
+    exponent = rng.integers(1023 - 140, 1023 + 140, 200_000).astype(np.uint64)
+    bits = rng.integers(0, 2 ** 53, 200_000, dtype=np.uint64) ^ (exponent << np.uint64(52))
+    _assert_kernel_exact(bits.view(np.float64))
+
+
+def _edge_values():
+    out = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+           1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+           9.9999999999999999e16, 1e17 - 16.0, 1e16 - 1.0, 0.5, 1.5, 2.5, 123456.0,
+           1.2345e-5, 1.2345e-4, 1.2345e16, 1.2345e17, 1e-5, 1e-4, 1e16, 1e17]
+    for k in range(-330, 310):  # each power of ten and its neighbours, both signs
+        p = float("1e%d" % k)
+        for q in (p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)):
+            out += [float(q), -float(q)]
+    for bound in (1e-40, 1e40):  # the edges of the fast range
+        q = bound
+        for _ in range(3):
+            q = np.nextafter(q, 0.0)
+            out.append(float(q))
+        q = bound
+        for _ in range(3):
+            q = np.nextafter(q, math.inf)
+            out.append(float(q))
+    # exact ties: 18 significant digits ending in 5, m 2^(X - 17) with m odd
+    rng = np.random.default_rng(3)
+    for x in range(-6, 15):
+        lo, hi = math.ceil(10.0 ** x * 2.0 ** (17 - x)), math.floor(10.0 ** (x + 1) * 2.0 ** (17 - x))
+        out += [(int(m) | 1) * 2.0 ** (x - 17) for m in rng.integers(lo, hi, 20)]
+    return out
+
+
+def test_format17_is_exact_on_the_edge_list():
+    values = _edge_values()
+    _assert_kernel_exact(values)
+    # the ties go to "%.17g", which rounds them half to even
+    assert _kernel_text([1.00000762939453125]) == "%.17g," % 1.00000762939453125
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+@example([0.0, -0.0, 5e-324, math.nan, -math.inf, 9.9999999999999999e16])
+def test_format17_is_exact_on_hypothesis_floats(values):
+    _assert_kernel_exact(values)
+
+
+def test_emit_plot_data_over_several_blocks_with_a_non_ascii_text_column(tmp_path):
+    # three kernel columns: three blocks of _CSV_CELLS cells and a short
+    # one; the UTF-8 text sits between numeric columns, and a kernel cell
+    # ends each row
+    rng = np.random.default_rng(11)
+    n = cli._CSV_CELLS + 17
+    t = np.arange(n) * 0.25
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-45, 45, n)
+    v[:4] = [-0.0, math.nan, math.inf, 1e300]
+    label = rng.choice(["PTSymmetric", "gebrochen \u00fc", "\u03bb\u2248\u03c9", ""], n).tolist()
+    names = ["t", "v", "label", "zero", "w"]
+    cols = [t, v, label, np.zeros(n), rng.uniform(-1.0, 1.0, n)]
+    path = tmp_path / "blocks.csv"
+    emit_plot_data((names, cols), str(path))
+    assert path.read_bytes() == _per_cell_csv(names, cols).encode("utf-8")
+
+
+def test_emit_plot_data_rejects_a_text_cell_holding_the_pad_byte(tmp_path):
+    path = tmp_path / "nul.csv"
+    with pytest.raises(ValueError, match="label"):
+        emit_plot_data((["t", "label"], [np.arange(3.0), ["a", "b\x00c", "d"]]), str(path))
+    assert not path.exists()
 
 
 def test_algebra_check_mode(tmp_path):
@@ -443,6 +540,39 @@ def test_point_transform_computes_each_adopted_residual_once(tmp_path, monkeypat
     assert ledger["ermakov_pinney_form"] == rows["ermakov_pinney_residual"]
     assert ledger["transformed_invariant_expression"] == rows["invariant_lr_residual"]
     assert ledger["target_coefficient_pairing"] == rows["invariant_lr_residual"]
+
+
+def test_point_transform_builds_each_grid_fact_once(tmp_path, monkeypatch):
+    # the substitution T, the target coefficients and the target
+    # Hamiltonian of the scenario grid are built once and passed on
+    import sp4lr.crosschecks
+    import sp4lr.point_transform
+
+    steps = 501
+    calls = {"T": 0, "target": 0, "H": 0}
+
+    def counting(key, fn, size_of):
+        def wrapped(*args, **kwargs):
+            calls[key] += size_of(*args) == steps
+            return fn(*args, **kwargs)
+        return wrapped
+
+    pt_mod = sp4lr.point_transform
+    monkeypatch.setattr(pt_mod, "_substitution_matrices", counting(
+        "T", pt_mod._substitution_matrices, lambda p, sigma, *rest: np.size(sigma)))
+    target = counting("target", pt_mod.target_coefficients, lambda p, ep: ep.t.size)
+    for module in (cli, pt_mod):
+        monkeypatch.setattr(module, "target_coefficients", target)
+    build_h = counting("H", pt_mod.build_H_modified, lambda a, b, lam: np.size(a))
+    for module in (cli, pt_mod, sp4lr.crosschecks):
+        monkeypatch.setattr(module, "build_H_modified", build_h)
+    cfg = {"mode": "point-transform", "grid": {"t0": 0.0, "t1": 1.0, "steps": steps},
+           "params": {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "c2": 0.2, "c3": 0.2,
+                      "r": {"kind": "sinusoid", "amp": 0.2, "freq": 1.0, "phase": 0.0,
+                            "offset": 1.0}}}
+    assert run_scenario(cfg, str(tmp_path))["all_pass"]
+    # H twice: the adopted target Hamiltonian and the swapped-pairing variant of the ledger
+    assert calls == {"T": 1, "target": 1, "H": 2}
 
 
 def test_seed_env_controls_sampling(tmp_path, monkeypatch):

@@ -35,7 +35,9 @@ INV = invariant_IH(P, EP)
 INV_RATE = commutator(INV, transport_generator(P, EP))
 # the adopted residuals, as a point-transform run computes them for its check rows
 EP_RESID = float(np.abs(ep_residual(P, EP)).max())
-LR_RESID = lr_residual(INV, build_H_modified(*target_coefficients(P, EP)), GRID, didt=INV_RATE)
+A, B, LAM = target_coefficients(P, EP)
+H = build_H_modified(A, B, LAM)
+LR_RESID = lr_residual(INV, H, GRID, didt=INV_RATE)
 
 
 def test_generator_variant_flagged():
@@ -68,7 +70,7 @@ def test_parity_convention_record():
 
 
 def test_invariant_image_variant_fails_invariant_equation():
-    rec, _ = invariant_equation_records(P, EP, INV, INV_RATE, LR_RESID)
+    rec, _ = invariant_equation_records(P, EP, INV, INV_RATE, H, LAM, LR_RESID)
     assert rec.adopted_residual < 1e-8
     assert rec.variant_residual > 1e-3
     assert rec.variant_flagged
@@ -92,7 +94,7 @@ def test_ep_form_variant_flagged():
 
 
 def test_target_assignment_variant_flagged():
-    _, rec = invariant_equation_records(P, EP, INV, INV_RATE, LR_RESID)
+    _, rec = invariant_equation_records(P, EP, INV, INV_RATE, H, LAM, LR_RESID)
     assert rec.adopted_residual < 1e-8
     assert rec.variant_residual > 1e-3
     assert rec.variant_flagged
@@ -107,7 +109,7 @@ def test_pushforward_row_records():
 
 
 def test_bundles_and_serialization():
-    recs = standard_records() + point_transform_records(P, EP, INV, INV_RATE, EP_RESID, LR_RESID)
+    recs = standard_records() + point_transform_records(P, EP, INV, INV_RATE, H, LAM, EP_RESID, LR_RESID)
     names = [r.name for r in recs]
     assert len(names) == len(set(names))
     for rec in recs:

@@ -77,7 +77,7 @@ def test_assemble_linear_and_invertible():
 
 
 def test_combinations_are_elementary_quadratics():
-    from sp4lr.algebra import quadratic_form
+    from tests.test_algebra import quadratic_form
 
     # v7..v10 are y^2, x^2, px^2, py^2 over z = (x, y, px, py)
     for row, slot in [(6, 1), (7, 0), (8, 2), (9, 3)]:

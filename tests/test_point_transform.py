@@ -15,8 +15,6 @@ from sp4lr.algebra import (
     adjoint,
     commutator,
     from_matrix,
-    from_quadratic_form,
-    quadratic_form,
     symplectic_inverse,
     to_matrix,
 )
@@ -27,7 +25,10 @@ from sp4lr.lr_ode import lr_residual
 from sp4lr.numerics import central_diff, expm
 from sp4lr.point_transform import (
     PointTransformParams,
-    _substitution_matrices,
+    _WXPX,
+    _WYPY,
+    _X2,
+    _Y2,
     dyson_static,
     dyson_time,
     dyson_time_exponent,
@@ -44,13 +45,13 @@ from sp4lr.point_transform import (
     pde_constraint_residuals,
     pushforward,
     pushforward_map,
-    pushforward_shift,
     reference_H0,
     target_coefficients,
     tdde_residual,
     transport_generator,
 )
 from sp4lr.profiles import ScalarProfile
+from tests.test_algebra import from_quadratic_form, quadratic_form
 
 RNG = np.random.default_rng(20240801)
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
@@ -200,12 +201,24 @@ def test_pushforward_is_the_quadratic_form_congruence(p):
     # the published map T^T S T on Weyl quadratic forms is the reference
     # of the similarity T^-1 X T
     ep = ep_state(p, np.linspace(0.0, 4.0, 401))
-    T = _substitution_matrices(ep, p)
+    T = ep.T
     elements = [RNG.standard_normal(10) + 1j * RNG.standard_normal(10) for _ in range(3)]
     for e in elements + [reference_H0(p), dyson_static(p).h0]:
         want, resid = from_quadratic_form(np.swapaxes(T, -1, -2) @ quadratic_form(e) @ T)
         assert resid.max() < 1e-12
         assert np.abs(pushforward(p, ep, e) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def pushforward_shift(p, ep):
+    """Inhomogeneous element from transforming i d/dtau (hbar = 1), shape (N, 10):
+    the transformed reference equation reads r image(h) = i d/dt + shift, so
+    the target-frame Hamiltonian of a reference h is r pushforward(h) - shift."""
+    a_, b_ = p.alpha, p.beta
+    cx = ep.sigma_tau**2 / (2.0 * b_) + b_ * (ep.sigma**4 - 1.0) / (2.0 * ep.sigma**2)
+    cy = ep.mu_tau**2 / (2.0 * a_) + a_ * (ep.mu**4 - 1.0) / (2.0 * ep.mu**2)
+    out = (np.outer(ep.sigma_tau / ep.sigma, _WXPX) + np.outer(ep.mu_tau / ep.mu, _WYPY)
+           + np.outer(cx, _X2) + np.outer(cy, _Y2))
+    return (ep.r[:, None] * out).astype(complex)
 
 
 def test_pushforward_shift_vanishes_at_trivial_params():
@@ -430,7 +443,8 @@ def test_hermitian_hamiltonian_is_hermitian_and_matches_image():
 def tdde_on(p, grid):
     stat = dyson_static(p)
     ep = ep_state(p, grid)
-    return tdde_residual(p, ep, dyson_time(p, ep, stat), transport_generator(p, ep), stat)
+    return tdde_residual(p, ep, dyson_time(p, ep, stat), transport_generator(p, ep), stat,
+                         build_H_modified(*target_coefficients(p, ep)))
 
 
 def test_tdde_residual_trivial():
@@ -515,6 +529,7 @@ def test_vanishing_time_density_on_grid_matches_offset_neighbour():
         static = dyson_static(p)
         eta = dyson_time(p, ep, static)
         _, per_sample = tdde_residual(p, ep, eta, transport_generator(p, ep), static,
+                                      build_H_modified(*target_coefficients(p, ep)),
                                       return_samples=True)
         out.append((ep.r, invariant_IH(p, ep), eta, per_sample))
     (r, inv, eta, tdde), (_, inv_off, eta_off, _) = out
@@ -583,10 +598,13 @@ def test_point_transform_run_builds_the_transport_generator_once(tmp_path, monke
 
 def test_sigma_rate_fault_fails_only_the_first_integral(tmp_path, monkeypatch):
     # every exact rate holds for any sigma', so of all rows only the
-    # Ermakov first integral sees sigma' scaled by 1 + 1e-6
+    # Ermakov first integral sees sigma' scaled by 1 + 1e-6 (the state's
+    # substitution T is built from the faulty sigma', as ep_state would)
     def faulty(p, t):
         ep = ep_state(p, t)
-        return dataclasses.replace(ep, sigma_tau=ep.sigma_tau * (1.0 + 1e-6))
+        sigma_tau = ep.sigma_tau * (1.0 + 1e-6)
+        return dataclasses.replace(ep, sigma_tau=sigma_tau, T=pt._substitution_matrices(
+            p, ep.sigma, sigma_tau, ep.mu, ep.mu_tau))
 
     monkeypatch.setattr(cli, "ep_state", faulty)
     config = os.path.join(SCENARIOS, "point_transform_core.json")
