@@ -240,7 +240,8 @@ def commutator(a, b) -> np.ndarray:
 # phases, the basis and the bracket in real coordinates are generated
 # from the matrices here.
 _REAL_D = np.array([1.0, 1j, 1.0, -1j])
-_UNIT_FORMS = -1j * _GEN * (_REAL_D / _REAL_D[:, None])
+_TO_REAL = _REAL_D / _REAL_D[:, None]  # the units d_k / d_j of m -> D^-1 m D
+_UNIT_FORMS = -1j * _GEN * _TO_REAL
 _REAL_PHASES = np.where([np.all(m.imag == 0) for m in _UNIT_FORMS], 1.0 + 0j, 1j)
 _REAL_BASIS = (_REAL_PHASES[:, None, None] * _UNIT_FORMS).real
 _REAL_BASIS_FLAT = _REAL_BASIS.reshape(10, 16)
@@ -284,26 +285,88 @@ def _real_matrix(r) -> np.ndarray:
     return np.tensordot(r, _REAL_BASIS_FLAT, axes=(0, 0)).reshape(np.shape(r)[1:] + (4, 4))
 
 
-def _real_conjugate_by(u, r) -> np.ndarray:
-    """Real coordinates of u X u^-1 with X = sum_k r_k R_k, shape (N, m, 10).
+def _to_real_form(m) -> np.ndarray:
+    """The real stack D^-1 m D of complex 4x4 matrices ``m`` (..., 4, 4) in
+    the real form (the Dyson map of a point transformation, say).
 
-    ``u`` is a real group stack (N, 4, 4) in the basis z = D z', and
-    ``r`` holds m real coordinate rows (m, 10).  This is
-    :func:`conjugate_by` in the real form, with its inverse and its leak
-    check; the images are projected onto the orthonormal basis R, and the
-    remainder checked is, per sample, the Frobenius norm over all m
-    images (for the real and imaginary halves of one complex element,
-    the residual :func:`conjugate_by` reads, since D is unitary).
+    Raises ValueError, never dropping an imaginary part, where a finite
+    entry of D^-1 m D is not exactly real; a non-finite entry is passed
+    on, as NaN, to the leak check of the conjugation that reads it.
     """
-    x = (np.asarray(r, dtype=float) @ _REAL_BASIS_FLAT).reshape(-1, 4, 4)
-    n, m = len(u), len(x)
-    # u X for every X in one (4N, 4) @ (4, 4m) product; numpy's stacked
-    # matmul is slow on 4x4 blocks, so only the second product is stacked
-    ux = (u.reshape(-1, 4) @ x.transpose(1, 0, 2).reshape(4, -1)).reshape(n, 4, m, 4)
-    images = (ux.transpose(0, 2, 1, 3) @ symplectic_inverse(u)[:, None]).reshape(-1, 16)
-    coords, resid = _project(images, _REAL_BASIS_FLAT)
-    _check_leak(np.linalg.norm(resid.reshape(n, m), axis=1), "conjugation")
-    return coords.reshape(n, m, 10)
+    p = np.asarray(m, dtype=complex) * _TO_REAL
+    if np.any((p.imag != 0) & np.isfinite(p.imag)):
+        raise ValueError("the matrices are outside the real form: "
+                         "D^-1 m D is not real for D = diag(1, i, 1, -i)")
+    return np.ascontiguousarray(p.real)
+
+
+def _from_real_form(m) -> np.ndarray:
+    """The complex 4x4 matrices D m D^-1 of a real stack ``m`` (..., 4, 4), exactly."""
+    return m * _TO_REAL.conj()
+
+
+# samples per block of a real conjugation: a block's temporaries stay
+# below a megabyte on any grid; whole-grid ones cost page faults and
+# peak memory
+_BLOCK = 1024
+
+
+def _real_conjugate_by(u, e, u_inv=None) -> np.ndarray:
+    """:func:`conjugate_by` in the real form: coefficients of g M(e) g^-1
+    for g = D u D^-1.
+
+    ``u`` is a real stack (N, 4, 4), the group elements in the basis
+    z = D z', and ``u_inv`` its inverse, by default
+    ``symplectic_inverse(u)``.  That default is -u^-1 for an
+    anti-symplectic u (u^T Omega u = -Omega), so such a u needs its
+    inverse passed.  ``e`` holds complex coefficients whose leading axes
+    broadcast against the N samples, as in :func:`conjugate_by`: one
+    element (10,), or a stack (..., 1, 10), is shared by every sample,
+    and (..., N, 10) holds one element per sample; the result has the
+    broadcast shape.
+
+    The real and imaginary halves of the real coordinates r = e conj(phi)
+    are conjugated as the real matrices sum_k r_k R_k, projected onto
+    the orthonormal basis R, and read back as phi (y_re + i y_im).  The
+    remainder checked is, per element and sample, the Frobenius norm over
+    both halves: the residual :func:`conjugate_by` reads, since D is
+    unitary.  The samples go in blocks of ``_BLOCK``, so no temporary
+    grows with the grid.
+    """
+    e = np.asarray(e, dtype=complex)
+    if u_inv is None:
+        u_inv = symplectic_inverse(u)
+    n = len(u)
+    shared = e.ndim == 1 or e.shape[-2] == 1
+    if not shared and e.shape[-2] != n:
+        raise ValueError("elements of shape %r do not broadcast against %d samples" % (e.shape, n))
+    lead = e.shape[:-2]
+    # (1 or N, P, 10): the P elements of every sample, or of each one
+    e = e.reshape(1, -1, 10) if shared else np.moveaxis(e, -2, 0).reshape(n, -1, 10)
+    m = 2 * e.shape[1]  # matrices per sample: both halves of each element
+    out = np.empty((n, e.shape[1], 10), dtype=complex)
+    for lo in range(0, n, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        r = (e if shared else e[blk]) * _REAL_PHASES.conj()
+        halves = np.stack([r.real, r.imag], axis=-2)
+        # a sample's m matrices side by side, (4, 4m): numpy's stacked
+        # matmul is slow on 4x4 blocks, so each product takes them all,
+        # and shared ones take every sample's u in one (4k, 4) @ (4, 4m)
+        x = (halves.reshape(-1, 10) @ _REAL_BASIS_FLAT).reshape(len(r), m, 4, 4)
+        x = x.swapaxes(1, 2).reshape(len(r), 4, 4 * m)
+        ub = u[blk]
+        k = len(ub)
+        ux = (ub.reshape(-1, 4) @ x[0]).reshape(k, 4, 4 * m) if shared else ub @ x
+        # [u X_1; ...; u X_m] u^-1, the blocks stacked, (4m, 4)
+        images = ux.reshape(k, 4, m, 4).swapaxes(1, 2).reshape(k, 4 * m, 4) @ u_inv[blk]
+        coords, resid = _project(images.reshape(-1, 16), _REAL_BASIS_FLAT)
+        _check_leak(np.linalg.norm(resid.reshape(-1, 2), axis=1), "conjugation")
+        y = coords.reshape(k, m // 2, 2, 10)
+        # + 0.0: the product with phi = i leaves -0.0 in an exactly zero
+        # real part where the imaginary one is negative; the complex
+        # projection reads +0.0 there
+        out[blk] = _REAL_PHASES * (y[..., 0, :] + 1j * y[..., 1, :]) + 0.0
+    return np.moveaxis(out.reshape((n,) + lead + (10,)), 0, -2)
 
 
 def adjoint(e) -> np.ndarray:

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import crosschecks
 from .algebra import (
+    _to_real_form,
     adjoint,
     commutator,
     generator_matrices,
@@ -241,7 +242,7 @@ def emit_plot_data(trajectory, path):
         raise ValueError("trajectory columns must share a length")
     text = [c.dtype.kind in "US" for c in cols]
     cols = [c.astype(str) if t else np.asarray(c, dtype=float) for c, t in zip(cols, text)]
-    if np.any(np.diff(cols[0]) <= 0):
+    if not np.all(np.diff(cols[0]) > 0):  # False for a NaN time
         raise ValueError("time column must be strictly increasing")
     # one slot per column, each followed by its separator: a kernel cell,
     # a text cell, or a constant cell baked into the row (the time column
@@ -418,7 +419,9 @@ def _inverse_defect(eta):
     symplectic.  The defect is measured relative to |eta| |eta^-1|, the
     scale at which rounding enters the product: the absolute defect
     grows with the conditioning of eta as the artanh argument of the
-    static map approaches 1."""
+    static map approaches 1.  The products are real, on eta' = D^-1 eta D:
+    D is an entrywise unit, so every Frobenius norm is that of eta."""
+    eta = _to_real_form(eta)
     eta_inv = symplectic_inverse(eta)
     return float((frobenius(eta @ eta_inv - np.eye(4))
                   / (frobenius(eta) * frobenius(eta_inv))).max())
@@ -451,13 +454,13 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
 
     # one Dyson map per grid; a stack that only a check row reads is not
     # kept, since the run's memory peaks at the tdde_residual row
-    eta = dyson_time(params, ep, stat)
+    eta = dyson_time(ep, stat)
     checks.add("dyson_inverse_identity", _inverse_defect(eta), 1e-12)
 
     ih = hermitian_invariant_Ih(inv, eta)
     checks.add("hermiticity_leak", float(np.abs(ih.imag).max()), 1e-8)
     checks.add("invariant_image_match",
-               float(np.abs(ih - pushforward(params, ep, stat.h0)).max()), 1e-8)
+               float(np.abs(ih - pushforward(ep, stat.h0)).max()), 1e-8)
     checks.add("hermitian_expansion_match",
                float(np.abs(ih - hermitian_invariant_expansion(params, ep, stat)).max()), 1e-8)
 

@@ -276,7 +276,7 @@ def ep_form_record(p: pt.PointTransformParams, ep: pt.EPState, adopted: float) -
 def pushforward_row_records(p: pt.PointTransformParams, ep: pt.EPState) -> list[DiscrepancyRecord]:
     """Image table rows that differ from the congruence map (J3' and K1'),
     at the one sample of the EP state ``ep``."""
-    pm = pt.pushforward_map(p, ep)
+    pm = pt.pushforward_map(ep)
     sig, sig1 = ep.sigma[0], ep.sigma_tau[0]
     mu, mu1 = ep.mu[0], ep.mu_tau[0]
     a_, b_ = p.alpha, p.beta

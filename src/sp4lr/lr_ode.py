@@ -344,9 +344,7 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
     else:
         raise ValueError("mode must be 'time_ordered' or 'commuting'")
 
-    r0 = assemble_invariant(c0) * _REAL_PHASES.conj()
-    y = _real_conjugate_by(u, [r0.real, r0.imag])
-    traj = coefficients_of_element(_REAL_PHASES * (y[:, 0] + 1j * y[:, 1]))
+    traj = coefficients_of_element(_real_conjugate_by(u, assemble_invariant(c0)))
     traj[0] = c0
     return traj
 

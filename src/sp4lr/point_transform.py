@@ -32,6 +32,19 @@ forms, because i Omega T^T S T = T^-1 M T for M = i Omega S.  The
 published per-generator images coincide with this map for eight of the
 ten generators and are recorded as rejected variants for the other two.
 
+Every 4x4 product on the grid is real.  In the basis z = D z' of
+``algebra`` (D = diag(1, i, 1, -i)) each entry of T connects x with y,
+so D^-1 T D = i S with S = T times a fixed +-1 table, a real matrix
+(:func:`_real_substitution`).  S is anti-symplectic, S^T Omega S = -Omega,
+so its inverse is -symplectic_inverse(S), and conjugation by i S is
+conjugation by S: an image is S^-1 X' S with X' = D^-1 X D, the Dyson
+map eta' = D^-1 eta D = S^-1 eta0' S is real and symplectic, and so is
+D^-1 K D = S^-1 dS/dt.  Elements are conjugated through the real basis
+of ``algebra`` (``algebra._real_conjugate_by``, with its projection and
+leak check).  At every public function an element stays a complex
+(..., 10) coefficient array and eta a complex (N, 4, 4) stack: D is a
+unit phase, so the change of form is an exact entrywise product.
+
 Every time derivative the certificates need is exact.  T is a path in
 Sp(4, R), so K = T^-1 dT/dt (:func:`transport_generator`, dT/dt = r
 dT/dtau from the EP state) lies in the algebra, and every image
@@ -57,7 +70,20 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import GeneratorId, conjugate_by, from_matrix, symplectic_inverse, to_matrix
+from .algebra import (
+    GeneratorId,
+    _REAL_BASIS_FLAT,
+    _REAL_D,
+    _REAL_PHASES,
+    _check_leak,
+    _from_real_form,
+    _project,
+    _real_conjugate_by,
+    _to_real_form,
+    conjugate_by,
+    symplectic_inverse,
+    to_matrix,
+)
 from .errors import ArctanhDomain, ConfigInvalid, EqualFrequencies
 from .hamiltonian import build_H_modified
 from .profiles import ScalarProfile
@@ -261,6 +287,35 @@ def _substitution_matrices(p: PointTransformParams, sigma, sigma_tau, mu, mu_tau
     return _from_entries((mu, sigma, mu_tau / p.alpha, 1.0 / mu, sigma_tau / p.beta, 1.0 / sigma))
 
 
+def _real_signs() -> np.ndarray:
+    """The 4x4 table with D^-1 T D = i (T * table), D = diag(1, i, 1, -i).
+
+    Each entry of T connects x with y, so the unit d_k / d_j that D^-1 . D
+    puts on it is +-i; the table holds -i d_k / d_j there, which must be
+    exactly +1 or -1, and 1 elsewhere.
+    """
+    signs = np.ones((4, 4))
+    for j, k in _T_ENTRIES:
+        s = -1j * _REAL_D[k] / _REAL_D[j]
+        if s not in (1.0, -1.0):
+            raise ValueError("entry (%d, %d) of T is %r times a real one under D" % (j, k, s))
+        signs[j, k] = s.real
+    return signs
+
+
+_S_SIGNS = _real_signs()
+
+
+def _real_substitution(m) -> np.ndarray:
+    """S = T * ``_S_SIGNS`` for a stack ``m`` (N, 4, 4) of T or of dT/dt: D^-1 m D = i S.
+
+    S is real and anti-symplectic (S^T Omega S = -Omega for S from T), so
+    S^-1 = -symplectic_inverse(S), and conjugation by i S is conjugation
+    by S: D^-1 (T^-1 X T) D = S^-1 (D^-1 X D) S.
+    """
+    return m * _S_SIGNS
+
+
 def transport_generator(p: PointTransformParams, ep: EPState) -> np.ndarray:
     """Coefficients of K = T^-1 dT/dt at the times of ``ep``, shape (N, 10).
 
@@ -270,36 +325,49 @@ def transport_generator(p: PointTransformParams, ep: EPState) -> np.ndarray:
     so K lies in the algebra exactly, and the image X = T^-1 X0 T of a
     constant X0 moves as dX/dt = [X, K]: the invariant I_H as
     ``commutator(inv, K)``, the Dyson map eta as [eta, K].
+
+    K is formed in the real form: D^-1 M(K) D = S^-1 dS/dt, real, with S
+    from :func:`_real_substitution`.  It equals i sum_k r_k R_k for the
+    real coordinates r = K conj(phi), which are therefore imaginary:
+    K = -i phi w, w the projection of S^-1 dS/dt onto the real basis,
+    which raises :class:`ProjectionLeak` where the remainder exceeds
+    ``PROJ_TOL`` or is not finite.
     """
     rate = _from_entries((ep.mu_tau, ep.sigma_tau, ep.mu_tautau / p.alpha,
                           -ep.mu_tau / ep.mu**2, ep.sigma_tautau / p.beta,
                           -ep.sigma_tau / ep.sigma**2))
-    return from_matrix(symplectic_inverse(ep.T) @ (ep.r[:, None, None] * rate),
-                       return_residual=False)
+    s_inv = -symplectic_inverse(_real_substitution(ep.T))
+    w, resid = _project((s_inv @ _real_substitution(ep.r[:, None, None] * rate)).reshape(-1, 16),
+                        _REAL_BASIS_FLAT)
+    _check_leak(resid, "transport generator")
+    return -1j * _REAL_PHASES * w
 
 
-def pushforward_map(p: PointTransformParams, ep: EPState) -> np.ndarray:
+def pushforward_map(ep: EPState) -> np.ndarray:
     """Images of the ten generators at the times of ``ep``, shape (N, 10, 10).
 
     Column g at sample n holds the image of generator g, so the image of
-    an element c is ``pushforward_map(p, ep) @ c``; for one element use
+    an element c is ``pushforward_map(ep) @ c``; for one element use
     :func:`pushforward` directly, which is ten times smaller.
     """
-    images = pushforward(p, ep, np.eye(10)[:, None])  # (10, N, 10), generator first
+    images = pushforward(ep, np.eye(10)[:, None])  # (10, N, 10), generator first
     return np.transpose(images, (1, 2, 0))
 
 
-def pushforward(p: PointTransformParams, ep: EPState, e) -> np.ndarray:
+def pushforward(ep: EPState, e) -> np.ndarray:
     """Image T^-1 X T of an element X (given in the primed basis) at the times of ``ep``.
 
     ``e`` is one element, shape (10,), or one element per sample, shape
     (N, 10); the result has shape (N, 10).  A stack whose leading axes
     broadcast against the N samples, (10, 1, 10) say, gives a stack of
-    images.  The similarity runs in the 4x4 representation with the
-    exact symplectic inverse of T (:func:`algebra.conjugate_by`), which
-    raises :class:`ProjectionLeak` if the image leaves the algebra span.
+    images.  The similarity runs on real 4x4 stacks: in the basis
+    z = D z' it is S^-1 X' S with the real S of :func:`_real_substitution`
+    and its exact inverse -symplectic_inverse(S)
+    (``algebra._real_conjugate_by``), which raises :class:`ProjectionLeak`
+    if the image leaves the algebra span.
     """
-    return conjugate_by(symplectic_inverse(ep.T), e)
+    s = _real_substitution(ep.T)
+    return _real_conjugate_by(-symplectic_inverse(s), e, s)
 
 
 def invariant_IH(p: PointTransformParams, ep: EPState) -> np.ndarray:
@@ -310,7 +378,7 @@ def invariant_IH(p: PointTransformParams, ep: EPState) -> np.ndarray:
     (which differs in one generator of its first term) is evaluated by
     the cross-check suite and its deviation reported there.
     """
-    return pushforward(p, ep, reference_H0(p))
+    return pushforward(ep, reference_H0(p))
 
 
 @dataclass(frozen=True)
@@ -416,17 +484,24 @@ def dyson_time_exponent(p: PointTransformParams, ep: EPState,
     return out.astype(complex)
 
 
-def dyson_time(p: PointTransformParams, ep: EPState, static: DysonStatic) -> np.ndarray:
+def dyson_time(ep: EPState, static: DysonStatic) -> np.ndarray:
     """Time-dependent Dyson map as 4x4 matrices, shape (N, 4, 4).
 
-    The similarity eta = T^-1 eta0 T of the static map eta0, with
-    T^-1 = ``symplectic_inverse(T)``: the exponential of the pushed-forward
-    exponent (:func:`dyson_time_exponent`) without an exponential on the
-    grid, equal to it within rounding (tested).  eta lies in Sp(4, C), so
-    its inverse is ``symplectic_inverse(eta)``, and it moves as
+    The similarity eta = T^-1 eta0 T of the static map eta0: the
+    exponential of the pushed-forward exponent
+    (:func:`dyson_time_exponent`) without an exponential on the grid,
+    equal to it within rounding (tested).  eta lies in Sp(4, C), so its
+    inverse is ``symplectic_inverse(eta)``, and it moves as
     d(eta)/dt = [eta, K] (:func:`transport_generator`).
+
+    The products are real: eta' = D^-1 eta D = S^-1 eta0' S with the real
+    S of :func:`_real_substitution`, S^-1 = -symplectic_inverse(S), and
+    eta0' = D^-1 eta0 D, real because the static exponent is a real
+    combination of Q3 - J2 and Q3 + J2.  eta' is real and symplectic;
+    eta = D eta' D^-1 is read back entrywise, exactly.
     """
-    return symplectic_inverse(ep.T) @ static.eta_matrix @ ep.T
+    s = _real_substitution(ep.T)
+    return _from_real_form(-symplectic_inverse(s) @ _to_real_form(static.eta_matrix) @ s)
 
 
 def hermitian_invariant_Ih(inv: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -434,13 +509,16 @@ def hermitian_invariant_Ih(inv: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
     ``inv`` holds the coefficients of I_H (:func:`invariant_IH`) and
     ``eta`` the Dyson map on the same grid (:func:`dyson_time`); the
-    conjugation runs in the 4x4 representation with the symplectic
-    inverse eta^-1 = -Omega eta^T Omega and is projected back.  Must
-    carry real coefficients (for real Delta) and equal the image of h0
-    under the transformation -- both verified by the test suite,
-    alongside the closed expansion of :func:`hermitian_invariant_expansion`.
+    conjugation runs per sample on the real stack eta' = D^-1 eta D with
+    its symplectic inverse -Omega eta'^T Omega
+    (``algebra._real_conjugate_by``) and is projected back, raising
+    :class:`ProjectionLeak` where the remainder exceeds ``PROJ_TOL`` or
+    is not finite.  Must carry real coefficients (for real Delta) and
+    equal the image of h0 under the transformation -- both verified by
+    the test suite, alongside the closed expansion of
+    :func:`hermitian_invariant_expansion`.
     """
-    return conjugate_by(eta, inv)
+    return _real_conjugate_by(_to_real_form(eta), inv)
 
 
 def hermitian_invariant_expansion(p: PointTransformParams, ep: EPState,
@@ -489,11 +567,13 @@ def tdde_residual(p: PointTransformParams, ep: EPState, eta: np.ndarray, k: np.n
     the Hermitian h(t) (:func:`hermitian_hamiltonian_h`) against
     eta H eta^-1 + i (d eta/dt) eta^-1 (hbar = 1).  With eta = T^-1 eta0 T,
     d(eta)/dt = [eta, K] exactly, so the right side is
-    eta (H + i K) eta^-1 - i K, one conjugation with the symplectic
-    inverse; no sample is excluded and the grid may be any.
+    eta (H + i K) eta^-1 - i K, one conjugation per sample on the real
+    stack D^-1 eta D with its symplectic inverse, as in
+    :func:`hermitian_invariant_Ih`; no sample is excluded and the grid
+    may be any.
     With ``return_samples`` the result is ``(worst, per_sample)``.
     """
-    rhs = conjugate_by(eta, H + 1j * k) - 1j * k
+    rhs = _real_conjugate_by(_to_real_form(eta), H + 1j * k) - 1j * k
     per_sample = np.abs(hermitian_hamiltonian_h(p, ep, static) - rhs).max(axis=1)
     worst = float(per_sample.max())
     if return_samples:
@@ -546,7 +626,11 @@ def pde_constraint_residuals(p: PointTransformParams, ep: EPState, samples):
 
 
 def metric_matrices(eta: np.ndarray) -> np.ndarray:
-    """Metric rho = eta^dagger eta of the Dyson map ``eta`` (:func:`dyson_time`), shape (N, 4, 4)."""
+    """Metric rho = eta^dagger eta of the Dyson map ``eta`` (:func:`dyson_time`), shape (N, 4, 4).
+
+    Complex; no run calls it, since :func:`metric_eigenvalues` takes the
+    real form.  The test suite uses it as the complex oracle.
+    """
     return np.conj(np.transpose(eta, (0, 2, 1))) @ eta
 
 
@@ -556,5 +640,11 @@ def metric_is_positive(eta: np.ndarray) -> np.ndarray:
 
 
 def metric_eigenvalues(eta: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the metric (real, ascending), shape (N, 4)."""
-    return np.linalg.eigvalsh(metric_matrices(eta))
+    """Eigenvalues of the metric eta^dagger eta (real, ascending), shape (N, 4).
+
+    Taken from the real symmetric eta'^T eta' of the real form
+    eta' = D^-1 eta D: D is unitary, so eta^dagger eta = D eta'^T eta' D^-1
+    has the same spectrum.
+    """
+    real = _to_real_form(eta)
+    return np.linalg.eigvalsh(np.swapaxes(real, -1, -2) @ real)

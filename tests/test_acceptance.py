@@ -210,7 +210,7 @@ def pipeline_runs():
         ep = ep_state(p, GRID_04)
         inv = invariant_IH(p, ep)
         a, b, lam = target_coefficients(p, ep)
-        eta = dyson_time(p, ep, stat)
+        eta = dyson_time(ep, stat)
         k = transport_generator(p, ep)
         ih = hermitian_invariant_Ih(inv, eta)
         runs.append({
@@ -219,7 +219,7 @@ def pipeline_runs():
             "lr": lr_residual(inv, build_H_modified(a, b, lam), GRID_04,
                               didt=commutator(inv, k)),
             "imag_leak": float(np.abs(ih.imag).max()),
-            "image_match": float(np.abs(ih - pushforward(p, ep, stat.h0)).max()),
+            "image_match": float(np.abs(ih - pushforward(ep, stat.h0)).max()),
             "tdde": tdde_residual(p, ep, eta, k, stat, build_H_modified(a, b, lam)),
         })
     return runs
@@ -243,7 +243,7 @@ def test_criterion_5_point_transform_pipeline(pipeline_runs):
     stat = dyson_static(p)
     for step in (8e-3, 4e-3, 2e-3, 1e-3):
         ep = ep_state(p, np.arange(0.0, 4.0 + step / 2.0, step))
-        defect = tdde_residual(p, ep, dyson_time(p, ep, stat), transport_generator(p, ep), stat,
+        defect = tdde_residual(p, ep, dyson_time(ep, stat), transport_generator(p, ep), stat,
                                build_H_modified(*target_coefficients(p, ep)))
         assert defect <= 1e-13, "step %g: Dyson-equation defect %.3e" % (step, defect)
     _criterion_parts(5, "point-transform pipeline", [

@@ -519,18 +519,18 @@ def test_real_bracket_times_phi_is_the_complex_bracket_bitwise():
 def test_real_conjugation_equals_conjugate_by():
     # a real group stack u' = expm(sum r_k R_k) is D^-1 u D for the complex
     # u = exp(to_matrix(-i phi r)); conjugating the real and imaginary
-    # halves of a complex element's real coordinates gives conjugate_by
+    # halves of a complex element's real coordinates gives conjugate_by,
+    # for one element, one element per sample and a stack of elements
     rng = np.random.default_rng(26)
     d = algebra._REAL_D
-    phases = algebra._REAL_PHASES
     x = 0.4 * rng.standard_normal((10, 50))
     u_real = expm(algebra._real_matrix(x))
-    e = rand_element(rng)
-    r0 = e * phases.conj()
-    y = algebra._real_conjugate_by(u_real, [r0.real, r0.imag])
-    got = phases * (y[:, 0] + 1j * y[:, 1])
-    want = conjugate_by(u_real * (d[:, None] / d), e)
-    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    for shape in ((10,), (50, 10), (3, 1, 10), (2, 50, 10)):
+        e = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = algebra._real_conjugate_by(u_real, e)
+        want = conjugate_by(u_real * (d[:, None] / d), e)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_real_conjugation_leak_guard(monkeypatch):
@@ -541,7 +541,7 @@ def test_real_conjugation_leak_guard(monkeypatch):
     rng = np.random.default_rng(27)
     u_real = expm(algebra._real_matrix(0.4 * rng.standard_normal((10, 5))))
     off = u_real + 1e-3 * rng.standard_normal(u_real.shape)
-    r = rng.standard_normal((2, 10))
+    r = rand_element(rng)
     algebra._real_conjugate_by(off, r)
     overflowed = off.copy()
     overflowed[3, 1, 2] = np.inf

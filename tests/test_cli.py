@@ -57,6 +57,14 @@ def test_emit_plot_data_monotone_time(tmp_path):
                        str(tmp_path / "x.csv"))
 
 
+def test_emit_plot_data_rejects_a_nan_time_before_creating_the_file(tmp_path):
+    # every comparison with NaN is False, so "no step <= 0" alone lets it through
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match="strictly increasing"):
+        emit_plot_data((["t", "v"], [np.array([0.0, np.nan, 1.0]), np.arange(3.0)]), str(path))
+    assert not path.exists()
+
+
 def test_emit_plot_data_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
     t = np.sort(rng.uniform(0.0, 1.0, 17))

@@ -8,18 +8,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import sp4lr.algebra as algebra
 import sp4lr.cli as cli
 import sp4lr.point_transform as pt
 from sp4lr.algebra import (
+    OMEGA,
     GeneratorId,
     adjoint,
     commutator,
+    conjugate_by,
     from_matrix,
     symplectic_inverse,
     to_matrix,
 )
 from sp4lr.cli import run_scenario
-from sp4lr.errors import ArctanhDomain, ConfigInvalid, EqualFrequencies
+from sp4lr.errors import ArctanhDomain, ConfigInvalid, EqualFrequencies, ProjectionLeak
 from sp4lr.hamiltonian import build_H_modified
 from sp4lr.lr_ode import lr_residual
 from sp4lr.numerics import central_diff, expm
@@ -152,7 +155,7 @@ def test_target_value_at_zero():
 
 def test_pushforward_trivial_role_swap():
     p = params(c2=0.0, c3=0.0)
-    pm = pushforward_map(p, ep_state(p, np.array([0.4])))[0]
+    pm = pushforward_map(ep_state(p, np.array([0.4])))[0]
     np.testing.assert_allclose(pm @ unit("J0"), unit("J0"), atol=1e-14)
     np.testing.assert_allclose(pm @ unit("Q1"), -unit("Q1"), atol=1e-14)
     np.testing.assert_allclose(pm @ unit("K2"), unit("K2"), atol=1e-14)
@@ -171,7 +174,7 @@ def test_pushforward_linear():
     p = params()
     a = RNG.standard_normal(10) + 1j * RNG.standard_normal(10)
     b = RNG.standard_normal(10) + 1j * RNG.standard_normal(10)
-    pm = pushforward_map(p, ep_state(p, np.array([0.7])))
+    pm = pushforward_map(ep_state(p, np.array([0.7])))
     np.testing.assert_allclose(pm @ (a + 2.0 * b), pm @ a + 2.0 * (pm @ b), atol=1e-12)
 
 
@@ -182,12 +185,12 @@ def test_pushforward_element_equals_map_column_sum(r, coupling):
     # applied to its coefficients
     p = params(coupling=coupling, r=r, c2=0.3, c3=0.25)
     ep = ep_state(p, np.linspace(0.0, 3.0, 61))
-    pm = pushforward_map(p, ep)
+    pm = pushforward_map(ep)
     for _ in range(3):
         e = RNG.standard_normal(10) + 1j * RNG.standard_normal(10)
-        np.testing.assert_allclose(pushforward(p, ep, e), pm @ e, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(pushforward(ep, e), pm @ e, rtol=0, atol=1e-14)
     per_sample = RNG.standard_normal((ep.t.size, 10)) + 1j * RNG.standard_normal((ep.t.size, 10))
-    np.testing.assert_allclose(pushforward(p, ep, per_sample),
+    np.testing.assert_allclose(pushforward(ep, per_sample),
                                np.einsum("nij,nj->ni", pm, per_sample), rtol=0, atol=1e-14)
     np.testing.assert_allclose(invariant_IH(p, ep), pm @ reference_H0(p), rtol=0, atol=1e-14)
 
@@ -206,7 +209,7 @@ def test_pushforward_is_the_quadratic_form_congruence(p):
     for e in elements + [reference_H0(p), dyson_static(p).h0]:
         want, resid = from_quadratic_form(np.swapaxes(T, -1, -2) @ quadratic_form(e) @ T)
         assert resid.max() < 1e-12
-        assert np.abs(pushforward(p, ep, e) - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(pushforward(ep, e) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def pushforward_shift(p, ep):
@@ -345,7 +348,7 @@ def test_dyson_time_exponent_trivial_swaps_kappas():
 
 def test_dyson_time_identity_without_coupling():
     p = params(coupling=0.0, c2=0.3, c3=0.2)
-    eta = dyson_time(p, ep_state(p, np.array([0.0, 0.9, 1.7])), dyson_static(p))
+    eta = dyson_time(ep_state(p, np.array([0.0, 0.9, 1.7])), dyson_static(p))
     np.testing.assert_allclose(eta, np.broadcast_to(np.eye(4), eta.shape), atol=1e-14)
 
 
@@ -369,7 +372,7 @@ def test_dyson_time_is_the_exponential_of_the_closed_exponent(alpha, beta, coupl
     stat = dyson_static(p)
     ep = ep_state(p, np.linspace(0.0, 4.0, 4001))
     want = expm(to_matrix(dyson_time_exponent(p, ep, stat)))
-    rel = np.linalg.norm(dyson_time(p, ep, stat) - want, axis=(1, 2)) \
+    rel = np.linalg.norm(dyson_time(ep, stat) - want, axis=(1, 2)) \
         / np.linalg.norm(want, axis=(1, 2))
     assert rel.max() <= 1e-13
 
@@ -381,7 +384,7 @@ def test_transport_generator_moves_the_images():
     ep = ep_state(p, grid)
     k = transport_generator(p, ep)
     inv = invariant_IH(p, ep)
-    eta = dyson_time(p, ep, dyson_static(p))
+    eta = dyson_time(ep, dyson_static(p))
     kmat = to_matrix(k)
     step = grid[1] - grid[0]
     np.testing.assert_allclose(commutator(inv, k)[2:-2], central_diff(inv, step)[2:-2],
@@ -395,7 +398,7 @@ def test_dyson_time_exponent_is_static_image():
     stat = dyson_static(p)
     ep = ep_state(p, np.linspace(0.0, 2.0, 9))
     exps = dyson_time_exponent(p, ep, stat)
-    image = pushforward(p, ep, stat.exponent)
+    image = pushforward(ep, stat.exponent)
     np.testing.assert_allclose(exps, image, atol=1e-12)
 
 
@@ -406,7 +409,7 @@ def test_dyson_time_exponent_is_static_image():
 def test_hermitian_invariant_trivial_no_coupling():
     p = params(alpha=2.0, beta=1.0, coupling=0.0, c2=0.0, c3=0.0)
     ep = ep_state(p, np.array([0.6]))
-    ih = hermitian_invariant_Ih(invariant_IH(p, ep), dyson_time(p, ep, dyson_static(p)))[0]
+    ih = hermitian_invariant_Ih(invariant_IH(p, ep), dyson_time(ep, dyson_static(p)))[0]
     want = 1.0 * (unit("J0") + unit("J3")) + 2.0 * (unit("J0") - unit("J3"))
     np.testing.assert_allclose(ih, want, atol=1e-13)
 
@@ -415,9 +418,9 @@ def test_hermitian_invariant_real_and_consistent():
     p = params(alpha=2.0, beta=1.0, coupling=1.0, c2=0.3, c3=0.3)
     stat = dyson_static(p)
     ep = ep_state(p, np.sort(RNG.uniform(0.0, 4.0, size=50)))
-    ih = hermitian_invariant_Ih(invariant_IH(p, ep), dyson_time(p, ep, stat))
+    ih = hermitian_invariant_Ih(invariant_IH(p, ep), dyson_time(ep, stat))
     assert np.abs(ih.imag).max() < 1e-8
-    np.testing.assert_allclose(ih, pushforward(p, ep, stat.h0), atol=1e-8)
+    np.testing.assert_allclose(ih, pushforward(ep, stat.h0), atol=1e-8)
     np.testing.assert_allclose(ih, hermitian_invariant_expansion(p, ep, stat), atol=1e-8)
 
 
@@ -436,14 +439,14 @@ def test_hermitian_hamiltonian_is_hermitian_and_matches_image():
     ep = ep_state(p, np.linspace(0.0, 2.0, 41))
     h = hermitian_hamiltonian_h(p, ep, stat)
     assert np.abs(h.imag).max() < 1e-12
-    h_image = ep.r[:, None] * (pushforward_map(p, ep) @ stat.h0) - pushforward_shift(p, ep)
+    h_image = ep.r[:, None] * (pushforward_map(ep) @ stat.h0) - pushforward_shift(p, ep)
     np.testing.assert_allclose(h, h_image, atol=1e-12)
 
 
 def tdde_on(p, grid):
     stat = dyson_static(p)
     ep = ep_state(p, grid)
-    return tdde_residual(p, ep, dyson_time(p, ep, stat), transport_generator(p, ep), stat,
+    return tdde_residual(p, ep, dyson_time(ep, stat), transport_generator(p, ep), stat,
                          build_H_modified(*target_coefficients(p, ep)))
 
 
@@ -501,7 +504,7 @@ def test_pde_residuals_ignore_phase_constant():
 
 def test_metric_positive_definite():
     p = params(alpha=2.0, beta=1.0, coupling=1.0, r=R_WOBBLE, c2=0.4, c3=0.4)
-    eta = dyson_time(p, ep_state(p, np.linspace(0.0, 4.0, 401)), dyson_static(p))
+    eta = dyson_time(ep_state(p, np.linspace(0.0, 4.0, 401)), dyson_static(p))
     assert metric_is_positive(eta).all()
     evs = metric_eigenvalues(eta[::80])
     assert (evs > 0).all()
@@ -512,7 +515,7 @@ def test_metric_positive_definite():
 
 def test_metric_hermitian():
     p = params(coupling=0.8)
-    rho = metric_matrices(dyson_time(p, ep_state(p, np.array([0.3, 2.1])), dyson_static(p)))
+    rho = metric_matrices(dyson_time(ep_state(p, np.array([0.3, 2.1])), dyson_static(p)))
     np.testing.assert_allclose(rho, np.conj(np.transpose(rho, (0, 2, 1))), atol=1e-14)
 
 
@@ -527,7 +530,7 @@ def test_vanishing_time_density_on_grid_matches_offset_neighbour():
         p = params(r=ScalarProfile.polynomial([-shift, 1.0]))
         ep = ep_state(p, grid)
         static = dyson_static(p)
-        eta = dyson_time(p, ep, static)
+        eta = dyson_time(ep, static)
         _, per_sample = tdde_residual(p, ep, eta, transport_generator(p, ep), static,
                                       build_H_modified(*target_coefficients(p, ep)),
                                       return_samples=True)
@@ -548,6 +551,96 @@ def test_complex_delta_condition_is_arctanh_domain():
     assert (alpha**2 - beta**2) ** 2 < 4 * alpha * beta * coupling**2
     with pytest.raises(ArctanhDomain):
         dyson_static(params(alpha=alpha, beta=beta, coupling=coupling))
+
+
+# ---------------------------------------------------------------------------
+# the real form: z = D z' with D = diag(1, i, 1, -i), D^-1 T D = i S
+
+
+R_TABLE = ScalarProfile.tabulated([0.0, 1.0, 2.5, 4.0], [1.0, -0.5, 0.8, 1.2])
+R_KINDS = pytest.mark.parametrize("r", [R_ONE, R_WOBBLE, R_POLY, R_TABLE],
+                                  ids=["constant", "sinusoid", "polynomial", "tabulated"])
+
+
+@R_KINDS
+def test_substitution_is_i_times_a_real_anti_symplectic_matrix(r):
+    ep = ep_state(params(r=r, c2=0.3, c3=0.25), np.linspace(0.0, 4.0, 81))
+    s = pt._real_substitution(ep.T)
+    assert s.dtype == np.float64
+    d = algebra._REAL_D
+    assert np.array_equal(ep.T * (d / d[:, None]), 1j * s)  # D^-1 T D, entrywise
+    omega = OMEGA.real
+    scale = np.abs(s).max() ** 2
+    np.testing.assert_allclose(np.swapaxes(s, 1, 2) @ omega @ s,
+                               np.broadcast_to(-omega, s.shape), rtol=0, atol=1e-15 * scale)
+    # so the symplectic inverse of S is -S^-1
+    np.testing.assert_allclose(symplectic_inverse(s) @ s, np.broadcast_to(-np.eye(4), s.shape),
+                               rtol=0, atol=1e-15 * scale)
+
+
+@R_KINDS
+def test_pushforward_matches_the_complex_conjugation(r):
+    p = params(r=r, c2=0.3, c3=0.25)
+    ep = ep_state(p, np.linspace(0.0, 4.0, 61))
+    for shape in ((10,), (61, 10), (10, 1, 10)):
+        e = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+        want = conjugate_by(symplectic_inverse(ep.T), e)
+        got = pushforward(ep, e)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@R_KINDS
+def test_real_form_stages_match_the_complex_ones(r):
+    p = params(r=r, coupling=0.8, c2=0.3, c3=0.25)
+    ep = ep_state(p, np.linspace(0.0, 4.0, 61))
+    stat = dyson_static(p)
+    eta = dyson_time(ep, stat)
+    assert np.array_equal(eta, symplectic_inverse(ep.T) @ stat.eta_matrix @ ep.T)
+    k = transport_generator(p, ep)
+    rate = ep.r[:, None, None] * pt._from_entries((
+        ep.mu_tau, ep.sigma_tau, ep.mu_tautau / p.alpha, -ep.mu_tau / ep.mu**2,
+        ep.sigma_tautau / p.beta, -ep.sigma_tau / ep.sigma**2))
+    want_k, _ = from_matrix(symplectic_inverse(ep.T) @ rate)
+    assert np.abs(k - want_k).max() <= 1e-14 * np.abs(want_k).max()
+    inv = invariant_IH(p, ep)
+    want = conjugate_by(eta, inv)
+    assert np.abs(hermitian_invariant_Ih(inv, eta) - want).max() <= 1e-14 * np.abs(want).max()
+    want = np.linalg.eigvalsh(metric_matrices(eta))
+    assert np.abs(metric_eigenvalues(eta) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_real_form_stages_raise_on_a_leak_or_an_eta_outside_the_real_form(monkeypatch):
+    p = params(r=R_WOBBLE)
+    ep = ep_state(p, np.linspace(0.0, 4.0, 41))
+    stat = dyson_static(p)
+    eta = dyson_time(ep, stat)
+    inv = invariant_IH(p, ep)
+    k = transport_generator(p, ep)
+    h = build_H_modified(*target_coefficients(p, ep))
+    conjugations = (lambda e: hermitian_invariant_Ih(inv, e),
+                    lambda e: tdde_residual(p, ep, e, k, stat, h))
+    # a NaN in eta reaches the leak check of the conjugation
+    nan_eta = eta.copy()
+    nan_eta[7, 0, 1] = np.nan
+    for run in conjugations:
+        with pytest.raises(ProjectionLeak, match="conjugation residual"):
+            run(nan_eta)
+    # an imaginary part in D^-1 eta D is never dropped
+    off = eta.copy()
+    off[3, 0, 0] += 1e-3j
+    for run in conjugations:
+        with pytest.raises(ValueError, match="real form"):
+            run(off)
+    # with no tolerance, the rounding in the remainders raises
+    monkeypatch.setattr(algebra, "PROJ_TOL", 0.0)
+    for run in conjugations:
+        with pytest.raises(ProjectionLeak, match="conjugation residual"):
+            run(eta)
+    with pytest.raises(ProjectionLeak, match="conjugation residual"):
+        invariant_IH(p, ep)
+    with pytest.raises(ProjectionLeak, match="transport generator residual"):
+        transport_generator(p, ep)
 
 
 # ---------------------------------------------------------------------------
