@@ -37,7 +37,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ProjectionLeak
-from .numerics import PROJ_TOL
+from .numerics import PROJ_TOL, frobenius
 
 __all__ = [
     "GeneratorId",
@@ -161,11 +161,34 @@ def _project(flat, basis):
     return coords, np.sqrt(np.einsum("...i,...i->...", rem, rem.conj()).real)
 
 
-def _check_leak(resid, what: str) -> None:
-    """Raise :class:`ProjectionLeak` unless every remainder is at most ``PROJ_TOL`` (so finite)."""
-    worst = np.max(resid)
-    if not worst <= PROJ_TOL:
-        raise ProjectionLeak("%s residual %.3e exceeds %.3e" % (what, float(worst), PROJ_TOL))
+def _squared_norms(x) -> np.ndarray:
+    """Squared Frobenius norms of a real array over its last two axes."""
+    return np.einsum("...ij,...ij->...", x, x)
+
+
+def _check_leak(resid, scale, what: str) -> None:
+    """Raise :class:`ProjectionLeak` unless every remainder ``resid`` is finite
+    and at most ``PROJ_TOL`` times its ``scale``, the product of the
+    Frobenius norms of the factors whose product was projected.
+
+    The remainder of an image that lies in the algebra is the rounding of
+    its product, and that rounding is relative to the factors: entrywise,
+    |fl(X Y Z) - X Y Z| <= gamma_8 |X| |Y| |Z| (two products of four-term
+    sums; gamma_8 ~ 8u = 4 eps), and ||(|X| |Y| |Z|)||_F <= ||X||_F
+    ||Y||_F ||Z||_F, which also bounds the image and so the rounding of
+    its projection.  A correct image thus leaves a remainder of a few eps
+    of ``scale``, some 1e-15, whatever the size of the operands: a large
+    time density r (|K| ~ r) or a long-run Dyson map moves both sides
+    alike.  ``PROJ_TOL`` = 1e-10 of ``scale`` sits more than four orders
+    above that floor, so a remainder beyond it is a leak, not rounding.
+    ``resid`` and ``scale`` broadcast against each other.
+    """
+    bad = ~(resid <= PROJ_TOL * scale) | (resid == np.inf)  # a NaN compares False
+    if np.any(bad):
+        resid, scale = np.broadcast_arrays(resid, scale)
+        k = np.argmax(bad)  # the first
+        raise ProjectionLeak("%s residual %.3e exceeds %.1e times the operand size %.3e"
+                             % (what, resid.flat[k], PROJ_TOL, scale.flat[k]))
 
 
 def from_matrix(m, return_residual: bool = True):
@@ -280,6 +303,23 @@ def _real_commutator(a, b) -> np.ndarray:
     return out
 
 
+def _real_coordinates(h) -> np.ndarray:
+    """Real coordinates r = h conj(phi) of Hamiltonian coefficients ``h``
+    (..., 10), moved to the front: shape (10, ...).
+
+    -i M(H) = D (sum_k r_k R_k) D^-1 (see ``algebra._REAL_BASIS``).  Raises
+    ValueError, never dropping an imaginary part, where a coefficient of
+    r is not exactly real.
+    """
+    r = np.asarray(h) * _REAL_PHASES.conj()
+    if np.any(r.imag != 0):
+        if not np.all(np.isfinite(r)):
+            raise ValueError("the Hamiltonian coefficients on the grid are not finite")
+        raise ValueError("the Hamiltonian coefficients are outside the real-form family: "
+                         "-i M(H) is not real in the basis z = diag(1, i, 1, -i) z'")
+    return np.moveaxis(r.real, -1, 0)
+
+
 def _real_matrix(r) -> np.ndarray:
     """sum_k r_k R_k for real coordinates ``r`` of shape (10, ...), as a real stack (..., 4, 4)."""
     return np.tensordot(r, _REAL_BASIS_FLAT, axes=(0, 0)).reshape(np.shape(r)[1:] + (4, 4))
@@ -330,8 +370,10 @@ def _real_conjugate_by(u, e, u_inv=None) -> np.ndarray:
     the orthonormal basis R, and read back as phi (y_re + i y_im).  The
     remainder checked is, per element and sample, the Frobenius norm over
     both halves: the residual :func:`conjugate_by` reads, since D is
-    unitary.  The samples go in blocks of ``_BLOCK``, so no temporary
-    grows with the grid.
+    unitary, against ``PROJ_TOL`` times ||u||_F ||e|| ||u^-1||_F, where
+    ||u^-1||_F = ||u||_F for the (anti-)symplectic u this takes.  The
+    samples go in blocks of ``_BLOCK``, so no temporary grows with the
+    grid.
     """
     e = np.asarray(e, dtype=complex)
     if u_inv is None:
@@ -360,7 +402,11 @@ def _real_conjugate_by(u, e, u_inv=None) -> np.ndarray:
         # [u X_1; ...; u X_m] u^-1, the blocks stacked, (4m, 4)
         images = ux.reshape(k, 4, m, 4).swapaxes(1, 2).reshape(k, 4 * m, 4) @ u_inv[blk]
         coords, resid = _project(images.reshape(-1, 16), _REAL_BASIS_FLAT)
-        _check_leak(np.linalg.norm(resid.reshape(-1, 2), axis=1), "conjugation")
+        # the operand sizes: ||u||_F ||u^-1||_F = ||u||_F^2 per sample (the
+        # inverse is a signed permutation of u^T) times ||X||_F per element,
+        # over both halves as the remainder
+        scale = _squared_norms(ub)[:, None] * np.sqrt(_squared_norms(halves))
+        _check_leak(np.linalg.norm(resid.reshape(-1, 2), axis=1), scale.ravel(), "conjugation")
         y = coords.reshape(k, m // 2, 2, 10)
         # + 0.0: the product with phi = i leaves -0.0 in an exactly zero
         # real part where the imaginary one is negative; the complex
@@ -412,11 +458,13 @@ def conjugate_by(g, e) -> np.ndarray:
     or with one element per sample; g^-1 is :func:`symplectic_inverse`.
     With it g X g^-1 lies in the algebra for every g, symplectic or not,
     so the projection's remainder is rounding; :class:`ProjectionLeak`
-    is raised where it is not finite or exceeds ``PROJ_TOL``, read at
-    call time.  A non-symplectic g is not detected.
+    is raised where it is not finite or exceeds ``PROJ_TOL`` (read at
+    call time) times ||g||_F ||e|| ||g^-1||_F.  A non-symplectic g is not
+    detected.
     """
-    coeffs, resid = from_matrix(g @ to_matrix(e) @ symplectic_inverse(g))
-    _check_leak(resid, "conjugation")
+    g_inv = symplectic_inverse(g)
+    coeffs, resid = from_matrix(g @ to_matrix(e) @ g_inv)
+    _check_leak(resid, frobenius(g) * np.linalg.norm(e, axis=-1) * frobenius(g_inv), "conjugation")
     return coeffs
 
 
@@ -448,10 +496,10 @@ def parity_action(e, convention: str = "reflection") -> np.ndarray:
 
     ``e`` is one element (10,) or a stack (..., 10); raises
     :class:`ProjectionLeak` if an image leaves the span by more than
-    ``PROJ_TOL`` or is not finite.  Every convention is an involution,
-    so P^-1 = P.
+    ``PROJ_TOL`` times ||P||_F^2 ||e|| or is not finite.  Every
+    convention is an involution, so P^-1 = P.
     """
     p = parity_matrix(convention)
     coeffs, resid = from_matrix(p @ to_matrix(e) @ p)
-    _check_leak(resid, "parity conjugation")
+    _check_leak(resid, frobenius(p) ** 2 * np.linalg.norm(e, axis=-1), "parity conjugation")
     return coeffs

@@ -33,14 +33,16 @@ from .algebra import (
     pt_map,
     structure_constants,
     symplectic_inverse,
+    to_matrix,
     OMEGA,
 )
 from .errors import ConfigInvalid, ProfileDomain, Sp4lrError
 from .hamiltonian import (
     CoupledOscillatorParams,
+    Regime,
+    _regime_index,
     build_H_coeffs,
     build_H_modified,
-    classify_regime,
     instantaneous_eigenvalues,
 )
 from .lr_ode import (
@@ -191,12 +193,16 @@ def _constant_cell(col):
 
 
 def _text_bytes(col, name):
-    """A text column in UTF-8, one row of NUL-padded bytes per cell."""
-    enc = np.char.encode(col, "utf-8")
-    raw = enc.view(np.uint8).reshape(len(col), enc.itemsize)
+    """A text column in UTF-8, one row of NUL-padded bytes per cell.
+
+    Each distinct value is encoded, and checked for a NUL byte, once; the
+    rows are taken from those."""
+    values, rows = np.unique(col, return_inverse=True)
+    enc = np.char.encode(values, "utf-8")
+    raw = enc.view(np.uint8).reshape(len(values), enc.itemsize)
     if np.any((raw[:, :-1] == 0) & (raw[:, 1:] != 0)):
         raise ValueError("column %s: a text cell holds a NUL byte" % name)
-    return raw
+    return raw[rows.ravel()]
 
 
 def emit_plot_data(trajectory, path):
@@ -495,13 +501,81 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
     }
 
 
+# the bound of the spectrum_invariants row, derived in _spectrum_invariants
+_SPECTRUM_TOL = 64 * np.finfo(float).eps
+
+# the regime labels, indexed as ``hamiltonian._regime_index`` counts
+_REGIME_LABELS = np.array([r.value for r in Regime])
+
+
+def _det4(m):
+    """Determinants of 4x4 matrices (..., 4, 4) by the Laplace expansion
+    along the first two rows: six products of complementary 2x2 minors."""
+    def minor(r, j, k):
+        return m[..., r, j] * m[..., r + 1, k] - m[..., r, k] * m[..., r + 1, j]
+    return (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
+            + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
+            - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1))
+
+
+def _spectrum_invariants(evs, m):
+    """Largest, over the samples, of |sum eps^2 - tr M^2| / ||M||_F^2 and
+    |prod eps - det M| / ||M||_F^4, for the sorted spectra ``evs``
+    (N, 4) and the complex matrices M = ``m`` (N, 4, 4) of the same H.
+
+    For a spectrum {+-eps1, +-eps2} these two symmetric functions fix the
+    spectrum, even at an exceptional point, where the eigenvalues
+    themselves are resolved only to about sqrt(eps) but the symmetric
+    functions stay well conditioned.  M is the independent route: its
+    trace and its determinant (:func:`_det4`, a general expansion) never
+    see the real form or its 2x2 block.
+
+    The bound, ``_SPECTRUM_TOL`` = 64 eps, counts rounding in units of
+    u = eps/2 with rho = ||M||_F = ||c|| (the basis is orthonormal).  A
+    perturbation E of M moves tr M^2 by at most 2 rho ||E||_F and det M
+    by at most ||adj M||_F ||E||_F <= rho^3/4 ||E||_F (Maclaurin's
+    inequality on the singular values), to first order.
+    * Both routes assemble a matrix from c (M, or the real form A): at
+      most four terms c_k/2 per entry, so within 6u rho of exact: 12u on
+      the trace and 1.5u on the determinant, per route.
+    * tr M^2 is a sum of 16 complex products: 18u.  The Laplace
+      expansion rounds each of its 24 permutation products by at most
+      16u (a complex product in each minor, their difference, the
+      product of two minors, the sum of six), and their moduli sum to
+      the permanent of |M|, at most prod_i ||row_i||_1 <= 16 prod_i
+      ||row_i||_2 <= rho^4: 16u.
+    * fl(BC) is within 2u ||B||_F ||C||_F <= u rho^2 of BC, and LAPACK's
+      2x2 eigenvalues are those of BC + G with ||G||_F <= 10u ||BC||_F
+      <= 5u rho^2: on sum eps^2 = -2 tr(BC), 17u; on prod eps =
+      det(BC), 3u.  The sort zeroes an imaginary part within 1e-12 of
+      the largest modulus only in a conjugate pair or in a pair
+      +-i delta, which moves both sums at second order.
+    * The square root, the squares and the products of the row: 16u,
+      since sum |eps|^2 <= rho^2 (Schur), and 2u, since
+      |prod eps| <= rho^4/16.
+    So the trace term is at most 75u (38 eps) and the determinant term
+    24u (12 eps); the bound of 64 eps holds both.  A relative change of
+    1e-12 in the largest eigenvalue moves the trace term by
+    2e-12 |eps1|^2 / rho^2: 4.7e-13 on the shipped regime map, 33 times
+    the bound.
+    """
+    rho2 = (np.abs(m) ** 2).sum(axis=(-2, -1))
+    rho2 = np.where(rho2 > 0, rho2, 1.0)  # M = 0 has the spectrum 0: both terms read 0
+    trace = np.abs((evs**2).sum(axis=-1) - np.einsum("...ij,...ji->...", m, m)) / rho2
+    det = np.abs(np.prod(evs, axis=-1) - _det4(m)) / rho2**2
+    return float(max(trace.max(), det.max()))
+
+
 def _run_regime_map(cfg, grid, outdir, checks, artifacts):
     params = CoupledOscillatorParams(**cfg["params"])
     evs = instantaneous_eigenvalues(params, grid)
-    # spectrum symmetric about zero: eigenvalues come in +- pairs
-    pairing = float(np.abs(np.sort_complex(evs) + np.sort_complex(-evs)[:, ::-1]).max())
+    # spectrum symmetric about zero: the sort lists -eps opposite each eps
+    # (0 by construction, as +-i sqrt(mu))
+    pairing = float(np.abs(evs + evs[:, ::-1]).max())
     checks.add("eigenvalue_pairing", pairing, 1e-10)
-    regimes = [r.value for r in classify_regime(params, grid)]
+    checks.add("spectrum_invariants",
+               _spectrum_invariants(evs, to_matrix(build_H_coeffs(params, grid))), _SPECTRUM_TOL)
+    regimes = _REGIME_LABELS[_regime_index(params, grid)]
     names = ["t"] + ["re%d" % (k + 1) for k in range(4)] + ["im%d" % (k + 1) for k in range(4)] + ["regime"]
     cols = [grid] + [evs[:, k].real for k in range(4)] + [evs[:, k].imag for k in range(4)] + [regimes]
     path = os.path.join(outdir, "eigenvalue_trajectory.csv")

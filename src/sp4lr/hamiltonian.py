@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import GeneratorId, to_matrix
+from .algebra import GeneratorId, _real_coordinates, _real_matrix
 from .numerics import _sort_real_imag, eig4
 from .profiles import ScalarProfile
 
@@ -96,9 +96,11 @@ def eigenvalue_formula(a, omega_plus, lam) -> np.ndarray:
     epsilon(+-,+-) = +-(1/2) [a*Omega+^2 +- a*sqrt(Omega+^2 - 4 lam^2)]^(1/2)
     on principal complex branches, sorted by (real, imag) along the last
     axis.  Kept verbatim as the published form; the numeric spectrum
-    (:func:`sp4lr.numerics.eig4`, LAPACK through numpy) is the trusted
-    oracle and the deviation between the two is reported by the
-    cross-check suite, not asserted.
+    (:func:`instantaneous_eigenvalues`, from LAPACK on the 2x2 block
+    product of the real form) is the trusted route, checked against the
+    trace and determinant of the complex 4x4 M(H) by the regime map's
+    ``spectrum_invariants`` row, and the deviation between the two is
+    reported by the cross-check suite, not asserted.
     """
     csqrt = np.lib.scimath.sqrt
     inner = csqrt(omega_plus**2 - 4.0 * lam**2)
@@ -110,14 +112,41 @@ def eigenvalue_formula(a, omega_plus, lam) -> np.ndarray:
 
 
 def instantaneous_eigenvalues(p: CoupledOscillatorParams, t) -> np.ndarray:
-    """Four instantaneous eigenvalues, sorted by (real, imag).
+    """Four instantaneous eigenvalues of M(H), sorted by (real, imag).
 
     ``t`` is a scalar (shape (4,) result) or an array of times (shape
-    ``t.shape + (4,)``).  The 4x4 matrix representation is diagonalized
-    with LAPACK through numpy, one batched call for the whole grid (the
-    trusted route; :func:`eigenvalue_formula` is the published closed form).
+    ``t.shape + (4,)``).  The spectrum comes from the real form
+    A = D^-1 (-i M(H)) D = sum_k r_k R_k of the real coordinates r of H
+    (``algebra._real_coordinates``, which raises ValueError where an
+    imaginary part would be dropped).  The family has no
+    position-momentum cross terms, so A = [[0, B], [C, 0]] in 2x2 blocks;
+    a diagonal block that is not exactly 0 raises ValueError.  Then
+    A^2 = diag(BC, CB) (Van Loan's square-reduced form of a Hamiltonian
+    matrix, Linear Algebra Appl. 61 (1984) 233, here an exact 2x2 block),
+    so spec(A) = +-sqrt(spec(BC)) and spec(M) = i spec(A): one batched
+    LAPACK call (:func:`sp4lr.numerics.eig4`) on the real (..., 2, 2)
+    stack BC gives mu, and the eigenvalues are +-i sqrt(mu).
+    :func:`eigenvalue_formula` is the published closed form.
     """
-    return eig4(to_matrix(build_H_coeffs(p, t)))
+    a = _real_matrix(_real_coordinates(build_H_coeffs(p, t)))
+    if np.any(a[..., :2, :2] != 0) or np.any(a[..., 2:, 2:] != 0):
+        raise ValueError("the Hamiltonian has position-momentum cross terms: "
+                         "-i M(H) is not block off-diagonal in the real form")
+    root = np.sqrt(eig4(a[..., :2, 2:] @ a[..., 2:, :2]).astype(complex))
+    eps = 1j * root
+    # + 0.0: negating an exactly zero part leaves -0.0
+    return _sort_real_imag(np.concatenate([eps, -eps], axis=-1) + 0.0)
+
+
+def _regime_index(p: CoupledOscillatorParams, t):
+    """Index into ``Regime`` (0 PT-symmetric, 1 exceptional point, 2 broken)
+    by the sign of the discriminant Omega+^2 - 4 lam^2, an int array with
+    the shape of ``t``."""
+    disc = (p.omega_x(t) + p.omega_y(t)) ** 2 - 4.0 * p.lam(t) ** 2
+    return np.where(np.abs(disc) <= REGIME_TOL, 1, np.where(disc > 0, 0, 2))
+
+
+_REGIMES = np.array(list(Regime), dtype=object)
 
 
 def classify_regime(p: CoupledOscillatorParams, t):
@@ -126,9 +155,8 @@ def classify_regime(p: CoupledOscillatorParams, t):
     Values within ``REGIME_TOL`` of zero classify as the exceptional point:
     the boundary is measure-zero, so it gets a band.  A scalar ``t``
     gives a :class:`Regime`, an array of times an object array of them
-    with the shape of ``t``.
+    with the shape of ``t``.  The thresholds are those of the published
+    discriminant; the numeric spectrum breaks where the discriminant of
+    BC (see :func:`instantaneous_eigenvalues`) changes sign instead.
     """
-    disc = (p.omega_x(t) + p.omega_y(t)) ** 2 - 4.0 * p.lam(t) ** 2
-    regimes = np.array([Regime.PT_SYMMETRIC, Regime.EXCEPTIONAL_POINT,
-                        Regime.SPONTANEOUSLY_BROKEN], dtype=object)
-    return regimes[np.where(np.abs(disc) <= REGIME_TOL, 1, np.where(disc > 0, 0, 2))]
+    return _REGIMES[_regime_index(p, t)]

@@ -41,9 +41,9 @@ import numpy as np
 
 from .algebra import (
     GeneratorId,
-    _REAL_PHASES,
     _real_commutator,
     _real_conjugate_by,
+    _real_coordinates,
     _real_matrix,
     commutator,
 )
@@ -135,22 +135,6 @@ _EPS = np.finfo(float).eps
 _GL_NODES = 0.5 + np.array([-np.sqrt(15.0) / 10.0, 0.0, np.sqrt(15.0) / 10.0,
                             -np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
 _ANCHOR_STRIDE = 32  # samples per anchor of the split commuting exponential
-
-def _real_coordinates(h) -> np.ndarray:
-    """Real coordinates r = h conj(phi) of Hamiltonian coefficients ``h``
-    (..., 10), moved to the front: shape (10, ...).
-
-    -i M(H) = D (sum_k r_k R_k) D^-1 (see ``algebra._REAL_BASIS``).  Raises
-    ValueError, never dropping an imaginary part, where a coefficient of
-    r is not exactly real.
-    """
-    r = np.asarray(h) * _REAL_PHASES.conj()
-    if np.any(r.imag != 0):
-        if not np.all(np.isfinite(r)):
-            raise ValueError("the Hamiltonian coefficients on the grid are not finite")
-        raise ValueError("the Hamiltonian coefficients are outside the real-form family: "
-                         "-i M(H) is not real in the basis z = diag(1, i, 1, -i) z'")
-    return np.moveaxis(r.real, -1, 0)
 
 
 def _ordered_product(steps) -> np.ndarray:
@@ -296,8 +280,8 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
     imaginary halves of the real coordinates r0 of
     ``assemble_invariant(c0)`` are each conjugated by U' and projected
     back onto the real basis (``algebra._real_conjugate_by``, which
-    raises ProjectionLeak where the remainder exceeds ``PROJ_TOL`` or is
-    not finite), and the coefficients are read back from
+    raises ProjectionLeak where the remainder exceeds ``PROJ_TOL`` of the
+    operand sizes or is not finite), and the coefficients are read back from
     phi (y_re + i y_im).
 
     ``time_ordered``

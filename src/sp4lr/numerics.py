@@ -31,7 +31,7 @@ __all__ = [
 
 
 EXPM_TOL = 1e-13  # truncation bound of expm's Taylor series
-PROJ_TOL = 1e-10  # projection residual allowed when a matrix is read back into the algebra
+PROJ_TOL = 1e-10  # projection remainder allowed, relative to the sizes of the product's factors
 QUAD_TOL = 1e-10  # per-interval error bound of the Simpson quadrature
 TIE_TOL = 1e-12  # relative gap below which the eigenvalue sort treats real parts as tied
 

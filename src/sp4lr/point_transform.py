@@ -79,6 +79,7 @@ from .algebra import (
     _from_real_form,
     _project,
     _real_conjugate_by,
+    _squared_norms,
     _to_real_form,
     conjugate_by,
     symplectic_inverse,
@@ -331,15 +332,16 @@ def transport_generator(p: PointTransformParams, ep: EPState) -> np.ndarray:
     real coordinates r = K conj(phi), which are therefore imaginary:
     K = -i phi w, w the projection of S^-1 dS/dt onto the real basis,
     which raises :class:`ProjectionLeak` where the remainder exceeds
-    ``PROJ_TOL`` or is not finite.
+    ``PROJ_TOL`` times ||S^-1||_F ||dS/dt||_F or is not finite.
     """
     rate = _from_entries((ep.mu_tau, ep.sigma_tau, ep.mu_tautau / p.alpha,
                           -ep.mu_tau / ep.mu**2, ep.sigma_tautau / p.beta,
                           -ep.sigma_tau / ep.sigma**2))
     s_inv = -symplectic_inverse(_real_substitution(ep.T))
-    w, resid = _project((s_inv @ _real_substitution(ep.r[:, None, None] * rate)).reshape(-1, 16),
-                        _REAL_BASIS_FLAT)
-    _check_leak(resid, "transport generator")
+    s_rate = _real_substitution(ep.r[:, None, None] * rate)
+    w, resid = _project((s_inv @ s_rate).reshape(-1, 16), _REAL_BASIS_FLAT)
+    _check_leak(resid, np.sqrt(_squared_norms(s_inv) * _squared_norms(s_rate)),
+                "transport generator")
     return -1j * _REAL_PHASES * w
 
 
@@ -512,8 +514,8 @@ def hermitian_invariant_Ih(inv: np.ndarray, eta: np.ndarray) -> np.ndarray:
     conjugation runs per sample on the real stack eta' = D^-1 eta D with
     its symplectic inverse -Omega eta'^T Omega
     (``algebra._real_conjugate_by``) and is projected back, raising
-    :class:`ProjectionLeak` where the remainder exceeds ``PROJ_TOL`` or
-    is not finite.  Must carry real coefficients (for real Delta) and
+    :class:`ProjectionLeak` where the remainder exceeds ``PROJ_TOL`` of
+    the operand sizes or is not finite.  Must carry real coefficients (for real Delta) and
     equal the image of h0 under the transformation -- both verified by
     the test suite, alongside the closed expansion of
     :func:`hermitian_invariant_expansion`.

@@ -31,7 +31,7 @@ from sp4lr.algebra import (
     to_matrix,
 )
 from sp4lr.errors import ProjectionLeak
-from sp4lr.numerics import expm
+from sp4lr.numerics import expm, frobenius
 
 EPS = np.zeros((3, 3, 3))
 for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -550,3 +550,32 @@ def test_real_conjugation_leak_guard(monkeypatch):
     monkeypatch.setattr(algebra, "PROJ_TOL", 0.0)
     with pytest.raises(ProjectionLeak, match="conjugation residual"):
         algebra._real_conjugate_by(off, r)
+
+
+def test_leak_guard_is_relative_to_the_operand_sizes():
+    # an element of size 1e8 conjugated by a group stack leaves rounding
+    # of about 1e-7 in the remainder, far above 1e-10 but at eps of the
+    # operands: it passes; a remainder of 1e-9 of the operand size does
+    # not.  The leak is the identity, orthogonal to the traceless algebra,
+    # put into the image u X u^-1 through a perturbed inverse.
+    rng = np.random.default_rng(29)
+    u = expm(algebra._real_matrix(0.8 * rng.standard_normal((10, 6))))
+    u_inv = symplectic_inverse(u)
+    r = 1e8 * rng.standard_normal(10)
+    e = algebra._REAL_PHASES * r  # real coordinates r: X = sum_k r_k R_k, no imaginary half
+    g = u * algebra._TO_REAL.conj()  # D u D^-1
+    assert from_matrix(g @ to_matrix(e) @ symplectic_inverse(g))[1].max() > 1e-10
+    want = conjugate_by(g, e)
+    assert np.abs(algebra._real_conjugate_by(u, e) - want).max() <= 1e-13 * np.abs(want).max()
+    x = algebra._real_matrix(r)
+    size = frobenius(u) * frobenius(u_inv) * np.linalg.norm(r)
+    c = 0.5e-9 * size  # ||c I||_F = 2c = 1e-9 of the operand size
+    faulty = u_inv + c[:, None, None] * np.linalg.solve(u @ x, np.eye(4))
+    assert np.allclose(frobenius(faulty), frobenius(u_inv), rtol=1e-6)
+    with pytest.raises(ProjectionLeak, match="conjugation residual"):
+        algebra._real_conjugate_by(u, e, faulty)
+    # one sample faulty is enough
+    one = u_inv.copy()
+    one[4] = faulty[4]
+    with pytest.raises(ProjectionLeak, match="conjugation residual"):
+        algebra._real_conjugate_by(u, e, one)

@@ -19,7 +19,7 @@ from sp4lr import cli
 from sp4lr._csv17 import _format17
 from sp4lr.algebra import to_matrix
 from sp4lr.cli import _resolve_config, describe_schema, emit_plot_data, main, run_scenario
-from sp4lr.hamiltonian import CoupledOscillatorParams, build_H_coeffs
+from sp4lr.hamiltonian import CoupledOscillatorParams, build_H_coeffs, classify_regime
 from sp4lr.lr_ode import (
     ClosedFormParams,
     assemble_invariant,
@@ -493,6 +493,60 @@ def test_regime_map_real_eigenvalues_carry_no_branch_sign(tmp_path):
     t = np.array([float(r["t"]) for r in rows])[real_rows]
     raw = np.linalg.eigvals(to_matrix(build_H_coeffs(CoupledOscillatorParams(**params), t))).imag
     assert (raw > 0).any() and (raw < 0).any() and np.abs(raw).max() < 1e-12
+
+
+def _shipped_regime_map():
+    with open(os.path.join(SCENARIOS, "regime_map.json")) as fh:
+        return json.load(fh)
+
+
+def test_regime_map_labels_are_those_of_classify_regime(tmp_path):
+    cfg = _shipped_regime_map()
+    run_scenario(cfg, str(tmp_path))
+    rows = (tmp_path / "eigenvalue_trajectory.csv").read_bytes().split(b"\n")[1:-1]
+    resolved = _resolve_config(cfg)
+    grid = np.linspace(resolved["grid"]["t0"], resolved["grid"]["t1"], resolved["grid"]["steps"])
+    labels = classify_regime(CoupledOscillatorParams(**resolved["params"]), grid)
+    assert [row.rpartition(b",")[2] for row in rows] == [r.value.encode() for r in labels]
+
+
+def _drop_i(evs):
+    return evs / 1j
+
+
+def _largest_times_one_plus_1e_12(evs):
+    k = np.argmax(np.abs(evs), axis=-1)
+    evs[np.arange(len(evs)), k] *= 1.0 + 1e-12
+    return evs
+
+
+@pytest.mark.parametrize("fault", [_drop_i, _largest_times_one_plus_1e_12])
+def test_spectrum_invariants_row_fails_on_a_spectrum_fault(tmp_path, monkeypatch, fault):
+    # both faults keep the spectrum symmetric to 1e-12, so the pairing row
+    # passes them; the trace and determinant of the complex M(H) do not
+    cfg = _shipped_regime_map()
+    clean = {c["name"]: c for c in run_scenario(cfg, str(tmp_path / "clean"))["checks"]}
+    assert clean["spectrum_invariants"]["residual"] <= 8 * np.finfo(float).eps
+    original = cli.instantaneous_eigenvalues
+    monkeypatch.setattr(cli, "instantaneous_eigenvalues", lambda p, t: fault(original(p, t)))
+    checks = {c["name"]: c for c in run_scenario(cfg, str(tmp_path / "fault"))["checks"]}
+    assert checks["eigenvalue_pairing"]["status"] == "pass"
+    assert checks["spectrum_invariants"]["status"] == "fail"
+
+
+def test_eigenvalue_pairing_row_fails_on_an_unpaired_eigenvalue(tmp_path, monkeypatch):
+    # the sorted spectrum must list -eps opposite each eps; one eigenvalue
+    # moved by 1e-9 of itself leaves its partner unpaired
+    original = cli.instantaneous_eigenvalues
+
+    def unpaired(p, t):
+        evs = original(p, t)
+        evs[:, -1] *= 1.0 + 1e-9
+        return evs
+
+    monkeypatch.setattr(cli, "instantaneous_eigenvalues", unpaired)
+    checks = {c["name"]: c for c in run_scenario(_shipped_regime_map(), str(tmp_path))["checks"]}
+    assert checks["eigenvalue_pairing"]["status"] == "fail"
 
 
 def test_report_deterministic_modulo_walltime(tmp_path):

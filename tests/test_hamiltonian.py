@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import sp4lr.hamiltonian as hamiltonian
 from sp4lr.algebra import GeneratorId, adjoint, parity_action, pt_map, to_matrix
 from sp4lr.hamiltonian import (
     CoupledOscillatorParams,
@@ -269,3 +270,42 @@ def test_instantaneous_eigenvalues_defective_at_numeric_ep():
     vals = instantaneous_eigenvalues(const_params(1.0, 1.2, 0.8, 0.2), 0.0)
     assert abs(vals[0] - vals[1]) < 1e-7 and abs(vals[2] - vals[3]) < 1e-7
     assert np.abs(vals.imag).max() < 1e-7
+
+
+def test_block_spectrum_matches_the_complex_4x4_as_sets():
+    # mixed-sign a, omega_x, omega_y; lam runs linearly from 0 to 1.3 times
+    # the larger of |omega_x -+ omega_y| / 2, so every grid crosses the
+    # numeric break (omega_x - omega_y)^2 = 4 lam^2 and the published one
+    # (omega_x + omega_y)^2 = 4 lam^2
+    rng = np.random.default_rng(20261019)
+    t = np.linspace(0.0, 1.0, 401)
+    worst = 0.0
+    for _ in range(40):
+        a, wx, wy = rng.uniform(-3.0, 3.0, size=3)
+        top = 1.3 * max(abs(wx - wy), abs(wx + wy)) / 2.0
+        p = CoupledOscillatorParams(ScalarProfile.constant(a), ScalarProfile.constant(wx),
+                                    ScalarProfile.constant(wy),
+                                    ScalarProfile.polynomial([0.0, rng.choice([-1.0, 1.0]) * top]))
+        for edge in (wx + wy, wx - wy):
+            disc = edge**2 - 4.0 * p.lam(t) ** 2
+            assert (disc > 0).any() and (disc < 0).any()
+        got = instantaneous_eigenvalues(p, t)
+        want = np.linalg.eigvals(to_matrix(build_H_coeffs(p, t)))
+        worst = max(worst, (multiset_distance(got, want) / np.abs(want).max(axis=-1)).max())
+    assert worst <= 1e-12
+
+
+def test_block_spectrum_rejects_position_momentum_terms(monkeypatch):
+    # i times a real J2 coefficient has real coordinates, so the real-form
+    # guard passes it; it sits in a diagonal block of the real form, which
+    # the spectrum raises on instead of dropping
+    original = hamiltonian.build_H_coeffs
+
+    def with_j2(p, t):
+        h = original(p, t)
+        h[..., G.J2] = 0.25j
+        return h
+
+    monkeypatch.setattr(hamiltonian, "build_H_coeffs", with_j2)
+    with pytest.raises(ValueError, match="position-momentum"):
+        instantaneous_eigenvalues(const_params(1.0, 1.2, 0.8, 0.3), GRID)

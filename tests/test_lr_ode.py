@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sp4lr.lr_ode as lr_ode
-from sp4lr.algebra import _REAL_D, _REAL_PHASES, GeneratorId, symplectic_inverse, to_matrix
+from sp4lr.algebra import (
+    _REAL_D,
+    _REAL_PHASES,
+    GeneratorId,
+    _real_coordinates,
+    symplectic_inverse,
+    to_matrix,
+)
 from sp4lr.crosschecks import ode_matrix
 from sp4lr.errors import ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, StepNotConverged
 from sp4lr.hamiltonian import CoupledOscillatorParams, _h_coeffs, build_H_coeffs, build_H_modified
@@ -22,7 +29,6 @@ from sp4lr.lr_ode import (
     _magnus_exponents,
     _magnus_propagators,
     _prefix_products,
-    _real_coordinates,
     assemble_invariant,
     closed_form_c,
     closed_form_on_grid,

@@ -689,6 +689,23 @@ def test_point_transform_run_builds_the_transport_generator_once(tmp_path, monke
     assert calls == [PT_CFG["grid"]["steps"]], calls
 
 
+@pytest.mark.parametrize("r", [1e6, 1e8])
+def test_a_large_time_density_leaves_no_projection_leak(tmp_path, r):
+    # |K| ~ r, so the projection remainders of K and of every image grow
+    # with r (1.5e-10 at r = 1e6, 1.7e-8 at r = 1e8): rounding, measured
+    # against the operand sizes, not a leak.  The rows that compare
+    # images read at rounding; rows with absolute tolerances are not
+    # asserted here
+    with open(os.path.join(SCENARIOS, "point_transform_core.json")) as fh:
+        cfg = json.load(fh)
+    cfg["grid"] = {"t0": 0.0, "t1": 1e-3, "steps": 201}
+    cfg["params"]["r"] = {"kind": "constant", "value": r}
+    checks = {c["name"]: c for c in run_scenario(cfg, str(tmp_path))["checks"]}
+    for name in ("ermakov_first_integral", "dyson_inverse_identity", "hermiticity_leak",
+                 "invariant_image_match", "hermitian_expansion_match"):
+        assert checks[name]["status"] == "pass", checks[name]
+
+
 def test_sigma_rate_fault_fails_only_the_first_integral(tmp_path, monkeypatch):
     # every exact rate holds for any sigma', so of all rows only the
     # Ermakov first integral sees sigma' scaled by 1 + 1e-6 (the state's
