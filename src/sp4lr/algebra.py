@@ -305,7 +305,8 @@ def _real_commutator(a, b) -> np.ndarray:
 
 def _real_coordinates(h) -> np.ndarray:
     """Real coordinates r = h conj(phi) of Hamiltonian coefficients ``h``
-    (..., 10), moved to the front: shape (10, ...).
+    (..., 10), or of an image of them such as the invariant I_H, moved to
+    the front: shape (10, ...), a strided view of the real parts.
 
     -i M(H) = D (sum_k r_k R_k) D^-1 (see ``algebra._REAL_BASIS``).  Raises
     ValueError, never dropping an imaginary part, where a coefficient of
@@ -345,6 +346,18 @@ def _from_real_form(m) -> np.ndarray:
     return m * _TO_REAL.conj()
 
 
+def _has_imaginary_half(e) -> bool:
+    """Whether a real coordinate r = e conj(phi) of the complex coefficients
+    ``e`` (..., 10) has a nonzero (or NaN) imaginary part.
+
+    That part is Im e_k where phi_k = 1 and -Re e_k where phi_k = i; each
+    coefficient column is read as a view, so no temporary the size of
+    ``e`` is made.
+    """
+    return any(np.any((e.imag if phase == 1 else e.real)[..., k])
+               for k, phase in enumerate(_REAL_PHASES))
+
+
 # samples per block of a real conjugation: a block's temporaries stay
 # below a megabyte on any grid; whole-grid ones cost page faults and
 # peak memory
@@ -367,13 +380,17 @@ def _real_conjugate_by(u, e, u_inv=None) -> np.ndarray:
 
     The real and imaginary halves of the real coordinates r = e conj(phi)
     are conjugated as the real matrices sum_k r_k R_k, projected onto
-    the orthonormal basis R, and read back as phi (y_re + i y_im).  The
-    remainder checked is, per element and sample, the Frobenius norm over
-    both halves: the residual :func:`conjugate_by` reads, since D is
-    unitary, against ``PROJ_TOL`` times ||u||_F ||e|| ||u^-1||_F, where
-    ||u^-1||_F = ||u||_F for the (anti-)symplectic u this takes.  The
-    samples go in blocks of ``_BLOCK``, so no temporary grows with the
-    grid.
+    the orthonormal basis R, and read back as phi (y_re + i y_im).  Where
+    every imaginary half of ``e`` is exactly 0 (the coefficients are phi
+    times real ones: a Hamiltonian, an image of one, or H + i K of the
+    point transform), only the real halves are conjugated, one matrix per
+    element and sample, and the result is phi y_re; this is read from
+    the data once per call.  The remainder checked is, per element and
+    sample, the Frobenius norm over the halves conjugated: the residual
+    :func:`conjugate_by` reads, since D is unitary, against ``PROJ_TOL``
+    times ||u||_F ||e|| ||u^-1||_F, where ||u^-1||_F = ||u||_F for the
+    (anti-)symplectic u this takes.  The samples go in blocks of
+    ``_BLOCK``, so no temporary grows with the grid.
     """
     e = np.asarray(e, dtype=complex)
     if u_inv is None:
@@ -385,12 +402,13 @@ def _real_conjugate_by(u, e, u_inv=None) -> np.ndarray:
     lead = e.shape[:-2]
     # (1 or N, P, 10): the P elements of every sample, or of each one
     e = e.reshape(1, -1, 10) if shared else np.moveaxis(e, -2, 0).reshape(n, -1, 10)
-    m = 2 * e.shape[1]  # matrices per sample: both halves of each element
+    nh = 2 if _has_imaginary_half(e) else 1  # halves conjugated per element
+    m = nh * e.shape[1]  # matrices per sample
     out = np.empty((n, e.shape[1], 10), dtype=complex)
     for lo in range(0, n, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         r = (e if shared else e[blk]) * _REAL_PHASES.conj()
-        halves = np.stack([r.real, r.imag], axis=-2)
+        halves = np.stack([r.real, r.imag] if nh == 2 else [r.real], axis=-2)
         # a sample's m matrices side by side, (4, 4m): numpy's stacked
         # matmul is slow on 4x4 blocks, so each product takes them all,
         # and shared ones take every sample's u in one (4k, 4) @ (4, 4m)
@@ -404,14 +422,15 @@ def _real_conjugate_by(u, e, u_inv=None) -> np.ndarray:
         coords, resid = _project(images.reshape(-1, 16), _REAL_BASIS_FLAT)
         # the operand sizes: ||u||_F ||u^-1||_F = ||u||_F^2 per sample (the
         # inverse is a signed permutation of u^T) times ||X||_F per element,
-        # over both halves as the remainder
+        # over the halves conjugated, as the remainder
         scale = _squared_norms(ub)[:, None] * np.sqrt(_squared_norms(halves))
-        _check_leak(np.linalg.norm(resid.reshape(-1, 2), axis=1), scale.ravel(), "conjugation")
-        y = coords.reshape(k, m // 2, 2, 10)
+        _check_leak(np.linalg.norm(resid.reshape(-1, nh), axis=1), scale.ravel(), "conjugation")
+        y = coords.reshape(k, m // nh, nh, 10)
         # + 0.0: the product with phi = i leaves -0.0 in an exactly zero
         # real part where the imaginary one is negative; the complex
         # projection reads +0.0 there
-        out[blk] = _REAL_PHASES * (y[..., 0, :] + 1j * y[..., 1, :]) + 0.0
+        y = y[..., 0, :] + 1j * y[..., 1, :] if nh == 2 else y[..., 0, :]
+        out[blk] = _REAL_PHASES * y + 0.0
     return np.moveaxis(out.reshape((n,) + lead + (10,)), 0, -2)
 
 

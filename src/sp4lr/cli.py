@@ -25,9 +25,9 @@ import numpy as np
 
 from . import crosschecks
 from .algebra import (
+    _real_coordinates,
     _to_real_form,
     adjoint,
-    commutator,
     generator_matrices,
     parity_action,
     pt_map,
@@ -60,6 +60,9 @@ from .lr_ode import (
 from .numerics import frobenius
 from .point_transform import (
     PointTransformParams,
+    _invariant_rate_defect,
+    _transport_coordinates,
+    _transport_element,
     dyson_static,
     dyson_time,
     ep_residual,
@@ -73,7 +76,6 @@ from .point_transform import (
     pushforward,
     target_coefficients,
     tdde_residual,
-    transport_generator,
 )
 from .profiles import PROFILE_KINDS, Field, ScalarProfile
 
@@ -158,22 +160,54 @@ def _resolve_config(cfg) -> dict:
     return resolved
 
 
+# the largest modulus a profile may take on the grid, derived in
+# _require_finite_profiles: DBL_MAX^(1/4) / 4, about 2.9e76
+_PROFILE_BOUND = float(np.finfo(float).max) ** 0.25 / 4.0
+
+
 def _require_finite_profiles(params, grid):
     """Evaluate each profile of ``params`` once on ``grid``, values only;
     ConfigInvalid("params.<field>: ...") where one is not finite there
-    (a polynomial that overflows on a long grid, say) or is tabulated on
-    a window that does not cover it."""
+    (a polynomial that overflows on a long grid, say), exceeds
+    ``_PROFILE_BOUND`` in modulus there, or is tabulated on a window that
+    does not cover it.
+
+    The bound keeps the fourth powers of the profile values that a
+    regime map forms finite.  Let V be the largest modulus of the profile
+    values.  The coupled family's coefficients (``hamiltonian._h_coeffs``)
+    have ||c||^2 = a^2/2 + omega_x^2 + omega_y^2 + 2 lam^2 <= 4.5 V^2, and
+    ||M(H)||_F = ||c|| (orthonormal basis), so rho^2 = ||M||_F^2 <= 4.5 V^2.
+    The ``spectrum_invariants`` row forms rho^4 <= 20.25 V^4; det M as six
+    products of two 2x2 minors, each minor at most
+    ||row_i|| ||row_i+1|| <= rho^2/2 (Cauchy-Schwarz, then AM-GM), so at
+    most 1.5 rho^4 <= 30.4 V^4; and sum |eps|^2 <= rho^2 (Schur),
+    |prod eps| <= rho^4/16.  Every one is at most 31 V^4, and
+    V <= DBL_MAX^(1/4) / 4 makes that at most 31/256 DBL_MAX.  (A constant
+    omega_x of 1e78 overflows that row's squares; 1e77 does not.)  The
+    point transform forms at most squares of its r (the operand norms of
+    K, r^2 in the EP residual).  Not bounded here: a number parameter
+    that scales a profile (the closed form's alpha), and the growth of an
+    lr propagator over the grid, which is a property of the dynamics, not
+    of the values.
+    """
     for name, value in params.items():
         if not isinstance(value, ScalarProfile):
             continue
         try:
             with np.errstate(all="ignore"):
-                finite = np.isfinite(value(grid))
+                values = value(grid)
         except ProfileDomain as exc:
             raise ConfigInvalid("params.%s: %s" % (name, exc)) from None
+        finite = np.isfinite(values)
         if not np.all(finite):
             raise ConfigInvalid("params.%s: not finite on the grid, first at t = %.17g"
                                 % (name, grid[np.argmin(finite)]))
+        large = np.abs(values) > _PROFILE_BOUND
+        if np.any(large):
+            k = np.argmax(large)
+            raise ConfigInvalid("params.%s: |value| %.3g exceeds %.3g on the grid, "
+                                "first at t = %.17g"
+                                % (name, abs(values[k]), _PROFILE_BOUND, grid[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +485,19 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
         checks.add("static_map_postcondition", stat.check_residual, 1e-10)
 
     inv = invariant_IH(params, ep)
-    k = transport_generator(params, ep)  # K = T^-1 dT/dt, once per grid
-    inv_rate = commutator(inv, k)  # dI_H/dt, exact
+    # K = T^-1 dT/dt = -i phi w, once per grid; the invariant's exact rate
+    # [I_H, K] is taken in real coordinates, each coefficient's row contiguous
+    w = _transport_coordinates(params, ep)
+    inv_r = np.ascontiguousarray(_real_coordinates(inv))
     a, b, lam = target_coefficients(params, ep)
     h = build_H_modified(a, b, lam)  # the target Hamiltonian, once per grid
-    lr_resid = lr_residual(inv, h, grid, didt=inv_rate)
+    lr_resid = float(_invariant_rate_defect(inv_r, w, np.ascontiguousarray(_real_coordinates(h))).max())
     checks.add("invariant_lr_residual", lr_resid, 1e-8)
+    # the adopted residuals of the ledger are two rows of this run; it runs
+    # before the Dyson map exists, so its temporaries stay below the peak
+    records = crosschecks.point_transform_records(params, ep, inv_r, w, h, lam,
+                                                  ep_resid, lr_resid)
+    k = _transport_element(w)
 
     # one Dyson map per grid; a stack that only a check row reads is not
     # kept, since the run's memory peaks at the tdde_residual row
@@ -491,9 +532,6 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
     emit_plot_data((names + inames + hnames, cols + icols + hcols), path)
     artifacts.append(path)
 
-    # the adopted residuals of the ledger are the two rows above
-    records = crosschecks.point_transform_records(params, ep, inv, inv_rate, h, lam,
-                                                  ep_resid, lr_resid)
     return {
         "dyson": {"kappa1": stat.kappa1, "kappa2": stat.kappa2,
                   "delta": [stat.delta.real, stat.delta.imag]},

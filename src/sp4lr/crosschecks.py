@@ -217,24 +217,28 @@ def invariant_image_variant(p: pt.PointTransformParams, ep: pt.EPState) -> np.nd
     return out
 
 
-def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState, inv: np.ndarray,
-                               inv_rate: np.ndarray, h: np.ndarray, lam: np.ndarray,
+def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState, inv_r: np.ndarray,
+                               w: np.ndarray, h: np.ndarray, lam: np.ndarray,
                                adopted: float) -> tuple[DiscrepancyRecord, DiscrepancyRecord]:
     """The two records judged by the invariant equation on the grid ``ep.t``.
 
-    ``inv`` is the congruence image :func:`invariant_IH` on that grid and
-    ``inv_rate`` its exact rate [I_H, K] (:func:`transport_generator`);
-    ``h`` is the target Hamiltonian on it and ``lam`` its coupling, as the
-    run builds them from :func:`target_coefficients`; ``adopted``, the
-    adopted residual of both, is the invariant-equation residual of
-    ``inv`` against ``h`` with that rate, the run's
+    ``inv_r`` holds the real coordinates of the congruence image
+    :func:`invariant_IH` on that grid and ``w`` those of the rate
+    generator K = -i phi w, each a contiguous (10, N) array as the run
+    forms them (``algebra._real_coordinates`` made contiguous,
+    ``point_transform._transport_coordinates``); ``h`` is the
+    target Hamiltonian on the grid and ``lam`` its coupling, as the run
+    builds them from :func:`target_coefficients`; ``adopted``, the adopted
+    residual of both, is the invariant-equation residual of I_H against
+    ``h`` with the exact rate [I_H, K], the run's
     ``invariant_lr_residual`` row.
     Returns the transformed-invariant record (congruence image vs the
     closed-expression variant) and the target-pairing record (adopted
     (a, b) = (beta r/sigma^2, alpha r/mu^2) vs the swapped pairing).
-    The pairing variant keeps the same invariant and so its exact rate;
-    the closed-expression variant has none and is differentiated by the
-    4th-order stencil, which its O(1) residual does not need below.
+    The pairing variant keeps the same invariant and so its exact rate,
+    in real coordinates; the closed-expression variant has none and is
+    differentiated by the 4th-order stencil (``lr_residual``), which its
+    O(1) residual does not need below.
     """
     t = ep.t
     image = DiscrepancyRecord(
@@ -246,11 +250,12 @@ def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState, inv: 
     )
     a_sw = p.beta * ep.r / ep.mu**2
     b_sw = p.alpha * ep.r / ep.sigma**2
+    h_sw = np.ascontiguousarray(algebra._real_coordinates(build_H_modified(a_sw, b_sw, lam)))
     pairing = DiscrepancyRecord(
         name="target_coefficient_pairing",
         adjudicator="invariant equation residual",
         adopted_residual=adopted,
-        variant_residual=lr_residual(inv, build_H_modified(a_sw, b_sw, lam), t, didt=inv_rate),
+        variant_residual=float(pt._invariant_rate_defect(inv_r, w, h_sw).max()),
         note="the x-direction scale factor carries the beta frequency",
     )
     return image, pairing
@@ -333,19 +338,20 @@ def standard_records(params: CoupledOscillatorParams | None = None) -> list[Disc
     return recs
 
 
-def point_transform_records(p: pt.PointTransformParams, ep: pt.EPState, inv: np.ndarray,
-                            inv_rate: np.ndarray, h: np.ndarray, lam: np.ndarray,
+def point_transform_records(p: pt.PointTransformParams, ep: pt.EPState, inv_r: np.ndarray,
+                            w: np.ndarray, h: np.ndarray, lam: np.ndarray,
                             ep_resid: float, lr_resid: float) -> list[DiscrepancyRecord]:
     """Records adjudicating the point-transformation pipeline forms.
 
-    ``ep`` is the EP state on the scenario grid, ``inv`` the invariant
-    :func:`invariant_IH` on it, ``inv_rate`` its exact rate, and ``h``
-    and ``lam`` the target Hamiltonian and its coupling on it.  The
+    ``ep`` is the EP state on the scenario grid, ``inv_r`` and ``w`` the
+    real coordinates of the invariant :func:`invariant_IH` on it and of
+    its rate generator K (see :func:`invariant_equation_records`), and
+    ``h`` and ``lam`` the target Hamiltonian and its coupling on it.  The
     adopted residuals come from the run: ``ep_resid`` of
     :func:`ep_form_record` and ``lr_resid`` of
     :func:`invariant_equation_records`.
     """
-    image, pairing = invariant_equation_records(p, ep, inv, inv_rate, h, lam, lr_resid)
+    image, pairing = invariant_equation_records(p, ep, inv_r, w, h, lam, lr_resid)
     recs = [image, ep_form_record(p, ep, ep_resid), pairing]
     recs += pushforward_row_records(p, ep.take([len(ep.t) // 3]))
     return recs

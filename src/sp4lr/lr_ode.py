@@ -497,11 +497,14 @@ def lr_residual(invariant, hamiltonian, grid, return_samples: bool = False, didt
 
     ``invariant`` and ``hamiltonian`` are coefficient stacks of shape
     (N, 10) on ``grid``.  ``didt``, when given, is the exact rate of
-    ``invariant`` on the grid (the point transform's [I_H, K], the closed
-    form's lam dc/dtheta mapped onto the basis); then every sample counts
-    and the grid is not read.  Without it the derivative is taken by the
-    4th-order central stencil on a uniform grid of at least 5 points,
-    and the two points at each end are excluded from the maximum.  With
+    ``invariant`` on the grid (the closed form's lam dc/dtheta mapped onto
+    the basis); then every sample counts and the grid is not read.
+    Without it the derivative is taken by the 4th-order central stencil
+    on a uniform grid of at least 5 points, and the two points at each
+    end are excluded from the maximum.  The point transform's exact rate
+    [I_H, K] does not come here: its defect is taken in real coordinates
+    (``point_transform._invariant_rate_defect``), bitwise equal to this
+    one with ``didt=commutator(I_H, K)``.  With
     ``return_samples`` the result is ``(worst, per_sample)``,
     ``per_sample`` holding the defect at every grid point, ends included.
     """

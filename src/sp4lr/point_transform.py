@@ -78,6 +78,7 @@ from .algebra import (
     _check_leak,
     _from_real_form,
     _project,
+    _real_commutator,
     _real_conjugate_by,
     _squared_norms,
     _to_real_form,
@@ -103,7 +104,6 @@ __all__ = [
     "invariant_IH",
     "transport_generator",
     "dyson_static",
-    "dyson_time_exponent",
     "dyson_time",
     "hermitian_invariant_Ih",
     "hermitian_invariant_expansion",
@@ -130,7 +130,6 @@ _X2 = _elem({_G.J0: 1, _G.J3: 1, _G.K1: -1, _G.Q2: -1})    # x^2
 _Y2 = _elem({_G.J0: 1, _G.J3: -1, _G.K1: 1, _G.Q2: -1})    # y^2
 _WXPX = _elem({_G.K2: 1, _G.Q1: -1})                        # (x px + px x)/2
 _WYPY = _elem({_G.K2: 1, _G.Q1: 1})                         # (y py + py y)/2
-_XY = _elem({_G.J1: 1, _G.K3: 1})                           # x y
 _Q3mJ2 = _elem({_G.Q3: 1, _G.J2: -1})                       # y px
 _Q3pJ2 = _elem({_G.Q3: 1, _G.J2: 1})                        # x py
 
@@ -324,15 +323,27 @@ def transport_generator(p: PointTransformParams, ep: EPState) -> np.ndarray:
     mu', sigma', mu''/alpha, -mu'/mu^2, sigma''/beta, -sigma'/sigma^2.
     T is symplectic for any values of sigma, mu and their derivatives,
     so K lies in the algebra exactly, and the image X = T^-1 X0 T of a
-    constant X0 moves as dX/dt = [X, K]: the invariant I_H as
-    ``commutator(inv, K)``, the Dyson map eta as [eta, K].
+    constant X0 moves as dX/dt = [X, K]: the invariant I_H at the rate
+    [I_H, K] (:func:`_invariant_rate_defect`, in real coordinates), the
+    Dyson map eta as [eta, K].
 
     K is formed in the real form: D^-1 M(K) D = S^-1 dS/dt, real, with S
     from :func:`_real_substitution`.  It equals i sum_k r_k R_k for the
     real coordinates r = K conj(phi), which are therefore imaginary:
-    K = -i phi w, w the projection of S^-1 dS/dt onto the real basis,
-    which raises :class:`ProjectionLeak` where the remainder exceeds
-    ``PROJ_TOL`` times ||S^-1||_F ||dS/dt||_F or is not finite.
+    K = -i phi w, w the projection of S^-1 dS/dt onto the real basis
+    (:func:`_transport_coordinates`, which raises :class:`ProjectionLeak`
+    on a remainder beyond ``PROJ_TOL`` of the operand sizes).
+    """
+    return _transport_element(_transport_coordinates(p, ep))
+
+
+def _transport_coordinates(p: PointTransformParams, ep: EPState) -> np.ndarray:
+    """The real coordinates w of K = -i phi w (:func:`transport_generator`),
+    coefficient-major and contiguous, shape (10, N).
+
+    w is the projection of S^-1 dS/dt onto the real basis; raises
+    :class:`ProjectionLeak` where the remainder exceeds ``PROJ_TOL`` times
+    ||S^-1||_F ||dS/dt||_F or is not finite.
     """
     rate = _from_entries((ep.mu_tau, ep.sigma_tau, ep.mu_tautau / p.alpha,
                           -ep.mu_tau / ep.mu**2, ep.sigma_tautau / p.beta,
@@ -342,7 +353,32 @@ def transport_generator(p: PointTransformParams, ep: EPState) -> np.ndarray:
     w, resid = _project((s_inv @ s_rate).reshape(-1, 16), _REAL_BASIS_FLAT)
     _check_leak(resid, np.sqrt(_squared_norms(s_inv) * _squared_norms(s_rate)),
                 "transport generator")
-    return -1j * _REAL_PHASES * w
+    return np.ascontiguousarray(w.T)
+
+
+def _transport_element(w) -> np.ndarray:
+    """The coefficients (N, 10) of K = -i phi w for its real coordinates ``w`` (10, N), exactly."""
+    return np.multiply(-1j * _REAL_PHASES, w.T, order="C")
+
+
+def _invariant_rate_defect(inv_r, w, h_r) -> np.ndarray:
+    """Defect of the invariant equation i dI/dt = [H, I] at every sample,
+    with the exact rate dI/dt = [I, K], in real coordinates; shape (N,).
+
+    ``inv_r`` and ``h_r`` are the real coordinates of the invariant and
+    of the Hamiltonian, I = phi inv_r and H = phi h_r
+    (``algebra._real_coordinates``), and ``w`` those of K = -i phi w
+    (:func:`_transport_coordinates`), each a contiguous (10, N) array.
+    With the real bracket R of ``algebra._real_commutator``, the complex
+    bracket of phi a and phi b is i phi R(a, b), so [I, K] = phi R(inv_r, w),
+    [H, I] = i phi R(h_r, inv_r) and the defect i [I, K] - [H, I] is
+    i phi (R(inv_r, w) - R(h_r, inv_r)).  |phi_k| = 1, so its largest
+    modulus per sample is the largest |R(inv_r, w) - R(h_r, inv_r)|: the
+    same products, sums and moduli as
+    ``lr_residual(I, H, t, didt=commutator(I, K), return_samples=True)``,
+    on real numbers, so the two agree bitwise.
+    """
+    return np.abs(_real_commutator(inv_r, w) - _real_commutator(h_r, inv_r)).max(axis=0)
 
 
 def pushforward_map(ep: EPState) -> np.ndarray:
@@ -469,30 +505,15 @@ def dyson_static(p: PointTransformParams) -> DysonStatic:
                        float(constraint))
 
 
-def dyson_time_exponent(p: PointTransformParams, ep: EPState,
-                        static: DysonStatic) -> np.ndarray:
-    """Exponent of the time-dependent Dyson map at the times of ``ep``, shape (N, 10).
-
-    kappa2 (mu/sigma)(Q3-J2) + kappa1 (sigma/mu)(Q3+J2)
-    + (beta kappa1 sigma mu' + alpha kappa2 mu sigma')/(alpha beta) (K3+J1),
-    ' = d/dtau; equal to the pushforward of the static exponent (tested).
-    """
-    k1, k2 = static.kappa1, static.kappa2
-    cxy = (p.beta * k1 * ep.sigma * ep.mu_tau + p.alpha * k2 * ep.mu * ep.sigma_tau) \
-        / (p.alpha * p.beta)
-    out = (np.outer(k2 * ep.mu / ep.sigma, _Q3mJ2)
-           + np.outer(k1 * ep.sigma / ep.mu, _Q3pJ2)
-           + np.outer(cxy, _XY))
-    return out.astype(complex)
-
-
 def dyson_time(ep: EPState, static: DysonStatic) -> np.ndarray:
     """Time-dependent Dyson map as 4x4 matrices, shape (N, 4, 4).
 
     The similarity eta = T^-1 eta0 T of the static map eta0: the
-    exponential of the pushed-forward exponent
-    (:func:`dyson_time_exponent`) without an exponential on the grid,
-    equal to it within rounding (tested).  eta lies in Sp(4, C), so its
+    exponential of the pushed-forward static exponent
+    kappa2 (mu/sigma)(Q3-J2) + kappa1 (sigma/mu)(Q3+J2)
+    + (beta kappa1 sigma mu' + alpha kappa2 mu sigma')/(alpha beta) (K3+J1),
+    ' = d/dtau, without an exponential on the grid, equal to it within
+    rounding (tested).  eta lies in Sp(4, C), so its
     inverse is ``symplectic_inverse(eta)``, and it moves as
     d(eta)/dt = [eta, K] (:func:`transport_generator`).
 

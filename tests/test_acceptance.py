@@ -10,6 +10,7 @@ import pytest
 from sp4lr.algebra import (
     GENERATOR_NAMES,
     OMEGA,
+    _real_coordinates,
     adjoint,
     commutator,
     generator_matrices,
@@ -31,6 +32,7 @@ from sp4lr.lr_ode import (
 from sp4lr.numerics import frobenius
 from sp4lr.point_transform import (
     PointTransformParams,
+    _transport_coordinates,
     dyson_static,
     dyson_time,
     ep_residual,
@@ -305,7 +307,8 @@ def test_criterion_8_known_discrepancy_ledger():
     a, b, lam = target_coefficients(p, ep)
     h = build_H_modified(a, b, lam)
     lr_resid = lr_residual(inv, h, grid, didt=inv_rate)
-    rec_inv, _ = invariant_equation_records(p, ep, inv, inv_rate, h, lam, lr_resid)
+    rec_inv, _ = invariant_equation_records(p, ep, np.ascontiguousarray(_real_coordinates(inv)),
+                                            _transport_coordinates(p, ep), h, lam, lr_resid)
     rec_ep = ep_form_record(p, ep, float(np.abs(ep_residual(p, ep)).max()))
     # adopted forms pass their adjudicators; the variants are flagged
     assert rec_inv.adopted_residual < 1e-8

@@ -533,23 +533,63 @@ def test_real_conjugation_equals_conjugate_by():
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def test_real_conjugation_of_real_coordinates_conjugates_one_half(monkeypatch):
+    # an element phi r with r real (a Hamiltonian, an image of one) has no
+    # imaginary half; conjugating only the real one gives conjugate_by and,
+    # bitwise, what both halves give, for shared and per-sample elements
+    rng = np.random.default_rng(30)
+    d = algebra._REAL_D
+    u_real = expm(algebra._real_matrix(0.4 * rng.standard_normal((10, 50))))
+    g = u_real * (d[:, None] / d)
+    for shape in ((10,), (50, 10), (3, 1, 10), (2, 50, 10), (10, 1, 10)):
+        e = algebra._REAL_PHASES * rng.standard_normal(shape)
+        assert not algebra._has_imaginary_half(e)
+        one = algebra._real_conjugate_by(u_real, e)
+        want = conjugate_by(g, e)
+        assert one.shape == want.shape
+        assert np.abs(one - want).max() <= 1e-15 * np.abs(want).max()
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "_has_imaginary_half", lambda e: True)
+            assert np.array_equal(algebra._real_conjugate_by(u_real, e), one)
+    # one imaginary coefficient anywhere, or a NaN, takes both halves
+    e = algebra._REAL_PHASES * rng.standard_normal((50, 10))
+    for k, bad in ((49, 1e-300j), (0, np.nan)):
+        for g_id in range(10):
+            f = e.copy()
+            f[k, g_id] += bad * algebra._REAL_PHASES[g_id]
+            assert algebra._has_imaginary_half(f)
+
+
 def test_real_conjugation_leak_guard(monkeypatch):
     # with the symplectic inverse, u X u^-1 stays in the algebra for any
     # u, so a u' pushed off the group leaves only rounding in the
-    # remainder: the guard reads it at PROJ_TOL 0, and an overflowed u'
-    # raises at any tolerance
+    # remainder: the guard reads it at PROJ_TOL 0, and an overflowed or
+    # NaN u' raises at any tolerance.  Both for a complex element and for
+    # one with real coordinates, whose imaginary half is not conjugated
     rng = np.random.default_rng(27)
     u_real = expm(algebra._real_matrix(0.4 * rng.standard_normal((10, 5))))
     off = u_real + 1e-3 * rng.standard_normal(u_real.shape)
-    r = rand_element(rng)
-    algebra._real_conjugate_by(off, r)
-    overflowed = off.copy()
-    overflowed[3, 1, 2] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(ProjectionLeak, match="conjugation residual"):
-        algebra._real_conjugate_by(overflowed, r)
-    monkeypatch.setattr(algebra, "PROJ_TOL", 0.0)
-    with pytest.raises(ProjectionLeak, match="conjugation residual"):
+    both = rand_element(rng)
+    one = algebra._REAL_PHASES * rng.standard_normal(10)
+    assert algebra._has_imaginary_half(both) and not algebra._has_imaginary_half(one)
+    for r in (both, one):
         algebra._real_conjugate_by(off, r)
+        for bad in (np.inf, np.nan):
+            broken = off.copy()
+            broken[3, 1, 2] = bad
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ProjectionLeak, match="conjugation residual"):
+                algebra._real_conjugate_by(broken, r)
+    # a NaN coefficient whose imaginary half is 0 reaches the guard too
+    nan_r = one.copy()
+    nan_r[0] = np.nan
+    assert not algebra._has_imaginary_half(nan_r)
+    with np.errstate(invalid="ignore"), pytest.raises(ProjectionLeak, match="conjugation residual"):
+        algebra._real_conjugate_by(off, nan_r)
+    monkeypatch.setattr(algebra, "PROJ_TOL", 0.0)
+    for r in (both, one):
+        with pytest.raises(ProjectionLeak, match="conjugation residual"):
+            algebra._real_conjugate_by(off, r)
 
 
 def test_leak_guard_is_relative_to_the_operand_sizes():

@@ -382,6 +382,34 @@ def test_profile_not_finite_on_the_grid_names_its_field(tmp_path, capsys, mode):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("mode, field", [("regime-map", "omega_x"), ("lr-ode", "lam"),
+                                         ("point-transform", "r")])
+def test_profile_too_large_on_the_grid_names_its_field(tmp_path, capsys, mode, field):
+    # a finite constant of 1e200 used to end a regime map in a traceback
+    # ("overflow encountered in square" in _spectrum_invariants under -W
+    # error); the bound of _require_finite_profiles stops every mode first,
+    # and a value at the bound still runs
+    params = ({"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "r": _CONST} if mode == "point-transform"
+              else {"a": _CONST, "omega_x": _CONST, "omega_y": _CONST, "lam": _CONST})
+    cfg = {"mode": mode, "grid": {"t0": 0.0, "t1": 1.0, "steps": 11}, "params": params}
+    for value in (1e200, -cli._PROFILE_BOUND * (1.0 + 1e-15)):
+        params[field] = {"kind": "constant", "value": value}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 1
+        assert caught == []
+        assert capsys.readouterr().err.startswith("error: params.%s: |value| " % field)
+        assert not (tmp_path / "report.json").exists()
+    # with every profile at the bound the regime map's fourth powers stay
+    # finite, and it passes
+    if mode == "regime-map":
+        for name, sign in zip(params, (1.0, -1.0, 1.0, 1.0)):
+            params[name] = {"kind": "constant", "value": sign * cli._PROFILE_BOUND}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("mode, params", [
     ("lr-closed-form", {"alpha": 3.0, "lam": _CONST}),
     ("lr-ode", {"a": _CONST, "omega_x": _CONST, "omega_y": _CONST, "lam": _CONST}),
@@ -570,11 +598,11 @@ def test_point_transform_computes_each_adopted_residual_once(tmp_path, monkeypat
     import sp4lr.crosschecks
     import sp4lr.point_transform
 
-    calls = {"ep": 0, "lr_exact": 0, "lr_stencil": 0}
+    calls = {"ep": 0, "rate_defect": 0, "lr_exact": 0, "lr_stencil": 0}
 
-    def counting_ep(fn):
+    def counting(fn, key):
         def wrapped(*args, **kwargs):
-            calls["ep"] += 1
+            calls[key] += 1
             return fn(*args, **kwargs)
         return wrapped
 
@@ -585,7 +613,9 @@ def test_point_transform_computes_each_adopted_residual_once(tmp_path, monkeypat
         return wrapped
 
     for module in (cli, sp4lr.point_transform):
-        monkeypatch.setattr(module, "ep_residual", counting_ep(module.ep_residual))
+        monkeypatch.setattr(module, "ep_residual", counting(module.ep_residual, "ep"))
+        monkeypatch.setattr(module, "_invariant_rate_defect",
+                            counting(module._invariant_rate_defect, "rate_defect"))
     for module in (cli, sp4lr.crosschecks):
         monkeypatch.setattr(module, "lr_residual", counting_lr(module.lr_residual))
     cfg = {"mode": "point-transform", "grid": {"t0": 0.0, "t1": 1.0, "steps": 501},
@@ -594,9 +624,10 @@ def test_point_transform_computes_each_adopted_residual_once(tmp_path, monkeypat
                             "offset": 1.0}}}
     report = run_scenario(cfg, str(tmp_path))
     assert report["all_pass"]
-    # one EP residual; exact-rate lr_residual for the row and the pairing
-    # variant, the stencil one for the closed-expression variant
-    assert calls == {"ep": 1, "lr_exact": 2, "lr_stencil": 1}
+    # one EP residual; the real-coordinate exact-rate defect for the row
+    # and the pairing variant, the stencil lr_residual for the
+    # closed-expression variant, and no complex exact-rate lr_residual
+    assert calls == {"ep": 1, "rate_defect": 2, "lr_exact": 0, "lr_stencil": 1}
     rows = {c["name"]: c["residual"] for c in report["checks"]}
     ledger = {r["name"]: r["adopted_residual"] for r in report["known_discrepancies"]}
     assert ledger["ermakov_pinney_form"] == rows["ermakov_pinney_residual"]

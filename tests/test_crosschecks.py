@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sp4lr.algebra import commutator
+from sp4lr.algebra import _real_coordinates, commutator
 from sp4lr.hamiltonian import build_H_modified
 from sp4lr.lr_ode import lr_residual
 from sp4lr.crosschecks import (
@@ -19,6 +19,7 @@ from sp4lr.crosschecks import (
 )
 from sp4lr.point_transform import (
     PointTransformParams,
+    _transport_coordinates,
     ep_residual,
     ep_state,
     invariant_IH,
@@ -33,6 +34,9 @@ GRID = np.arange(0.0, 2.0 + 1e-12, 2e-3)
 EP = ep_state(P, GRID)
 INV = invariant_IH(P, EP)
 INV_RATE = commutator(INV, transport_generator(P, EP))
+# the real coordinates of I_H and of K = -i phi w, as the run passes them to the ledger
+INV_R = np.ascontiguousarray(_real_coordinates(INV))
+W = _transport_coordinates(P, EP)
 # the adopted residuals, as a point-transform run computes them for its check rows
 EP_RESID = float(np.abs(ep_residual(P, EP)).max())
 A, B, LAM = target_coefficients(P, EP)
@@ -70,7 +74,7 @@ def test_parity_convention_record():
 
 
 def test_invariant_image_variant_fails_invariant_equation():
-    rec, _ = invariant_equation_records(P, EP, INV, INV_RATE, H, LAM, LR_RESID)
+    rec, _ = invariant_equation_records(P, EP, INV_R, W, H, LAM, LR_RESID)
     assert rec.adopted_residual < 1e-8
     assert rec.variant_residual > 1e-3
     assert rec.variant_flagged
@@ -94,10 +98,13 @@ def test_ep_form_variant_flagged():
 
 
 def test_target_assignment_variant_flagged():
-    _, rec = invariant_equation_records(P, EP, INV, INV_RATE, H, LAM, LR_RESID)
+    _, rec = invariant_equation_records(P, EP, INV_R, W, H, LAM, LR_RESID)
     assert rec.adopted_residual < 1e-8
     assert rec.variant_residual > 1e-3
     assert rec.variant_flagged
+    # the real-coordinate defect is the complex one with the exact rate, bitwise
+    swapped = build_H_modified(P.beta * EP.r / EP.mu**2, P.alpha * EP.r / EP.sigma**2, LAM)
+    assert rec.variant_residual == lr_residual(INV, swapped, GRID, didt=INV_RATE)
 
 
 def test_pushforward_row_records():
@@ -109,7 +116,7 @@ def test_pushforward_row_records():
 
 
 def test_bundles_and_serialization():
-    recs = standard_records() + point_transform_records(P, EP, INV, INV_RATE, H, LAM, EP_RESID, LR_RESID)
+    recs = standard_records() + point_transform_records(P, EP, INV_R, W, H, LAM, EP_RESID, LR_RESID)
     names = [r.name for r in recs]
     assert len(names) == len(set(names))
     for rec in recs:

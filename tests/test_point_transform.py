@@ -34,7 +34,6 @@ from sp4lr.point_transform import (
     _Y2,
     dyson_static,
     dyson_time,
-    dyson_time_exponent,
     ep_residual,
     ep_state,
     ermakov_first_integral,
@@ -335,6 +334,24 @@ def test_dyson_static_domain_errors():
 
 # ---------------------------------------------------------------------------
 # time-dependent Dyson map
+
+
+def dyson_time_exponent(p, ep, static):
+    """The oracle of :func:`dyson_time`: the exponent of the time-dependent
+    Dyson map at the times of ``ep``, shape (N, 10),
+
+    kappa2 (mu/sigma)(Q3-J2) + kappa1 (sigma/mu)(Q3+J2)
+    + (beta kappa1 sigma mu' + alpha kappa2 mu sigma')/(alpha beta) (K3+J1),
+
+    ' = d/dtau; equal to the pushforward of the static exponent (tested).
+    """
+    k1, k2 = static.kappa1, static.kappa2
+    cxy = (p.beta * k1 * ep.sigma * ep.mu_tau + p.alpha * k2 * ep.mu * ep.sigma_tau) \
+        / (p.alpha * p.beta)
+    out = (np.outer(k2 * ep.mu / ep.sigma, unit("Q3") - unit("J2"))
+           + np.outer(k1 * ep.sigma / ep.mu, unit("Q3") + unit("J2"))
+           + np.outer(cxy, unit("J1") + unit("K3")))
+    return out.astype(complex)
 
 
 def test_dyson_time_exponent_trivial_swaps_kappas():
@@ -674,16 +691,18 @@ def test_point_transform_run_accumulates_tau_once_per_grid(tmp_path, monkeypatch
 
 
 def test_point_transform_run_builds_the_transport_generator_once(tmp_path, monkeypatch):
-    # K = T^-1 dT/dt feeds both the invariant's rate and the Dyson equation
+    # K = T^-1 dT/dt = -i phi w feeds both the invariant's rate (through
+    # its real coordinates w) and the Dyson equation; transport_generator
+    # also forms w, so patching the module's name counts its calls too
     calls = []
-    build = pt.transport_generator
+    build = pt._transport_coordinates
 
     def counted(p, ep):
         calls.append(ep.t.size)
         return build(p, ep)
 
-    monkeypatch.setattr(pt, "transport_generator", counted)
-    monkeypatch.setattr(cli, "transport_generator", counted)
+    monkeypatch.setattr(pt, "_transport_coordinates", counted)
+    monkeypatch.setattr(cli, "_transport_coordinates", counted)
     report = run_scenario(PT_CFG, str(tmp_path))
     assert report["all_pass"]
     assert calls == [PT_CFG["grid"]["steps"]], calls
@@ -736,3 +755,76 @@ def test_static_map_fault_fails_the_postcondition_row(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "report.json").read_text())
     status = {r["name"]: r["status"] for r in report["checks"]}
     assert status["static_map_postcondition"] == "fail"
+
+
+# ---------------------------------------------------------------------------
+# the invariant's exact rate in real coordinates
+
+# the alpha < beta point-transform run of CI: a negative coupling and a
+# tabulated r that changes sign between its knots
+PT_TABULATED_CFG = {
+    "mode": "point-transform", "grid": {"t0": 0.0, "t1": 4.0, "steps": 2001},
+    "params": {"alpha": 0.6, "beta": 1.7, "coupling": -0.3, "c2": 0.3, "c3": 0.1,
+               "r": {"kind": "tabulated", "times": [0.0, 1.0, 2.5, 4.0],
+                     "values": [1.0, -0.5, 0.8, 1.2]}},
+}
+
+
+@pytest.mark.parametrize("name", ["core", "tabulated"])
+def test_real_rate_defect_is_the_complex_lr_residual_per_sample(name):
+    # R(r_I, w) - R(r_H, r_I) in real coordinates against
+    # i [I_H, K] - [H, I_H] on complex coefficients, bitwise per sample
+    cfg = PT_TABULATED_CFG
+    if name == "core":
+        with open(os.path.join(SCENARIOS, "point_transform_core.json")) as fh:
+            cfg = json.load(fh)
+    cfg = cli._resolve_config(cfg)
+    p = PointTransformParams(**cfg["params"])
+    grid = np.linspace(cfg["grid"]["t0"], cfg["grid"]["t1"], cfg["grid"]["steps"])
+    ep = ep_state(p, grid)
+    inv = invariant_IH(p, ep)
+    h = build_H_modified(*target_coefficients(p, ep))
+    w = pt._transport_coordinates(p, ep)
+    assert w.flags.c_contiguous and w.shape == (10, grid.size)
+    k = transport_generator(p, ep)
+    assert np.array_equal(k, -1j * algebra._REAL_PHASES * w.T)
+    got = pt._invariant_rate_defect(np.ascontiguousarray(algebra._real_coordinates(inv)), w,
+                                    np.ascontiguousarray(algebra._real_coordinates(h)))
+    _, want = lr_residual(inv, h, grid, return_samples=True, didt=commutator(inv, k))
+    assert np.array_equal(got, want)
+    assert 0.0 < want.max() <= 1e-12
+
+
+def test_point_transform_run_calls_the_complex_bracket_once(tmp_path, monkeypatch):
+    # only the ledger's closed-expression variant, differentiated by the
+    # stencil, still takes the complex bracket
+    import sp4lr.lr_ode
+
+    calls = []
+    bracket = algebra.commutator
+
+    def counted(a, b):
+        calls.append(np.shape(a))
+        return bracket(a, b)
+
+    for module in (algebra, sp4lr.lr_ode):
+        monkeypatch.setattr(module, "commutator", counted)
+    report = run_scenario(PT_CFG, str(tmp_path))
+    assert report["all_pass"]
+    assert calls == [(PT_CFG["grid"]["steps"], 10)], calls
+
+
+def test_coupling_fault_fails_the_invariant_lr_residual(tmp_path, monkeypatch):
+    # the target coupling scaled by 1 + 1e-8 moves invariant_lr_residual
+    # to about 1.84e-8 on the shipped run, above its 1e-8 tolerance
+    def faulty(p, ep):
+        a, b, lam = target_coefficients(p, ep)
+        return a, b, lam * (1.0 + 1e-8)
+
+    monkeypatch.setattr(cli, "target_coefficients", faulty)
+    config = os.path.join(SCENARIOS, "point_transform_core.json")
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    row = {r["name"]: r for r in report["checks"]}["invariant_lr_residual"]
+    assert row["status"] == "fail"
+    assert 1.5e-8 < row["residual"] < 2.5e-8, row
