@@ -191,18 +191,14 @@ def _check_leak(resid, scale, what: str) -> None:
                              % (what, resid.flat[k], PROJ_TOL, scale.flat[k]))
 
 
-def from_matrix(m, return_residual: bool = True):
+def from_matrix(m):
     """Orthogonal projection onto the generator span: inner products with
     the orthonormal generator basis.  Accepts stacks (..., 4, 4).  Returns
     ``(coeffs, residual)`` where the residual is the Frobenius norm of the
-    unrepresentable remainder; pass ``return_residual=False`` to get the
-    coefficients only.
+    unrepresentable remainder.
     """
     a = np.asarray(m, dtype=complex)
-    flat = a.reshape(a.shape[:-2] + (16,))
-    if not return_residual:
-        return flat @ _GENF.conj().T
-    return _project(flat, _GENF)
+    return _project(a.reshape(a.shape[:-2] + (16,)), _GENF)
 
 
 def _structure_tensor() -> np.ndarray:
@@ -328,7 +324,7 @@ def _real_matrix(r) -> np.ndarray:
 
 def _to_real_form(m) -> np.ndarray:
     """The real stack D^-1 m D of complex 4x4 matrices ``m`` (..., 4, 4) in
-    the real form (the Dyson map of a point transformation, say).
+    the real form (the static Dyson map of a point transformation, say).
 
     Raises ValueError, never dropping an imaginary part, where a finite
     entry of D^-1 m D is not exactly real; a non-finite entry is passed
@@ -339,11 +335,6 @@ def _to_real_form(m) -> np.ndarray:
         raise ValueError("the matrices are outside the real form: "
                          "D^-1 m D is not real for D = diag(1, i, 1, -i)")
     return np.ascontiguousarray(p.real)
-
-
-def _from_real_form(m) -> np.ndarray:
-    """The complex 4x4 matrices D m D^-1 of a real stack ``m`` (..., 4, 4), exactly."""
-    return m * _TO_REAL.conj()
 
 
 def _has_imaginary_half(e) -> bool:
@@ -372,8 +363,10 @@ def _real_conjugate_by(u, e, u_inv=None) -> np.ndarray:
     z = D z', and ``u_inv`` its inverse, by default
     ``symplectic_inverse(u)``.  That default is -u^-1 for an
     anti-symplectic u (u^T Omega u = -Omega), so such a u needs its
-    inverse passed.  ``e`` holds complex coefficients whose leading axes
-    broadcast against the N samples, as in :func:`conjugate_by`: one
+    inverse passed.  A complex ``u`` raises ValueError: it is g itself,
+    not its real form, and no imaginary part is ever dropped.  ``e``
+    holds complex coefficients whose leading axes broadcast against the
+    N samples, as in :func:`conjugate_by`: one
     element (10,), or a stack (..., 1, 10), is shared by every sample,
     and (..., N, 10) holds one element per sample; the result has the
     broadcast shape.
@@ -392,6 +385,9 @@ def _real_conjugate_by(u, e, u_inv=None) -> np.ndarray:
     (anti-)symplectic u this takes.  The samples go in blocks of
     ``_BLOCK``, so no temporary grows with the grid.
     """
+    if np.iscomplexobj(u):
+        raise ValueError("the group elements are complex, not in the real form "
+                         "D^-1 g D for D = diag(1, i, 1, -i)")
     e = np.asarray(e, dtype=complex)
     if u_inv is None:
         u_inv = symplectic_inverse(u)

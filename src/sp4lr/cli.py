@@ -26,7 +26,6 @@ import numpy as np
 from . import crosschecks
 from .algebra import (
     _real_coordinates,
-    _to_real_form,
     adjoint,
     generator_matrices,
     parity_action,
@@ -459,9 +458,9 @@ def _inverse_defect(eta):
     symplectic.  The defect is measured relative to |eta| |eta^-1|, the
     scale at which rounding enters the product: the absolute defect
     grows with the conditioning of eta as the artanh argument of the
-    static map approaches 1.  The products are real, on eta' = D^-1 eta D:
-    D is an entrywise unit, so every Frobenius norm is that of eta."""
-    eta = _to_real_form(eta)
+    static map approaches 1.  ``eta`` is the real eta' = D^-1 eta D of
+    :func:`dyson_time`: D is an entrywise unit, so every Frobenius norm
+    is that of eta."""
     eta_inv = symplectic_inverse(eta)
     return float((frobenius(eta @ eta_inv - np.eye(4))
                   / (frobenius(eta) * frobenius(eta_inv))).max())
@@ -511,7 +510,7 @@ def _run_point_transform(cfg, grid, outdir, checks, artifacts):
     checks.add("hermitian_expansion_match",
                float(np.abs(ih - hermitian_invariant_expansion(params, ep, stat)).max()), 1e-8)
 
-    checks.add("tdde_residual", tdde_residual(params, ep, eta, k, stat, h), 1e-8)
+    checks.add("tdde_residual", float(tdde_residual(params, ep, eta, k, stat, h).max()), 1e-8)
 
     samples = rng.uniform(-2.0, 2.0, size=(20, 2))
     idx = rng.choice(grid.size, size=min(20, grid.size), replace=False)

@@ -24,6 +24,7 @@ from .hamiltonian import (CoupledOscillatorParams, build_H_coeffs, build_H_modif
                           eigenvalue_formula, instantaneous_eigenvalues)
 from .lr_ode import ANSATZ_COMBINATIONS, coefficients_of_element, lr_residual
 from .point_transform import _elem
+from .profiles import ScalarProfile
 
 __all__ = ["DiscrepancyRecord", "standard_records", "point_transform_records"]
 
@@ -116,8 +117,6 @@ def ode_matrix_variant_records() -> list[DiscrepancyRecord]:
     except row 2.
     """
     a, wx, wy, lam = 0.7, 1.3, 0.9, 0.4
-    from .profiles import ScalarProfile
-
     params = CoupledOscillatorParams(
         a=ScalarProfile.constant(a), omega_x=ScalarProfile.constant(wx),
         omega_y=ScalarProfile.constant(wy), lam=ScalarProfile.constant(lam))
@@ -323,14 +322,12 @@ def pushforward_row_records(p: pt.PointTransformParams, ep: pt.EPState) -> list[
     return [rec_j3, rec_k1]
 
 
-def standard_records(params: CoupledOscillatorParams | None = None) -> list[DiscrepancyRecord]:
-    """Records that need no point-transformation parameters."""
-    if params is None:
-        from .profiles import ScalarProfile
-
-        params = CoupledOscillatorParams(
-            a=ScalarProfile.constant(1.0), omega_x=ScalarProfile.constant(1.3),
-            omega_y=ScalarProfile.constant(0.8), lam=ScalarProfile.constant(0.4))
+def standard_records() -> list[DiscrepancyRecord]:
+    """Records that need no point-transformation parameters; the eigenvalue
+    record reads one fixed constant-profile oscillator."""
+    params = CoupledOscillatorParams(
+        a=ScalarProfile.constant(1.0), omega_x=ScalarProfile.constant(1.3),
+        omega_y=ScalarProfile.constant(0.8), lam=ScalarProfile.constant(0.4))
     recs = [generator_j2_record(), ansatz_row7_record()]
     recs += ode_matrix_variant_records()
     recs.append(eigenvalue_formula_record(params))

@@ -45,9 +45,11 @@ from .algebra import (
     _real_conjugate_by,
     _real_coordinates,
     _real_matrix,
+    _squared_norms,
     commutator,
 )
-from .errors import ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, StepNotConverged
+from .errors import (ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, Sp4lrError,
+                     StepNotConverged)
 from .hamiltonian import CoupledOscillatorParams, _h_coeffs, build_H_coeffs
 from .numerics import central_diff, expm, frobenius
 from .profiles import ScalarProfile
@@ -135,6 +137,12 @@ _EPS = np.finfo(float).eps
 _GL_NODES = 0.5 + np.array([-np.sqrt(15.0) / 10.0, 0.0, np.sqrt(15.0) / 10.0,
                             -np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
 _ANCHOR_STRIDE = 32  # samples per anchor of the split commuting exponential
+# The largest ||U||_F^2 max(1, ||I(0)||) that evolve conjugates by: every
+# entry and partial sum of U X U^-1 is at most ||U||_F^2 ||I(0)||
+# (Cauchy-Schwarz, with ||U^-1||_F = ||U||_F and ||X||_F = ||I(0)||), and
+# the leak check sums 16 squares of entries of X and of remainders: at
+# sqrt(DBL_MAX / 16) none of them overflows.
+_U_BOUND = np.sqrt(np.finfo(float).max / 16.0)
 
 
 def _ordered_product(steps) -> np.ndarray:
@@ -266,8 +274,7 @@ def _commuting_propagators(p, t) -> np.ndarray:
     return expm(theta - anchors[k]) @ expm(anchors)[k]
 
 
-def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
-           substeps: int | None = None) -> np.ndarray:
+def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered") -> np.ndarray:
     """Propagate the coefficient vector over ``grid``; returns shape (N, 10).
 
     ``to_matrix`` is a Lie-algebra homomorphism, so the invariant is
@@ -287,9 +294,9 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
     ``time_ordered``
         U is the product of per-interval propagators, each one 6th-order
         three-node Gauss-Legendre Magnus step, one ``expm`` per interval.
-        With ``substeps`` None, the error estimate of each interval, the
-        Frobenius norm of the gap between its 6th-order exponent and the
-        4th-order two-node one, summed over its substeps, is compared with
+        The error estimate of each interval, the Frobenius norm of the gap
+        between its 6th-order exponent and the 4th-order two-node one,
+        summed over its substeps, is compared with
         ``STEP_TOL``; the intervals at or above it are split into twice
         as many substeps and taken again, the others are kept.
         StepNotConverged, naming the worst interval and its estimate
@@ -297,13 +304,16 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
         interval's delta stops falling between halvings, or as soon as
         the estimate's rate (16x per halving) puts ``STEP_TOL`` below the
         rounding floor of the substeps it would take (both constants are
-        read at call time).  A fixed ``substeps``, an int of at least 1,
-        disables the adaptivity (used for order-of-convergence studies).
+        read at call time).
     ``commuting``
         U(t) = expm(-i int_{t0}^t H ds), valid when H commutes with itself
         across times, taken split at an anchor every ``_ANCHOR_STRIDE``
         samples; a sampled commutativity probe of H guards the
         assumption (NonCommuting when it exceeds ``COMM_TOL``).
+
+    A propagator that overflows, or is too large to conjugate
+    (``_U_BOUND``), raises :class:`Sp4lrError` naming the first such grid
+    time; the overflow is not warned on.
     """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size < 2 or not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
@@ -312,23 +322,24 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered",
     if c0.shape != (10,) or not np.all(np.isfinite(c0)):
         raise ValueError("c0 must be a finite coefficient vector of shape (10,), got shape %r"
                          % (c0.shape,))
-    if substeps is not None and not (isinstance(substeps, (int, np.integer)) and substeps >= 1):
-        raise ValueError("substeps must be an int >= 1 or None, got %r" % (substeps,))
 
     if mode == "commuting":
         if _commutativity_probe(p, t) > COMM_TOL:
             raise NonCommuting("sampled |[H(t), H(t')]| / max|H|^2 exceeds %.1e" % COMM_TOL)
-        u = _commuting_propagators(p, t)
-    elif mode == "time_ordered":
-        if substeps is not None:
-            props = _magnus_propagators(p, t[:-1], np.diff(t), substeps)[0]
-        else:
-            props = _refined_propagators(p, t)
-        u = _prefix_products(props)
-    else:
+    elif mode != "time_ordered":
         raise ValueError("mode must be 'time_ordered' or 'commuting'")
+    x0 = assemble_invariant(c0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (_commuting_propagators(p, t) if mode == "commuting"
+             else _prefix_products(_refined_propagators(p, t)))
+        size = _squared_norms(u) * max(1.0, float(np.linalg.norm(x0)))
+    bad = ~(size <= _U_BOUND)  # a NaN compares False
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise Sp4lrError("propagator too large at t = %.6g: ||U||_F^2 max(1, ||I(0)||) = %.3e "
+                         "exceeds %.3e" % (t[k], size[k], _U_BOUND))
 
-    traj = coefficients_of_element(_real_conjugate_by(u, assemble_invariant(c0)))
+    traj = coefficients_of_element(_real_conjugate_by(u, x0))
     traj[0] = c0
     return traj
 

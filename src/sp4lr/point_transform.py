@@ -42,8 +42,11 @@ map eta' = D^-1 eta D = S^-1 eta0' S is real and symplectic, and so is
 D^-1 K D = S^-1 dS/dt.  Elements are conjugated through the real basis
 of ``algebra`` (``algebra._real_conjugate_by``, with its projection and
 leak check).  At every public function an element stays a complex
-(..., 10) coefficient array and eta a complex (N, 4, 4) stack: D is a
-unit phase, so the change of form is an exact entrywise product.
+(..., 10) coefficient array.  The time-dependent Dyson map has one
+form, the real stack eta' (N, 4, 4) that :func:`dyson_time` returns and
+every reader takes as is; eta = D eta' D^-1 entrywise, exactly, since D
+is a unit phase.  Only the static map keeps the complex eta0
+(``DysonStatic.eta_matrix``), taken to eta0' once per grid.
 
 Every time derivative the certificates need is exact.  T is a path in
 Sp(4, R), so K = T^-1 dT/dt (:func:`transport_generator`, dT/dt = r
@@ -57,8 +60,8 @@ exact at every sample, ends included, on any grid.
 
 The functions evaluated on a grid take the grid's :class:`EPState`
 (``ep``, which carries the sample times ``ep.t`` and the substitution T
-on them) and, where needed, the static map, the Dyson map on that grid
-(``eta``, from :func:`dyson_time`), the rate K on it (``k``, from
+on them) and, where needed, the static map, the real Dyson map eta' on
+that grid (``eta``, from :func:`dyson_time`), the rate K on it (``k``, from
 :func:`transport_generator`) and the target Hamiltonian on it (``H``,
 ``build_H_modified(*target_coefficients(p, ep))``): a caller builds each
 once per grid and passes it on, and no function rebuilds them.
@@ -76,7 +79,6 @@ from .algebra import (
     _REAL_D,
     _REAL_PHASES,
     _check_leak,
-    _from_real_form,
     _project,
     _real_commutator,
     _real_conjugate_by,
@@ -110,7 +112,6 @@ __all__ = [
     "hermitian_hamiltonian_h",
     "tdde_residual",
     "pde_constraint_residuals",
-    "metric_matrices",
     "metric_is_positive",
     "metric_eigenvalues",
 ]
@@ -506,42 +507,44 @@ def dyson_static(p: PointTransformParams) -> DysonStatic:
 
 
 def dyson_time(ep: EPState, static: DysonStatic) -> np.ndarray:
-    """Time-dependent Dyson map as 4x4 matrices, shape (N, 4, 4).
+    """Time-dependent Dyson map in the real form eta' = D^-1 eta D, a real
+    stack of shape (N, 4, 4).
 
-    The similarity eta = T^-1 eta0 T of the static map eta0: the
+    eta is the similarity T^-1 eta0 T of the static map eta0: the
     exponential of the pushed-forward static exponent
     kappa2 (mu/sigma)(Q3-J2) + kappa1 (sigma/mu)(Q3+J2)
     + (beta kappa1 sigma mu' + alpha kappa2 mu sigma')/(alpha beta) (K3+J1),
     ' = d/dtau, without an exponential on the grid, equal to it within
-    rounding (tested).  eta lies in Sp(4, C), so its
-    inverse is ``symplectic_inverse(eta)``, and it moves as
-    d(eta)/dt = [eta, K] (:func:`transport_generator`).
+    rounding (tested).  eta moves as d(eta)/dt = [eta, K]
+    (:func:`transport_generator`).
 
-    The products are real: eta' = D^-1 eta D = S^-1 eta0' S with the real
-    S of :func:`_real_substitution`, S^-1 = -symplectic_inverse(S), and
+    Every product is real: eta' = S^-1 eta0' S with the real S of
+    :func:`_real_substitution`, S^-1 = -symplectic_inverse(S), and
     eta0' = D^-1 eta0 D, real because the static exponent is a real
-    combination of Q3 - J2 and Q3 + J2.  eta' is real and symplectic;
-    eta = D eta' D^-1 is read back entrywise, exactly.
+    combination of Q3 - J2 and Q3 + J2.  eta' is real and symplectic, so
+    its inverse is ``symplectic_inverse(eta')``; the complex eta is
+    D eta' D^-1, entrywise and exactly, and is never formed.
     """
     s = _real_substitution(ep.T)
-    return _from_real_form(-symplectic_inverse(s) @ _to_real_form(static.eta_matrix) @ s)
+    return -symplectic_inverse(s) @ _to_real_form(static.eta_matrix) @ s
 
 
 def hermitian_invariant_Ih(inv: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Hermitian invariant I_h = eta I_H eta^-1, shape (N, 10).
 
     ``inv`` holds the coefficients of I_H (:func:`invariant_IH`) and
-    ``eta`` the Dyson map on the same grid (:func:`dyson_time`); the
-    conjugation runs per sample on the real stack eta' = D^-1 eta D with
+    ``eta`` the real Dyson map eta' = D^-1 eta D on the same grid
+    (:func:`dyson_time`); the conjugation runs per sample on eta' with
     its symplectic inverse -Omega eta'^T Omega
-    (``algebra._real_conjugate_by``) and is projected back, raising
-    :class:`ProjectionLeak` where the remainder exceeds ``PROJ_TOL`` of
-    the operand sizes or is not finite.  Must carry real coefficients (for real Delta) and
-    equal the image of h0 under the transformation -- both verified by
-    the test suite, alongside the closed expansion of
+    (``algebra._real_conjugate_by``, which raises ValueError on a complex
+    ``eta``) and is projected back, raising :class:`ProjectionLeak` where
+    the remainder exceeds ``PROJ_TOL`` of the operand sizes or is not
+    finite.  Must carry real coefficients (for real Delta) and equal the
+    image of h0 under the transformation -- both verified by the test
+    suite, alongside the closed expansion of
     :func:`hermitian_invariant_expansion`.
     """
-    return _real_conjugate_by(_to_real_form(eta), inv)
+    return _real_conjugate_by(eta, inv)
 
 
 def hermitian_invariant_expansion(p: PointTransformParams, ep: EPState,
@@ -580,28 +583,24 @@ def hermitian_hamiltonian_h(p: PointTransformParams, ep: EPState,
 
 
 def tdde_residual(p: PointTransformParams, ep: EPState, eta: np.ndarray, k: np.ndarray,
-                  static: DysonStatic, H: np.ndarray, return_samples: bool = False):
-    """Defect of the time-dependent Dyson equation at every sample.
+                  static: DysonStatic, H: np.ndarray) -> np.ndarray:
+    """Defect of the time-dependent Dyson equation at every sample, shape (N,).
 
-    ``ep`` is the EP state on the grid, ``eta`` the Dyson map on it
-    (:func:`dyson_time`), ``k`` the coefficients of K = T^-1 dT/dt on
+    ``ep`` is the EP state on the grid, ``eta`` the real Dyson map
+    eta' = D^-1 eta D on it (:func:`dyson_time`; a complex ``eta``
+    raises ValueError), ``k`` the coefficients of K = T^-1 dT/dt on
     it (:func:`transport_generator`) and ``H`` the target Hamiltonian on
     it, ``build_H_modified(*target_coefficients(p, ep))``.  Compares
     the Hermitian h(t) (:func:`hermitian_hamiltonian_h`) against
     eta H eta^-1 + i (d eta/dt) eta^-1 (hbar = 1).  With eta = T^-1 eta0 T,
     d(eta)/dt = [eta, K] exactly, so the right side is
-    eta (H + i K) eta^-1 - i K, one conjugation per sample on the real
-    stack D^-1 eta D with its symplectic inverse, as in
-    :func:`hermitian_invariant_Ih`; no sample is excluded and the grid
-    may be any.
-    With ``return_samples`` the result is ``(worst, per_sample)``.
+    eta (H + i K) eta^-1 - i K, one conjugation per sample on eta' with
+    its symplectic inverse, as in :func:`hermitian_invariant_Ih`; no
+    sample is excluded and the grid may be any.  The defect at a sample
+    is the largest coefficient modulus of the difference.
     """
-    rhs = _real_conjugate_by(_to_real_form(eta), H + 1j * k) - 1j * k
-    per_sample = np.abs(hermitian_hamiltonian_h(p, ep, static) - rhs).max(axis=1)
-    worst = float(per_sample.max())
-    if return_samples:
-        return worst, per_sample
-    return worst
+    rhs = _real_conjugate_by(eta, H + 1j * k) - 1j * k
+    return np.abs(hermitian_hamiltonian_h(p, ep, static) - rhs).max(axis=1)
 
 
 def pde_constraint_residuals(p: PointTransformParams, ep: EPState, samples):
@@ -648,15 +647,6 @@ def pde_constraint_residuals(p: PointTransformParams, ep: EPState, samples):
             float(np.abs(v0 - v_target).max()))
 
 
-def metric_matrices(eta: np.ndarray) -> np.ndarray:
-    """Metric rho = eta^dagger eta of the Dyson map ``eta`` (:func:`dyson_time`), shape (N, 4, 4).
-
-    Complex; no run calls it, since :func:`metric_eigenvalues` takes the
-    real form.  The test suite uses it as the complex oracle.
-    """
-    return np.conj(np.transpose(eta, (0, 2, 1))) @ eta
-
-
 def metric_is_positive(eta: np.ndarray) -> np.ndarray:
     """Positive-definiteness of the metric at every sample (smallest eigenvalue > 0)."""
     return metric_eigenvalues(eta)[:, 0] > 0
@@ -665,9 +655,13 @@ def metric_is_positive(eta: np.ndarray) -> np.ndarray:
 def metric_eigenvalues(eta: np.ndarray) -> np.ndarray:
     """Eigenvalues of the metric eta^dagger eta (real, ascending), shape (N, 4).
 
-    Taken from the real symmetric eta'^T eta' of the real form
-    eta' = D^-1 eta D: D is unitary, so eta^dagger eta = D eta'^T eta' D^-1
-    has the same spectrum.
+    ``eta`` is the real Dyson map eta' = D^-1 eta D (:func:`dyson_time`).
+    D is unitary, so eta^dagger eta = D eta'^T eta' D^-1 has the spectrum
+    of the real symmetric eta'^T eta'.  A complex ``eta`` raises
+    ValueError: eta^T eta of it is not the metric, and nothing else
+    would say so.
     """
-    real = _to_real_form(eta)
-    return np.linalg.eigvalsh(np.swapaxes(real, -1, -2) @ real)
+    if np.iscomplexobj(eta):
+        raise ValueError("the Dyson map is complex, not in the real form "
+                         "D^-1 eta D for D = diag(1, i, 1, -i)")
+    return np.linalg.eigvalsh(np.swapaxes(eta, -1, -2) @ eta)

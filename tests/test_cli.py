@@ -410,6 +410,22 @@ def test_profile_too_large_on_the_grid_names_its_field(tmp_path, capsys, mode, f
             assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("lam", [1e10, 1e15])
+def test_closed_form_run_whose_propagator_overflows_exits_1(tmp_path, capsys, lam):
+    # lam passes the profile bound, but the propagator of the cross-solver
+    # rows outgrows double precision: at 1e10 in the time-ordered
+    # accumulation, at 1e15 in the expm squaring.  Under -W error both
+    # ended in a traceback; the run must stop with one error line
+    cfg = {"mode": "lr-closed-form", "grid": {"t0": 0.0, "t1": 1.0, "steps": 11},
+           "params": {"alpha": 3.0, "lam": {"kind": "constant", "value": lam}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: propagator too large at t = ") and err.count("\n") == 1, err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("mode, params", [
     ("lr-closed-form", {"alpha": 3.0, "lam": _CONST}),
     ("lr-ode", {"a": _CONST, "omega_x": _CONST, "omega_y": _CONST, "lam": _CONST}),

@@ -1,6 +1,7 @@
 """Tests for the invariant coefficient ODE, its solvers and the closed form."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from sp4lr.algebra import (
     _REAL_D,
     _REAL_PHASES,
     GeneratorId,
+    _real_conjugate_by,
     _real_coordinates,
     symplectic_inverse,
     to_matrix,
 )
 from sp4lr.crosschecks import ode_matrix
-from sp4lr.errors import ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, StepNotConverged
+from sp4lr.errors import (ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, Sp4lrError,
+                          StepNotConverged)
 from sp4lr.hamiltonian import CoupledOscillatorParams, _h_coeffs, build_H_coeffs, build_H_modified
 from sp4lr.lr_ode import (
     ANSATZ_COMBINATIONS,
@@ -213,25 +216,23 @@ def driven_traj():
     return evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered")
 
 
+def driven_fixed_substeps(n):
+    """The driven trajectory from ``n`` unrefined Magnus substeps on every
+    interval: evolve's time-ordered route without its step refinement."""
+    u = _prefix_products(_magnus_propagators(DRIVEN, DRIVEN_GRID[:-1], np.diff(DRIVEN_GRID), n)[0])
+    return coefficients_of_element(_real_conjugate_by(u, assemble_invariant(C0)))
+
+
 @pytest.fixture(scope="module")
 def driven_ref():
-    return evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered", substeps=256)
+    return driven_fixed_substeps(256)
 
 
 def test_sixth_order_slope_under_substep_halving(driven_ref):
     # fixed substeps expose the 6th-order error of the three-node Magnus
     # step: one substep to two on the driven grid cuts the error 64x
-    e1, e2 = (np.abs(evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered", substeps=n)
-                     - driven_ref).max() for n in (1, 2))
+    e1, e2 = (np.abs(driven_fixed_substeps(n) - driven_ref).max() for n in (1, 2))
     assert 48.0 <= e1 / e2 <= 80.0
-
-
-def test_evolve_rejects_substeps_that_are_not_positive_ints():
-    # 2.5 once ran 3 substeps of h/2.5, covering 1.2 h of each interval
-    for bad in (2.5, 0, -1, "2"):
-        with pytest.raises(ValueError, match="substeps"):
-            evolve(C0, DRIVEN_GRID, DRIVEN, mode="time_ordered", substeps=bad)
-    assert evolve(C0, DRIVEN_GRID[:3], DRIVEN, substeps=np.int64(2)).shape == (3, 10)
 
 
 def test_driven_evolve_converges_to_fine_substeps(driven_traj, driven_ref):
@@ -384,6 +385,20 @@ def test_real_form_guard_names_coefficients_that_are_not_finite(mode):
         lam=ScalarProfile.constant(0.5))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
         evolve(C0, np.linspace(0.0, 1e6, 5), p, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["time_ordered", "commuting"])
+@pytest.mark.parametrize("lam", [1e9, 1e10, 1e15])
+def test_a_propagator_that_outgrows_double_precision_names_its_time(mode, lam):
+    # the closed-form family, alpha 3, on 11 points of [0, 1]: at lam 1e10
+    # the time-ordered accumulation overflowed in a dot, at 1e15 the expm
+    # squaring, and at 1e9 U stayed finite but its conjugation overflowed;
+    # each must be a typed error naming a grid time, with no RuntimeWarning
+    osc = ClosedFormParams(3.0, ScalarProfile.constant(lam)).oscillator_params()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Sp4lrError, match=r"^propagator too large at t = 0\.\d"):
+            evolve(C0, np.linspace(0.0, 1.0, 11), osc, mode=mode)
 
 
 def test_real_path_propagators_equal_the_complex_formula():

@@ -43,7 +43,6 @@ from sp4lr.point_transform import (
     invariant_IH,
     metric_eigenvalues,
     metric_is_positive,
-    metric_matrices,
     pde_constraint_residuals,
     pushforward,
     pushforward_map,
@@ -54,6 +53,7 @@ from sp4lr.point_transform import (
 )
 from sp4lr.profiles import ScalarProfile
 from tests.test_algebra import from_quadratic_form, quadratic_form
+from tests.test_lr_ode import complex_form
 
 RNG = np.random.default_rng(20240801)
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
@@ -389,7 +389,7 @@ def test_dyson_time_is_the_exponential_of_the_closed_exponent(alpha, beta, coupl
     stat = dyson_static(p)
     ep = ep_state(p, np.linspace(0.0, 4.0, 4001))
     want = expm(to_matrix(dyson_time_exponent(p, ep, stat)))
-    rel = np.linalg.norm(dyson_time(ep, stat) - want, axis=(1, 2)) \
+    rel = np.linalg.norm(complex_form(dyson_time(ep, stat)) - want, axis=(1, 2)) \
         / np.linalg.norm(want, axis=(1, 2))
     assert rel.max() <= 1e-13
 
@@ -401,7 +401,7 @@ def test_transport_generator_moves_the_images():
     ep = ep_state(p, grid)
     k = transport_generator(p, ep)
     inv = invariant_IH(p, ep)
-    eta = dyson_time(ep, dyson_static(p))
+    eta = complex_form(dyson_time(ep, dyson_static(p)))
     kmat = to_matrix(k)
     step = grid[1] - grid[0]
     np.testing.assert_allclose(commutator(inv, k)[2:-2], central_diff(inv, step)[2:-2],
@@ -464,7 +464,7 @@ def tdde_on(p, grid):
     stat = dyson_static(p)
     ep = ep_state(p, grid)
     return tdde_residual(p, ep, dyson_time(ep, stat), transport_generator(p, ep), stat,
-                         build_H_modified(*target_coefficients(p, ep)))
+                         build_H_modified(*target_coefficients(p, ep))).max()
 
 
 def test_tdde_residual_trivial():
@@ -519,6 +519,14 @@ def test_pde_residuals_ignore_phase_constant():
 # metric
 
 
+def metric_matrices(eta):
+    """The complex oracle of :func:`metric_eigenvalues`: the metric
+    rho = eta^dagger eta of the complex Dyson map eta = D eta' D^-1, for the
+    real stack ``eta`` = eta' (N, 4, 4) of :func:`dyson_time`."""
+    eta = complex_form(eta)
+    return np.conj(np.transpose(eta, (0, 2, 1))) @ eta
+
+
 def test_metric_positive_definite():
     p = params(alpha=2.0, beta=1.0, coupling=1.0, r=R_WOBBLE, c2=0.4, c3=0.4)
     eta = dyson_time(ep_state(p, np.linspace(0.0, 4.0, 401)), dyson_static(p))
@@ -548,9 +556,8 @@ def test_vanishing_time_density_on_grid_matches_offset_neighbour():
         ep = ep_state(p, grid)
         static = dyson_static(p)
         eta = dyson_time(ep, static)
-        _, per_sample = tdde_residual(p, ep, eta, transport_generator(p, ep), static,
-                                      build_H_modified(*target_coefficients(p, ep)),
-                                      return_samples=True)
+        per_sample = tdde_residual(p, ep, eta, transport_generator(p, ep), static,
+                                   build_H_modified(*target_coefficients(p, ep)))
         out.append((ep.r, invariant_IH(p, ep), eta, per_sample))
     (r, inv, eta, tdde), (_, inv_off, eta_off, _) = out
     assert r[200] == 0.0
@@ -612,8 +619,10 @@ def test_real_form_stages_match_the_complex_ones(r):
     p = params(r=r, coupling=0.8, c2=0.3, c3=0.25)
     ep = ep_state(p, np.linspace(0.0, 4.0, 61))
     stat = dyson_static(p)
-    eta = dyson_time(ep, stat)
-    assert np.array_equal(eta, symplectic_inverse(ep.T) @ stat.eta_matrix @ ep.T)
+    eta = dyson_time(ep, stat)  # the real eta' = D^-1 eta D
+    assert eta.dtype == np.float64
+    eta_c = complex_form(eta)
+    assert np.array_equal(eta_c, symplectic_inverse(ep.T) @ stat.eta_matrix @ ep.T)
     k = transport_generator(p, ep)
     rate = ep.r[:, None, None] * pt._from_entries((
         ep.mu_tau, ep.sigma_tau, ep.mu_tautau / p.alpha, -ep.mu_tau / ep.mu**2,
@@ -621,7 +630,7 @@ def test_real_form_stages_match_the_complex_ones(r):
     want_k, _ = from_matrix(symplectic_inverse(ep.T) @ rate)
     assert np.abs(k - want_k).max() <= 1e-14 * np.abs(want_k).max()
     inv = invariant_IH(p, ep)
-    want = conjugate_by(eta, inv)
+    want = conjugate_by(eta_c, inv)
     assert np.abs(hermitian_invariant_Ih(inv, eta) - want).max() <= 1e-14 * np.abs(want).max()
     want = np.linalg.eigvalsh(metric_matrices(eta))
     assert np.abs(metric_eigenvalues(eta) - want).max() <= 1e-14 * np.abs(want).max()
@@ -643,12 +652,14 @@ def test_real_form_stages_raise_on_a_leak_or_an_eta_outside_the_real_form(monkey
     for run in conjugations:
         with pytest.raises(ProjectionLeak, match="conjugation residual"):
             run(nan_eta)
-    # an imaginary part in D^-1 eta D is never dropped
-    off = eta.copy()
+    # every reader takes the real eta' as it is: the complex eta, or eta'
+    # with an imaginary part, raises and no imaginary part is dropped
+    off = eta + 0j
     off[3, 0, 0] += 1e-3j
-    for run in conjugations:
-        with pytest.raises(ValueError, match="real form"):
-            run(off)
+    for run in conjugations + (metric_eigenvalues,):
+        for bad in (complex_form(eta), eta + 0j, off):
+            with pytest.raises(ValueError, match="real form"):
+                run(bad)
     # with no tolerance, the rounding in the remainders raises
     monkeypatch.setattr(algebra, "PROJ_TOL", 0.0)
     for run in conjugations:
@@ -706,6 +717,24 @@ def test_point_transform_run_builds_the_transport_generator_once(tmp_path, monke
     report = run_scenario(PT_CFG, str(tmp_path))
     assert report["all_pass"]
     assert calls == [PT_CFG["grid"]["steps"]], calls
+
+
+def test_point_transform_run_forms_no_complex_dyson_stack(tmp_path, monkeypatch):
+    # the time-dependent Dyson map has one form, the real eta' of
+    # dyson_time; only the static 4x4 eta0 is taken to the real form
+    calls = []
+    to_real = algebra._to_real_form
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return to_real(m)
+
+    for module in (algebra, pt, cli):
+        monkeypatch.setattr(module, "_to_real_form", counted, raising=False)
+    report = run_scenario(PT_CFG, str(tmp_path))
+    assert report["all_pass"]
+    assert calls == [(4, 4)], calls
+    assert not hasattr(algebra, "_from_real_form")
 
 
 @pytest.mark.parametrize("r", [1e6, 1e8])
