@@ -337,16 +337,19 @@ def _to_real_form(m) -> np.ndarray:
     return np.ascontiguousarray(p.real)
 
 
-def _has_imaginary_half(e) -> bool:
-    """Whether a real coordinate r = e conj(phi) of the complex coefficients
-    ``e`` (..., 10) has a nonzero (or NaN) imaginary part.
+def _nonzero_halves(e) -> tuple:
+    """The halves of the real coordinates r = e conj(phi) of the complex
+    coefficients ``e`` (..., 10) that are not exactly 0: a tuple of 0 (the
+    real half) and 1 (the imaginary half), in that order, and (0,) where
+    both are 0.  A NaN counts as nonzero.
 
-    That part is Im e_k where phi_k = 1 and -Re e_k where phi_k = i; each
-    coefficient column is read as a view, so no temporary the size of
-    ``e`` is made.
+    The real half is Re e_k where phi_k = 1 and Im e_k where phi_k = i,
+    the imaginary half Im e_k and -Re e_k; each coefficient column is read
+    as a view, so no temporary the size of ``e`` is made.
     """
-    return any(np.any((e.imag if phase == 1 else e.real)[..., k])
-               for k, phase in enumerate(_REAL_PHASES))
+    parts = [(e.real, e.imag) if phase == 1 else (e.imag, e.real) for phase in _REAL_PHASES]
+    return tuple(h for h in (0, 1)
+                 if any(np.any(part[h][..., k]) for k, part in enumerate(parts))) or (0,)
 
 
 # samples per block of a real conjugation: a block's temporaries stay
@@ -373,17 +376,20 @@ def _real_conjugate_by(u, e, u_inv=None) -> np.ndarray:
 
     The real and imaginary halves of the real coordinates r = e conj(phi)
     are conjugated as the real matrices sum_k r_k R_k, projected onto
-    the orthonormal basis R, and read back as phi (y_re + i y_im).  Where
-    every imaginary half of ``e`` is exactly 0 (the coefficients are phi
-    times real ones: a Hamiltonian, an image of one, or H + i K of the
-    point transform), only the real halves are conjugated, one matrix per
-    element and sample, and the result is phi y_re; this is read from
-    the data once per call.  The remainder checked is, per element and
+    the orthonormal basis R, and read back as phi (y_re + i y_im).  A half
+    that is exactly 0 in every element (:func:`_nonzero_halves`, read from
+    the data once per call) is not conjugated: its image is 0.  So an
+    element phi r with r real (a Hamiltonian, an image of one, or H + i K
+    of the point transform) costs one matrix per element and sample, as
+    does one with r imaginary (2 J2, the invariant of the closed form's
+    seed c = (0, 0, 1, 1, 0, ..., 0)), and the result is bitwise that of
+    conjugating both halves.  The remainder checked is, per element and
     sample, the Frobenius norm over the halves conjugated: the residual
     :func:`conjugate_by` reads, since D is unitary, against ``PROJ_TOL``
     times ||u||_F ||e|| ||u^-1||_F, where ||u^-1||_F = ||u||_F for the
-    (anti-)symplectic u this takes.  The samples go in blocks of
-    ``_BLOCK``, so no temporary grows with the grid.
+    (anti-)symplectic u this takes.  Both norms sum the halves' squares
+    in order, so a half that is 0 adds exactly 0 to each.  The samples go
+    in blocks of ``_BLOCK``, so no temporary grows with the grid.
     """
     if np.iscomplexobj(u):
         raise ValueError("the group elements are complex, not in the real form "
@@ -398,13 +404,14 @@ def _real_conjugate_by(u, e, u_inv=None) -> np.ndarray:
     lead = e.shape[:-2]
     # (1 or N, P, 10): the P elements of every sample, or of each one
     e = e.reshape(1, -1, 10) if shared else np.moveaxis(e, -2, 0).reshape(n, -1, 10)
-    nh = 2 if _has_imaginary_half(e) else 1  # halves conjugated per element
+    which = _nonzero_halves(e)  # the halves conjugated
+    nh = len(which)
     m = nh * e.shape[1]  # matrices per sample
     out = np.empty((n, e.shape[1], 10), dtype=complex)
     for lo in range(0, n, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         r = (e if shared else e[blk]) * _REAL_PHASES.conj()
-        halves = np.stack([r.real, r.imag] if nh == 2 else [r.real], axis=-2)
+        halves = np.stack([(r.real, r.imag)[h] for h in which], axis=-2)
         # a sample's m matrices side by side, (4, 4m): numpy's stacked
         # matmul is slow on 4x4 blocks, so each product takes them all,
         # and shared ones take every sample's u in one (4k, 4) @ (4, 4m)
@@ -419,13 +426,18 @@ def _real_conjugate_by(u, e, u_inv=None) -> np.ndarray:
         # the operand sizes: ||u||_F ||u^-1||_F = ||u||_F^2 per sample (the
         # inverse is a signed permutation of u^T) times ||X||_F per element,
         # over the halves conjugated, as the remainder
-        scale = _squared_norms(ub)[:, None] * np.sqrt(_squared_norms(halves))
+        scale = (_squared_norms(ub)[:, None]
+                 * np.sqrt(np.einsum("...i,...i->...", halves, halves).sum(axis=-1)))
         _check_leak(np.linalg.norm(resid.reshape(-1, nh), axis=1), scale.ravel(), "conjugation")
         y = coords.reshape(k, m // nh, nh, 10)
         # + 0.0: the product with phi = i leaves -0.0 in an exactly zero
         # real part where the imaginary one is negative; the complex
-        # projection reads +0.0 there
-        y = y[..., 0, :] + 1j * y[..., 1, :] if nh == 2 else y[..., 0, :]
+        # projection reads +0.0 there.  The same sum makes a part that
+        # is 0 read +0.0 whether its half was conjugated or not.
+        if nh == 2:
+            y = y[..., 0, :] + 1j * y[..., 1, :]
+        else:
+            y = y[..., 0, :] if which == (0,) else 1j * y[..., 0, :]
         out[blk] = _REAL_PHASES * y + 0.0
     return np.moveaxis(out.reshape((n,) + lead + (10,)), 0, -2)
 

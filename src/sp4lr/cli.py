@@ -35,7 +35,7 @@ from .algebra import (
     to_matrix,
     OMEGA,
 )
-from .errors import ConfigInvalid, ProfileDomain, Sp4lrError
+from .errors import ConfigInvalid, ProfileDomain, Sp4lrError, StepNotConverged
 from .hamiltonian import (
     CoupledOscillatorParams,
     Regime,
@@ -47,10 +47,9 @@ from .hamiltonian import (
 from .lr_ode import (
     COMM_TOL,
     ClosedFormParams,
+    _closed_form_and_rate,
     _commutativity_probe,
     assemble_invariant,
-    closed_form_on_grid,
-    closed_form_rate_on_grid,
     evolve,
     invariant_matrix,
     involution_residuals,
@@ -406,7 +405,7 @@ def _lr_artifacts(grid, traj, params, outdir, stem, artifacts, rate=None):
 
 def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
     cf = ClosedFormParams(**cfg["params"])
-    traj = closed_form_on_grid(cf, grid)
+    traj, rate = _closed_form_and_rate(cf, grid)
     osc = cf.oscillator_params()
     rng = np.random.default_rng(cfg["seed"])
 
@@ -425,7 +424,7 @@ def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
     checks.add("involution_constraints",
                float(max(np.abs(r).max() for r in (r1, r2, r7, r10))), 1e-10)
     sq, det, lr_worst = _lr_artifacts(grid, traj, osc, outdir, "closed_form", artifacts,
-                                      rate=closed_form_rate_on_grid(cf, grid))
+                                      rate=rate)
     checks.add("invariant_squares_to_identity", float(sq.max()), 1e-10)
     checks.add("unit_determinant", float(det.max()), 1e-10)
     checks.add("lr_residual", lr_worst, 1e-8)
@@ -445,7 +444,16 @@ def _run_lr_ode(cfg, grid, outdir, checks, artifacts):
     p = dict(cfg["params"])
     solver, c0, lr_tol = p.pop("solver"), p.pop("c0"), p.pop("lr_tol")
     params = CoupledOscillatorParams(**p)
-    traj = evolve(np.asarray(c0) @ [1.0, 1.0j], grid, params, mode=solver)
+    try:
+        traj = evolve(np.asarray(c0) @ [1.0, 1.0j], grid, params, mode=solver)
+    except StepNotConverged as exc:
+        # the step refinement failed: name the grid and the profile with
+        # the largest modulus on it, the config fields that set its depth
+        peak = {name: float(np.abs(f(grid)).max()) for name, f in p.items()}
+        name = max(peak, key=peak.get)
+        raise StepNotConverged("grid.steps (%d) or params.%s (the largest profile, |value| up "
+                               "to %.3g on the grid): %s"
+                               % (grid.size, name, peak[name], exc)) from None
     checks.add("lr_residual", _lr_artifacts(grid, traj, params, outdir, "ode", artifacts)[2],
                lr_tol)
     return {"solver": solver}

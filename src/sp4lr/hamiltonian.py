@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import GeneratorId, _real_coordinates, _real_matrix
+from .algebra import _REAL_PHASES, GeneratorId, _real_coordinates, _real_matrix
 from .numerics import _sort_real_imag, eig4
 from .profiles import ScalarProfile
 
@@ -55,18 +55,34 @@ class Regime(Enum):
     SPONTANEOUSLY_BROKEN = "SpontaneouslyBroken"
 
 
+def _h_real(a, wx, wy, lam):
+    """Real coordinates r = h conj(phi) of the coupled family's coefficients
+    h (see ``algebra._REAL_BASIS``), written from the profile values: a
+    float64 stack (10,) + their broadcast shape, coefficient-major.
+
+    J0 and Q2 take a/2 +- Omega+/2, J3 and K1 +-Omega-/2, and J1 and K3
+    lam, since (i lam)(-i) = lam exactly; every other coordinate is 0.
+    Each written coordinate is the value plus 0.0, as the product with
+    conj(phi) leaves it, so a zero reads +0.0 and the stack is bitwise
+    what ``algebra._real_coordinates`` reads from the complex
+    coefficients.  Raises ValueError where a coordinate is not finite.
+    """
+    r = np.zeros((10,) + np.broadcast(a, wx, wy, lam).shape)
+    half_a, half_op, half_om = np.divide(a, 2.0), np.add(wx, wy) / 2.0, np.subtract(wx, wy) / 2.0
+    for k, v in ((GeneratorId.J0, half_a + half_op), (GeneratorId.Q2, half_a - half_op),
+                 (GeneratorId.J3, half_om), (GeneratorId.K1, -half_om),
+                 (GeneratorId.J1, lam), (GeneratorId.K3, lam)):
+        np.add(v, 0.0, out=r[k, ...])  # broadcast into the row
+    if not np.isfinite(r).all():
+        raise ValueError("the Hamiltonian coefficients on the grid are not finite")
+    return r
+
+
 def _h_coeffs(a, wx, wy, lam):
-    """Coefficient stack for scalar or array profile values."""
-    a, wx, wy, lam = np.broadcast_arrays(a, wx, wy, lam)
-    op, om = wx + wy, wx - wy
-    c = np.zeros(np.shape(a) + (10,), dtype=complex)
-    c[..., GeneratorId.J0] = a / 2.0 + op / 2.0
-    c[..., GeneratorId.Q2] = a / 2.0 - op / 2.0
-    c[..., GeneratorId.J3] = om / 2.0
-    c[..., GeneratorId.K1] = -om / 2.0
-    c[..., GeneratorId.J1] = 1j * lam
-    c[..., GeneratorId.K3] = 1j * lam
-    return c
+    """Coefficient stack (..., 10) for scalar or array profile values: phi r
+    for the real coordinates r of :func:`_h_real`."""
+    r = _h_real(a, wx, wy, lam)
+    return np.multiply(_REAL_PHASES, r.transpose(tuple(range(1, r.ndim)) + (0,)), order="C")
 
 
 def build_H_coeffs(p: CoupledOscillatorParams, t) -> np.ndarray:

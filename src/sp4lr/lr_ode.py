@@ -22,14 +22,16 @@ no large-norm stack is scaled and squared.
 The whole path is real.  In the basis z = D z' with D = diag(1, i, 1, -i)
 over z = (x, y, px, py), -i M(H) of both Hamiltonian families is exactly
 real, and so is every bracket, integral and exponential of such
-matrices.  H enters once, in the real coordinates r of
+matrices.  H enters once, as its real coordinates r over
 ``algebra._REAL_BASIS`` (c = phi r, phi = (1, i, i, 1, 1, 1, i, 1, 1, i)
-over J0..K3), where an imaginary part that is not exactly 0 raises.
-The Magnus exponents are formed from r through the real bracket and
-mapped to real 4x4 stacks once, so the only 4x4 products are those of
-``expm``, of the ordered product of the steps and of the conjugation,
-all real; the invariant goes back to complex coefficients once, as
-c = phi r.  The closed form covers the proportional profiles
+over J0..K3), written as float64 straight from the profile values
+(``hamiltonian._h_real``): no complex H is formed, so there is no
+imaginary part to drop, and a coordinate that is not finite raises
+ValueError.  The Magnus exponents are formed from r through the real
+bracket and mapped to real 4x4 stacks once, so the only 4x4 products
+are those of ``expm``, of the ordered product of the steps and of the
+conjugation, all real; the invariant goes back to complex coefficients
+once, as c = phi r.  The closed form covers the proportional profiles
 a = lam, omega_x = alpha*lam, omega_y = lam.
 """
 
@@ -39,18 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    GeneratorId,
-    _real_commutator,
-    _real_conjugate_by,
-    _real_coordinates,
-    _real_matrix,
-    _squared_norms,
-    commutator,
-)
+from .algebra import (GeneratorId, _real_commutator, _real_conjugate_by, _real_matrix,
+                      _squared_norms, commutator)
 from .errors import (ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, Sp4lrError,
                      StepNotConverged)
-from .hamiltonian import CoupledOscillatorParams, _h_coeffs, build_H_coeffs
+from .hamiltonian import CoupledOscillatorParams, _h_real
 from .numerics import central_diff, expm, frobenius
 from .profiles import ScalarProfile
 
@@ -124,11 +119,15 @@ def _commutativity_probe(p, grid) -> float:
     the rounding floor of the bracket, about eps max|H|^2, so the
     relative probe sits near eps (0.4-1.3 eps on the closed-form
     families) whatever the size of the coefficients; a generic drive
-    reads O(1) (0.082 on the rejected case of the test suite).
+    reads O(1) (0.082 on the rejected case of the test suite).  Both are
+    read in real coordinates r (H = phi r): |H_k| = |r_k|, and the
+    bracket's coefficients have the moduli of the real bracket's
+    (``algebra._real_commutator``), exactly.
     """
-    h = build_H_coeffs(p, np.linspace(grid[0], grid[-1], 12))
-    scale = float(np.abs(h).max()) ** 2 or 1.0  # H = 0 commutes: its bracket is 0
-    return float(np.abs(commutator(h[:, None], h[None])).max()) / scale
+    t = np.linspace(grid[0], grid[-1], 12)
+    r = _h_real(p.a(t), p.omega_x(t), p.omega_y(t), p.lam(t))
+    scale = float(np.abs(r).max()) ** 2 or 1.0  # H = 0 commutes: its bracket is 0
+    return float(np.abs(_real_commutator(r[:, :, None], r[:, None])).max()) / scale
 
 
 _EPS = np.finfo(float).eps
@@ -170,14 +169,16 @@ def _magnus_exponents(p, t0, h, n: int):
     Omega4 = (s/2)(B1 + B2) + (sqrt(3) s^2 / 12)[B2, B1] takes B = -i H at
     the two nodes of the 4th-order rule, so that Omega6 - Omega4 sees
     quadrature error even where every bracket vanishes.  H enters once,
-    through ``_real_coordinates``: the coordinates of s A are s r(H), and
-    every bracket is the real one of ``algebra._real_commutator``, so
-    each exponent equals its matrix form with matrix commutators.
+    as its real coordinates r (``hamiltonian._h_real``): the coordinates
+    of s A are s r, and every bracket is the real one of
+    ``algebra._real_commutator``, so each exponent equals its matrix form
+    with matrix commutators.
     """
     s = h / n
     # nodes (5, m, n): Gauss-Legendre node, interval, substep
     nodes = t0[:, None] + (np.arange(n) + _GL_NODES[:, None, None]) * s[:, None]
-    sa = np.multiply(_real_coordinates(build_H_coeffs(p, nodes)), s[:, None], order="C")
+    sa = _h_real(p.a(nodes), p.omega_x(nodes), p.omega_y(nodes), p.lam(nodes))
+    sa *= s[:, None]
     a1, a2, a3, b1, b2 = np.moveaxis(sa, 1, 0)  # s A and s B at the nodes, (10, m, n) each
     alpha1 = a2
     alpha2 = (np.sqrt(15.0) / 3.0) * (a3 - a1)
@@ -267,8 +268,8 @@ def _commuting_propagators(p, t) -> np.ndarray:
     norm of the whole integral; the full stack carries that of at most
     ``_ANCHOR_STRIDE`` - 1 intervals, so it is neither scaled nor squared
     by the largest norm."""
-    theta = _real_matrix(_real_coordinates(_h_coeffs(*(f.antiderivative(t, t[0])
-                                                       for f in (p.a, p.omega_x, p.omega_y, p.lam)))))
+    theta = _real_matrix(_h_real(*(f.antiderivative(t, t[0])
+                                   for f in (p.a, p.omega_x, p.omega_y, p.lam))))
     k = np.arange(t.size) // _ANCHOR_STRIDE  # the anchor of each sample
     anchors = theta[::_ANCHOR_STRIDE]
     return expm(theta - anchors[k]) @ expm(anchors)[k]
@@ -281,15 +282,16 @@ def evolve(c0, grid, p: CoupledOscillatorParams, mode: str = "time_ordered") -> 
     I(t) = U(t) I(0) U(t)^-1 with the 4x4 propagator dU/dt = -i H(t) U.
     Everything between H and the invariant is real: U is formed as the
     real U' = D^-1 U D in the basis z = D z' with D = diag(1, i, 1, -i),
-    where -i M(H) is exactly real, from the real coordinates of H (a
-    Hamiltonian whose coefficients leave that real-form family raises
-    ValueError).  ``c0`` may be any complex vector: the real and
-    imaginary halves of the real coordinates r0 of
-    ``assemble_invariant(c0)`` are each conjugated by U' and projected
-    back onto the real basis (``algebra._real_conjugate_by``, which
-    raises ProjectionLeak where the remainder exceeds ``PROJ_TOL`` of the
-    operand sizes or is not finite), and the coefficients are read back from
-    phi (y_re + i y_im).
+    where -i M(H) is exactly real, from the real coordinates of H,
+    written from the profile values (ValueError where one is not
+    finite).  ``c0`` may be any complex vector: the real and imaginary
+    halves of the real coordinates r0 of ``assemble_invariant(c0)`` are
+    each conjugated by U' and projected back onto the real basis
+    (``algebra._real_conjugate_by``, which raises ProjectionLeak where
+    the remainder exceeds ``PROJ_TOL`` of the operand sizes or is not
+    finite), and the coefficients are read back from phi (y_re + i y_im).
+    A half that is exactly 0 is not conjugated: the closed form's seed
+    c0 = (0, 0, 1, 1, 0, ..., 0) is 2 J2, whose real half is 0.
 
     ``time_ordered``
         U is the product of per-interval propagators, each one 6th-order
@@ -423,15 +425,9 @@ def closed_form_c(params: ClosedFormParams, theta) -> np.ndarray:
     return _closed_form_combination(params, cp, cm, rp, rm)
 
 
-def closed_form_on_grid(params: ClosedFormParams, grid) -> np.ndarray:
-    """Closed form evaluated along a grid, with theta = int_{grid[0]}^t lam exact."""
-    t = np.asarray(grid, dtype=float)
-    theta = params.lam.antiderivative(t, t[0])
-    return closed_form_c(params, theta)
-
-
-def closed_form_rate_on_grid(params: ClosedFormParams, grid) -> np.ndarray:
-    """dc/dt = lam(t) dc/dtheta of :func:`closed_form_on_grid`, exact at every sample.
+def _closed_form_and_rate(params: ClosedFormParams, grid):
+    """:func:`closed_form_on_grid` and :func:`closed_form_rate_on_grid`
+    from one theta = int_{grid[0]}^t lam and one set of mode terms.
 
     The combination is linear in its mode terms, so dc/dtheta is the same
     combination of their derivatives d cos(a theta/2)/dtheta =
@@ -440,9 +436,20 @@ def closed_form_rate_on_grid(params: ClosedFormParams, grid) -> np.ndarray:
     """
     t = np.asarray(grid, dtype=float)
     ap, am, cp, cm, rp, rm = _mode_terms(params, params.lam.antiderivative(t, t[0]))
+    c = _closed_form_combination(params, cp, cm, rp, rm)
     dc = _closed_form_combination(params, -0.5 * ap**2 * rp, -0.5 * am**2 * rm,
                                   0.5 * cp, 0.5 * cm)
-    return params.lam(t)[:, None] * dc
+    return c, params.lam(t)[:, None] * dc
+
+
+def closed_form_on_grid(params: ClosedFormParams, grid) -> np.ndarray:
+    """Closed form evaluated along a grid, with theta = int_{grid[0]}^t lam exact."""
+    return _closed_form_and_rate(params, grid)[0]
+
+
+def closed_form_rate_on_grid(params: ClosedFormParams, grid) -> np.ndarray:
+    """dc/dt = lam(t) dc/dtheta of :func:`closed_form_on_grid`, exact at every sample."""
+    return _closed_form_and_rate(params, grid)[1]
 
 
 def involution_residuals(c):

@@ -532,46 +532,69 @@ def test_real_conjugation_equals_conjugate_by():
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def _bits(x):
+    """The bit patterns of a complex array, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(x).view(np.int64)
+
+
 def test_real_conjugation_of_real_coordinates_conjugates_one_half(monkeypatch):
     # an element phi r with r real (a Hamiltonian, an image of one) has no
-    # imaginary half; conjugating only the real one gives conjugate_by and,
-    # bitwise, what both halves give, for shared and per-sample elements
+    # imaginary half, and one with r imaginary (the closed form's seed
+    # invariant 2 J2) no real half; conjugating only the nonzero half,
+    # one matrix per element and sample, gives conjugate_by and, bitwise,
+    # what both halves give, for shared and per-sample elements
     rng = np.random.default_rng(30)
     d = algebra._REAL_D
     u_real = expm(algebra._real_matrix(0.4 * rng.standard_normal((10, 50))))
     g = u_real * (d[:, None] / d)
-    for shape in ((10,), (50, 10), (3, 1, 10), (2, 50, 10), (10, 1, 10)):
-        e = algebra._REAL_PHASES * rng.standard_normal(shape)
-        assert not algebra._has_imaginary_half(e)
-        one = algebra._real_conjugate_by(u_real, e)
-        want = conjugate_by(g, e)
-        assert one.shape == want.shape
-        assert np.abs(one - want).max() <= 1e-15 * np.abs(want).max()
-        with monkeypatch.context() as m:
-            m.setattr(algebra, "_has_imaginary_half", lambda e: True)
-            assert np.array_equal(algebra._real_conjugate_by(u_real, e), one)
-    # one imaginary coefficient anywhere, or a NaN, takes both halves
-    e = algebra._REAL_PHASES * rng.standard_normal((50, 10))
-    for k, bad in ((49, 1e-300j), (0, np.nan)):
-        for g_id in range(10):
-            f = e.copy()
-            f[k, g_id] += bad * algebra._REAL_PHASES[g_id]
-            assert algebra._has_imaginary_half(f)
+    projected = []
+    original = algebra._project
+
+    def counting(flat, basis):
+        projected.append(len(flat))
+        return original(flat, basis)
+
+    for half, unit in ((0, 1.0), (1, 1j)):
+        for shape in ((10,), (50, 10), (3, 1, 10), (2, 50, 10), (10, 1, 10)):
+            e = unit * algebra._REAL_PHASES * rng.standard_normal(shape)
+            e[..., 4] = 0.0  # a zero coefficient, where a sign of zero could differ
+            assert algebra._nonzero_halves(e) == (half,)
+            with monkeypatch.context() as m:
+                m.setattr(algebra, "_project", counting)
+                one = algebra._real_conjugate_by(u_real, e)
+            shared = e.ndim == 1 or e.shape[-2] == 1
+            assert projected.pop() == e.size // 10 * (50 if shared else 1)  # matrices
+            want = conjugate_by(g, e)
+            assert one.shape == want.shape
+            assert np.abs(one - want).max() <= 1e-15 * np.abs(want).max()
+            with monkeypatch.context() as m:
+                m.setattr(algebra, "_nonzero_halves", lambda e: (0, 1))
+                assert np.array_equal(_bits(algebra._real_conjugate_by(u_real, e)), _bits(one))
+    # one coefficient of the other half anywhere, or a NaN, takes both halves
+    for unit in (1.0, 1j):
+        e = unit * algebra._REAL_PHASES * rng.standard_normal((50, 10))
+        for k, bad in ((49, 1e-300j), (0, np.nan)):
+            for g_id in range(10):
+                f = e.copy()
+                f[k, g_id] += unit * bad * algebra._REAL_PHASES[g_id]
+                assert algebra._nonzero_halves(f) == (0, 1)
+    assert algebra._nonzero_halves(np.zeros((3, 10), dtype=complex)) == (0,)
 
 
 def test_real_conjugation_leak_guard(monkeypatch):
     # with the symplectic inverse, u X u^-1 stays in the algebra for any
     # u, so a u' pushed off the group leaves only rounding in the
     # remainder: the guard reads it at PROJ_TOL 0, and an overflowed or
-    # NaN u' raises at any tolerance.  Both for a complex element and for
-    # one with real coordinates, whose imaginary half is not conjugated
+    # NaN u' raises at any tolerance.  For a complex element and for ones
+    # with real or imaginary coordinates, whose other half is not conjugated
     rng = np.random.default_rng(27)
     u_real = expm(algebra._real_matrix(0.4 * rng.standard_normal((10, 5))))
     off = u_real + 1e-3 * rng.standard_normal(u_real.shape)
     both = rand_element(rng)
     one = algebra._REAL_PHASES * rng.standard_normal(10)
-    assert algebra._has_imaginary_half(both) and not algebra._has_imaginary_half(one)
-    for r in (both, one):
+    imaginary = 1j * algebra._REAL_PHASES * rng.standard_normal(10)
+    assert [algebra._nonzero_halves(r) for r in (both, one, imaginary)] == [(0, 1), (0,), (1,)]
+    for r in (both, one, imaginary):
         algebra._real_conjugate_by(off, r)
         for bad in (np.inf, np.nan):
             broken = off.copy()
@@ -579,16 +602,44 @@ def test_real_conjugation_leak_guard(monkeypatch):
             with np.errstate(invalid="ignore"), \
                     pytest.raises(ProjectionLeak, match="conjugation residual"):
                 algebra._real_conjugate_by(broken, r)
-    # a NaN coefficient whose imaginary half is 0 reaches the guard too
-    nan_r = one.copy()
-    nan_r[0] = np.nan
-    assert not algebra._has_imaginary_half(nan_r)
-    with np.errstate(invalid="ignore"), pytest.raises(ProjectionLeak, match="conjugation residual"):
-        algebra._real_conjugate_by(off, nan_r)
+    # a NaN coefficient in the one nonzero half reaches the guard too
+    for r, nan, half in ((one, np.nan, (0,)), (imaginary, complex(0.0, np.nan), (1,))):
+        nan_r = r.copy()
+        nan_r[0] = nan  # phi_0 = 1
+        assert algebra._nonzero_halves(nan_r) == half
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ProjectionLeak, match="conjugation residual"):
+            algebra._real_conjugate_by(off, nan_r)
     monkeypatch.setattr(algebra, "PROJ_TOL", 0.0)
-    for r in (both, one):
+    for r in (both, one, imaginary):
         with pytest.raises(ProjectionLeak, match="conjugation residual"):
             algebra._real_conjugate_by(off, r)
+
+
+def test_a_zero_half_leaves_the_leak_remainder_and_scale_unchanged(monkeypatch):
+    # the remainder and the operand size checked for an element with one
+    # zero half are bitwise those of conjugating both halves: the zero half
+    # adds exactly 0 to each sum of squares
+    rng = np.random.default_rng(31)
+    u = expm(algebra._real_matrix(0.4 * rng.standard_normal((10, 40))))
+    seen = []
+    original = algebra._check_leak
+
+    def recording(resid, scale, what):
+        seen.append((resid.copy(), scale.copy()))
+        return original(resid, scale, what)
+
+    monkeypatch.setattr(algebra, "_check_leak", recording)
+    for unit in (1.0, 1j):
+        for shape in ((10,), (3, 40, 10)):
+            e = unit * algebra._REAL_PHASES * rng.standard_normal(shape)
+            e = e * 10.0 ** rng.integers(-6, 6, shape)
+            algebra._real_conjugate_by(u, e)
+            with monkeypatch.context() as m:
+                m.setattr(algebra, "_nonzero_halves", lambda e: (0, 1))
+                algebra._real_conjugate_by(u, e)
+            (r1, s1), (r2, s2) = seen[-2:]
+            assert np.array_equal(r1, r2) and np.array_equal(s1, s2)
 
 
 def test_leak_guard_is_relative_to_the_operand_sizes():

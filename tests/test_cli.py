@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -423,6 +424,26 @@ def test_closed_form_run_whose_propagator_overflows_exits_1(tmp_path, capsys, la
         assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: propagator too large at t = ") and err.count("\n") == 1, err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("field", ["omega_x", "lam"])
+def test_lr_ode_run_whose_refinement_fails_names_the_config_fields(tmp_path, capsys, field):
+    # a drive of amplitude 1e20 on 11 points of [0, 1] puts STEP_TOL below
+    # the rounding floor of the substeps it would take; the error line names
+    # grid.steps and the profile with the largest modulus on the grid, and
+    # still gives the worst interval's time and delta
+    params = {name: {"kind": "constant", "value": 1.0} for name in ("a", "omega_x", "omega_y")}
+    params["lam"] = {"kind": "constant", "value": 0.5}
+    params[field] = {"kind": "sinusoid", "amp": 1e20, "freq": 3.0}
+    cfg = {"mode": "lr-ode", "grid": {"t0": 0.0, "t1": 1.0, "steps": 11}, "params": params}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid.steps (11) or params.%s (the largest profile" % field), err
+    assert err.count("\n") == 1
+    assert re.search(r"worst interval starts at t = [0-9.]+ with delta [0-9.e+]+$", err), err
     assert not (tmp_path / "report.json").exists()
 
 

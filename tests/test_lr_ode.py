@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sp4lr.algebra as algebra
+import sp4lr.hamiltonian as hamiltonian
 import sp4lr.lr_ode as lr_ode
 from sp4lr.algebra import (
     _REAL_D,
@@ -21,7 +23,8 @@ from sp4lr.algebra import (
 from sp4lr.crosschecks import ode_matrix
 from sp4lr.errors import (ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, Sp4lrError,
                           StepNotConverged)
-from sp4lr.hamiltonian import CoupledOscillatorParams, _h_coeffs, build_H_coeffs, build_H_modified
+from sp4lr.hamiltonian import (CoupledOscillatorParams, _h_coeffs, _h_real, build_H_coeffs,
+                               build_H_modified)
 from sp4lr.lr_ode import (
     ANSATZ_COMBINATIONS,
     COMM_TOL,
@@ -337,41 +340,65 @@ _PROFILES = st.one_of(
     st.builds(ScalarProfile.polynomial, st.lists(_VALUES, min_size=1, max_size=4)))
 
 
+def complex_h(a, wx, wy, lam):
+    """The coupled family's complex coefficients, each written on its own:
+    the oracle of ``hamiltonian._h_real``."""
+    a, wx, wy, lam = np.broadcast_arrays(a, wx, wy, lam)
+    c = np.zeros(a.shape + (10,), dtype=complex)
+    c[..., GeneratorId.J0] = a / 2.0 + (wx + wy) / 2.0
+    c[..., GeneratorId.Q2] = a / 2.0 - (wx + wy) / 2.0
+    c[..., GeneratorId.J3] = (wx - wy) / 2.0
+    c[..., GeneratorId.K1] = -(wx - wy) / 2.0
+    c[..., GeneratorId.J1] = c[..., GeneratorId.K3] = 1j * lam
+    return c
+
+
+def bits(x):
+    """The bit patterns of a float array, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(x).view(np.int64)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.tuples(_PROFILES, _PROFILES, _PROFILES, _PROFILES), st.sampled_from([1, 2, 3]))
 def test_exponents_are_exactly_real_in_the_real_form_basis(profiles, n):
-    # the coefficients of H at the Magnus nodes, the integral of H of the
-    # commuting path and the point-transform target carry real coordinates
-    # r = h conj(phi) with an imaginary part of exactly 0: the entry guard
-    # of evolve never has anything to drop, and phi r gives h back exactly
+    # the real coordinates that the lr path builds from the profile values,
+    # at the Magnus nodes (5, m, n) and for the integral of H of the
+    # commuting path, are bitwise r = h conj(phi) of the complex
+    # coefficients h, signs of zero included, and phi r gives h back; the
+    # point-transform target has an imaginary part of exactly 0 there too
     p = CoupledOscillatorParams(*profiles)
     t = np.linspace(-1.0, 2.0, 9)
     nodes = t[:-1, None, None] + (np.arange(n)[:, None] + _GL_NODES) * (np.diff(t) / n)[:, None, None]
-    integral = _h_coeffs(*(f.antiderivative(t, t[0]) for f in profiles))
+    nodes = np.moveaxis(nodes, -1, 0)  # (5, m, n), as _magnus_exponents takes them
+    for values in ([f(nodes) for f in profiles], [f.antiderivative(t, t[0]) for f in profiles]):
+        r = _h_real(*values)
+        assert r.dtype == float and r.flags.c_contiguous and r.shape == (10,) + np.shape(values[0])
+        assert np.array_equal(bits(r), bits(_real_coordinates(complex_h(*values))))
+        assert np.array_equal(_h_coeffs(*values), complex_h(*values))
+    assert np.array_equal(bits(_h_real(*(f(nodes) for f in profiles))),
+                          bits(_real_coordinates(build_H_coeffs(p, nodes))))
     modified = build_H_modified(*(f(t) for f in profiles[:3]))
-    for h in (build_H_coeffs(p, nodes), integral, modified):
-        assert np.all((h * _REAL_PHASES.conj()).imag == 0)
-        r = _real_coordinates(h)
-        assert r.dtype == float
-        assert np.array_equal(_REAL_PHASES * np.moveaxis(r, 0, -1), h)
+    assert np.all((modified * _REAL_PHASES.conj()).imag == 0)
+    assert np.array_equal(_REAL_PHASES * np.moveaxis(_real_coordinates(modified), 0, -1), modified)
 
 
-@pytest.mark.parametrize("name, mode", [("build_H_coeffs", "time_ordered"),
-                                        ("_h_coeffs", "commuting")])
-def test_real_form_guard_rejects_a_real_j1_coefficient(monkeypatch, name, mode):
-    # a J1 coefficient with a real part makes -i M(H) complex in the real
-    # form; evolve raises instead of dropping that part
-    original = getattr(lr_ode, name)
+def test_lr_paths_form_no_complex_hamiltonian(monkeypatch):
+    # the Magnus, commuting and probe paths read H only as the real
+    # coordinates written from the profile values: a run succeeds with
+    # every route to a complex H, or back from one, refused
+    def refuse(*args):
+        raise AssertionError("a complex Hamiltonian stack was formed")
 
-    def tilted(*args):
-        h = original(*args)
-        h[..., GeneratorId.J1] += 0.25
-        return h
-
-    monkeypatch.setattr(lr_ode, name, tilted)
-    osc = ClosedFormParams(2.0, ScalarProfile.constant(1.0)).oscillator_params()
-    with pytest.raises(ValueError, match="outside the real-form family"):
-        evolve(C0, np.linspace(0.0, 1.0, 11), osc, mode=mode)
+    for name in ("build_H_coeffs", "_h_coeffs", "_real_coordinates"):
+        assert not hasattr(lr_ode, name)
+    monkeypatch.setattr(hamiltonian, "build_H_coeffs", refuse)
+    monkeypatch.setattr(hamiltonian, "_h_coeffs", refuse)
+    monkeypatch.setattr(algebra, "_real_coordinates", refuse)
+    osc = ClosedFormParams(2.0, ScalarProfile.sinusoid(0.3, 1.0, 0.2, 1.0)).oscillator_params()
+    grid = np.linspace(0.0, 2.0, 41)
+    assert _commutativity_probe(osc, grid) <= COMM_TOL
+    for mode in ("time_ordered", "commuting"):
+        assert np.all(np.isfinite(evolve(C0, grid, osc, mode=mode)))
 
 
 @pytest.mark.parametrize("mode", ["time_ordered", "commuting"])
