@@ -179,14 +179,16 @@ def _require_finite_profiles(params, grid):
     products of two 2x2 minors, each minor at most
     ||row_i|| ||row_i+1|| <= rho^2/2 (Cauchy-Schwarz, then AM-GM), so at
     most 1.5 rho^4 <= 30.4 V^4; and sum |eps|^2 <= rho^2 (Schur),
-    |prod eps| <= rho^4/16.  Every one is at most 31 V^4, and
+    |prod eps| <= rho^4/16; the spectrum's tr^2, det and disc are at most
+    rho^4/4.  Every one is at most 31 V^4, and
     V <= DBL_MAX^(1/4) / 4 makes that at most 31/256 DBL_MAX.  (A constant
     omega_x of 1e78 overflows that row's squares; 1e77 does not.)  The
     point transform forms at most squares of its r (the operand norms of
     K, r^2 in the EP residual).  Not bounded here: a number parameter
     that scales a profile (the closed form's alpha), and the growth of an
-    lr propagator over the grid, which is a property of the dynamics, not
-    of the values.
+    lr propagator or closed-form trajectory over the grid, which is a
+    property of the dynamics, not of the values; each is bounded where it
+    is formed (``lr_ode._U_BOUND``, ``_CLOSED_FORM_BOUND``).
     """
     for name, value in params.items():
         if not isinstance(value, ScalarProfile):
@@ -403,9 +405,30 @@ def _lr_artifacts(grid, traj, params, outdir, stem, artifacts, rate=None):
     return sq, det, worst
 
 
+# The largest ||c|| of a closed-form trajectory that the checks may read.
+# The invariant matrix I has ||I||_F <= 2 ||c|| (c1..c6 sit in two entries
+# each, c7..c10 in one, doubled), and the highest power a check forms is
+# the fourth: ||I^2 - 1||_F^2 <= (4 ||c||^2 + 2)^2 and |det I| <=
+# ||I||_F^4 / 16.  At DBL_MAX^(1/4) / 4 both are at most DBL_MAX / 16.  The
+# involution residuals form cubes over |chi_plus| >= CHI_TOL, at most
+# 1e12 ||c||^3, and the LR residual sums products of c with H, each at most
+# ||h|| ||c|| <= 2.2 max(1, |alpha|) _PROFILE_BOUND ||c||: far below that.
+_CLOSED_FORM_BOUND = float(np.finfo(float).max) ** 0.25 / 4.0
+
+
 def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
     cf = ClosedFormParams(**cfg["params"])
-    traj, rate = _closed_form_and_rate(cf, grid)
+    # a trajectory beyond the bound, or one that overflows, stops the run
+    # with an error that names its fields and first grid time, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj, rate = _closed_form_and_rate(cf, grid)
+        size = np.linalg.norm(traj, axis=1)
+    bad = ~(size <= _CLOSED_FORM_BOUND)  # a NaN compares False
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise Sp4lrError("params.alpha (%g) with params.lam: the closed form is too large at "
+                         "t = %.6g: ||c|| = %.3e exceeds %.3e"
+                         % (cf.alpha, grid[k], size[k], _CLOSED_FORM_BOUND))
     osc = cf.oscillator_params()
     rng = np.random.default_rng(cfg["seed"])
 
@@ -432,8 +455,14 @@ def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
     # sampled guard shared with evolve
     checks.add("commutativity_probe", _commutativity_probe(osc, grid), COMM_TOL)
     c0 = traj[0]
-    checks.add("cross_solver_time_ordered",
-               float(np.abs(evolve(c0, grid, osc, mode="time_ordered") - traj).max()), 1e-6)
+    try:
+        ordered = evolve(c0, grid, osc, mode="time_ordered")
+    except StepNotConverged as exc:
+        # as in an lr-ode run: name the config fields that set the depth
+        raise StepNotConverged("grid.steps (%d) or params.lam (|value| up to %.3g on the grid) "
+                               "with params.alpha (%g): %s"
+                               % (grid.size, float(np.abs(cf.lam(grid)).max()), cf.alpha, exc)) from None
+    checks.add("cross_solver_time_ordered", float(np.abs(ordered - traj).max()), 1e-6)
     checks.add("cross_solver_commuting",
                float(np.abs(evolve(c0, grid, osc, mode="commuting") - traj).max()), 1e-8)
 
@@ -573,33 +602,52 @@ def _spectrum_invariants(evs, m):
     themselves are resolved only to about sqrt(eps) but the symmetric
     functions stay well conditioned.  M is the independent route: its
     trace and its determinant (:func:`_det4`, a general expansion) never
-    see the real form or its 2x2 block.
+    see the closed form of the spectrum; the spectrum never sees M.
 
     The bound, ``_SPECTRUM_TOL`` = 64 eps, counts rounding in units of
-    u = eps/2 with rho = ||M||_F = ||c|| (the basis is orthonormal).  A
-    perturbation E of M moves tr M^2 by at most 2 rho ||E||_F and det M
-    by at most ||adj M||_F ||E||_F <= rho^3/4 ||E||_F (Maclaurin's
-    inequality on the singular values), to first order.
-    * Both routes assemble a matrix from c (M, or the real form A): at
-      most four terms c_k/2 per entry, so within 6u rho of exact: 12u on
-      the trace and 1.5u on the determinant, per route.
+    u = eps/2, to first order, from the profile values a, omega_x,
+    omega_y, lam, with rho = ||M||_F = ||c|| (the basis is orthonormal)
+    for the exact coefficients c, rho^2 = a^2/2 + omega_x^2 + omega_y^2 +
+    2 lam^2.  A perturbation E of M moves tr M^2 by at most 2 rho ||E||_F
+    and det M by at most ||adj M||_F ||E||_F <= rho^3/4 ||E||_F
+    (Maclaurin's inequality on the singular values).
+    * M: c is rounded within 2u rho of exact (Omega+- and the halves of
+      J0 and Q2), and each entry of M sums at most four terms c_k/2, so
+      ||E||_F <= 8u rho: 16u on the trace and 2u on the determinant.
     * tr M^2 is a sum of 16 complex products: 18u.  The Laplace
       expansion rounds each of its 24 permutation products by at most
       16u (a complex product in each minor, their difference, the
       product of two minors, the sum of six), and their moduli sum to
       the permanent of |M|, at most prod_i ||row_i||_1 <= 16 prod_i
       ||row_i||_2 <= rho^4: 16u.
-    * fl(BC) is within 2u ||B||_F ||C||_F <= u rho^2 of BC, and LAPACK's
-      2x2 eigenvalues are those of BC + G with ||G||_F <= 10u ||BC||_F
-      <= 5u rho^2: on sum eps^2 = -2 tr(BC), 17u; on prod eps =
-      det(BC), 3u.  The sort zeroes an imaginary part within 1e-12 of
-      the largest modulus only in a conjugate pair or in a pair
-      +-i delta, which moves both sums at second order.
+    * The closed form (``hamiltonian.instantaneous_eigenvalues``) gives
+      sum eps^2 = -2 (z1 + z2) and prod eps = z1 z2 for its roots z1, z2
+      of mu^2 - tr mu + det.  Let S = (a/2)^2 ((omega_x + omega_y)^2 +
+      (omega_x - omega_y)^2 + 4 lam^2) <= rho^4/4 (AM-GM on a^2/2 and
+      rho^2 - a^2/2); tr^2, |disc|, 4|det| and |z1|^2 are each at most S.
+      ``hamiltonian._bc_invariants`` rounds tr within 2u|tr|, det within
+      uS (4u det where omega_x omega_y >= 0) and disc within
+      2u (a/2)^2 (omega_x - omega_y)^2 + 5u|disc| <= 7uS; z1 is within
+      2u of the larger root of mu^2 - tr mu + det'' for the rounded tr
+      and disc, det'' = (tr^2 - disc) / 4.
+      Where omega_x omega_y >= 0, z2 = det / z1: the product is the
+      exact det within 8u det <= 0.5u rho^4; the sum is off from the
+      exact tr by the rounding of tr, 2u sqrt S, by 2u |z1| + 6u |z2|
+      (z1 and the division), and by (det - det'') / z1, where the
+      rounded det and det'' differ by at most 9u det + 2.75u tr^2
+      (|disc| <= tr^2 + 4 det, (a/2)^2 (omega_x - omega_y)^2 <= tr^2)
+      and |z1| >= max(|tr|/2, sqrt det): within 20u sqrt S in all, so
+      20u rho^2 on sum eps^2.  Elsewhere z2 = tr - z1: the sum is the
+      exact tr within 3u sqrt S (3u rho^2 on sum eps^2), and the product
+      is det'' within 3u S, det'' within 2.75u S of the exact det:
+      1.5u rho^4.
     * The square root, the squares and the products of the row: 16u,
       since sum |eps|^2 <= rho^2 (Schur), and 2u, since
-      |prod eps| <= rho^4/16.
-    So the trace term is at most 75u (38 eps) and the determinant term
-    24u (12 eps); the bound of 64 eps holds both.  A relative change of
+      |prod eps| <= rho^4/16.  The sort zeroes an imaginary part within
+      1e-12 of the largest modulus only in a conjugate pair or in a pair
+      +-i delta, which moves both sums at second order.
+    So the trace term is at most 70u (35 eps) and the determinant term
+    21.5u (11 eps); the bound of 64 eps holds both.  A relative change of
     1e-12 in the largest eigenvalue moves the trace term by
     2e-12 |eps1|^2 / rho^2: 4.7e-13 on the shipped regime map, 33 times
     the bound.

@@ -16,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import _REAL_PHASES, GeneratorId, _real_coordinates, _real_matrix
-from .numerics import _sort_real_imag, eig4
+from .algebra import _REAL_PHASES, GeneratorId
+from .numerics import _sort_real_imag
 from .profiles import ScalarProfile
 
 __all__ = [
@@ -111,12 +111,14 @@ def eigenvalue_formula(a, omega_plus, lam) -> np.ndarray:
 
     epsilon(+-,+-) = +-(1/2) [a*Omega+^2 +- a*sqrt(Omega+^2 - 4 lam^2)]^(1/2)
     on principal complex branches, sorted by (real, imag) along the last
-    axis.  Kept verbatim as the published form; the numeric spectrum
-    (:func:`instantaneous_eigenvalues`, from LAPACK on the 2x2 block
-    product of the real form) is the trusted route, checked against the
-    trace and determinant of the complex 4x4 M(H) by the regime map's
-    ``spectrum_invariants`` row, and the deviation between the two is
-    reported by the cross-check suite, not asserted.
+    axis.  Kept verbatim as the published form; the trusted spectrum is
+    :func:`instantaneous_eigenvalues`, the roots of the characteristic
+    polynomial of the 2x2 block product BC, whose discriminant is
+    a^2 ((omega_x - omega_y)^2 - 4 lam^2) / 4, not a multiple of
+    Omega+^2 - 4 lam^2.  It is checked against the trace and determinant
+    of the complex 4x4 M(H) by the regime map's ``spectrum_invariants``
+    row, and the deviation between the two is reported by the cross-check
+    suite, not asserted.
     """
     csqrt = np.lib.scimath.sqrt
     inner = csqrt(omega_plus**2 - 4.0 * lam**2)
@@ -127,29 +129,66 @@ def eigenvalue_formula(a, omega_plus, lam) -> np.ndarray:
     return _sort_real_imag(np.stack(eps, axis=-1))
 
 
+def _bc_invariants(a, wx, wy, lam):
+    """Trace, determinant and discriminant of the 2x2 block product BC
+    (see :func:`instantaneous_eigenvalues`), from the profile values:
+
+        tr BC   = -(a/2) (omega_x + omega_y),
+        det BC  = (a/2)^2 (lam^2 + omega_x omega_y),
+        disc    = tr^2 - 4 det = (a/2)^2 (d - 2 lam) (d + 2 lam),
+
+    with d = omega_x - omega_y.  The discriminant is taken in that
+    factored form, so its sign, which decides whether mu is real, is
+    read from d -+ 2 lam and not from a difference of squares; it is 0
+    exactly where d = +-2 lam.  Their rounding is counted in
+    ``cli._spectrum_invariants``.
+    """
+    half_a = np.divide(a, 2.0)
+    d = np.subtract(wx, wy)
+    tr = -half_a * np.add(wx, wy)
+    scale = np.multiply(half_a, half_a)  # not **: a numpy scalar's power rounds apart from the array's
+    det = scale * (np.multiply(lam, lam) + np.multiply(wx, wy))
+    disc = scale * ((d - 2.0 * lam) * (d + 2.0 * lam))
+    return tr, det, disc
+
+
 def instantaneous_eigenvalues(p: CoupledOscillatorParams, t) -> np.ndarray:
     """Four instantaneous eigenvalues of M(H), sorted by (real, imag).
 
     ``t`` is a scalar (shape (4,) result) or an array of times (shape
-    ``t.shape + (4,)``).  The spectrum comes from the real form
-    A = D^-1 (-i M(H)) D = sum_k r_k R_k of the real coordinates r of H
-    (``algebra._real_coordinates``, which raises ValueError where an
-    imaginary part would be dropped).  The family has no
-    position-momentum cross terms, so A = [[0, B], [C, 0]] in 2x2 blocks;
-    a diagonal block that is not exactly 0 raises ValueError.  Then
-    A^2 = diag(BC, CB) (Van Loan's square-reduced form of a Hamiltonian
-    matrix, Linear Algebra Appl. 61 (1984) 233, here an exact 2x2 block),
-    so spec(A) = +-sqrt(spec(BC)) and spec(M) = i spec(A): one batched
-    LAPACK call (:func:`sp4lr.numerics.eig4`) on the real (..., 2, 2)
-    stack BC gives mu, and the eigenvalues are +-i sqrt(mu).
+    ``t.shape + (4,)``); ValueError where a profile value is not finite.
+    In the real form A = D^-1 (-i M(H)) D the family has no
+    position-momentum cross terms, so A = [[0, B], [C, 0]] in 2x2 blocks
+    and A^2 = diag(BC, CB) (Van Loan's square-reduced form of a
+    Hamiltonian matrix, Linear Algebra Appl. 61 (1984) 233, here an exact
+    2x2 block): spec(M) = i spec(A) = +-i sqrt(mu) for the two roots mu of
+    mu^2 - tr mu + det = 0, whose coefficients :func:`_bc_invariants`
+    writes from the four profile values.  No matrix is formed and no
+    eigensolver is called; every step is elementwise in t.
+
+    The larger root is z1 = (tr + sgn(tr) sqrt(disc)) / 2, a sum without
+    cancellation (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sec. 1.8).  The other is z2 = det / z1 where
+    omega_x omega_y >= 0: there det is a sum of two nonnegative terms,
+    accurate relative to itself, and so is z2, however small.  Elsewhere
+    det may cancel, and its rounding need not agree with that of disc:
+    near the nilpotent point (omega_y = -omega_x, lam = |omega_x|, where
+    tr = det = disc = 0) det / z1 would put an error of up to order
+    sqrt(eps) rho^2 into z1 + z2 = tr.  There z2 = tr - z1, which keeps
+    the sum of the roots to one rounding, their product to rounding of
+    rho^4, and a complex pair exact conjugates.  Where z1 = 0 (then
+    tr = disc = det = 0) both roots are 0.  The error of both
+    symmetric functions is derived in ``cli._spectrum_invariants``.
     :func:`eigenvalue_formula` is the published closed form.
     """
-    a = _real_matrix(_real_coordinates(build_H_coeffs(p, t)))
-    if np.any(a[..., :2, :2] != 0) or np.any(a[..., 2:, 2:] != 0):
-        raise ValueError("the Hamiltonian has position-momentum cross terms: "
-                         "-i M(H) is not block off-diagonal in the real form")
-    root = np.sqrt(eig4(a[..., :2, 2:] @ a[..., 2:, :2]).astype(complex))
-    eps = 1j * root
+    t = np.asarray(t, dtype=float)
+    a, wx, wy, lam = (f(t) for f in (p.a, p.omega_x, p.omega_y, p.lam))
+    if not all(np.isfinite(v).all() for v in (a, wx, wy, lam)):
+        raise ValueError("a profile value on the grid is not finite")
+    tr, det, disc = _bc_invariants(a, wx, wy, lam)
+    z1 = (tr + np.copysign(1.0, tr) * np.sqrt(disc + 0j)) / 2.0
+    z2 = np.where(np.multiply(wx, wy) >= 0, det / np.where(z1 == 0, 1.0, z1), tr - z1)
+    eps = 1j * np.sqrt(np.stack([z1, z2], axis=-1))
     # + 0.0: negating an exactly zero part leaves -0.0
     return _sort_real_imag(np.concatenate([eps, -eps], axis=-1) + 0.0)
 
@@ -172,7 +211,8 @@ def classify_regime(p: CoupledOscillatorParams, t):
     the boundary is measure-zero, so it gets a band.  A scalar ``t``
     gives a :class:`Regime`, an array of times an object array of them
     with the shape of ``t``.  The thresholds are those of the published
-    discriminant; the numeric spectrum breaks where the discriminant of
-    BC (see :func:`instantaneous_eigenvalues`) changes sign instead.
+    discriminant; the spectrum of :func:`instantaneous_eigenvalues`
+    breaks where the discriminant of BC, a^2 ((omega_x - omega_y)^2 -
+    4 lam^2) / 4 (:func:`_bc_invariants`), changes sign instead.
     """
     return _REGIMES[_regime_index(p, t)]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from sp4lr import cli
 from sp4lr._csv17 import _format17
-from sp4lr.algebra import to_matrix
+from sp4lr.algebra import GeneratorId, to_matrix
 from sp4lr.cli import _resolve_config, describe_schema, emit_plot_data, main, run_scenario
 from sp4lr.hamiltonian import CoupledOscillatorParams, build_H_coeffs, classify_regime
 from sp4lr.lr_ode import (
@@ -427,6 +427,40 @@ def test_closed_form_run_whose_propagator_overflows_exits_1(tmp_path, capsys, la
     assert not (tmp_path / "report.json").exists()
 
 
+def test_closed_form_run_whose_trajectory_overflows_names_its_fields(tmp_path, capsys):
+    # alpha 2, lam = 1 + 1e4 sin 30t: the profile passes its bound, but the
+    # hyperbolic closed form reaches ||c|| ~ 1e138 at t = 0.1, beyond the
+    # fourth root of DBL_MAX that the det I and I^2 = 1 checks need.  It
+    # once warned from involution_residuals and det and then failed in the
+    # cross-solver refinement, naming no field; the run must stop with one
+    # error line that names both fields and the first grid time
+    cfg = {"mode": "lr-closed-form", "grid": {"t0": 0.0, "t1": 1.0, "steps": 11},
+           "params": {"alpha": 2.0, "lam": {"kind": "sinusoid", "amp": 1e4, "freq": 30.0,
+                                            "offset": 1.0}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: params.alpha (2) with params.lam: the closed form is too large "
+                          "at t = 0.1: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_closed_form_run_whose_cross_solver_refinement_fails_names_its_fields(tmp_path, capsys):
+    # lam = 1 + 1e3 sin 30t keeps the closed form within its bound, but the
+    # time-ordered cross-solver cannot refine 11 points of [0, 1] to its
+    # tolerance; the error line names grid.steps, params.lam and params.alpha
+    cfg = {"mode": "lr-closed-form", "grid": {"t0": 0.0, "t1": 1.0, "steps": 11},
+           "params": {"alpha": 2.0, "lam": {"kind": "sinusoid", "amp": 1e3, "freq": 30.0,
+                                            "offset": 1.0}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid.steps (11) or params.lam (|value| up to ") and \
+        "with params.alpha (2): refinement cannot reach" in err and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("field", ["omega_x", "lam"])
 def test_lr_ode_run_whose_refinement_fails_names_the_config_fields(tmp_path, capsys, field):
     # a drive of amplitude 1e20 on 11 points of [0, 1] puts STEP_TOL below
@@ -597,6 +631,41 @@ def test_spectrum_invariants_row_fails_on_a_spectrum_fault(tmp_path, monkeypatch
     checks = {c["name"]: c for c in run_scenario(cfg, str(tmp_path / "fault"))["checks"]}
     assert checks["eigenvalue_pairing"]["status"] == "pass"
     assert checks["spectrum_invariants"]["status"] == "fail"
+
+
+def test_spectrum_invariants_row_fails_on_a_position_momentum_term(tmp_path, monkeypatch):
+    # i times a real J2 coefficient is a position-momentum cross term, which
+    # the coupled family does not have.  The spectrum is taken from the
+    # profile values and never sees it; the complex M(H) of the row does, so
+    # the run fails there with exit 2
+    original = cli.build_H_coeffs
+
+    def with_j2(p, t):
+        h = original(p, t)
+        h[..., GeneratorId.J2] = 0.25j
+        return h
+
+    monkeypatch.setattr(cli, "build_H_coeffs", with_j2)
+    cfg = write_cfg(tmp_path, _shipped_regime_map())
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+    assert failed == ["spectrum_invariants"]
+
+
+@pytest.mark.parametrize("amp", [1e-3, 1e-6, 1e-9])
+def test_spectrum_invariants_hold_near_the_nilpotent_point(tmp_path, amp):
+    # a = 2, omega_x = -omega_y = lam = 1/2 makes BC nilpotent (tr = det =
+    # disc = 0).  Around it, with omega_x omega_y < 0, a second root taken
+    # as det / z1 would miss tr by up to order sqrt(eps) rho^2, since the
+    # rounded det and disc disagree at the scale of rho^4; tr - z1 keeps
+    # the row within its derived 64 eps on every sample
+    params = {name: {"kind": "sinusoid", "amp": amp, "freq": freq, "phase": 0.3, "offset": value}
+              for name, freq, value in (("a", 1.1, 2.0), ("omega_x", 1.7, 0.5),
+                                        ("omega_y", 2.3, -0.5), ("lam", 2.9, 0.5))}
+    cfg = {"mode": "regime-map", "grid": {"t0": 0.0, "t1": 6.0, "steps": 601}, "params": params}
+    checks = {c["name"]: c for c in run_scenario(cfg, str(tmp_path))["checks"]}
+    assert checks["spectrum_invariants"]["status"] == "pass", checks
 
 
 def test_eigenvalue_pairing_row_fails_on_an_unpaired_eigenvalue(tmp_path, monkeypatch):

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sp4lr.hamiltonian as hamiltonian
 from sp4lr.algebra import GeneratorId, adjoint, parity_action, pt_map, to_matrix
@@ -207,14 +209,14 @@ def test_numeric_matches_dense_oracle():
 
 
 def test_instantaneous_eigenvalues_batched_equals_scalar():
-    # the batched and single matrix products differ in the last bit; the
-    # tie tolerance of the sort keeps a conjugate pair in one column order
+    # every step of the spectrum is elementwise in t, so a batched call and
+    # one call per time agree bit for bit
     for _ in range(10):
         p = random_params(RNG)
         batched = instantaneous_eigenvalues(p, GRID)
         assert batched.shape == (GRID.size, 4)
         stacked = np.stack([instantaneous_eigenvalues(p, t) for t in GRID])
-        np.testing.assert_allclose(batched, stacked, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(batched, stacked)
         formula = formula_eigenvalues(p, GRID)
         np.testing.assert_array_equal(
             formula, np.stack([formula_eigenvalues(p, t) for t in GRID]))
@@ -295,17 +297,64 @@ def test_block_spectrum_matches_the_complex_4x4_as_sets():
     assert worst <= 1e-12
 
 
-def test_block_spectrum_rejects_position_momentum_terms(monkeypatch):
-    # i times a real J2 coefficient has real coordinates, so the real-form
-    # guard passes it; it sits in a diagonal block of the real form, which
-    # the spectrum raises on instead of dropping
-    original = hamiltonian.build_H_coeffs
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       amps=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       freqs=st.lists(st.floats(0.1, 3.0), min_size=4, max_size=4))
+def test_closed_form_spectrum_matches_the_complex_4x4_on_mixed_signs(values, amps, freqs):
+    # constant and sinusoid profiles of either sign, compared as sets with
+    # the complex 4x4 eigvals wherever |disc| is not within sqrt(eps) of 0 on
+    # the scale rho^4, rho^2 = ||M||_F^2 = a^2/2 + omega_x^2 + omega_y^2 +
+    # 2 lam^2.  They are compared squared: a root mu near 0 makes the pair
+    # +-i sqrt(mu) a near-double eigenvalue of M, which LAPACK resolves only
+    # to about sqrt(eps) on its own, but its square to rounding.  LAPACK's
+    # backward error u rho on M moves BC by about 2u rho^2, and a root of BC
+    # by that times ||BC||_F / sqrt|disc| <= (rho^2 / 2) eps^(-1/4) / rho^2:
+    # at most 9e-13 rho^2 on the kept samples, checked at 1e-11 rho^2
+    p = CoupledOscillatorParams(*(ScalarProfile.sinusoid(amp, f, 0.3, v)
+                                  for v, amp, f in zip(values, amps, freqs)))
+    got = instantaneous_eigenvalues(p, GRID)
+    want = np.linalg.eigvals(to_matrix(build_H_coeffs(p, GRID)))
+    a, wx, wy, lam = (f(GRID) for f in (p.a, p.omega_x, p.omega_y, p.lam))
+    rho2 = a**2 / 2.0 + wx**2 + wy**2 + 2.0 * lam**2
+    disc = hamiltonian._bc_invariants(a, wx, wy, lam)[2]
+    kept = np.abs(disc) > np.sqrt(np.finfo(float).eps) * rho2**2
+    rel = multiset_distance(got[kept] ** 2, want[kept] ** 2) / rho2[kept]
+    assert (rel <= 1e-11).all(), rel.max()
 
-    def with_j2(p, t):
-        h = original(p, t)
-        h[..., G.J2] = 0.25j
-        return h
 
-    monkeypatch.setattr(hamiltonian, "build_H_coeffs", with_j2)
-    with pytest.raises(ValueError, match="position-momentum"):
-        instantaneous_eigenvalues(const_params(1.0, 1.2, 0.8, 0.3), GRID)
+def test_closed_form_spectrum_exact_at_the_nilpotent_point():
+    # a = 2, omega_x = -omega_y = lam = 1/2: tr = det = disc = 0, so BC is
+    # nilpotent; the 4x4 LAPACK reference reads about 1e-8 there
+    got = instantaneous_eigenvalues(const_params(2.0, 0.5, -0.5, 0.5), 0.0)
+    np.testing.assert_array_equal(got, np.zeros(4))
+    assert not np.signbit(got.real).any() and not np.signbit(got.imag).any()
+
+
+@pytest.mark.parametrize("a, w", [(1.0, 1.0), (2.0, 2.0), (0.7, 1.3), (2.5, 0.4)])
+def test_closed_form_spectrum_at_the_hermitian_degenerate_point(a, w):
+    # lam = 0, omega_x = omega_y = w: disc = 0 and mu = -a w / 2 twice, so the
+    # spectrum is +-sqrt(a w / 2), each twice, and real
+    got = instantaneous_eigenvalues(const_params(a, w, w, 0.0), 0.0)
+    root = np.sqrt(a * w / 2.0)
+    assert (got.imag == 0).all()
+    np.testing.assert_allclose(got.real, [-root, -root, root, root], rtol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("ratio", [1e-4, 1e-8, 1e-12])
+def test_closed_form_spectrum_keeps_a_small_root_to_rounding(ratio):
+    # lam = 0, omega_y = ratio omega_x > 0: mu = -(a/2) omega_x and
+    # -(a/2) omega_y.  det / z1 gives the small root to rounding of itself;
+    # tr - z1 (or an eigensolver on BC) only to rounding of the large one
+    a, wx = 1.3, 0.9
+    wy = ratio * wx
+    got = instantaneous_eigenvalues(const_params(a, wx, wy, 0.0), 0.0)
+    want = np.sort(np.concatenate([np.sqrt([a * wx / 2.0, a * wy / 2.0]),
+                                   -np.sqrt([a * wx / 2.0, a * wy / 2.0])]))
+    assert (got.imag == 0).all()
+    np.testing.assert_allclose(got.real, want, rtol=8 * np.finfo(float).eps, atol=0)
+
+
+def test_instantaneous_eigenvalues_reject_a_profile_value_not_finite():
+    with pytest.raises(ValueError, match="not finite"):
+        instantaneous_eigenvalues(const_params(1.0, np.nan, 0.8, 0.3), GRID)
