@@ -39,6 +39,7 @@ from .errors import ConfigInvalid, ProfileDomain, Sp4lrError, StepNotConverged
 from .hamiltonian import (
     CoupledOscillatorParams,
     Regime,
+    _h_coeffs,
     _regime_index,
     build_H_coeffs,
     build_H_modified,
@@ -47,9 +48,9 @@ from .hamiltonian import (
 from .lr_ode import (
     COMM_TOL,
     ClosedFormParams,
-    _closed_form_and_rate,
     _commutativity_probe,
     assemble_invariant,
+    closed_form_on_grid,
     evolve,
     invariant_matrix,
     involution_residuals,
@@ -153,6 +154,7 @@ def _resolve_config(cfg) -> dict:
     _require(resolved["grid"]["steps"] <= _MAX_STEPS,
              "grid.steps: at most %d points (about 3.5 kB of memory per point)" % _MAX_STEPS)
     _require(resolved["grid"]["t1"] > resolved["grid"]["t0"], "grid.t1 must exceed grid.t0")
+    _require(resolved["params"].get("samples", 0) >= 0, "params.samples: must not be negative")
     if "SP4_SEED" in os.environ:
         resolved["seed"] = int(os.environ["SP4_SEED"])
     return resolved
@@ -164,7 +166,8 @@ _PROFILE_BOUND = float(np.finfo(float).max) ** 0.25 / 4.0
 
 
 def _require_finite_profiles(params, grid):
-    """Evaluate each profile of ``params`` once on ``grid``, values only;
+    """Evaluate each profile of ``params`` once on ``grid`` and return the
+    values, ``{field: values}``, which every stage of the run reads;
     ConfigInvalid("params.<field>: ...") where one is not finite there
     (a polynomial that overflows on a long grid, say), exceeds
     ``_PROFILE_BOUND`` in modulus there, or is tabulated on a window that
@@ -190,12 +193,13 @@ def _require_finite_profiles(params, grid):
     property of the dynamics, not of the values; each is bounded where it
     is formed (``lr_ode._U_BOUND``, ``_CLOSED_FORM_BOUND``).
     """
-    for name, value in params.items():
-        if not isinstance(value, ScalarProfile):
+    out = {}
+    for name, profile in params.items():
+        if not isinstance(profile, ScalarProfile):
             continue
         try:
             with np.errstate(all="ignore"):
-                values = value(grid)
+                out[name] = values = profile(grid)
         except ProfileDomain as exc:
             raise ConfigInvalid("params.%s: %s" % (name, exc)) from None
         finite = np.isfinite(values)
@@ -208,6 +212,7 @@ def _require_finite_profiles(params, grid):
             raise ConfigInvalid("params.%s: |value| %.3g exceeds %.3g on the grid, "
                                 "first at t = %.17g"
                                 % (name, abs(values[k]), _PROFILE_BOUND, grid[k]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +360,7 @@ def _require(cond, msg):
 # modes
 
 
-def _run_algebra_check(cfg, grid, outdir, checks, artifacts):
+def _run_algebra_check(cfg, grid, values, outdir, checks, artifacts):
     rng = np.random.default_rng(cfg["seed"])
     gen = generator_matrices()
     f = structure_constants()
@@ -373,27 +378,23 @@ def _run_algebra_check(cfg, grid, outdir, checks, artifacts):
     e = np.eye(10) * (1 + 0.3j)
     checks.add("pt_involution", max(float(np.abs(pt_map(pt_map(e, v), v) - e).max())
                                     for v in ("PT", "PT_tilde")), 1e-15)
-    # parity vs adjoint on random Hamiltonians
-    worst = 0.0
-    for _ in range(cfg["params"]["samples"]):
-        a, wx, wy, lam = rng.uniform(0.2, 3.0, size=4)
-        p = CoupledOscillatorParams(*(ScalarProfile.constant(v) for v in (a, wx, wy, lam)))
-        h = build_H_coeffs(p, 0.0)
-        worst = max(worst, float(np.abs(parity_action(h) - adjoint(h)).max()))
-    checks.add("parity_equals_adjoint", worst, 1e-12)
+    # parity vs adjoint on random Hamiltonians, one (a, omega_x, omega_y, lam) per row
+    h = _h_coeffs(*rng.uniform(0.2, 3.0, size=(cfg["params"]["samples"], 4)).T)
+    checks.add("parity_equals_adjoint",
+               float(np.abs(parity_action(h) - adjoint(h)).max(initial=0.0)), 1e-12)
     return {"known_discrepancies": [r.to_dict() for r in crosschecks.standard_records()]}
 
 
-def _lr_artifacts(grid, traj, params, outdir, stem, artifacts, rate=None):
+def _lr_artifacts(grid, traj, h, outdir, stem, artifacts, rate=None):
     """Write ``<stem>_trajectory.csv`` (t and the coefficients) and
     ``<stem>_residuals.csv`` (t and the three per-sample defects); return
-    the per-sample ||I^2 - 1||_F and |det I - 1| and the LR residual,
-    taken with the exact coefficient rate ``rate`` where the route has one."""
+    the per-sample ||I^2 - 1||_F and |det I - 1| and the LR residual
+    against the Hamiltonian coefficients ``h`` on the grid, taken with
+    the exact coefficient rate ``rate`` where the route has one."""
     mats = invariant_matrix(traj)
     sq = frobenius(mats @ mats - np.eye(4))
     det = np.abs(np.linalg.det(mats) - 1.0)
-    worst, defect = lr_residual(assemble_invariant(traj), build_H_coeffs(params, grid), grid,
-                                return_samples=True,
+    worst, defect = lr_residual(assemble_invariant(traj), h, grid,
                                 didt=None if rate is None else assemble_invariant(rate))
     names, cols = _complex_columns(["c%d" % (k + 1) for k in range(10)], traj)
     names, cols = ["t"] + names, [grid] + cols
@@ -416,12 +417,12 @@ def _lr_artifacts(grid, traj, params, outdir, stem, artifacts, rate=None):
 _CLOSED_FORM_BOUND = float(np.finfo(float).max) ** 0.25 / 4.0
 
 
-def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
+def _run_lr_closed_form(cfg, grid, values, outdir, checks, artifacts):
     cf = ClosedFormParams(**cfg["params"])
     # a trajectory beyond the bound, or one that overflows, stops the run
     # with an error that names its fields and first grid time, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        traj, rate = _closed_form_and_rate(cf, grid)
+        traj, rate = closed_form_on_grid(cf, grid)
         size = np.linalg.norm(traj, axis=1)
     bad = ~(size <= _CLOSED_FORM_BOUND)  # a NaN compares False
     if np.any(bad):
@@ -446,8 +447,10 @@ def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
     r1, r2, r7, r10 = involution_residuals(traj[idx])
     checks.add("involution_constraints",
                float(max(np.abs(r).max() for r in (r1, r2, r7, r10))), 1e-10)
-    sq, det, lr_worst = _lr_artifacts(grid, traj, osc, outdir, "closed_form", artifacts,
-                                      rate=rate)
+    # H from the scaled profiles: alpha * lam(t) would round apart from
+    # lam.scaled(alpha)(t), which scales amp and offset separately
+    sq, det, lr_worst = _lr_artifacts(grid, traj, build_H_coeffs(osc, grid), outdir,
+                                      "closed_form", artifacts, rate=rate)
     checks.add("invariant_squares_to_identity", float(sq.max()), 1e-10)
     checks.add("unit_determinant", float(det.max()), 1e-10)
     checks.add("lr_residual", lr_worst, 1e-8)
@@ -461,7 +464,7 @@ def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
         # as in an lr-ode run: name the config fields that set the depth
         raise StepNotConverged("grid.steps (%d) or params.lam (|value| up to %.3g on the grid) "
                                "with params.alpha (%g): %s"
-                               % (grid.size, float(np.abs(cf.lam(grid)).max()), cf.alpha, exc)) from None
+                               % (grid.size, float(np.abs(values["lam"]).max()), cf.alpha, exc)) from None
     checks.add("cross_solver_time_ordered", float(np.abs(ordered - traj).max()), 1e-6)
     checks.add("cross_solver_commuting",
                float(np.abs(evolve(c0, grid, osc, mode="commuting") - traj).max()), 1e-8)
@@ -469,7 +472,7 @@ def _run_lr_closed_form(cfg, grid, outdir, checks, artifacts):
     return {"alpha": cf.alpha}
 
 
-def _run_lr_ode(cfg, grid, outdir, checks, artifacts):
+def _run_lr_ode(cfg, grid, values, outdir, checks, artifacts):
     p = dict(cfg["params"])
     solver, c0, lr_tol = p.pop("solver"), p.pop("c0"), p.pop("lr_tol")
     params = CoupledOscillatorParams(**p)
@@ -478,13 +481,13 @@ def _run_lr_ode(cfg, grid, outdir, checks, artifacts):
     except StepNotConverged as exc:
         # the step refinement failed: name the grid and the profile with
         # the largest modulus on it, the config fields that set its depth
-        peak = {name: float(np.abs(f(grid)).max()) for name, f in p.items()}
+        peak = {name: float(np.abs(values[name]).max()) for name in p}
         name = max(peak, key=peak.get)
         raise StepNotConverged("grid.steps (%d) or params.%s (the largest profile, |value| up "
                                "to %.3g on the grid): %s"
                                % (grid.size, name, peak[name], exc)) from None
-    checks.add("lr_residual", _lr_artifacts(grid, traj, params, outdir, "ode", artifacts)[2],
-               lr_tol)
+    h = _h_coeffs(*(values[name] for name in _COUPLED))
+    checks.add("lr_residual", _lr_artifacts(grid, traj, h, outdir, "ode", artifacts)[2], lr_tol)
     return {"solver": solver}
 
 
@@ -503,7 +506,7 @@ def _inverse_defect(eta):
                   / (frobenius(eta) * frobenius(eta_inv))).max())
 
 
-def _run_point_transform(cfg, grid, outdir, checks, artifacts):
+def _run_point_transform(cfg, grid, values, outdir, checks, artifacts):
     params = PointTransformParams(**cfg["params"])
     rng = np.random.default_rng(cfg["seed"])
 
@@ -659,16 +662,16 @@ def _spectrum_invariants(evs, m):
     return float(max(trace.max(), det.max()))
 
 
-def _run_regime_map(cfg, grid, outdir, checks, artifacts):
-    params = CoupledOscillatorParams(**cfg["params"])
-    evs = instantaneous_eigenvalues(params, grid)
+def _run_regime_map(cfg, grid, values, outdir, checks, artifacts):
+    a, wx, wy, lam = (values[name] for name in _COUPLED)
+    evs = instantaneous_eigenvalues(a, wx, wy, lam)
     # spectrum symmetric about zero: the sort lists -eps opposite each eps
     # (0 by construction, as +-i sqrt(mu))
     pairing = float(np.abs(evs + evs[:, ::-1]).max())
     checks.add("eigenvalue_pairing", pairing, 1e-10)
     checks.add("spectrum_invariants",
-               _spectrum_invariants(evs, to_matrix(build_H_coeffs(params, grid))), _SPECTRUM_TOL)
-    regimes = _REGIME_LABELS[_regime_index(params, grid)]
+               _spectrum_invariants(evs, to_matrix(_h_coeffs(a, wx, wy, lam))), _SPECTRUM_TOL)
+    regimes = _REGIME_LABELS[_regime_index(wx, wy, lam)]
     names = ["t"] + ["re%d" % (k + 1) for k in range(4)] + ["im%d" % (k + 1) for k in range(4)] + ["regime"]
     cols = [grid] + [evs[:, k].real for k in range(4)] + [evs[:, k].imag for k in range(4)] + [regimes]
     path = os.path.join(outdir, "eigenvalue_trajectory.csv")
@@ -690,12 +693,12 @@ def run_scenario(cfg: dict, outdir: str) -> dict:
     """Execute one scenario; returns the report dict (also written to disk)."""
     resolved = _resolve_config(cfg)
     grid = np.linspace(resolved["grid"]["t0"], resolved["grid"]["t1"], resolved["grid"]["steps"])
-    _require_finite_profiles(resolved["params"], grid)
+    values = _require_finite_profiles(resolved["params"], grid)
     os.makedirs(outdir, exist_ok=True)
     checks = _Checks()
     artifacts: list[str] = []
     start = time.perf_counter()
-    extra = _RUNNERS[resolved["mode"]](resolved, grid, outdir, checks, artifacts)
+    extra = _RUNNERS[resolved["mode"]](resolved, grid, values, outdir, checks, artifacts)
     wall = time.perf_counter() - start
     report = {
         "scenario": cfg,

@@ -4,7 +4,8 @@ Several quantities in this problem circulate in more than one written
 form (sign, factor or symbol-pairing variants).  This module evaluates
 each rejected candidate against the independent identity that
 adjudicates it -- the commutation table, the invariant equation, the
-canonical Ermakov-Pinney form, or the numeric spectrum -- and records
+canonical Ermakov-Pinney form, or the closed-form roots of the 2x2
+block product BC -- and records
 both residuals side by side.  Nothing here is asserted.  The
 point-transformation records feed the report of a point-transform run,
 those of :func:`standard_records` the report of an algebra-check run,
@@ -157,14 +158,16 @@ def ode_matrix_variant_records() -> list[DiscrepancyRecord]:
 
 
 def eigenvalue_formula_record(params: CoupledOscillatorParams, t: float = 0.3) -> DiscrepancyRecord:
-    """Closed eigenvalue expression vs the numeric 4x4 spectrum."""
-    numeric = instantaneous_eigenvalues(params, t)
-    formula = eigenvalue_formula(params.a(t), params.omega_x(t) + params.omega_y(t), params.lam(t))
+    """Published eigenvalue expression vs the spectrum of
+    :func:`instantaneous_eigenvalues`, both from one evaluation of the
+    profiles at ``t``."""
+    a, wx, wy, lam = (f(t) for f in (params.a, params.omega_x, params.omega_y, params.lam))
+    roots = instantaneous_eigenvalues(a, wx, wy, lam)
     return DiscrepancyRecord(
         name="eigenvalue_closed_form",
-        adjudicator="numeric 4x4 eigensolver",
+        adjudicator="closed-form roots of the 2x2 block product BC",
         adopted_residual=0.0,
-        variant_residual=float(np.abs(numeric - formula).max()),
+        variant_residual=float(np.abs(roots - eigenvalue_formula(a, wx + wy, lam)).max()),
         note="closed form kept verbatim; deviation logged, never asserted",
     )
 
@@ -244,7 +247,7 @@ def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState, inv_r
         name="transformed_invariant_expression",
         adjudicator="invariant equation residual",
         adopted_residual=adopted,
-        variant_residual=lr_residual(invariant_image_variant(p, ep), h, t),
+        variant_residual=lr_residual(invariant_image_variant(p, ep), h, t)[0],
         note="variant first term carries J1 where K1 is required",
     )
     a_sw = p.beta * ep.r / ep.mu**2

@@ -87,7 +87,6 @@ def _h_coeffs(a, wx, wy, lam):
 
 def build_H_coeffs(p: CoupledOscillatorParams, t) -> np.ndarray:
     """Coupled-oscillator Hamiltonian at time(s) ``t``, shape ``t.shape + (10,)``."""
-    t = np.asarray(t, dtype=float)
     return _h_coeffs(p.a(t), p.omega_x(t), p.omega_y(t), p.lam(t))
 
 
@@ -152,11 +151,12 @@ def _bc_invariants(a, wx, wy, lam):
     return tr, det, disc
 
 
-def instantaneous_eigenvalues(p: CoupledOscillatorParams, t) -> np.ndarray:
+def instantaneous_eigenvalues(a, omega_x, omega_y, lam) -> np.ndarray:
     """Four instantaneous eigenvalues of M(H), sorted by (real, imag).
 
-    ``t`` is a scalar (shape (4,) result) or an array of times (shape
-    ``t.shape + (4,)``); ValueError where a profile value is not finite.
+    The arguments are profile values, numbers or arrays of one shape (a
+    scalar gives shape (4,), arrays their shape + (4,)); ValueError where
+    one is not finite.
     In the real form A = D^-1 (-i M(H)) D the family has no
     position-momentum cross terms, so A = [[0, B], [C, 0]] in 2x2 blocks
     and A^2 = diag(BC, CB) (Van Loan's square-reduced form of a
@@ -164,7 +164,7 @@ def instantaneous_eigenvalues(p: CoupledOscillatorParams, t) -> np.ndarray:
     2x2 block): spec(M) = i spec(A) = +-i sqrt(mu) for the two roots mu of
     mu^2 - tr mu + det = 0, whose coefficients :func:`_bc_invariants`
     writes from the four profile values.  No matrix is formed and no
-    eigensolver is called; every step is elementwise in t.
+    eigensolver is called; every step is elementwise.
 
     The larger root is z1 = (tr + sgn(tr) sqrt(disc)) / 2, a sum without
     cancellation (Higham, Accuracy and Stability of Numerical Algorithms,
@@ -176,28 +176,27 @@ def instantaneous_eigenvalues(p: CoupledOscillatorParams, t) -> np.ndarray:
     tr = det = disc = 0) det / z1 would put an error of up to order
     sqrt(eps) rho^2 into z1 + z2 = tr.  There z2 = tr - z1, which keeps
     the sum of the roots to one rounding, their product to rounding of
-    rho^4, and a complex pair exact conjugates.  Where z1 = 0 (then
-    tr = disc = det = 0) both roots are 0.  The error of both
+    rho^4, and a complex pair exact conjugates.  Where det = 0, z2 = 0
+    with no division: |z1|^2 >= |det|, so only there may z1 be 0, or so
+    small (a = 1e-310, say) that 1/z1 overflows.  The error of both
     symmetric functions is derived in ``cli._spectrum_invariants``.
     :func:`eigenvalue_formula` is the published closed form.
     """
-    t = np.asarray(t, dtype=float)
-    a, wx, wy, lam = (f(t) for f in (p.a, p.omega_x, p.omega_y, p.lam))
-    if not all(np.isfinite(v).all() for v in (a, wx, wy, lam)):
+    if not all(np.isfinite(v).all() for v in (a, omega_x, omega_y, lam)):
         raise ValueError("a profile value on the grid is not finite")
-    tr, det, disc = _bc_invariants(a, wx, wy, lam)
+    tr, det, disc = _bc_invariants(a, omega_x, omega_y, lam)
     z1 = (tr + np.copysign(1.0, tr) * np.sqrt(disc + 0j)) / 2.0
-    z2 = np.where(np.multiply(wx, wy) >= 0, det / np.where(z1 == 0, 1.0, z1), tr - z1)
+    z2 = np.where(np.multiply(omega_x, omega_y) >= 0, det / np.where(det == 0, 1.0, z1), tr - z1)
     eps = 1j * np.sqrt(np.stack([z1, z2], axis=-1))
     # + 0.0: negating an exactly zero part leaves -0.0
     return _sort_real_imag(np.concatenate([eps, -eps], axis=-1) + 0.0)
 
 
-def _regime_index(p: CoupledOscillatorParams, t):
+def _regime_index(omega_x, omega_y, lam):
     """Index into ``Regime`` (0 PT-symmetric, 1 exceptional point, 2 broken)
-    by the sign of the discriminant Omega+^2 - 4 lam^2, an int array with
-    the shape of ``t``."""
-    disc = (p.omega_x(t) + p.omega_y(t)) ** 2 - 4.0 * p.lam(t) ** 2
+    by the sign of the discriminant Omega+^2 - 4 lam^2, from the profile
+    values: an int array of their shape."""
+    disc = (omega_x + omega_y) ** 2 - 4.0 * lam ** 2
     return np.where(np.abs(disc) <= REGIME_TOL, 1, np.where(disc > 0, 0, 2))
 
 
@@ -215,4 +214,4 @@ def classify_regime(p: CoupledOscillatorParams, t):
     breaks where the discriminant of BC, a^2 ((omega_x - omega_y)^2 -
     4 lam^2) / 4 (:func:`_bc_invariants`), changes sign instead.
     """
-    return _REGIMES[_regime_index(p, t)]
+    return _REGIMES[_regime_index(p.omega_x(t), p.omega_y(t), p.lam(t))]

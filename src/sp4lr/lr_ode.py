@@ -61,7 +61,6 @@ __all__ = [
     "evolve",
     "closed_form_c",
     "closed_form_on_grid",
-    "closed_form_rate_on_grid",
     "involution_residuals",
     "invariant_matrix",
     "lr_residual",
@@ -425,14 +424,15 @@ def closed_form_c(params: ClosedFormParams, theta) -> np.ndarray:
     return _closed_form_combination(params, cp, cm, rp, rm)
 
 
-def _closed_form_and_rate(params: ClosedFormParams, grid):
-    """:func:`closed_form_on_grid` and :func:`closed_form_rate_on_grid`
-    from one theta = int_{grid[0]}^t lam and one set of mode terms.
+def closed_form_on_grid(params: ClosedFormParams, grid):
+    """Closed form along a grid and its rate, ``(c, dc/dt)``, each (N, 10),
+    from one theta = int_{grid[0]}^t lam, exact, and one set of mode terms.
 
     The combination is linear in its mode terms, so dc/dtheta is the same
     combination of their derivatives d cos(a theta/2)/dtheta =
     -(a^2/2) _sin_ratio(a, theta) and d _sin_ratio(a, theta)/dtheta =
-    cos(a theta/2)/2, both continuous through a = 0.
+    cos(a theta/2)/2, both continuous through a = 0, and
+    dc/dt = lam(t) dc/dtheta, exact at every sample.
     """
     t = np.asarray(grid, dtype=float)
     ap, am, cp, cm, rp, rm = _mode_terms(params, params.lam.antiderivative(t, t[0]))
@@ -440,16 +440,6 @@ def _closed_form_and_rate(params: ClosedFormParams, grid):
     dc = _closed_form_combination(params, -0.5 * ap**2 * rp, -0.5 * am**2 * rm,
                                   0.5 * cp, 0.5 * cm)
     return c, params.lam(t)[:, None] * dc
-
-
-def closed_form_on_grid(params: ClosedFormParams, grid) -> np.ndarray:
-    """Closed form evaluated along a grid, with theta = int_{grid[0]}^t lam exact."""
-    return _closed_form_and_rate(params, grid)[0]
-
-
-def closed_form_rate_on_grid(params: ClosedFormParams, grid) -> np.ndarray:
-    """dc/dt = lam(t) dc/dtheta of :func:`closed_form_on_grid`, exact at every sample."""
-    return _closed_form_and_rate(params, grid)[1]
 
 
 def involution_residuals(c):
@@ -510,8 +500,9 @@ def invariant_matrix(c) -> np.ndarray:
     return 1j * m
 
 
-def lr_residual(invariant, hamiltonian, grid, return_samples: bool = False, didt=None):
-    """Max-norm defect of  i dI/dt - [H, I]  (hbar = 1) on ``grid``.
+def lr_residual(invariant, hamiltonian, grid, didt=None):
+    """Max-norm defect of  i dI/dt - [H, I]  (hbar = 1) on ``grid``, and
+    the defect at every sample: ``(worst, per_sample)``.
 
     ``invariant`` and ``hamiltonian`` are coefficient stacks of shape
     (N, 10) on ``grid``.  ``didt``, when given, is the exact rate of
@@ -522,9 +513,8 @@ def lr_residual(invariant, hamiltonian, grid, return_samples: bool = False, didt
     end are excluded from the maximum.  The point transform's exact rate
     [I_H, K] does not come here: its defect is taken in real coordinates
     (``point_transform._invariant_rate_defect``), bitwise equal to this
-    one with ``didt=commutator(I_H, K)``.  With
-    ``return_samples`` the result is ``(worst, per_sample)``,
-    ``per_sample`` holding the defect at every grid point, ends included.
+    one with ``didt=commutator(I_H, K)``.  ``per_sample`` holds the
+    defect at every grid point, ends included.
     """
     icoef = np.asarray(invariant, dtype=complex)
     if didt is None:
@@ -539,5 +529,4 @@ def lr_residual(invariant, hamiltonian, grid, return_samples: bool = False, didt
         counted = slice(None)
     bracket = commutator(np.asarray(hamiltonian, dtype=complex), icoef)
     per_sample = np.abs(1j * np.asarray(didt) - bracket).max(axis=1)
-    worst = float(per_sample[counted].max())
-    return (worst, per_sample) if return_samples else worst
+    return float(per_sample[counted].max()), per_sample

@@ -375,9 +375,9 @@ def _invariant_rate_defect(inv_r, w, h_r) -> np.ndarray:
     [H, I] = i phi R(h_r, inv_r) and the defect i [I, K] - [H, I] is
     i phi (R(inv_r, w) - R(h_r, inv_r)).  |phi_k| = 1, so its largest
     modulus per sample is the largest |R(inv_r, w) - R(h_r, inv_r)|: the
-    same products, sums and moduli as
-    ``lr_residual(I, H, t, didt=commutator(I, K), return_samples=True)``,
-    on real numbers, so the two agree bitwise.
+    same products, sums and moduli as the per-sample defect of
+    ``lr_residual(I, H, t, didt=commutator(I, K))``, on real numbers, so
+    the two agree bitwise.
     """
     return np.abs(_real_commutator(inv_r, w) - _real_commutator(h_r, inv_r)).max(axis=0)
 

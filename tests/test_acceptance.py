@@ -131,7 +131,7 @@ def closed_forms():
     out = {}
     for alpha in ALPHAS:
         cf = ClosedFormParams(alpha, ScalarProfile.constant(1.0))
-        out[alpha] = (cf, closed_form_on_grid(cf, GRID_05))
+        out[alpha] = (cf, closed_form_on_grid(cf, GRID_05)[0])
     return out
 
 
@@ -157,7 +157,7 @@ def test_criterion_3_closed_form_invariant(closed_forms):
         inv = assemble_invariant(traj)
         from sp4lr.hamiltonian import build_H_coeffs
         h = build_H_coeffs(cf.oscillator_params(), GRID_05)
-        worst["lr"] = max(worst["lr"], lr_residual(inv, h, GRID_05))
+        worst["lr"] = max(worst["lr"], lr_residual(inv, h, GRID_05)[0])
     _criterion_parts(3, "closed-form invariant", [
         ("involution constraints", worst["invol"], 1e-10),
         ("squares to identity / unit det", worst["unit"], 1e-10),
@@ -219,7 +219,7 @@ def pipeline_runs():
             "params": p, "eta": eta,
             "ep_resid": float(np.abs(ep_residual(p, ep)).max()),
             "lr": lr_residual(inv, build_H_modified(a, b, lam), GRID_04,
-                              didt=commutator(inv, k)),
+                              didt=commutator(inv, k))[0],
             "imag_leak": float(np.abs(ih.imag).max()),
             "image_match": float(np.abs(ih - pushforward(ep, stat.h0)).max()),
             "tdde": float(tdde_residual(p, ep, eta, k, stat, build_H_modified(a, b, lam)).max()),
@@ -306,7 +306,7 @@ def test_criterion_8_known_discrepancy_ledger():
     inv_rate = commutator(inv, transport_generator(p, ep))
     a, b, lam = target_coefficients(p, ep)
     h = build_H_modified(a, b, lam)
-    lr_resid = lr_residual(inv, h, grid, didt=inv_rate)
+    lr_resid = lr_residual(inv, h, grid, didt=inv_rate)[0]
     rec_inv, _ = invariant_equation_records(p, ep, np.ascontiguousarray(_real_coordinates(inv)),
                                             _transport_coordinates(p, ep), h, lam, lr_resid)
     rec_ep = ep_form_record(p, ep, float(np.abs(ep_residual(p, ep)).max()))

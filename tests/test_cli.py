@@ -25,7 +25,6 @@ from sp4lr.lr_ode import (
     ClosedFormParams,
     assemble_invariant,
     closed_form_on_grid,
-    closed_form_rate_on_grid,
     lr_residual,
 )
 from sp4lr.profiles import ScalarProfile
@@ -237,6 +236,23 @@ def test_algebra_check_mode(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["known_discrepancies"] == ledger
 
 
+def test_algebra_check_draws_the_hamiltonians_of_the_per_sample_loop(tmp_path, monkeypatch):
+    # one (samples, 4) draw is the stream of one draw of 4 per sample, and
+    # the parity row reads build_H_coeffs of each row's constant profiles
+    seen = []
+    parity_action = cli.parity_action
+    monkeypatch.setattr(cli, "parity_action", lambda h: seen.append(h) or parity_action(h))
+    cfg = {"mode": "algebra-check", "seed": 5, "grid": {"t0": 0.0, "t1": 1.0, "steps": 5},
+           "params": {"samples": 7}}
+    assert run_scenario(cfg, str(tmp_path))["all_pass"]
+    rng = np.random.default_rng(5)
+    want = [build_H_coeffs(CoupledOscillatorParams(*map(ScalarProfile.constant,
+                                                        rng.uniform(0.2, 3.0, size=4))), 0.0)
+            for _ in range(7)]
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], want)
+
+
 def test_lr_closed_form_mode(tmp_path):
     cfg = {
         "mode": "lr-closed-form",
@@ -256,10 +272,9 @@ def test_lr_closed_form_mode(tmp_path):
     # the lr_residual column is the exact per-sample defect, written with 17 digits
     cf = ClosedFormParams(alpha=3.0, lam=ScalarProfile.constant(1.0))
     grid = np.linspace(0.0, 2.0, 2001)
-    traj = closed_form_on_grid(cf, grid)
+    traj, rate = closed_form_on_grid(cf, grid)
     _, defect = lr_residual(assemble_invariant(traj), build_H_coeffs(cf.oscillator_params(), grid),
-                            grid, return_samples=True,
-                            didt=assemble_invariant(closed_form_rate_on_grid(cf, grid)))
+                            grid, didt=assemble_invariant(rate))
     assert [r[3] for r in rows[1:]] == ["%.17g" % v for v in defect]
     assert max(float(r[3]) for r in rows[1:]) <= 1e-13
 
@@ -627,7 +642,7 @@ def test_spectrum_invariants_row_fails_on_a_spectrum_fault(tmp_path, monkeypatch
     clean = {c["name"]: c for c in run_scenario(cfg, str(tmp_path / "clean"))["checks"]}
     assert clean["spectrum_invariants"]["residual"] <= 8 * np.finfo(float).eps
     original = cli.instantaneous_eigenvalues
-    monkeypatch.setattr(cli, "instantaneous_eigenvalues", lambda p, t: fault(original(p, t)))
+    monkeypatch.setattr(cli, "instantaneous_eigenvalues", lambda *values: fault(original(*values)))
     checks = {c["name"]: c for c in run_scenario(cfg, str(tmp_path / "fault"))["checks"]}
     assert checks["eigenvalue_pairing"]["status"] == "pass"
     assert checks["spectrum_invariants"]["status"] == "fail"
@@ -638,14 +653,14 @@ def test_spectrum_invariants_row_fails_on_a_position_momentum_term(tmp_path, mon
     # the coupled family does not have.  The spectrum is taken from the
     # profile values and never sees it; the complex M(H) of the row does, so
     # the run fails there with exit 2
-    original = cli.build_H_coeffs
+    original = cli._h_coeffs
 
-    def with_j2(p, t):
-        h = original(p, t)
+    def with_j2(*values):
+        h = original(*values)
         h[..., GeneratorId.J2] = 0.25j
         return h
 
-    monkeypatch.setattr(cli, "build_H_coeffs", with_j2)
+    monkeypatch.setattr(cli, "_h_coeffs", with_j2)
     cfg = write_cfg(tmp_path, _shipped_regime_map())
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -673,8 +688,8 @@ def test_eigenvalue_pairing_row_fails_on_an_unpaired_eigenvalue(tmp_path, monkey
     # moved by 1e-9 of itself leaves its partner unpaired
     original = cli.instantaneous_eigenvalues
 
-    def unpaired(p, t):
-        evs = original(p, t)
+    def unpaired(*values):
+        evs = original(*values)
         evs[:, -1] *= 1.0 + 1e-9
         return evs
 
@@ -774,6 +789,45 @@ def test_point_transform_builds_each_grid_fact_once(tmp_path, monkeypatch):
     assert calls == {"T": 1, "target": 1, "H": 2}
 
 
+def _sinusoid(offset):
+    return {"kind": "sinusoid", "amp": 0.3, "freq": 1.3, "phase": 0.2, "offset": offset}
+
+
+_COUPLED_PARAMS = {"a": _sinusoid(1.0), "omega_x": _sinusoid(1.3), "omega_y": _sinusoid(0.8),
+                   "lam": _sinusoid(0.9)}
+
+
+@pytest.mark.parametrize("mode, params, grid_calls", [
+    # the guard's one evaluation per profile, read by every stage
+    ("regime-map", _COUPLED_PARAMS, 4),
+    ("lr-ode", _COUPLED_PARAMS, 4),
+    # the guard's and the EP state's evaluation of r
+    ("point-transform", {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "r": _sinusoid(1.0)}, 2),
+    # the guard, the closed form's rate, and H of the proportional family's
+    # four profiles: alpha lam(t) would round apart from lam.scaled(alpha)(t)
+    ("lr-closed-form", {"alpha": 3.0, "lam": _sinusoid(1.0)}, 6),
+    ("algebra-check", {}, 0),
+], ids=["regime-map", "lr-ode", "point-transform", "lr-closed-form", "algebra-check"])
+def test_each_profile_is_evaluated_on_the_grid_once(tmp_path, monkeypatch, mode, params,
+                                                     grid_calls):
+    steps = 501  # no other array a run passes to a profile has this size
+    sizes = []
+    call = ScalarProfile.__call__
+
+    def counting(self, t):
+        sizes.append(np.size(t))
+        return call(self, t)
+
+    monkeypatch.setattr(ScalarProfile, "__call__", counting)
+    cfg = {"mode": mode, "grid": {"t0": 0.0, "t1": 1.0, "steps": steps}, "params": params}
+    assert run_scenario(cfg, str(tmp_path))["all_pass"]
+    assert sizes.count(steps) == grid_calls
+    if mode == "algebra-check":
+        # the parity rows build no profile; the two ledger records that
+        # read a fixed oscillator evaluate its four constants once each
+        assert sizes == [1] * 8
+
+
 def test_seed_env_controls_sampling(tmp_path, monkeypatch):
     cfg = {"mode": "point-transform", "grid": {"t0": 0.0, "t1": 1.0, "steps": 501},
            "params": {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "c2": 0.2, "c3": 0.2,
@@ -823,9 +877,10 @@ _COUPLED = {name: _CONST for name in ("a", "omega_x", "omega_y", "lam")}
     ({**_PT, "params": {**_PT["params"], "beta": 2.0}}, "params.beta"),
     ({**_PT, "params": {**_PT["params"], "alpha": 1.0, "beta": -2.0, "coupling": 0.1}},
      "params.beta"),
+    ({"mode": "algebra-check", "grid": _GRID, "params": {"samples": -1}}, "params.samples"),
 ], ids=["unknown-top-level", "extended-profile", "Lambda", "nan", "alpha-missing",
         "profile-missing", "params-missing", "steps-not-integer", "alpha-zero", "beta-zero",
-        "degenerate-alpha", "equal-frequencies", "opposite-signs-coupled"])
+        "degenerate-alpha", "equal-frequencies", "opposite-signs-coupled", "samples-negative"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_invalid_config_names_field(tmp_path, capsys, cfg, field):
     assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 1

@@ -41,7 +41,7 @@ W = _transport_coordinates(P, EP)
 EP_RESID = float(np.abs(ep_residual(P, EP)).max())
 A, B, LAM = target_coefficients(P, EP)
 H = build_H_modified(A, B, LAM)
-LR_RESID = lr_residual(INV, H, GRID, didt=INV_RATE)
+LR_RESID = lr_residual(INV, H, GRID, didt=INV_RATE)[0]
 
 
 def test_generator_variant_flagged():
@@ -104,7 +104,7 @@ def test_target_assignment_variant_flagged():
     assert rec.variant_flagged
     # the real-coordinate defect is the complex one with the exact rate, bitwise
     swapped = build_H_modified(P.beta * EP.r / EP.mu**2, P.alpha * EP.r / EP.sigma**2, LAM)
-    assert rec.variant_residual == lr_residual(INV, swapped, GRID, didt=INV_RATE)
+    assert rec.variant_residual == lr_residual(INV, swapped, GRID, didt=INV_RATE)[0]
 
 
 def test_pushforward_row_records():

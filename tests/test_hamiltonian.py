@@ -34,6 +34,14 @@ GRID = np.linspace(0.0, 6.0, 121)
 _PERMS = np.array(list(itertools.permutations(range(4))))
 
 
+def profile_values(p, t):
+    return tuple(f(t) for f in (p.a, p.omega_x, p.omega_y, p.lam))
+
+
+def block_eigenvalues(p, t):
+    return instantaneous_eigenvalues(*profile_values(p, t))
+
+
 def formula_eigenvalues(p, t):
     return eigenvalue_formula(p.a(t), p.omega_x(t) + p.omega_y(t), p.lam(t))
 
@@ -142,7 +150,7 @@ def test_modified_with_profiles_and_arrays():
 def test_eigenvalues_pair_symmetrically():
     for _ in range(20):
         a, wx, wy, lam = RNG.uniform(0.2, 3.0, size=4)
-        vals = instantaneous_eigenvalues(const_params(a, wx, wy, lam), 0.0)
+        vals = instantaneous_eigenvalues(a, wx, wy, lam)
         s = np.sort_complex(vals)
         np.testing.assert_allclose(s + np.sort_complex(-vals)[::-1], 0.0, atol=1e-10)
 
@@ -153,13 +161,13 @@ def test_real_spectrum_inside_weak_coupling():
         wx = RNG.uniform(1.0, 3.0)
         wy = RNG.uniform(0.1, 0.4)
         lam = RNG.uniform(0.0, 0.45 * abs(wx - wy))
-        vals = instantaneous_eigenvalues(const_params(1.0, wx, wy, lam), 0.0)
+        vals = instantaneous_eigenvalues(1.0, wx, wy, lam)
         assert np.abs(vals.imag).max() < 1e-8
 
 
 def test_complex_spectrum_beyond_break():
     # lam > Omega+/2 always breaks the spectrum
-    vals = instantaneous_eigenvalues(const_params(1.0, 1.0, 1.0, 3.0), 0.0)
+    vals = instantaneous_eigenvalues(1.0, 1.0, 1.0, 3.0)
     assert np.abs(vals.imag).max() > 1e-3
 
 
@@ -201,9 +209,8 @@ def test_classify_regime_on_grid_equals_per_time():
 
 
 def test_numeric_matches_dense_oracle():
-    p = const_params(0.9, 1.7, 0.6, 0.3)
-    got = instantaneous_eigenvalues(p, 0.0)
-    want = np.linalg.eigvals(to_matrix(build_H_coeffs(p, 0.0)))
+    got = instantaneous_eigenvalues(0.9, 1.7, 0.6, 0.3)
+    want = np.linalg.eigvals(to_matrix(build_H_coeffs(const_params(0.9, 1.7, 0.6, 0.3), 0.0)))
     want = want[np.lexsort((want.imag, want.real))]
     np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -213,9 +220,9 @@ def test_instantaneous_eigenvalues_batched_equals_scalar():
     # one call per time agree bit for bit
     for _ in range(10):
         p = random_params(RNG)
-        batched = instantaneous_eigenvalues(p, GRID)
+        batched = block_eigenvalues(p, GRID)
         assert batched.shape == (GRID.size, 4)
-        stacked = np.stack([instantaneous_eigenvalues(p, t) for t in GRID])
+        stacked = np.stack([block_eigenvalues(p, t) for t in GRID])
         np.testing.assert_array_equal(batched, stacked)
         formula = formula_eigenvalues(p, GRID)
         np.testing.assert_array_equal(
@@ -225,7 +232,7 @@ def test_instantaneous_eigenvalues_batched_equals_scalar():
 def test_instantaneous_eigenvalues_sorted_by_real_imag():
     for _ in range(10):
         p = random_params(RNG)
-        for spectrum in (instantaneous_eigenvalues, formula_eigenvalues):
+        for spectrum in (block_eigenvalues, formula_eigenvalues):
             vals = spectrum(p, GRID)
             dre, dim = np.diff(vals.real, axis=-1), np.diff(vals.imag, axis=-1)
             # real parts within the tie tolerance count as equal (a run of
@@ -238,7 +245,7 @@ def test_instantaneous_eigenvalues_sorted_by_real_imag():
 def test_instantaneous_eigenvalues_match_scipy_as_sets():
     for _ in range(10):
         p = random_params(RNG)
-        got = instantaneous_eigenvalues(p, GRID)
+        got = block_eigenvalues(p, GRID)
         want = np.stack([scipy.linalg.eigvals(m) for m in to_matrix(build_H_coeffs(p, GRID))])
         assert multiset_distance(got, want).max() < 1e-12
 
@@ -246,7 +253,7 @@ def test_instantaneous_eigenvalues_match_scipy_as_sets():
 def test_instantaneous_eigenvalues_trace_and_determinant():
     for _ in range(10):
         p = random_params(RNG)
-        vals = instantaneous_eigenvalues(p, GRID)
+        vals = block_eigenvalues(p, GRID)
         mats = to_matrix(build_H_coeffs(p, GRID))
         np.testing.assert_allclose(np.trace(mats, axis1=-2, axis2=-1), 0.0, atol=1e-14)
         np.testing.assert_allclose(vals.sum(axis=-1), 0.0, atol=1e-12)
@@ -259,7 +266,7 @@ def test_instantaneous_eigenvalues_characteristic_residual():
     for _ in range(10):
         p = random_params(RNG)
         mats = to_matrix(build_H_coeffs(p, GRID))
-        vals = instantaneous_eigenvalues(p, GRID)
+        vals = block_eigenvalues(p, GRID)
         scale = np.maximum(frobenius(mats), 1.0) ** 4
         for k in range(4):
             resid = np.abs(np.linalg.det(mats - vals[:, k, None, None] * eye))
@@ -269,7 +276,7 @@ def test_instantaneous_eigenvalues_characteristic_residual():
 def test_instantaneous_eigenvalues_defective_at_numeric_ep():
     # (omega_x - omega_y)^2 = 4 lam^2: the numeric spectrum has two
     # defective double roots, resolved only to ~sqrt(machine epsilon)
-    vals = instantaneous_eigenvalues(const_params(1.0, 1.2, 0.8, 0.2), 0.0)
+    vals = instantaneous_eigenvalues(1.0, 1.2, 0.8, 0.2)
     assert abs(vals[0] - vals[1]) < 1e-7 and abs(vals[2] - vals[3]) < 1e-7
     assert np.abs(vals.imag).max() < 1e-7
 
@@ -291,7 +298,7 @@ def test_block_spectrum_matches_the_complex_4x4_as_sets():
         for edge in (wx + wy, wx - wy):
             disc = edge**2 - 4.0 * p.lam(t) ** 2
             assert (disc > 0).any() and (disc < 0).any()
-        got = instantaneous_eigenvalues(p, t)
+        got = block_eigenvalues(p, t)
         want = np.linalg.eigvals(to_matrix(build_H_coeffs(p, t)))
         worst = max(worst, (multiset_distance(got, want) / np.abs(want).max(axis=-1)).max())
     assert worst <= 1e-12
@@ -313,9 +320,9 @@ def test_closed_form_spectrum_matches_the_complex_4x4_on_mixed_signs(values, amp
     # at most 9e-13 rho^2 on the kept samples, checked at 1e-11 rho^2
     p = CoupledOscillatorParams(*(ScalarProfile.sinusoid(amp, f, 0.3, v)
                                   for v, amp, f in zip(values, amps, freqs)))
-    got = instantaneous_eigenvalues(p, GRID)
+    a, wx, wy, lam = profile_values(p, GRID)
+    got = instantaneous_eigenvalues(a, wx, wy, lam)
     want = np.linalg.eigvals(to_matrix(build_H_coeffs(p, GRID)))
-    a, wx, wy, lam = (f(GRID) for f in (p.a, p.omega_x, p.omega_y, p.lam))
     rho2 = a**2 / 2.0 + wx**2 + wy**2 + 2.0 * lam**2
     disc = hamiltonian._bc_invariants(a, wx, wy, lam)[2]
     kept = np.abs(disc) > np.sqrt(np.finfo(float).eps) * rho2**2
@@ -326,7 +333,7 @@ def test_closed_form_spectrum_matches_the_complex_4x4_on_mixed_signs(values, amp
 def test_closed_form_spectrum_exact_at_the_nilpotent_point():
     # a = 2, omega_x = -omega_y = lam = 1/2: tr = det = disc = 0, so BC is
     # nilpotent; the 4x4 LAPACK reference reads about 1e-8 there
-    got = instantaneous_eigenvalues(const_params(2.0, 0.5, -0.5, 0.5), 0.0)
+    got = instantaneous_eigenvalues(2.0, 0.5, -0.5, 0.5)
     np.testing.assert_array_equal(got, np.zeros(4))
     assert not np.signbit(got.real).any() and not np.signbit(got.imag).any()
 
@@ -335,7 +342,7 @@ def test_closed_form_spectrum_exact_at_the_nilpotent_point():
 def test_closed_form_spectrum_at_the_hermitian_degenerate_point(a, w):
     # lam = 0, omega_x = omega_y = w: disc = 0 and mu = -a w / 2 twice, so the
     # spectrum is +-sqrt(a w / 2), each twice, and real
-    got = instantaneous_eigenvalues(const_params(a, w, w, 0.0), 0.0)
+    got = instantaneous_eigenvalues(a, w, w, 0.0)
     root = np.sqrt(a * w / 2.0)
     assert (got.imag == 0).all()
     np.testing.assert_allclose(got.real, [-root, -root, root, root], rtol=4 * np.finfo(float).eps)
@@ -348,7 +355,7 @@ def test_closed_form_spectrum_keeps_a_small_root_to_rounding(ratio):
     # tr - z1 (or an eigensolver on BC) only to rounding of the large one
     a, wx = 1.3, 0.9
     wy = ratio * wx
-    got = instantaneous_eigenvalues(const_params(a, wx, wy, 0.0), 0.0)
+    got = instantaneous_eigenvalues(a, wx, wy, 0.0)
     want = np.sort(np.concatenate([np.sqrt([a * wx / 2.0, a * wy / 2.0]),
                                    -np.sqrt([a * wx / 2.0, a * wy / 2.0])]))
     assert (got.imag == 0).all()
@@ -357,4 +364,15 @@ def test_closed_form_spectrum_keeps_a_small_root_to_rounding(ratio):
 
 def test_instantaneous_eigenvalues_reject_a_profile_value_not_finite():
     with pytest.raises(ValueError, match="not finite"):
-        instantaneous_eigenvalues(const_params(1.0, np.nan, 0.8, 0.3), GRID)
+        instantaneous_eigenvalues(np.ones(3), np.array([0.8, np.nan, 0.8]), 0.8, 0.3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_spectrum_of_a_subnormal_kinetic_coefficient():
+    # a = 4e-311, omega_y = 1: det underflows to 0 and z1 = tr/2 is so small
+    # that 1/z1 overflows, which once made the second root NaN.  The roots
+    # are 0 twice and a pair of modulus sqrt(a/2)/sqrt(2) (disc underflows
+    # too), within rounding of rho^2 = omega_y^2 of the exact +-sqrt(a/2)
+    got = instantaneous_eigenvalues(4e-311, 0.0, 1.0, 0.0)
+    np.testing.assert_array_equal(got[1:3], 0.0)
+    assert got[0] == -got[3] and 0.0 < got[3].real < np.sqrt(2e-311)

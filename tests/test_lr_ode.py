@@ -38,7 +38,6 @@ from sp4lr.lr_ode import (
     assemble_invariant,
     closed_form_c,
     closed_form_on_grid,
-    closed_form_rate_on_grid,
     coefficients_of_element,
     evolve,
     invariant_matrix,
@@ -179,14 +178,14 @@ def test_commuting_probe_is_relative_to_the_size_of_H():
     osc = cf.oscillator_params()
     assert _commutativity_probe(osc, grid) <= COMM_TOL
     assert _commutativity_probe(const_params(0.0, 0.0, 0.0, 0.0), grid) == 0.0  # H = 0
-    want = closed_form_on_grid(cf, grid)
+    want = closed_form_on_grid(cf, grid)[0]
     assert np.abs(evolve(want[0], grid, osc, mode="commuting") - want).max() < 1e-8
 
 
 def test_evolve_matches_closed_form_alpha3():
     cf = ClosedFormParams(3.0, ScalarProfile.constant(1.0))
     grid = np.linspace(0.0, 5.0, 5001)
-    want = closed_form_on_grid(cf, grid)
+    want = closed_form_on_grid(cf, grid)[0]
     got = evolve(C0, grid, cf.oscillator_params(), mode="time_ordered")
     assert np.abs(got - want).max() < 1e-6
 
@@ -571,25 +570,19 @@ def test_lr_residual_constant_H_self():
     grid = np.linspace(0.0, 1.0, 201)
     h = build_H_coeffs(p, grid)
     traj = np.broadcast_to(h[0], (grid.size, 10))  # I := H, constant in time
-    assert lr_residual(traj, h, grid) < 1e-12
-
-
-def test_lr_residual_return_samples():
-    cf = ClosedFormParams(2.0, ScalarProfile.sinusoid(0.2, 1.0, 0.0, 1.0))
-    grid = np.linspace(0.0, 1.0, 401)
-    inv = assemble_invariant(closed_form_on_grid(cf, grid))
-    h = build_H_coeffs(cf.oscillator_params(), grid)
-    worst, per_sample = lr_residual(inv, h, grid, return_samples=True)
-    assert per_sample.shape == grid.shape
-    assert worst == lr_residual(inv, h, grid) == per_sample[2:-2].max()
+    assert lr_residual(traj, h, grid)[0] < 1e-12
 
 
 def test_lr_residual_closed_form():
-    cf = ClosedFormParams(3.0, ScalarProfile.constant(1.0))
     grid = np.arange(0.0, 5.0 + 1e-9, 1e-3)
-    inv = assemble_invariant(closed_form_on_grid(cf, grid))
-    h = build_H_coeffs(cf.oscillator_params(), grid)
-    assert lr_residual(inv, h, grid) < 1e-8
+    for cf in (ClosedFormParams(3.0, ScalarProfile.constant(1.0)),
+               ClosedFormParams(2.0, ScalarProfile.sinusoid(0.2, 1.0, 0.0, 1.0))):
+        inv = assemble_invariant(closed_form_on_grid(cf, grid)[0])
+        h = build_H_coeffs(cf.oscillator_params(), grid)
+        worst, per_sample = lr_residual(inv, h, grid)
+        # the defect at every sample; the stencil's two samples at each end are not counted
+        assert per_sample.shape == grid.shape
+        assert worst == per_sample[2:-2].max() < 1e-8
 
 
 def test_lr_residual_evolved_smooth_profiles():
@@ -601,7 +594,7 @@ def test_lr_residual_evolved_smooth_profiles():
     grid = np.arange(0.0, 2.0 + 1e-9, 1e-3)
     traj = evolve(C0, grid, p, mode="time_ordered")
     inv = assemble_invariant(traj)
-    assert lr_residual(inv, build_H_coeffs(p, grid), grid) < 1e-6
+    assert lr_residual(inv, build_H_coeffs(p, grid), grid)[0] < 1e-6
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 3.0, 5.0])
@@ -609,8 +602,8 @@ def test_closed_form_rate_matches_the_stencil(alpha):
     # hyperbolic (alpha < 3), secular (a_minus = 0) and oscillating modes
     cf = ClosedFormParams(alpha, ScalarProfile.sinusoid(0.3, 1.0, 0.2, 1.0))
     grid = np.linspace(0.0, 2.0, 2001)
-    rate = closed_form_rate_on_grid(cf, grid)
-    stencil = central_diff(closed_form_on_grid(cf, grid), grid[1] - grid[0])
+    traj, rate = closed_form_on_grid(cf, grid)
+    stencil = central_diff(traj, grid[1] - grid[0])
     np.testing.assert_allclose(rate[2:-2], stencil[2:-2], rtol=0, atol=1e-9)
 
 
@@ -619,12 +612,12 @@ def test_lr_residual_exact_rate_counts_every_sample_on_any_grid():
     # and the maximum runs over all of them
     cf = ClosedFormParams(3.0, ScalarProfile.polynomial([1.0, 0.3, -0.1]))
     grid = np.array([0.0, 0.4, 2.5])
-    inv = assemble_invariant(closed_form_on_grid(cf, grid))
+    traj, rate = closed_form_on_grid(cf, grid)
+    inv, didt = assemble_invariant(traj), assemble_invariant(rate)
     h = build_H_coeffs(cf.oscillator_params(), grid)
-    didt = assemble_invariant(closed_form_rate_on_grid(cf, grid))
-    worst, per_sample = lr_residual(inv, h, grid, return_samples=True, didt=didt)
+    worst, per_sample = lr_residual(inv, h, grid, didt=didt)
     assert worst == per_sample.max() <= 1e-13
-    assert lr_residual(inv, h, grid, didt=2.0 * didt) > 0.1
+    assert lr_residual(inv, h, grid, didt=2.0 * didt)[0] > 0.1
 
 
 def test_lr_residual_grid_too_coarse():

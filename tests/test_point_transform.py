@@ -257,7 +257,7 @@ def test_invariant_satisfies_invariant_equation():
     ep = ep_state(p, grid)
     inv = invariant_IH(p, ep)
     a, b, lam = target_coefficients(p, ep)
-    assert lr_residual(inv, build_H_modified(a, b, lam), grid) < 1e-8
+    assert lr_residual(inv, build_H_modified(a, b, lam), grid)[0] < 1e-8
 
 
 def test_invariant_hermitian_without_coupling():
@@ -819,7 +819,7 @@ def test_real_rate_defect_is_the_complex_lr_residual_per_sample(name):
     assert np.array_equal(k, -1j * algebra._REAL_PHASES * w.T)
     got = pt._invariant_rate_defect(np.ascontiguousarray(algebra._real_coordinates(inv)), w,
                                     np.ascontiguousarray(algebra._real_coordinates(h)))
-    _, want = lr_residual(inv, h, grid, return_samples=True, didt=commutator(inv, k))
+    _, want = lr_residual(inv, h, grid, didt=commutator(inv, k))
     assert np.array_equal(got, want)
     assert 0.0 < want.max() <= 1e-12
 
