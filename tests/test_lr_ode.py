@@ -573,16 +573,24 @@ def test_lr_residual_constant_H_self():
     assert lr_residual(traj, h, grid)[0] < 1e-12
 
 
+def test_lr_residual_return_samples():
+    cf = ClosedFormParams(2.0, ScalarProfile.sinusoid(0.2, 1.0, 0.0, 1.0))
+    grid = np.linspace(0.0, 1.0, 401)
+    inv = assemble_invariant(closed_form_on_grid(cf, grid)[0])
+    h = build_H_coeffs(cf.oscillator_params(), grid)
+    worst, per_sample = lr_residual(inv, h, grid)
+    # the defect at every sample; the stencil's two samples at each end are not counted
+    assert per_sample.shape == grid.shape
+    assert worst == per_sample[2:-2].max()
+
+
 def test_lr_residual_closed_form():
     grid = np.arange(0.0, 5.0 + 1e-9, 1e-3)
     for cf in (ClosedFormParams(3.0, ScalarProfile.constant(1.0)),
                ClosedFormParams(2.0, ScalarProfile.sinusoid(0.2, 1.0, 0.0, 1.0))):
         inv = assemble_invariant(closed_form_on_grid(cf, grid)[0])
         h = build_H_coeffs(cf.oscillator_params(), grid)
-        worst, per_sample = lr_residual(inv, h, grid)
-        # the defect at every sample; the stencil's two samples at each end are not counted
-        assert per_sample.shape == grid.shape
-        assert worst == per_sample[2:-2].max() < 1e-8
+        assert lr_residual(inv, h, grid)[0] < 1e-8
 
 
 def test_lr_residual_evolved_smooth_profiles():
