@@ -2,8 +2,9 @@
 
 ``sp4lr run --config scenario.json [--out dir]`` loads a JSON scenario,
 runs one of the five pipeline modes, writes CSV trajectories plus a JSON
-report, and exits 0 when every check passes, 2 on a check failure and 1
-on a configuration or domain error.
+report once every stage has succeeded, and exits 0 when every check
+passes, 2 on a check failure and 1 on a configuration or domain error,
+which leaves no file.
 
 Before any numerics run, the config is read through one field table
 (``_FIELDS``, and ``profiles.PROFILE_KINDS`` for profiles), which fills
@@ -35,13 +36,12 @@ from .algebra import (
     to_matrix,
     OMEGA,
 )
-from .errors import ConfigInvalid, ProfileDomain, Sp4lrError, StepNotConverged
+from .errors import ChiPlusZero, ConfigInvalid, ProfileDomain, Sp4lrError, StepNotConverged
 from .hamiltonian import (
     CoupledOscillatorParams,
     Regime,
     _h_coeffs,
     _regime_index,
-    build_H_coeffs,
     build_H_modified,
     instantaneous_eigenvalues,
 )
@@ -330,7 +330,7 @@ def _complex_columns(prefix_names, stack):
     names, cols = [], []
     for j, base in enumerate(prefix_names):
         names += ["re_%s" % base, "im_%s" % base]
-        cols += [stack[:, j].real.copy(), stack[:, j].imag.copy()]
+        cols += [stack[:, j].real, stack[:, j].imag]
     return names, cols
 
 
@@ -360,7 +360,7 @@ def _require(cond, msg):
 # modes
 
 
-def _run_algebra_check(cfg, grid, values, outdir, checks, artifacts):
+def _run_algebra_check(cfg, grid, values, checks):
     rng = np.random.default_rng(cfg["seed"])
     gen = generator_matrices()
     f = structure_constants()
@@ -382,28 +382,26 @@ def _run_algebra_check(cfg, grid, values, outdir, checks, artifacts):
     h = _h_coeffs(*rng.uniform(0.2, 3.0, size=(cfg["params"]["samples"], 4)).T)
     checks.add("parity_equals_adjoint",
                float(np.abs(parity_action(h) - adjoint(h)).max(initial=0.0)), 1e-12)
-    return {"known_discrepancies": [r.to_dict() for r in crosschecks.standard_records()]}
+    return {}, {"known_discrepancies": [r.to_dict() for r in crosschecks.standard_records()]}
 
 
-def _lr_artifacts(grid, traj, h, outdir, stem, artifacts, rate=None):
-    """Write ``<stem>_trajectory.csv`` (t and the coefficients) and
-    ``<stem>_residuals.csv`` (t and the three per-sample defects); return
+def _lr_artifacts(grid, traj, h, stem, rate=None):
+    """The tables ``<stem>_trajectory.csv`` (t and the coefficients) and
+    ``<stem>_residuals.csv`` (t and the three per-sample defects), then
     the per-sample ||I^2 - 1||_F and |det I - 1| and the LR residual
     against the Hamiltonian coefficients ``h`` on the grid, taken with
-    the exact coefficient rate ``rate`` where the route has one."""
+    the exact coefficient rate ``rate`` where the route has one.  Writes
+    nothing."""
     mats = invariant_matrix(traj)
     sq = frobenius(mats @ mats - np.eye(4))
     det = np.abs(np.linalg.det(mats) - 1.0)
     worst, defect = lr_residual(assemble_invariant(traj), h, grid,
                                 didt=None if rate is None else assemble_invariant(rate))
     names, cols = _complex_columns(["c%d" % (k + 1) for k in range(10)], traj)
-    names, cols = ["t"] + names, [grid] + cols
-    path = os.path.join(outdir, stem + "_trajectory.csv")
-    path2 = os.path.join(outdir, stem + "_residuals.csv")
-    emit_plot_data((names, cols), path)
-    emit_plot_data((["t", "inv_sq_err", "det_err", "lr_residual"], [grid, sq, det, defect]), path2)
-    artifacts += [path, path2]
-    return sq, det, worst
+    tables = {stem + "_trajectory.csv": (["t"] + names, [grid] + cols),
+              stem + "_residuals.csv": (["t", "inv_sq_err", "det_err", "lr_residual"],
+                                        [grid, sq, det, defect])}
+    return tables, sq, det, worst
 
 
 # The largest ||c|| of a closed-form trajectory that the checks may read.
@@ -417,7 +415,7 @@ def _lr_artifacts(grid, traj, h, outdir, stem, artifacts, rate=None):
 _CLOSED_FORM_BOUND = float(np.finfo(float).max) ** 0.25 / 4.0
 
 
-def _run_lr_closed_form(cfg, grid, values, outdir, checks, artifacts):
+def _run_lr_closed_form(cfg, grid, values, checks):
     cf = ClosedFormParams(**cfg["params"])
     # a trajectory beyond the bound, or one that overflows, stops the run
     # with an error that names its fields and first grid time, unwarned
@@ -444,13 +442,17 @@ def _run_lr_closed_form(cfg, grid, values, outdir, checks, artifacts):
     idx = idx[np.abs(traj[idx, 0]) > 3e-3]
     if idx.size == 0:
         idx = np.array([np.argmax(np.abs(traj[:, 0]))])
-    r1, r2, r7, r10 = involution_residuals(traj[idx])
+    try:
+        r1, r2, r7, r10 = involution_residuals(traj[idx])
+    except ChiPlusZero as exc:
+        raise ChiPlusZero("params.alpha (%g) with params.lam: %s" % (cf.alpha, exc)) from None
     checks.add("involution_constraints",
                float(max(np.abs(r).max() for r in (r1, r2, r7, r10))), 1e-10)
-    # H from the scaled profiles: alpha * lam(t) would round apart from
-    # lam.scaled(alpha)(t), which scales amp and offset separately
-    sq, det, lr_worst = _lr_artifacts(grid, traj, build_H_coeffs(osc, grid), outdir,
-                                      "closed_form", artifacts, rate=rate)
+    # H of the proportional family: a = omega_y = lam, and omega_x from the
+    # scaled profile, since alpha * lam(t) would round apart from it
+    lam = values["lam"]
+    tables, sq, det, lr_worst = _lr_artifacts(
+        grid, traj, _h_coeffs(lam, osc.omega_x(grid), lam, lam), "closed_form", rate=rate)
     checks.add("invariant_squares_to_identity", float(sq.max()), 1e-10)
     checks.add("unit_determinant", float(det.max()), 1e-10)
     checks.add("lr_residual", lr_worst, 1e-8)
@@ -464,15 +466,15 @@ def _run_lr_closed_form(cfg, grid, values, outdir, checks, artifacts):
         # as in an lr-ode run: name the config fields that set the depth
         raise StepNotConverged("grid.steps (%d) or params.lam (|value| up to %.3g on the grid) "
                                "with params.alpha (%g): %s"
-                               % (grid.size, float(np.abs(values["lam"]).max()), cf.alpha, exc)) from None
+                               % (grid.size, float(np.abs(lam).max()), cf.alpha, exc)) from None
     checks.add("cross_solver_time_ordered", float(np.abs(ordered - traj).max()), 1e-6)
     checks.add("cross_solver_commuting",
                float(np.abs(evolve(c0, grid, osc, mode="commuting") - traj).max()), 1e-8)
 
-    return {"alpha": cf.alpha}
+    return tables, {"alpha": cf.alpha}
 
 
-def _run_lr_ode(cfg, grid, values, outdir, checks, artifacts):
+def _run_lr_ode(cfg, grid, values, checks):
     p = dict(cfg["params"])
     solver, c0, lr_tol = p.pop("solver"), p.pop("c0"), p.pop("lr_tol")
     params = CoupledOscillatorParams(**p)
@@ -487,8 +489,9 @@ def _run_lr_ode(cfg, grid, values, outdir, checks, artifacts):
                                "to %.3g on the grid): %s"
                                % (grid.size, name, peak[name], exc)) from None
     h = _h_coeffs(*(values[name] for name in _COUPLED))
-    checks.add("lr_residual", _lr_artifacts(grid, traj, h, outdir, "ode", artifacts)[2], lr_tol)
-    return {"solver": solver}
+    tables, _, _, worst = _lr_artifacts(grid, traj, h, "ode")
+    checks.add("lr_residual", worst, lr_tol)
+    return tables, {"solver": solver}
 
 
 def _inverse_defect(eta):
@@ -506,7 +509,7 @@ def _inverse_defect(eta):
                   / (frobenius(eta) * frobenius(eta_inv))).max())
 
 
-def _run_point_transform(cfg, grid, values, outdir, checks, artifacts):
+def _run_point_transform(cfg, grid, values, checks):
     params = PointTransformParams(**cfg["params"])
     rng = np.random.default_rng(cfg["seed"])
 
@@ -567,11 +570,7 @@ def _run_point_transform(cfg, grid, values, outdir, checks, artifacts):
     cols = [grid, ep.sigma, ep.r * ep.sigma_tau, ep.mu, ep.r * ep.mu_tau, ep.tau, a, b, lam]
     inames, icols = _complex_columns(["I%d" % k for k in range(10)], inv)
     hnames, hcols = _complex_columns(["Ih%d" % k for k in range(10)], ih)
-    path = os.path.join(outdir, "point_transform_trajectory.csv")
-    emit_plot_data((names + inames + hnames, cols + icols + hcols), path)
-    artifacts.append(path)
-
-    return {
+    return {"point_transform_trajectory.csv": (names + inames + hnames, cols + icols + hcols)}, {
         "dyson": {"kappa1": stat.kappa1, "kappa2": stat.kappa2,
                   "delta": [stat.delta.real, stat.delta.imag]},
         "known_discrepancies": [r.to_dict() for r in records],
@@ -662,7 +661,7 @@ def _spectrum_invariants(evs, m):
     return float(max(trace.max(), det.max()))
 
 
-def _run_regime_map(cfg, grid, values, outdir, checks, artifacts):
+def _run_regime_map(cfg, grid, values, checks):
     a, wx, wy, lam = (values[name] for name in _COUPLED)
     evs = instantaneous_eigenvalues(a, wx, wy, lam)
     # spectrum symmetric about zero: the sort lists -eps opposite each eps
@@ -674,10 +673,7 @@ def _run_regime_map(cfg, grid, values, outdir, checks, artifacts):
     regimes = _REGIME_LABELS[_regime_index(wx, wy, lam)]
     names = ["t"] + ["re%d" % (k + 1) for k in range(4)] + ["im%d" % (k + 1) for k in range(4)] + ["regime"]
     cols = [grid] + [evs[:, k].real for k in range(4)] + [evs[:, k].imag for k in range(4)] + [regimes]
-    path = os.path.join(outdir, "eigenvalue_trajectory.csv")
-    emit_plot_data((names, cols), path)
-    artifacts.append(path)
-    return {}
+    return {"eigenvalue_trajectory.csv": (names, cols)}, {}
 
 
 _RUNNERS = {
@@ -690,24 +686,29 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: dict, outdir: str) -> dict:
-    """Execute one scenario; returns the report dict (also written to disk)."""
+    """Execute one scenario; return its report.  The runner only computes,
+    returning its tables ``{filename: (names, columns)}`` and report keys;
+    then ``outdir`` is created, each table written by :func:`emit_plot_data`
+    and the report as ``report.json``, so a run that raises leaves no file.
+    ``wall_time_s`` spans the runner and the CSV writes."""
     resolved = _resolve_config(cfg)
     grid = np.linspace(resolved["grid"]["t0"], resolved["grid"]["t1"], resolved["grid"]["steps"])
     values = _require_finite_profiles(resolved["params"], grid)
-    os.makedirs(outdir, exist_ok=True)
     checks = _Checks()
-    artifacts: list[str] = []
     start = time.perf_counter()
-    extra = _RUNNERS[resolved["mode"]](resolved, grid, values, outdir, checks, artifacts)
+    tables, extra = _RUNNERS[resolved["mode"]](resolved, grid, values, checks)
+    os.makedirs(outdir, exist_ok=True)
+    for name, table in tables.items():
+        emit_plot_data(table, os.path.join(outdir, name))
     wall = time.perf_counter() - start
     report = {
         "scenario": cfg,
         "checks": checks.rows,
         "all_pass": checks.all_pass,
-        "artifacts": [os.path.basename(a) for a in artifacts],
+        "artifacts": list(tables),
         "wall_time_s": wall,
     }
-    report.update(extra or {})
+    report.update(extra)
     path = os.path.join(outdir, "report.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

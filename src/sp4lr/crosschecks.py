@@ -21,11 +21,10 @@ import numpy as np
 
 from . import algebra, point_transform as pt
 from .algebra import GeneratorId, generator_matrices
-from .hamiltonian import (CoupledOscillatorParams, build_H_coeffs, build_H_modified,
-                          eigenvalue_formula, instantaneous_eigenvalues)
+from .hamiltonian import (_h_coeffs, build_H_modified, eigenvalue_formula,
+                          instantaneous_eigenvalues)
 from .lr_ode import ANSATZ_COMBINATIONS, coefficients_of_element, lr_residual
 from .point_transform import _elem
-from .profiles import ScalarProfile
 
 __all__ = ["DiscrepancyRecord", "standard_records", "point_transform_records"]
 
@@ -100,9 +99,10 @@ def ansatz_row7_record() -> DiscrepancyRecord:
     )
 
 
-def ode_matrix(params: CoupledOscillatorParams, t: float) -> np.ndarray:
-    """Coefficient matrix M(t) of dc/dt = M c, generated from the structure constants."""
-    h = build_H_coeffs(params, t)
+def ode_matrix(a, omega_x, omega_y, lam) -> np.ndarray:
+    """Coefficient matrix M of dc/dt = M c at the profile values (numbers)
+    a, omega_x, omega_y, lam, generated from the structure constants."""
+    h = _h_coeffs(a, omega_x, omega_y, lam)
     return coefficients_of_element(-1j * algebra.commutator(h, ANSATZ_COMBINATIONS)).T
 
 
@@ -118,10 +118,7 @@ def ode_matrix_variant_records() -> list[DiscrepancyRecord]:
     except row 2.
     """
     a, wx, wy, lam = 0.7, 1.3, 0.9, 0.4
-    params = CoupledOscillatorParams(
-        a=ScalarProfile.constant(a), omega_x=ScalarProfile.constant(wx),
-        omega_y=ScalarProfile.constant(wy), lam=ScalarProfile.constant(lam))
-    m_gen = ode_matrix(params, 0.0)
+    m_gen = ode_matrix(a, wx, wy, lam)
 
     def hand_written(row8_coeff, row2_sign):
         m = np.zeros((10, 10), dtype=complex)
@@ -157,17 +154,16 @@ def ode_matrix_variant_records() -> list[DiscrepancyRecord]:
     ]
 
 
-def eigenvalue_formula_record(params: CoupledOscillatorParams, t: float = 0.3) -> DiscrepancyRecord:
+def eigenvalue_formula_record(a, omega_x, omega_y, lam) -> DiscrepancyRecord:
     """Published eigenvalue expression vs the spectrum of
-    :func:`instantaneous_eigenvalues`, both from one evaluation of the
-    profiles at ``t``."""
-    a, wx, wy, lam = (f(t) for f in (params.a, params.omega_x, params.omega_y, params.lam))
-    roots = instantaneous_eigenvalues(a, wx, wy, lam)
+    :func:`instantaneous_eigenvalues`, both at the profile values a,
+    omega_x, omega_y, lam."""
+    roots = instantaneous_eigenvalues(a, omega_x, omega_y, lam)
     return DiscrepancyRecord(
         name="eigenvalue_closed_form",
         adjudicator="closed-form roots of the 2x2 block product BC",
         adopted_residual=0.0,
-        variant_residual=float(np.abs(roots - eigenvalue_formula(a, wx + wy, lam)).max()),
+        variant_residual=float(np.abs(roots - eigenvalue_formula(a, omega_x + omega_y, lam)).max()),
         note="closed form kept verbatim; deviation logged, never asserted",
     )
 
@@ -327,13 +323,10 @@ def pushforward_row_records(p: pt.PointTransformParams, ep: pt.EPState) -> list[
 
 def standard_records() -> list[DiscrepancyRecord]:
     """Records that need no point-transformation parameters; the eigenvalue
-    record reads one fixed constant-profile oscillator."""
-    params = CoupledOscillatorParams(
-        a=ScalarProfile.constant(1.0), omega_x=ScalarProfile.constant(1.3),
-        omega_y=ScalarProfile.constant(0.8), lam=ScalarProfile.constant(0.4))
+    record reads one fixed set of profile values."""
     recs = [generator_j2_record(), ansatz_row7_record()]
     recs += ode_matrix_variant_records()
-    recs.append(eigenvalue_formula_record(params))
+    recs.append(eigenvalue_formula_record(1.0, 1.3, 0.8, 0.4))
     recs.append(parity_convention_record())
     return recs
 

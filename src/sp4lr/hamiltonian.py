@@ -86,7 +86,9 @@ def _h_coeffs(a, wx, wy, lam):
 
 
 def build_H_coeffs(p: CoupledOscillatorParams, t) -> np.ndarray:
-    """Coupled-oscillator Hamiltonian at time(s) ``t``, shape ``t.shape + (10,)``."""
+    """Coupled-oscillator Hamiltonian at time(s) ``t``, shape ``t.shape + (10,)``.
+    No run calls it (runners call :func:`_h_coeffs` on profile values);
+    ``perfbench/verify.py`` and CI's regime-map check keep it."""
     return _h_coeffs(p.a(t), p.omega_x(t), p.omega_y(t), p.lam(t))
 
 

@@ -440,6 +440,8 @@ def test_closed_form_run_whose_propagator_overflows_exits_1(tmp_path, capsys, la
     err = capsys.readouterr().err
     assert err.startswith("error: propagator too large at t = ") and err.count("\n") == 1, err
     assert not (tmp_path / "report.json").exists()
+    # the run fails after its tables are formed, and writes none of them
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_closed_form_run_whose_trajectory_overflows_names_its_fields(tmp_path, capsys):
@@ -474,6 +476,26 @@ def test_closed_form_run_whose_cross_solver_refinement_fails_names_its_fields(tm
     err = capsys.readouterr().err
     assert err.startswith("error: grid.steps (11) or params.lam (|value| up to ") and \
         "with params.alpha (2): refinement cannot reach" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "report.json").exists()
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("alpha", [1e40, 1e80])
+def test_closed_form_run_whose_chi_plus_vanishes_names_its_fields(tmp_path, capsys, alpha):
+    # a constant lam of 1 with a huge alpha keeps the closed form within its
+    # bound, but chi_plus = c3 c4 + c5 c6 vanishes at the sampled times, so
+    # the involution constraints are undefined; the error line names
+    # params.alpha and params.lam, and the run writes no file
+    cfg = {"mode": "lr-closed-form", "grid": {"t0": 0.0, "t1": 1.0, "steps": 11},
+           "params": {"alpha": alpha, "lam": _CONST}}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: params.alpha (%g) with params.lam: chi_plus vanishes; " \
+                  "constraints undefined\n" % alpha, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["omega_x", "lam"])
@@ -803,9 +825,10 @@ _COUPLED_PARAMS = {"a": _sinusoid(1.0), "omega_x": _sinusoid(1.3), "omega_y": _s
     ("lr-ode", _COUPLED_PARAMS, 4),
     # the guard's and the EP state's evaluation of r
     ("point-transform", {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "r": _sinusoid(1.0)}, 2),
-    # the guard, the closed form's rate, and H of the proportional family's
-    # four profiles: alpha lam(t) would round apart from lam.scaled(alpha)(t)
-    ("lr-closed-form", {"alpha": 3.0, "lam": _sinusoid(1.0)}, 6),
+    # the guard's lam, read by H as a, omega_y and lam, the closed form's
+    # rate, and H's omega_x: alpha lam(t) would round apart from
+    # lam.scaled(alpha)(t)
+    ("lr-closed-form", {"alpha": 3.0, "lam": _sinusoid(1.0)}, 3),
     ("algebra-check", {}, 0),
 ], ids=["regime-map", "lr-ode", "point-transform", "lr-closed-form", "algebra-check"])
 def test_each_profile_is_evaluated_on_the_grid_once(tmp_path, monkeypatch, mode, params,
@@ -823,9 +846,9 @@ def test_each_profile_is_evaluated_on_the_grid_once(tmp_path, monkeypatch, mode,
     assert run_scenario(cfg, str(tmp_path))["all_pass"]
     assert sizes.count(steps) == grid_calls
     if mode == "algebra-check":
-        # the parity rows build no profile; the two ledger records that
-        # read a fixed oscillator evaluate its four constants once each
-        assert sizes == [1] * 8
+        # the parity rows and the ledger records read profile values, and
+        # build no profile
+        assert sizes == []
 
 
 def test_seed_env_controls_sampling(tmp_path, monkeypatch):

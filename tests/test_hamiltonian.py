@@ -182,7 +182,7 @@ def test_formula_mode_double_root_at_discriminant_zero():
 def test_formula_vs_numeric_logged_not_asserted():
     from sp4lr.crosschecks import eigenvalue_formula_record
 
-    rec = eigenvalue_formula_record(const_params(1.0, 1.3, 0.8, 0.4))
+    rec = eigenvalue_formula_record(1.0, 1.3, 0.8, 0.4)
     assert rec.name == "eigenvalue_closed_form"
     assert rec.variant_residual >= 0.0  # recorded, whatever its size
 

@@ -103,8 +103,7 @@ def test_combinations_are_elementary_quadratics():
 
 
 def test_M_unit_substitution():
-    p = const_params(1.0, 1.0, 1.0, 1.0)
-    m = ode_matrix(p, 0.0)
+    m = ode_matrix(1.0, 1.0, 1.0, 1.0)
     cdot = m @ C0
     want = np.zeros(10, dtype=complex)
     want[6] = -1j
@@ -114,14 +113,12 @@ def test_M_unit_substitution():
 
 
 def test_M_row9_entry():
-    p = const_params(0.7, 1.3, 0.9, 0.4)
-    m = ode_matrix(p, 0.0)
+    m = ode_matrix(0.7, 1.3, 0.9, 0.4)
     assert m[8, 0] == pytest.approx(0.35)  # a/2
 
 
 def test_M_structural_nonzeros():
-    p = const_params(0.7, 1.3, 0.9, 0.4)
-    m = ode_matrix(p, 0.0)
+    m = ode_matrix(0.7, 1.3, 0.9, 0.4)
     assert int(np.count_nonzero(np.abs(m) > 1e-13)) == 24
 
 
@@ -130,10 +127,9 @@ def test_M_consistent_with_invariant_equation():
     from sp4lr.algebra import commutator
 
     rng = np.random.default_rng(9)
-    p = const_params(0.7, 1.3, 0.9, 0.4)
-    m = ode_matrix(p, 0.0)
+    m = ode_matrix(0.7, 1.3, 0.9, 0.4)
     c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    h = build_H_coeffs(p, np.array([0.0]))[0]
+    h = _h_coeffs(0.7, 1.3, 0.9, 0.4)
     bracket = commutator(h, assemble_invariant(c))
     np.testing.assert_allclose(assemble_invariant(m @ c), -1j * bracket, atol=1e-12)
 
@@ -488,8 +484,7 @@ def test_closed_form_solves_ode_all_alphas():
     h = 1e-5
     for alpha in (0.0, 1.0, 2.0, 3.0, 5.0):
         cf = ClosedFormParams(alpha, ScalarProfile.constant(1.0))
-        p = cf.oscillator_params()
-        m = ode_matrix(p, 0.0)
+        m = ode_matrix(1.0, alpha, 1.0, 1.0)  # a = omega_y = lam = 1, omega_x = alpha
         for theta in (0.4, 1.7):
             cdot = (closed_form_c(cf, theta + h) - closed_form_c(cf, theta - h)) / (2 * h)
             np.testing.assert_allclose(cdot, m @ closed_form_c(cf, theta),
