@@ -12,6 +12,14 @@ in defaults; an unknown or missing field, or a bool, string, null or
 non-finite value where a number belongs, exits 1 with
 ``ConfigInvalid("<field.path>: ...")``.  ``sp4lr run --describe`` prints
 that table.  The environment variable ``SP4_SEED`` overrides ``seed``.
+
+Importing this module loads only ``errors`` and ``profiles`` of the
+package: the field table, ``--describe``, the loader, the profile guard
+and the CSV writer need no more.  Each runner imports the numerics its
+mode uses when it runs, so a regime map loads ``algebra``, ``numerics``
+and ``hamiltonian``, the LR modes ``lr_ode`` as well, and only the
+point transform and the algebra check load ``point_transform`` and
+``crosschecks``.
 """
 
 from __future__ import annotations
@@ -24,58 +32,7 @@ import time
 
 import numpy as np
 
-from . import crosschecks
-from .algebra import (
-    _real_coordinates,
-    adjoint,
-    generator_matrices,
-    parity_action,
-    pt_map,
-    structure_constants,
-    symplectic_inverse,
-    to_matrix,
-    OMEGA,
-)
 from .errors import ChiPlusZero, ConfigInvalid, ProfileDomain, Sp4lrError, StepNotConverged
-from .hamiltonian import (
-    CoupledOscillatorParams,
-    Regime,
-    _h_coeffs,
-    _regime_index,
-    build_H_modified,
-    instantaneous_eigenvalues,
-)
-from .lr_ode import (
-    COMM_TOL,
-    ClosedFormParams,
-    _commutativity_probe,
-    assemble_invariant,
-    closed_form_on_grid,
-    evolve,
-    invariant_matrix,
-    involution_residuals,
-    lr_residual,
-)
-from .numerics import frobenius
-from .point_transform import (
-    PointTransformParams,
-    _invariant_rate_defect,
-    _transport_coordinates,
-    _transport_element,
-    dyson_static,
-    dyson_time,
-    ep_residual,
-    ep_state,
-    ermakov_first_integral,
-    hermitian_invariant_expansion,
-    hermitian_invariant_Ih,
-    invariant_IH,
-    metric_is_positive,
-    pde_constraint_residuals,
-    pushforward,
-    target_coefficients,
-    tdde_residual,
-)
 from .profiles import PROFILE_KINDS, Field, ScalarProfile
 
 __all__ = ["main", "run_scenario", "emit_plot_data", "describe_schema"]
@@ -361,6 +318,10 @@ def _require(cond, msg):
 
 
 def _run_algebra_check(cfg, grid, values, checks):
+    from . import crosschecks
+    from .algebra import OMEGA, adjoint, generator_matrices, parity_action, pt_map, structure_constants
+    from .hamiltonian import _h_coeffs
+
     rng = np.random.default_rng(cfg["seed"])
     gen = generator_matrices()
     f = structure_constants()
@@ -392,6 +353,9 @@ def _lr_artifacts(grid, traj, h, stem, rate=None):
     against the Hamiltonian coefficients ``h`` on the grid, taken with
     the exact coefficient rate ``rate`` where the route has one.  Writes
     nothing."""
+    from .lr_ode import assemble_invariant, invariant_matrix, lr_residual
+    from .numerics import frobenius
+
     mats = invariant_matrix(traj)
     sq = frobenius(mats @ mats - np.eye(4))
     det = np.abs(np.linalg.det(mats) - 1.0)
@@ -416,6 +380,10 @@ _CLOSED_FORM_BOUND = float(np.finfo(float).max) ** 0.25 / 4.0
 
 
 def _run_lr_closed_form(cfg, grid, values, checks):
+    from .hamiltonian import _h_coeffs
+    from .lr_ode import (COMM_TOL, ClosedFormParams, _commutativity_probe, closed_form_on_grid,
+                         evolve, involution_residuals)
+
     cf = ClosedFormParams(**cfg["params"])
     # a trajectory beyond the bound, or one that overflows, stops the run
     # with an error that names its fields and first grid time, unwarned
@@ -453,6 +421,7 @@ def _run_lr_closed_form(cfg, grid, values, checks):
     lam = values["lam"]
     tables, sq, det, lr_worst = _lr_artifacts(
         grid, traj, _h_coeffs(lam, osc.omega_x(grid), lam, lam), "closed_form", rate=rate)
+    del rate  # only the LR residual reads it; not held through the two evolve calls
     checks.add("invariant_squares_to_identity", float(sq.max()), 1e-10)
     checks.add("unit_determinant", float(det.max()), 1e-10)
     checks.add("lr_residual", lr_worst, 1e-8)
@@ -475,6 +444,9 @@ def _run_lr_closed_form(cfg, grid, values, checks):
 
 
 def _run_lr_ode(cfg, grid, values, checks):
+    from .hamiltonian import CoupledOscillatorParams, _h_coeffs
+    from .lr_ode import evolve
+
     p = dict(cfg["params"])
     solver, c0, lr_tol = p.pop("solver"), p.pop("c0"), p.pop("lr_tol")
     params = CoupledOscillatorParams(**p)
@@ -504,12 +476,38 @@ def _inverse_defect(eta):
     static map approaches 1.  ``eta`` is the real eta' = D^-1 eta D of
     :func:`dyson_time`: D is an entrywise unit, so every Frobenius norm
     is that of eta."""
+    from .algebra import symplectic_inverse
+    from .numerics import frobenius
+
     eta_inv = symplectic_inverse(eta)
     return float((frobenius(eta @ eta_inv - np.eye(4))
                   / (frobenius(eta) * frobenius(eta_inv))).max())
 
 
 def _run_point_transform(cfg, grid, values, checks):
+    from . import crosschecks
+    from .algebra import _real_coordinates
+    from .hamiltonian import build_H_modified
+    from .point_transform import (
+        PointTransformParams,
+        _invariant_rate_defect,
+        _transport_coordinates,
+        _transport_element,
+        dyson_static,
+        dyson_time,
+        ep_residual,
+        ep_state,
+        ermakov_first_integral,
+        hermitian_invariant_expansion,
+        hermitian_invariant_Ih,
+        invariant_IH,
+        metric_is_positive,
+        pde_constraint_residuals,
+        pushforward,
+        target_coefficients,
+        tdde_residual,
+    )
+
     params = PointTransformParams(**cfg["params"])
     rng = np.random.default_rng(cfg["seed"])
 
@@ -579,9 +577,6 @@ def _run_point_transform(cfg, grid, values, checks):
 
 # the bound of the spectrum_invariants row, derived in _spectrum_invariants
 _SPECTRUM_TOL = 64 * np.finfo(float).eps
-
-# the regime labels, indexed as ``hamiltonian._regime_index`` counts
-_REGIME_LABELS = np.array([r.value for r in Regime])
 
 
 def _det4(m):
@@ -662,6 +657,9 @@ def _spectrum_invariants(evs, m):
 
 
 def _run_regime_map(cfg, grid, values, checks):
+    from .algebra import to_matrix
+    from .hamiltonian import _REGIME_LABELS, _h_coeffs, _regime_index, instantaneous_eigenvalues
+
     a, wx, wy, lam = (values[name] for name in _COUPLED)
     evs = instantaneous_eigenvalues(a, wx, wy, lam)
     # spectrum symmetric about zero: the sort lists -eps opposite each eps

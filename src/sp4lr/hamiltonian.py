@@ -203,6 +203,8 @@ def _regime_index(omega_x, omega_y, lam):
 
 
 _REGIMES = np.array(list(Regime), dtype=object)
+# their labels, a text column of the regime-map CSV
+_REGIME_LABELS = np.array([r.value for r in Regime])
 
 
 def classify_regime(p: CoupledOscillatorParams, t):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sp4lr import cli
+from sp4lr import algebra, cli, hamiltonian
 from sp4lr._csv17 import _format17
 from sp4lr.algebra import GeneratorId, to_matrix
 from sp4lr.cli import _resolve_config, describe_schema, emit_plot_data, main, run_scenario
@@ -240,8 +240,16 @@ def test_algebra_check_draws_the_hamiltonians_of_the_per_sample_loop(tmp_path, m
     # one (samples, 4) draw is the stream of one draw of 4 per sample, and
     # the parity row reads build_H_coeffs of each row's constant profiles
     seen = []
-    parity_action = cli.parity_action
-    monkeypatch.setattr(cli, "parity_action", lambda h: seen.append(h) or parity_action(h))
+    parity_action = algebra.parity_action
+
+    def recorded(h, *convention):
+        # the ledger's parity_convention record passes a convention; only
+        # the parity row's call, with the default one, is recorded
+        if not convention:
+            seen.append(h)
+        return parity_action(h, *convention)
+
+    monkeypatch.setattr(algebra, "parity_action", recorded)
     cfg = {"mode": "algebra-check", "seed": 5, "grid": {"t0": 0.0, "t1": 1.0, "steps": 5},
            "params": {"samples": 7}}
     assert run_scenario(cfg, str(tmp_path))["all_pass"]
@@ -663,8 +671,9 @@ def test_spectrum_invariants_row_fails_on_a_spectrum_fault(tmp_path, monkeypatch
     cfg = _shipped_regime_map()
     clean = {c["name"]: c for c in run_scenario(cfg, str(tmp_path / "clean"))["checks"]}
     assert clean["spectrum_invariants"]["residual"] <= 8 * np.finfo(float).eps
-    original = cli.instantaneous_eigenvalues
-    monkeypatch.setattr(cli, "instantaneous_eigenvalues", lambda *values: fault(original(*values)))
+    original = hamiltonian.instantaneous_eigenvalues
+    monkeypatch.setattr(hamiltonian, "instantaneous_eigenvalues",
+                        lambda *values: fault(original(*values)))
     checks = {c["name"]: c for c in run_scenario(cfg, str(tmp_path / "fault"))["checks"]}
     assert checks["eigenvalue_pairing"]["status"] == "pass"
     assert checks["spectrum_invariants"]["status"] == "fail"
@@ -675,14 +684,14 @@ def test_spectrum_invariants_row_fails_on_a_position_momentum_term(tmp_path, mon
     # the coupled family does not have.  The spectrum is taken from the
     # profile values and never sees it; the complex M(H) of the row does, so
     # the run fails there with exit 2
-    original = cli._h_coeffs
+    original = hamiltonian._h_coeffs
 
     def with_j2(*values):
         h = original(*values)
         h[..., GeneratorId.J2] = 0.25j
         return h
 
-    monkeypatch.setattr(cli, "_h_coeffs", with_j2)
+    monkeypatch.setattr(hamiltonian, "_h_coeffs", with_j2)
     cfg = write_cfg(tmp_path, _shipped_regime_map())
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -708,14 +717,14 @@ def test_spectrum_invariants_hold_near_the_nilpotent_point(tmp_path, amp):
 def test_eigenvalue_pairing_row_fails_on_an_unpaired_eigenvalue(tmp_path, monkeypatch):
     # the sorted spectrum must list -eps opposite each eps; one eigenvalue
     # moved by 1e-9 of itself leaves its partner unpaired
-    original = cli.instantaneous_eigenvalues
+    original = hamiltonian.instantaneous_eigenvalues
 
     def unpaired(*values):
         evs = original(*values)
         evs[:, -1] *= 1.0 + 1e-9
         return evs
 
-    monkeypatch.setattr(cli, "instantaneous_eigenvalues", unpaired)
+    monkeypatch.setattr(hamiltonian, "instantaneous_eigenvalues", unpaired)
     checks = {c["name"]: c for c in run_scenario(_shipped_regime_map(), str(tmp_path))["checks"]}
     assert checks["eigenvalue_pairing"]["status"] == "fail"
 
@@ -739,6 +748,7 @@ def test_point_transform_computes_each_adopted_residual_once(tmp_path, monkeypat
     # the ledger's adopted EP and invariant-equation residuals are the
     # run's check rows, not a second evaluation
     import sp4lr.crosschecks
+    import sp4lr.lr_ode
     import sp4lr.point_transform
 
     calls = {"ep": 0, "rate_defect": 0, "lr_exact": 0, "lr_stencil": 0}
@@ -755,11 +765,11 @@ def test_point_transform_computes_each_adopted_residual_once(tmp_path, monkeypat
             return fn(*args, **kwargs)
         return wrapped
 
-    for module in (cli, sp4lr.point_transform):
-        monkeypatch.setattr(module, "ep_residual", counting(module.ep_residual, "ep"))
-        monkeypatch.setattr(module, "_invariant_rate_defect",
-                            counting(module._invariant_rate_defect, "rate_defect"))
-    for module in (cli, sp4lr.crosschecks):
+    pt_mod = sp4lr.point_transform
+    monkeypatch.setattr(pt_mod, "ep_residual", counting(pt_mod.ep_residual, "ep"))
+    monkeypatch.setattr(pt_mod, "_invariant_rate_defect",
+                        counting(pt_mod._invariant_rate_defect, "rate_defect"))
+    for module in (sp4lr.lr_ode, sp4lr.crosschecks):
         monkeypatch.setattr(module, "lr_residual", counting_lr(module.lr_residual))
     cfg = {"mode": "point-transform", "grid": {"t0": 0.0, "t1": 1.0, "steps": 501},
            "params": {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "c2": 0.2, "c3": 0.2,
@@ -796,11 +806,10 @@ def test_point_transform_builds_each_grid_fact_once(tmp_path, monkeypatch):
     pt_mod = sp4lr.point_transform
     monkeypatch.setattr(pt_mod, "_substitution_matrices", counting(
         "T", pt_mod._substitution_matrices, lambda p, sigma, *rest: np.size(sigma)))
-    target = counting("target", pt_mod.target_coefficients, lambda p, ep: ep.t.size)
-    for module in (cli, pt_mod):
-        monkeypatch.setattr(module, "target_coefficients", target)
-    build_h = counting("H", pt_mod.build_H_modified, lambda a, b, lam: np.size(a))
-    for module in (cli, pt_mod, sp4lr.crosschecks):
+    monkeypatch.setattr(pt_mod, "target_coefficients", counting(
+        "target", pt_mod.target_coefficients, lambda p, ep: ep.t.size))
+    build_h = counting("H", hamiltonian.build_H_modified, lambda a, b, lam: np.size(a))
+    for module in (hamiltonian, pt_mod, sp4lr.crosschecks):
         monkeypatch.setattr(module, "build_H_modified", build_h)
     cfg = {"mode": "point-transform", "grid": {"t0": 0.0, "t1": 1.0, "steps": steps},
            "params": {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "c2": 0.2, "c3": 0.2,

@@ -713,7 +713,6 @@ def test_point_transform_run_builds_the_transport_generator_once(tmp_path, monke
         return build(p, ep)
 
     monkeypatch.setattr(pt, "_transport_coordinates", counted)
-    monkeypatch.setattr(cli, "_transport_coordinates", counted)
     report = run_scenario(PT_CFG, str(tmp_path))
     assert report["all_pass"]
     assert calls == [PT_CFG["grid"]["steps"]], calls
@@ -764,7 +763,7 @@ def test_sigma_rate_fault_fails_only_the_first_integral(tmp_path, monkeypatch):
         return dataclasses.replace(ep, sigma_tau=sigma_tau, T=pt._substitution_matrices(
             p, ep.sigma, sigma_tau, ep.mu, ep.mu_tau))
 
-    monkeypatch.setattr(cli, "ep_state", faulty)
+    monkeypatch.setattr(pt, "ep_state", faulty)
     config = os.path.join(SCENARIOS, "point_transform_core.json")
     assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "report.json").read_text())
@@ -845,12 +844,14 @@ def test_point_transform_run_calls_the_complex_bracket_once(tmp_path, monkeypatc
 
 def test_coupling_fault_fails_the_invariant_lr_residual(tmp_path, monkeypatch):
     # the target coupling scaled by 1 + 1e-8 moves invariant_lr_residual
-    # to about 1.84e-8 on the shipped run, above its 1e-8 tolerance
+    # to about 1.84e-8 on the shipped run, above its 1e-8 tolerance.  The
+    # fault also reaches pde_constraint_residuals, which calls
+    # target_coefficients itself, so pde_potential_match fails too
     def faulty(p, ep):
         a, b, lam = target_coefficients(p, ep)
         return a, b, lam * (1.0 + 1e-8)
 
-    monkeypatch.setattr(cli, "target_coefficients", faulty)
+    monkeypatch.setattr(pt, "target_coefficients", faulty)
     config = os.path.join(SCENARIOS, "point_transform_core.json")
     assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "report.json").read_text())
