@@ -93,12 +93,11 @@ def _resolve(spec, cfg, path=""):
             else f.pick(cfg, name, prefix + name) for name, f in spec.items()}
 
 
-# Upper bound on grid.steps.  The largest live arrays are (N, 4, 4) complex
-# stacks, 16 entries of 16 B: 256 B per sample each.  A point-transform
-# run holds about 12 stacks' worth at its peak (tracemalloc: 3.0 kB per
-# sample at 40001 steps; no array is longer than the grid), the LR modes
-# 13-14 (3.4-3.6 kB), so this bound keeps every run under about
-# 14 * 256 B * 250000 = 0.9 GB.
+# Upper bound on grid.steps.  No array of a run is longer than the grid;
+# their tracemalloc peak at 40001 steps (a second run in one process) is
+# 1663 B per point for a point transform, 1490 B for a closed form, 1320 B
+# for an lr-ode run and 520 B for a regime map, so this bound keeps every
+# run under about 1.7 kB * 250000 = 0.42 GB of arrays.
 _MAX_STEPS = 250_000
 
 
@@ -109,7 +108,7 @@ def _resolve_config(cfg) -> dict:
     resolved = _resolve({**_FIELDS, "params": _FIELDS["params"].get(mode, {})}, cfg)
     _require(resolved["grid"]["steps"] >= 5, "grid.steps: need at least 5 points")
     _require(resolved["grid"]["steps"] <= _MAX_STEPS,
-             "grid.steps: at most %d points (about 3.5 kB of memory per point)" % _MAX_STEPS)
+             "grid.steps: at most %d points (about 1.7 kB of memory per point)" % _MAX_STEPS)
     _require(resolved["grid"]["t1"] > resolved["grid"]["t0"], "grid.t1 must exceed grid.t0")
     _require(resolved["params"].get("samples", 0) >= 0, "params.samples: must not be negative")
     if "SP4_SEED" in os.environ:
@@ -325,8 +324,9 @@ def _run_algebra_check(cfg, grid, values, checks):
     rng = np.random.default_rng(cfg["seed"])
     gen = generator_matrices()
     f = structure_constants()
-    # commutator table against the matrix representation
-    checks.add("commutator_table", crosschecks._commutator_table_error(gen), 1e-12)
+    # commutator table against the matrix representation, also the ledger's J2 row
+    table_error = crosschecks._commutator_table_error(gen)
+    checks.add("commutator_table", table_error, 1e-12)
     # symplectic condition, exact
     sympl = max(float(np.abs(OMEGA @ gen[i] + gen[i].T @ OMEGA).max()) for i in range(10))
     checks.add("symplectic_condition", sympl, 0.0)
@@ -343,7 +343,8 @@ def _run_algebra_check(cfg, grid, values, checks):
     h = _h_coeffs(*rng.uniform(0.2, 3.0, size=(cfg["params"]["samples"], 4)).T)
     checks.add("parity_equals_adjoint",
                float(np.abs(parity_action(h) - adjoint(h)).max(initial=0.0)), 1e-12)
-    return {}, {"known_discrepancies": [r.to_dict() for r in crosschecks.standard_records()]}
+    return {}, {"known_discrepancies": [r.to_dict()
+                                        for r in crosschecks.standard_records(table_error)]}
 
 
 def _lr_artifacts(grid, traj, h, stem, rate=None):
@@ -385,10 +386,11 @@ def _run_lr_closed_form(cfg, grid, values, checks):
                          evolve, involution_residuals)
 
     cf = ClosedFormParams(**cfg["params"])
+    lam = values["lam"]
     # a trajectory beyond the bound, or one that overflows, stops the run
     # with an error that names its fields and first grid time, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        traj, rate = closed_form_on_grid(cf, grid)
+        traj, rate = closed_form_on_grid(cf, grid, lam)
         size = np.linalg.norm(traj, axis=1)
     bad = ~(size <= _CLOSED_FORM_BOUND)  # a NaN compares False
     if np.any(bad):
@@ -418,7 +420,6 @@ def _run_lr_closed_form(cfg, grid, values, checks):
                float(max(np.abs(r).max() for r in (r1, r2, r7, r10))), 1e-10)
     # H of the proportional family: a = omega_y = lam, and omega_x from the
     # scaled profile, since alpha * lam(t) would round apart from it
-    lam = values["lam"]
     tables, sq, det, lr_worst = _lr_artifacts(
         grid, traj, _h_coeffs(lam, osc.omega_x(grid), lam, lam), "closed_form", rate=rate)
     del rate  # only the LR residual reads it; not held through the two evolve calls
@@ -486,11 +487,11 @@ def _inverse_defect(eta):
 
 def _run_point_transform(cfg, grid, values, checks):
     from . import crosschecks
-    from .algebra import _real_coordinates
+    from .algebra import _real_commutator, _real_coordinates
     from .hamiltonian import build_H_modified
+    from .lr_ode import _lr_defect
     from .point_transform import (
         PointTransformParams,
-        _invariant_rate_defect,
         _transport_coordinates,
         _transport_element,
         dyson_static,
@@ -525,18 +526,20 @@ def _run_point_transform(cfg, grid, values, checks):
         checks.add("static_map_postcondition", stat.check_residual, 1e-10)
 
     inv = invariant_IH(params, ep)
-    # K = T^-1 dT/dt = -i phi w, once per grid; the invariant's exact rate
-    # [I_H, K] is taken in real coordinates, each coefficient's row contiguous
+    # K = T^-1 dT/dt = -i phi w, once per grid; in real coordinates, rows
+    # contiguous, I_H = phi inv_r moves at the exact rate [I_H, K] = phi R(inv_r, w)
     w = _transport_coordinates(params, ep)
     inv_r = np.ascontiguousarray(_real_coordinates(inv))
+    rate = _real_commutator(inv_r, w)
     a, b, lam = target_coefficients(params, ep)
     h = build_H_modified(a, b, lam)  # the target Hamiltonian, once per grid
-    lr_resid = float(_invariant_rate_defect(inv_r, w, np.ascontiguousarray(_real_coordinates(h))).max())
+    lr_resid = float(_lr_defect(np.ascontiguousarray(_real_coordinates(h)), inv_r, rate).max())
     checks.add("invariant_lr_residual", lr_resid, 1e-8)
     # the adopted residuals of the ledger are two rows of this run; it runs
     # before the Dyson map exists, so its temporaries stay below the peak
-    records = crosschecks.point_transform_records(params, ep, inv_r, w, h, lam,
+    records = crosschecks.point_transform_records(params, ep, inv_r, rate, h, lam,
                                                   ep_resid, lr_resid)
+    del rate
     k = _transport_element(w)
 
     # one Dyson map per grid; a stack that only a check row reads is not

@@ -23,7 +23,7 @@ from . import algebra, point_transform as pt
 from .algebra import GeneratorId, generator_matrices
 from .hamiltonian import (_h_coeffs, build_H_modified, eigenvalue_formula,
                           instantaneous_eigenvalues)
-from .lr_ode import ANSATZ_COMBINATIONS, coefficients_of_element, lr_residual
+from .lr_ode import ANSATZ_COMBINATIONS, _lr_defect, coefficients_of_element, lr_residual
 from .point_transform import _elem
 
 __all__ = ["DiscrepancyRecord", "standard_records", "point_transform_records"]
@@ -52,22 +52,16 @@ class DiscrepancyRecord:
 
 
 def _commutator_table_error(gen_stack) -> float:
-    """Max deviation of matrix commutators from the structure-constant table."""
-    f = algebra.structure_constants()
-    worst = 0.0
-    for i in range(10):
-        for j in range(10):
-            lhs = gen_stack[i] @ gen_stack[j] - gen_stack[j] @ gen_stack[i]
-            rhs = np.tensordot(f[i, j], gen_stack, axes=(0, 0))
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    """Max deviation of the 100 pair commutators from the structure-constant table, batched."""
+    lhs = gen_stack[:, None] @ gen_stack[None] - gen_stack[None] @ gen_stack[:, None]
+    rhs = np.tensordot(algebra.structure_constants(), gen_stack, axes=(2, 0))
+    return float(np.abs(lhs - rhs).max())
 
 
-def generator_j2_record() -> DiscrepancyRecord:
-    """Hermitian J2 vs the anti-Hermitian scaling variant."""
-    gen = generator_matrices()
-    adopted = _commutator_table_error(gen)
-    variant_stack = gen.copy()
+def generator_j2_record(adopted: float) -> DiscrepancyRecord:
+    """Hermitian J2 vs the anti-Hermitian scaling variant; ``adopted`` is the
+    algebra-check run's ``commutator_table`` row, of the adopted generators."""
+    variant_stack = generator_matrices().copy()
     variant_stack[int(_G.J2)] = algebra.REJECTED_VARIANTS["J2_antihermitian"]
     return DiscrepancyRecord(
         name="generator_j2_scaling",
@@ -216,27 +210,26 @@ def invariant_image_variant(p: pt.PointTransformParams, ep: pt.EPState) -> np.nd
 
 
 def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState, inv_r: np.ndarray,
-                               w: np.ndarray, h: np.ndarray, lam: np.ndarray,
+                               rate: np.ndarray, h: np.ndarray, lam: np.ndarray,
                                adopted: float) -> tuple[DiscrepancyRecord, DiscrepancyRecord]:
     """The two records judged by the invariant equation on the grid ``ep.t``.
 
     ``inv_r`` holds the real coordinates of the congruence image
-    :func:`invariant_IH` on that grid and ``w`` those of the rate
-    generator K = -i phi w, each a contiguous (10, N) array as the run
-    forms them (``algebra._real_coordinates`` made contiguous,
-    ``point_transform._transport_coordinates``); ``h`` is the
+    :func:`invariant_IH` on that grid and ``rate`` those of its exact rate
+    [I_H, K], each a contiguous (10, N) array as the run forms them
+    (``algebra._real_coordinates`` made contiguous, and
+    ``algebra._real_commutator(inv_r, w)`` for K = -i phi w); ``h`` is the
     target Hamiltonian on the grid and ``lam`` its coupling, as the run
     builds them from :func:`target_coefficients`; ``adopted``, the adopted
     residual of both, is the invariant-equation residual of I_H against
-    ``h`` with the exact rate [I_H, K], the run's
-    ``invariant_lr_residual`` row.
+    ``h`` with that rate, the run's ``invariant_lr_residual`` row.
     Returns the transformed-invariant record (congruence image vs the
     closed-expression variant) and the target-pairing record (adopted
     (a, b) = (beta r/sigma^2, alpha r/mu^2) vs the swapped pairing).
     The pairing variant keeps the same invariant and so its exact rate,
-    in real coordinates; the closed-expression variant has none and is
-    differentiated by the 4th-order stencil (``lr_residual``), which its
-    O(1) residual does not need below.
+    in the run's kernel ``lr_ode._lr_defect``; the closed-expression
+    variant has none and is differentiated by the 4th-order stencil
+    (``lr_residual``), which its O(1) residual does not need below.
     """
     t = ep.t
     image = DiscrepancyRecord(
@@ -253,7 +246,7 @@ def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState, inv_r
         name="target_coefficient_pairing",
         adjudicator="invariant equation residual",
         adopted_residual=adopted,
-        variant_residual=float(pt._invariant_rate_defect(inv_r, w, h_sw).max()),
+        variant_residual=float(_lr_defect(h_sw, inv_r, rate).max()),
         note="the x-direction scale factor carries the beta frequency",
     )
     return image, pairing
@@ -321,10 +314,11 @@ def pushforward_row_records(p: pt.PointTransformParams, ep: pt.EPState) -> list[
     return [rec_j3, rec_k1]
 
 
-def standard_records() -> list[DiscrepancyRecord]:
+def standard_records(table_error: float) -> list[DiscrepancyRecord]:
     """Records that need no point-transformation parameters; the eigenvalue
-    record reads one fixed set of profile values."""
-    recs = [generator_j2_record(), ansatz_row7_record()]
+    record reads one fixed set of profile values.  ``table_error`` is the
+    adopted residual of :func:`generator_j2_record`, from the run."""
+    recs = [generator_j2_record(table_error), ansatz_row7_record()]
     recs += ode_matrix_variant_records()
     recs.append(eigenvalue_formula_record(1.0, 1.3, 0.8, 0.4))
     recs.append(parity_convention_record())
@@ -332,19 +326,19 @@ def standard_records() -> list[DiscrepancyRecord]:
 
 
 def point_transform_records(p: pt.PointTransformParams, ep: pt.EPState, inv_r: np.ndarray,
-                            w: np.ndarray, h: np.ndarray, lam: np.ndarray,
+                            rate: np.ndarray, h: np.ndarray, lam: np.ndarray,
                             ep_resid: float, lr_resid: float) -> list[DiscrepancyRecord]:
     """Records adjudicating the point-transformation pipeline forms.
 
-    ``ep`` is the EP state on the scenario grid, ``inv_r`` and ``w`` the
+    ``ep`` is the EP state on the scenario grid, ``inv_r`` and ``rate`` the
     real coordinates of the invariant :func:`invariant_IH` on it and of
-    its rate generator K (see :func:`invariant_equation_records`), and
+    its exact rate (see :func:`invariant_equation_records`), and
     ``h`` and ``lam`` the target Hamiltonian and its coupling on it.  The
     adopted residuals come from the run: ``ep_resid`` of
     :func:`ep_form_record` and ``lr_resid`` of
     :func:`invariant_equation_records`.
     """
-    image, pairing = invariant_equation_records(p, ep, inv_r, w, h, lam, lr_resid)
+    image, pairing = invariant_equation_records(p, ep, inv_r, rate, h, lam, lr_resid)
     recs = [image, ep_form_record(p, ep, ep_resid), pairing]
     recs += pushforward_row_records(p, ep.take([len(ep.t) // 3]))
     return recs

@@ -41,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (GeneratorId, _real_commutator, _real_conjugate_by, _real_matrix,
-                      _squared_norms, commutator)
+from . import algebra
+from .algebra import (_BLOCK, _REAL_PHASES, GeneratorId, _nonzero_halves, _real_commutator,
+                      _real_conjugate_by, _real_matrix, _squared_norms)
 from .errors import (ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, Sp4lrError,
                      StepNotConverged)
 from .hamiltonian import CoupledOscillatorParams, _h_real
@@ -424,9 +425,10 @@ def closed_form_c(params: ClosedFormParams, theta) -> np.ndarray:
     return _closed_form_combination(params, cp, cm, rp, rm)
 
 
-def closed_form_on_grid(params: ClosedFormParams, grid):
+def closed_form_on_grid(params: ClosedFormParams, grid, lam):
     """Closed form along a grid and its rate, ``(c, dc/dt)``, each (N, 10),
     from one theta = int_{grid[0]}^t lam, exact, and one set of mode terms.
+    ``lam`` holds the caller's values of ``params.lam`` on the grid.
 
     The combination is linear in its mode terms, so dc/dtheta is the same
     combination of their derivatives d cos(a theta/2)/dtheta =
@@ -439,7 +441,7 @@ def closed_form_on_grid(params: ClosedFormParams, grid):
     c = _closed_form_combination(params, cp, cm, rp, rm)
     dc = _closed_form_combination(params, -0.5 * ap**2 * rp, -0.5 * am**2 * rm,
                                   0.5 * cp, 0.5 * cm)
-    return c, params.lam(t)[:, None] * dc
+    return c, lam[:, None] * dc
 
 
 def involution_residuals(c):
@@ -500,6 +502,20 @@ def invariant_matrix(c) -> np.ndarray:
     return 1j * m
 
 
+def _lr_defect(h, x, y) -> np.ndarray:
+    """|i dI/dt - [H, I]| per sample (n,) in real coordinates H = phi h,
+    I = phi x, dI/dt = phi y: ``h`` real (10, n), ``x`` and ``y`` real (one
+    half) or C-contiguous complex (both halves), read by the real bracket R
+    as interleaved (re, im).  [phi a, phi b] = i phi R(a, b), so the defect
+    is i phi (y - R(h, x)), |phi_k| = 1: the products, sums and moduli of
+    ``abs(1j * didt - commutator(H, I))`` up to sign, bitwise."""
+    both = np.iscomplexobj(x)
+    if both:
+        h, x, y = np.repeat(h, 2, axis=1), x.view(float), y.view(float)
+    d = y - _real_commutator(h, x)
+    return np.abs(d.view(complex) if both else d).max(axis=0)
+
+
 def lr_residual(invariant, hamiltonian, grid, didt=None):
     """Max-norm defect of  i dI/dt - [H, I]  (hbar = 1) on ``grid``, and
     the defect at every sample: ``(worst, per_sample)``.
@@ -510,11 +526,12 @@ def lr_residual(invariant, hamiltonian, grid, didt=None):
     the basis); then every sample counts and the grid is not read.
     Without it the derivative is taken by the 4th-order central stencil
     on a uniform grid of at least 5 points, and the two points at each
-    end are excluded from the maximum.  The point transform's exact rate
-    [I_H, K] does not come here: its defect is taken in real coordinates
-    (``point_transform._invariant_rate_defect``), bitwise equal to this
-    one with ``didt=commutator(I_H, K)``.  ``per_sample`` holds the
-    defect at every grid point, ends included.
+    end are excluded from the maximum.  ``per_sample`` holds the defect at
+    every grid point, ends included.  It is taken by :func:`_lr_defect`
+    in blocks of ``algebra._BLOCK`` samples, with H through the real-form
+    guard ``algebra._real_coordinates`` (ValueError, never a dropped
+    imaginary part) and, exactly, the halves of the real coordinates of I
+    and dI/dt that are not 0 on the grid.
     """
     icoef = np.asarray(invariant, dtype=complex)
     if didt is None:
@@ -526,7 +543,14 @@ def lr_residual(invariant, hamiltonian, grid, didt=None):
             raise ValueError("lr_residual expects a uniform grid")
         didt, counted = central_diff(icoef, step), slice(2, -2)
     else:
-        counted = slice(None)
-    bracket = commutator(np.asarray(hamiltonian, dtype=complex), icoef)
-    per_sample = np.abs(1j * np.asarray(didt) - bracket).max(axis=1)
+        didt, counted = np.asarray(didt, dtype=complex), slice(None)
+    h = np.asarray(hamiltonian)
+    which = sorted(set(_nonzero_halves(icoef) + _nonzero_halves(didt)))
+    per_sample = np.empty(len(icoef))
+    for lo in range(0, len(icoef), _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        x, y = (np.ascontiguousarray((e[blk] * _REAL_PHASES.conj()).T) for e in (icoef, didt))
+        if len(which) == 1:  # the one half that is not 0
+            x, y = (np.ascontiguousarray((e.real, e.imag)[which[0]]) for e in (x, y))
+        per_sample[blk] = _lr_defect(np.ascontiguousarray(algebra._real_coordinates(h[blk])), x, y)
     return float(per_sample[counted].max()), per_sample

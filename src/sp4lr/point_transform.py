@@ -80,7 +80,6 @@ from .algebra import (
     _REAL_PHASES,
     _check_leak,
     _project,
-    _real_commutator,
     _real_conjugate_by,
     _squared_norms,
     _to_real_form,
@@ -325,8 +324,7 @@ def transport_generator(p: PointTransformParams, ep: EPState) -> np.ndarray:
     T is symplectic for any values of sigma, mu and their derivatives,
     so K lies in the algebra exactly, and the image X = T^-1 X0 T of a
     constant X0 moves as dX/dt = [X, K]: the invariant I_H at the rate
-    [I_H, K] (:func:`_invariant_rate_defect`, in real coordinates), the
-    Dyson map eta as [eta, K].
+    [I_H, K], the Dyson map eta as [eta, K].
 
     K is formed in the real form: D^-1 M(K) D = S^-1 dS/dt, real, with S
     from :func:`_real_substitution`.  It equals i sum_k r_k R_k for the
@@ -360,26 +358,6 @@ def _transport_coordinates(p: PointTransformParams, ep: EPState) -> np.ndarray:
 def _transport_element(w) -> np.ndarray:
     """The coefficients (N, 10) of K = -i phi w for its real coordinates ``w`` (10, N), exactly."""
     return np.multiply(-1j * _REAL_PHASES, w.T, order="C")
-
-
-def _invariant_rate_defect(inv_r, w, h_r) -> np.ndarray:
-    """Defect of the invariant equation i dI/dt = [H, I] at every sample,
-    with the exact rate dI/dt = [I, K], in real coordinates; shape (N,).
-
-    ``inv_r`` and ``h_r`` are the real coordinates of the invariant and
-    of the Hamiltonian, I = phi inv_r and H = phi h_r
-    (``algebra._real_coordinates``), and ``w`` those of K = -i phi w
-    (:func:`_transport_coordinates`), each a contiguous (10, N) array.
-    With the real bracket R of ``algebra._real_commutator``, the complex
-    bracket of phi a and phi b is i phi R(a, b), so [I, K] = phi R(inv_r, w),
-    [H, I] = i phi R(h_r, inv_r) and the defect i [I, K] - [H, I] is
-    i phi (R(inv_r, w) - R(h_r, inv_r)).  |phi_k| = 1, so its largest
-    modulus per sample is the largest |R(inv_r, w) - R(h_r, inv_r)|: the
-    same products, sums and moduli as the per-sample defect of
-    ``lr_residual(I, H, t, didt=commutator(I, K))``, on real numbers, so
-    the two agree bitwise.
-    """
-    return np.abs(_real_commutator(inv_r, w) - _real_commutator(h_r, inv_r)).max(axis=0)
 
 
 def pushforward_map(ep: EPState) -> np.ndarray:

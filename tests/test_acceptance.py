@@ -131,7 +131,7 @@ def closed_forms():
     out = {}
     for alpha in ALPHAS:
         cf = ClosedFormParams(alpha, ScalarProfile.constant(1.0))
-        out[alpha] = (cf, closed_form_on_grid(cf, GRID_05)[0])
+        out[alpha] = (cf, closed_form_on_grid(cf, GRID_05, cf.lam(GRID_05))[0])
     return out
 
 

@@ -280,7 +280,7 @@ def test_lr_closed_form_mode(tmp_path):
     # the lr_residual column is the exact per-sample defect, written with 17 digits
     cf = ClosedFormParams(alpha=3.0, lam=ScalarProfile.constant(1.0))
     grid = np.linspace(0.0, 2.0, 2001)
-    traj, rate = closed_form_on_grid(cf, grid)
+    traj, rate = closed_form_on_grid(cf, grid, cf.lam(grid))
     _, defect = lr_residual(assemble_invariant(traj), build_H_coeffs(cf.oscillator_params(), grid),
                             grid, didt=assemble_invariant(rate))
     assert [r[3] for r in rows[1:]] == ["%.17g" % v for v in defect]
@@ -751,7 +751,7 @@ def test_point_transform_computes_each_adopted_residual_once(tmp_path, monkeypat
     import sp4lr.lr_ode
     import sp4lr.point_transform
 
-    calls = {"ep": 0, "rate_defect": 0, "lr_exact": 0, "lr_stencil": 0}
+    calls = {"ep": 0, "defect": 0, "lr_exact": 0, "lr_stencil": 0}
 
     def counting(fn, key):
         def wrapped(*args, **kwargs):
@@ -767,9 +767,9 @@ def test_point_transform_computes_each_adopted_residual_once(tmp_path, monkeypat
 
     pt_mod = sp4lr.point_transform
     monkeypatch.setattr(pt_mod, "ep_residual", counting(pt_mod.ep_residual, "ep"))
-    monkeypatch.setattr(pt_mod, "_invariant_rate_defect",
-                        counting(pt_mod._invariant_rate_defect, "rate_defect"))
+    defect = counting(sp4lr.lr_ode._lr_defect, "defect")
     for module in (sp4lr.lr_ode, sp4lr.crosschecks):
+        monkeypatch.setattr(module, "_lr_defect", defect)
         monkeypatch.setattr(module, "lr_residual", counting_lr(module.lr_residual))
     cfg = {"mode": "point-transform", "grid": {"t0": 0.0, "t1": 1.0, "steps": 501},
            "params": {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "c2": 0.2, "c3": 0.2,
@@ -777,15 +777,40 @@ def test_point_transform_computes_each_adopted_residual_once(tmp_path, monkeypat
                             "offset": 1.0}}}
     report = run_scenario(cfg, str(tmp_path))
     assert report["all_pass"]
-    # one EP residual; the real-coordinate exact-rate defect for the row
-    # and the pairing variant, the stencil lr_residual for the
-    # closed-expression variant, and no complex exact-rate lr_residual
-    assert calls == {"ep": 1, "rate_defect": 2, "lr_exact": 0, "lr_stencil": 1}
+    # one EP residual; the defect kernel with the exact rate for the row and
+    # the pairing variant, and once more in the one block (501 samples) of
+    # the stencil lr_residual of the closed-expression variant; no
+    # exact-rate lr_residual
+    assert 501 <= sp4lr.algebra._BLOCK
+    assert calls == {"ep": 1, "defect": 3, "lr_exact": 0, "lr_stencil": 1}
     rows = {c["name"]: c["residual"] for c in report["checks"]}
     ledger = {r["name"]: r["adopted_residual"] for r in report["known_discrepancies"]}
     assert ledger["ermakov_pinney_form"] == rows["ermakov_pinney_residual"]
     assert ledger["transformed_invariant_expression"] == rows["invariant_lr_residual"]
     assert ledger["target_coefficient_pairing"] == rows["invariant_lr_residual"]
+
+
+def test_algebra_check_computes_the_commutator_table_residual_once(tmp_path, monkeypatch):
+    # the ledger's adopted J2 residual is the commutator_table row; only the
+    # variant's stack is tabulated again
+    import sp4lr.crosschecks
+
+    stacks = []
+    table_error = sp4lr.crosschecks._commutator_table_error
+
+    def counting(gen_stack):
+        stacks.append(np.array_equal(gen_stack, algebra.generator_matrices()))
+        return table_error(gen_stack)
+
+    monkeypatch.setattr(sp4lr.crosschecks, "_commutator_table_error", counting)
+    cfg = {"mode": "algebra-check", "grid": {"t0": 0.0, "t1": 1.0, "steps": 5}}
+    report = run_scenario(cfg, str(tmp_path))
+    assert report["all_pass"]
+    assert stacks == [True, False]
+    rows = {c["name"]: c["residual"] for c in report["checks"]}
+    ledger = {r["name"]: r for r in report["known_discrepancies"]}
+    assert ledger["generator_j2_scaling"]["adopted_residual"] == rows["commutator_table"] == 0.0
+    assert ledger["generator_j2_scaling"]["variant_residual"] == 0.7071067811865476
 
 
 def test_point_transform_builds_each_grid_fact_once(tmp_path, monkeypatch):
@@ -834,10 +859,10 @@ _COUPLED_PARAMS = {"a": _sinusoid(1.0), "omega_x": _sinusoid(1.3), "omega_y": _s
     ("lr-ode", _COUPLED_PARAMS, 4),
     # the guard's and the EP state's evaluation of r
     ("point-transform", {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "r": _sinusoid(1.0)}, 2),
-    # the guard's lam, read by H as a, omega_y and lam, the closed form's
-    # rate, and H's omega_x: alpha lam(t) would round apart from
+    # the guard's lam, read by H as a, omega_y and lam and by the closed
+    # form's rate, and H's omega_x: alpha lam(t) would round apart from
     # lam.scaled(alpha)(t)
-    ("lr-closed-form", {"alpha": 3.0, "lam": _sinusoid(1.0)}, 3),
+    ("lr-closed-form", {"alpha": 3.0, "lam": _sinusoid(1.0)}, 2),
     ("algebra-check", {}, 0),
 ], ids=["regime-map", "lr-ode", "point-transform", "lr-closed-form", "algebra-check"])
 def test_each_profile_is_evaluated_on_the_grid_once(tmp_path, monkeypatch, mode, params,

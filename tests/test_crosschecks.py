@@ -2,10 +2,12 @@
 
 import numpy as np
 
-from sp4lr.algebra import _real_coordinates, commutator
+from sp4lr import algebra
+from sp4lr.algebra import _real_commutator, _real_coordinates, commutator, generator_matrices
 from sp4lr.hamiltonian import build_H_modified
 from sp4lr.lr_ode import lr_residual
 from sp4lr.crosschecks import (
+    _commutator_table_error,
     ansatz_row7_record,
     ep_form_record,
     generator_j2_record,
@@ -34,9 +36,10 @@ GRID = np.arange(0.0, 2.0 + 1e-12, 2e-3)
 EP = ep_state(P, GRID)
 INV = invariant_IH(P, EP)
 INV_RATE = commutator(INV, transport_generator(P, EP))
-# the real coordinates of I_H and of K = -i phi w, as the run passes them to the ledger
+# the real coordinates of I_H and of its rate [I_H, K] = phi R(INV_R, w) for
+# K = -i phi w, as the run passes them to the ledger
 INV_R = np.ascontiguousarray(_real_coordinates(INV))
-W = _transport_coordinates(P, EP)
+RATE = _real_commutator(INV_R, _transport_coordinates(P, EP))
 # the adopted residuals, as a point-transform run computes them for its check rows
 EP_RESID = float(np.abs(ep_residual(P, EP)).max())
 A, B, LAM = target_coefficients(P, EP)
@@ -44,8 +47,23 @@ H = build_H_modified(A, B, LAM)
 LR_RESID = lr_residual(INV, H, GRID, didt=INV_RATE)[0]
 
 
+def test_batched_commutator_table_is_the_pair_loop():
+    # one batched product against the 100 pairs taken one at a time
+    f = algebra.structure_constants()
+
+    def pair_loop(gen):
+        return max(float(np.abs(gen[i] @ gen[j] - gen[j] @ gen[i]
+                                - np.tensordot(f[i, j], gen, axes=(0, 0))).max())
+                   for i in range(10) for j in range(10))
+
+    variant = generator_matrices().copy()
+    variant[2] = algebra.REJECTED_VARIANTS["J2_antihermitian"]
+    for gen, want in ((generator_matrices(), 0.0), (variant, 0.7071067811865476)):
+        assert _commutator_table_error(gen) == pair_loop(gen) == want
+
+
 def test_generator_variant_flagged():
-    rec = generator_j2_record()
+    rec = generator_j2_record(_commutator_table_error(generator_matrices()))
     assert rec.adopted_residual < 1e-12
     assert rec.variant_residual > 0.5
     assert rec.variant_flagged
@@ -74,7 +92,7 @@ def test_parity_convention_record():
 
 
 def test_invariant_image_variant_fails_invariant_equation():
-    rec, _ = invariant_equation_records(P, EP, INV_R, W, H, LAM, LR_RESID)
+    rec, _ = invariant_equation_records(P, EP, INV_R, RATE, H, LAM, LR_RESID)
     assert rec.adopted_residual < 1e-8
     assert rec.variant_residual > 1e-3
     assert rec.variant_flagged
@@ -98,7 +116,7 @@ def test_ep_form_variant_flagged():
 
 
 def test_target_assignment_variant_flagged():
-    _, rec = invariant_equation_records(P, EP, INV_R, W, H, LAM, LR_RESID)
+    _, rec = invariant_equation_records(P, EP, INV_R, RATE, H, LAM, LR_RESID)
     assert rec.adopted_residual < 1e-8
     assert rec.variant_residual > 1e-3
     assert rec.variant_flagged
@@ -116,7 +134,7 @@ def test_pushforward_row_records():
 
 
 def test_bundles_and_serialization():
-    recs = standard_records() + point_transform_records(P, EP, INV_R, W, H, LAM, EP_RESID, LR_RESID)
+    recs = standard_records(_commutator_table_error(generator_matrices())) + point_transform_records(P, EP, INV_R, RATE, H, LAM, EP_RESID, LR_RESID)
     names = [r.name for r in recs]
     assert len(names) == len(set(names))
     for rec in recs:

@@ -1,5 +1,7 @@
 """Tests for the invariant coefficient ODE, its solvers and the closed form."""
 
+import json
+import os
 import time
 import warnings
 
@@ -11,16 +13,20 @@ from hypothesis import strategies as st
 import sp4lr.algebra as algebra
 import sp4lr.hamiltonian as hamiltonian
 import sp4lr.lr_ode as lr_ode
+import sp4lr.point_transform as pt
 from sp4lr.algebra import (
     _REAL_D,
     _REAL_PHASES,
     GeneratorId,
+    _nonzero_halves,
+    _real_commutator,
     _real_conjugate_by,
     _real_coordinates,
     symplectic_inverse,
     to_matrix,
 )
-from sp4lr.crosschecks import ode_matrix
+from sp4lr.cli import _resolve_config
+from sp4lr.crosschecks import invariant_image_variant, ode_matrix
 from sp4lr.errors import (ChiPlusZero, DegenerateAlpha, GridTooCoarse, NonCommuting, Sp4lrError,
                           StepNotConverged)
 from sp4lr.hamiltonian import (CoupledOscillatorParams, _h_coeffs, _h_real, build_H_coeffs,
@@ -174,14 +180,14 @@ def test_commuting_probe_is_relative_to_the_size_of_H():
     osc = cf.oscillator_params()
     assert _commutativity_probe(osc, grid) <= COMM_TOL
     assert _commutativity_probe(const_params(0.0, 0.0, 0.0, 0.0), grid) == 0.0  # H = 0
-    want = closed_form_on_grid(cf, grid)[0]
+    want = closed_form_on_grid(cf, grid, cf.lam(grid))[0]
     assert np.abs(evolve(want[0], grid, osc, mode="commuting") - want).max() < 1e-8
 
 
 def test_evolve_matches_closed_form_alpha3():
     cf = ClosedFormParams(3.0, ScalarProfile.constant(1.0))
     grid = np.linspace(0.0, 5.0, 5001)
-    want = closed_form_on_grid(cf, grid)[0]
+    want = closed_form_on_grid(cf, grid, cf.lam(grid))[0]
     got = evolve(C0, grid, cf.oscillator_params(), mode="time_ordered")
     assert np.abs(got - want).max() < 1e-6
 
@@ -394,6 +400,10 @@ def test_lr_paths_form_no_complex_hamiltonian(monkeypatch):
     assert _commutativity_probe(osc, grid) <= COMM_TOL
     for mode in ("time_ordered", "commuting"):
         assert np.all(np.isfinite(evolve(C0, grid, osc, mode=mode)))
+    # the defect, by contrast, takes H as complex coefficients and reads it
+    # through the real-form guard, called from algebra at call time
+    with pytest.raises(AssertionError, match="complex Hamiltonian"):
+        lr_residual(np.zeros((grid.size, 10)), np.zeros((grid.size, 10)), grid)
 
 
 @pytest.mark.parametrize("mode", ["time_ordered", "commuting"])
@@ -571,7 +581,7 @@ def test_lr_residual_constant_H_self():
 def test_lr_residual_return_samples():
     cf = ClosedFormParams(2.0, ScalarProfile.sinusoid(0.2, 1.0, 0.0, 1.0))
     grid = np.linspace(0.0, 1.0, 401)
-    inv = assemble_invariant(closed_form_on_grid(cf, grid)[0])
+    inv = assemble_invariant(closed_form_on_grid(cf, grid, cf.lam(grid))[0])
     h = build_H_coeffs(cf.oscillator_params(), grid)
     worst, per_sample = lr_residual(inv, h, grid)
     # the defect at every sample; the stencil's two samples at each end are not counted
@@ -583,7 +593,7 @@ def test_lr_residual_closed_form():
     grid = np.arange(0.0, 5.0 + 1e-9, 1e-3)
     for cf in (ClosedFormParams(3.0, ScalarProfile.constant(1.0)),
                ClosedFormParams(2.0, ScalarProfile.sinusoid(0.2, 1.0, 0.0, 1.0))):
-        inv = assemble_invariant(closed_form_on_grid(cf, grid)[0])
+        inv = assemble_invariant(closed_form_on_grid(cf, grid, cf.lam(grid))[0])
         h = build_H_coeffs(cf.oscillator_params(), grid)
         assert lr_residual(inv, h, grid)[0] < 1e-8
 
@@ -605,7 +615,7 @@ def test_closed_form_rate_matches_the_stencil(alpha):
     # hyperbolic (alpha < 3), secular (a_minus = 0) and oscillating modes
     cf = ClosedFormParams(alpha, ScalarProfile.sinusoid(0.3, 1.0, 0.2, 1.0))
     grid = np.linspace(0.0, 2.0, 2001)
-    traj, rate = closed_form_on_grid(cf, grid)
+    traj, rate = closed_form_on_grid(cf, grid, cf.lam(grid))
     stencil = central_diff(traj, grid[1] - grid[0])
     np.testing.assert_allclose(rate[2:-2], stencil[2:-2], rtol=0, atol=1e-9)
 
@@ -615,7 +625,7 @@ def test_lr_residual_exact_rate_counts_every_sample_on_any_grid():
     # and the maximum runs over all of them
     cf = ClosedFormParams(3.0, ScalarProfile.polynomial([1.0, 0.3, -0.1]))
     grid = np.array([0.0, 0.4, 2.5])
-    traj, rate = closed_form_on_grid(cf, grid)
+    traj, rate = closed_form_on_grid(cf, grid, cf.lam(grid))
     inv, didt = assemble_invariant(traj), assemble_invariant(rate)
     h = build_H_coeffs(cf.oscillator_params(), grid)
     worst, per_sample = lr_residual(inv, h, grid, didt=didt)
@@ -626,6 +636,94 @@ def test_lr_residual_exact_rate_counts_every_sample_on_any_grid():
 def test_lr_residual_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
         lr_residual(np.zeros((4, 10)), np.zeros((4, 10)), np.linspace(0, 1, 4))
+
+
+_SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+
+
+def _complex_defect(inv, h, didt):
+    """The oracle: |i dI/dt - [H, I]| per sample on complex coefficients."""
+    return np.abs(1j * didt - algebra.commutator(h, inv)).max(axis=1)
+
+
+def _point_transform_grid(name):
+    with open(os.path.join(_SCENARIOS, name + ".json")) as fh:
+        cfg = _resolve_config(json.load(fh))
+    p = pt.PointTransformParams(**cfg["params"])
+    ep = pt.ep_state(p, np.linspace(cfg["grid"]["t0"], cfg["grid"]["t1"], cfg["grid"]["steps"]))
+    return p, ep, build_H_modified(*pt.target_coefficients(p, ep))
+
+
+@pytest.mark.parametrize("route", ["closed-form", "lr-ode-two-halves", "point_transform_core",
+                                   "point_transform_tabulated", "image-variant"])
+def test_lr_residual_is_the_complex_defect_per_sample(route):
+    # the real-coordinate defect, in blocks of algebra._BLOCK samples,
+    # against i dI/dt - [H, I] on complex coefficients, bitwise per sample,
+    # on every route the runs take
+    if route == "closed-form":
+        # its exact rate; the invariant has only its imaginary half
+        cf = ClosedFormParams(3.0, ScalarProfile.sinusoid(0.3, 1.0, 0.2, 1.0))
+        grid = np.linspace(0.0, 5.0, 2501)
+        traj, rate = closed_form_on_grid(cf, grid, cf.lam(grid))
+        inv, didt = assemble_invariant(traj), assemble_invariant(rate)
+        h = build_H_coeffs(cf.oscillator_params(), grid)
+        assert _nonzero_halves(inv) == (1,)
+    elif route == "lr-ode-two-halves":
+        # by the stencil, from a c0 with complex entries
+        p = CoupledOscillatorParams(
+            a=ScalarProfile.constant(1.0), omega_x=ScalarProfile.sinusoid(0.4, 2.0, 0.0, 1.3),
+            omega_y=ScalarProfile.constant(0.9), lam=ScalarProfile.sinusoid(0.3, 1.5, 0.1, 0.6))
+        grid = np.linspace(0.0, 2.0, 2501)
+        c0 = C0 + np.array([0.3 + 0.2j, 0, 0, 0, 0.1j, 0, 0, 0.2, 0, 0])
+        inv = assemble_invariant(evolve(c0, grid, p))
+        h = build_H_coeffs(p, grid)
+        didt = None
+        assert _nonzero_halves(inv) == (0, 1)
+    elif route == "image-variant":
+        # the ledger's closed-expression variant, by the stencil
+        p, ep, h = _point_transform_grid("point_transform_core")
+        grid, inv, didt = ep.t, invariant_image_variant(p, ep), None
+        assert _nonzero_halves(inv) == (0, 1)
+    else:
+        # the K-rate row of a point-transform run: dI_H/dt = [I_H, K] = phi R(inv_r, w)
+        p, ep, h = _point_transform_grid(route)
+        grid, inv = ep.t, pt.invariant_IH(p, ep)
+        w = pt._transport_coordinates(p, ep)
+        assert w.flags.c_contiguous and w.shape == (10, grid.size)
+        k = pt.transport_generator(p, ep)
+        assert np.array_equal(k, -1j * _REAL_PHASES * w.T)
+        didt = algebra.commutator(inv, k)
+        inv_r = np.ascontiguousarray(_real_coordinates(inv))
+        row = lr_ode._lr_defect(np.ascontiguousarray(_real_coordinates(h)), inv_r,
+                                _real_commutator(inv_r, w))
+        assert np.array_equal(row, _complex_defect(inv, h, didt))
+        assert 0.0 < row.max() <= 1e-12
+    assert grid.size > algebra._BLOCK
+    worst, got = lr_residual(inv, h, grid, didt=didt)
+    if didt is None:
+        didt = central_diff(inv, grid[1] - grid[0])
+    want = _complex_defect(inv, h, didt)
+    assert np.array_equal(got, want)
+    assert worst == (want.max() if route.startswith("point") or route == "closed-form"
+                     else want[2:-2].max())
+
+
+def test_lr_residual_refuses_a_hamiltonian_outside_the_real_form():
+    # H goes through the real-form guard: an imaginary part where -i M(H)
+    # would not be real raises, and is never dropped
+    cf = ClosedFormParams(3.0, ScalarProfile.constant(1.0))
+    grid = np.linspace(0.0, 1.0, 1101)
+    traj, rate = closed_form_on_grid(cf, grid, cf.lam(grid))
+    inv, didt = assemble_invariant(traj), assemble_invariant(rate)
+    h = build_H_coeffs(cf.oscillator_params(), grid)
+    assert lr_residual(inv, h, grid, didt=didt)[0] <= 1e-13
+    bad = h.copy()
+    bad[-1, GeneratorId.J0] += 1e-3j  # in the last block only
+    with pytest.raises(ValueError, match="outside the real-form family"):
+        lr_residual(inv, bad, grid, didt=didt)
+    bad[-1, GeneratorId.J0] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        lr_residual(inv, bad, grid, didt=didt)
 
 
 def test_step_not_converged(monkeypatch):

@@ -788,44 +788,10 @@ def test_static_map_fault_fails_the_postcondition_row(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # the invariant's exact rate in real coordinates
 
-# the alpha < beta point-transform run of CI: a negative coupling and a
-# tabulated r that changes sign between its knots
-PT_TABULATED_CFG = {
-    "mode": "point-transform", "grid": {"t0": 0.0, "t1": 4.0, "steps": 2001},
-    "params": {"alpha": 0.6, "beta": 1.7, "coupling": -0.3, "c2": 0.3, "c3": 0.1,
-               "r": {"kind": "tabulated", "times": [0.0, 1.0, 2.5, 4.0],
-                     "values": [1.0, -0.5, 0.8, 1.2]}},
-}
 
-
-@pytest.mark.parametrize("name", ["core", "tabulated"])
-def test_real_rate_defect_is_the_complex_lr_residual_per_sample(name):
-    # R(r_I, w) - R(r_H, r_I) in real coordinates against
-    # i [I_H, K] - [H, I_H] on complex coefficients, bitwise per sample
-    cfg = PT_TABULATED_CFG
-    if name == "core":
-        with open(os.path.join(SCENARIOS, "point_transform_core.json")) as fh:
-            cfg = json.load(fh)
-    cfg = cli._resolve_config(cfg)
-    p = PointTransformParams(**cfg["params"])
-    grid = np.linspace(cfg["grid"]["t0"], cfg["grid"]["t1"], cfg["grid"]["steps"])
-    ep = ep_state(p, grid)
-    inv = invariant_IH(p, ep)
-    h = build_H_modified(*target_coefficients(p, ep))
-    w = pt._transport_coordinates(p, ep)
-    assert w.flags.c_contiguous and w.shape == (10, grid.size)
-    k = transport_generator(p, ep)
-    assert np.array_equal(k, -1j * algebra._REAL_PHASES * w.T)
-    got = pt._invariant_rate_defect(np.ascontiguousarray(algebra._real_coordinates(inv)), w,
-                                    np.ascontiguousarray(algebra._real_coordinates(h)))
-    _, want = lr_residual(inv, h, grid, didt=commutator(inv, k))
-    assert np.array_equal(got, want)
-    assert 0.0 < want.max() <= 1e-12
-
-
-def test_point_transform_run_calls_the_complex_bracket_once(tmp_path, monkeypatch):
-    # only the ledger's closed-expression variant, differentiated by the
-    # stencil, still takes the complex bracket
+def test_point_transform_run_calls_no_complex_bracket(tmp_path, monkeypatch):
+    # every LR defect of the run, the ledger's stencil variant included, is
+    # taken in real coordinates; lr_ode does not bind the complex bracket
     import sp4lr.lr_ode
 
     calls = []
@@ -835,11 +801,11 @@ def test_point_transform_run_calls_the_complex_bracket_once(tmp_path, monkeypatc
         calls.append(np.shape(a))
         return bracket(a, b)
 
-    for module in (algebra, sp4lr.lr_ode):
-        monkeypatch.setattr(module, "commutator", counted)
+    assert not hasattr(sp4lr.lr_ode, "commutator")
+    monkeypatch.setattr(algebra, "commutator", counted)
     report = run_scenario(PT_CFG, str(tmp_path))
     assert report["all_pass"]
-    assert calls == [(PT_CFG["grid"]["steps"], 10)], calls
+    assert calls == []
 
 
 def test_coupling_fault_fails_the_invariant_lr_residual(tmp_path, monkeypatch):
