@@ -95,9 +95,10 @@ def _resolve(spec, cfg, path=""):
 
 # Upper bound on grid.steps.  No array of a run is longer than the grid;
 # their tracemalloc peak at 40001 steps (a second run in one process) is
-# 1663 B per point for a point transform, 1490 B for a closed form, 1320 B
-# for an lr-ode run and 520 B for a regime map, so this bound keeps every
-# run under about 1.7 kB * 250000 = 0.42 GB of arrays.
+# 599 B per point for a point transform (its outputs and EP state, 536 B,
+# and one block of samples), 1490 B for a closed form, 1320 B for an
+# lr-ode run and 520 B for a regime map, so this bound keeps every run
+# under about 1.7 kB * 250000 = 0.42 GB of arrays, the figure its error names.
 _MAX_STEPS = 250_000
 
 
@@ -487,7 +488,7 @@ def _inverse_defect(eta):
 
 def _run_point_transform(cfg, grid, values, checks):
     from . import crosschecks
-    from .algebra import _real_commutator, _real_coordinates
+    from .algebra import _BLOCK, _real_commutator, _real_coordinates
     from .hamiltonian import build_H_modified
     from .lr_ode import _lr_defect
     from .point_transform import (
@@ -525,36 +526,64 @@ def _run_point_transform(cfg, grid, values, checks):
         checks.add("static_map_constraints", stat.constraint_residual, 1e-10)
         checks.add("static_map_postcondition", stat.check_residual, 1e-10)
 
-    inv = invariant_IH(params, ep)
-    # K = T^-1 dT/dt = -i phi w, once per grid; in real coordinates, rows
-    # contiguous, I_H = phi inv_r moves at the exact rate [I_H, K] = phi R(inv_r, w)
-    w = _transport_coordinates(params, ep)
-    inv_r = np.ascontiguousarray(_real_coordinates(inv))
-    rate = _real_commutator(inv_r, w)
-    a, b, lam = target_coefficients(params, ep)
-    h = build_H_modified(a, b, lam)  # the target Hamiltonian, once per grid
-    lr_resid = float(_lr_defect(np.ascontiguousarray(_real_coordinates(h)), inv_r, rate).max())
-    checks.add("invariant_lr_residual", lr_resid, 1e-8)
-    # the adopted residuals of the ledger are two rows of this run; it runs
-    # before the Dyson map exists, so its temporaries stay below the peak
-    records = crosschecks.point_transform_records(params, ep, inv_r, rate, h, lam,
-                                                  ep_resid, lr_resid)
-    del rate
-    k = _transport_element(w)
+    # Every other stage is per sample, and runs in blocks of _BLOCK samples
+    # from sample 0, which line up with the blocks of the real conjugation
+    # and of the defect kernel, so each value is bitwise that of a
+    # whole-grid call.  The run holds the EP state, the output columns (the
+    # target coefficients, I_H and I_h, filled a block at a time), the
+    # running worst of each row and the count of positive metrics; every
+    # other stack lives for one block.  The maximum over the blocks is
+    # exact, and np.maximum keeps a NaN, as the whole-grid max did.
+    n = grid.size
+    a, b, lam = np.empty(n), np.empty(n), np.empty(n)
+    inv = np.empty((n, 10), dtype=complex)
+    ih = np.empty((n, 10), dtype=complex)
+    # the rows of the blocks, in the order of their stages, with their tolerances
+    rows = (("invariant_lr_residual", 1e-8), ("dyson_inverse_identity", 1e-12),
+            ("hermiticity_leak", 1e-8), ("invariant_image_match", 1e-8),
+            ("hermitian_expansion_match", 1e-8), ("tdde_residual", 1e-8))
+    worst = dict.fromkeys([name for name, _ in rows] + ["image_variant", "pairing_variant"],
+                          -np.inf)
 
-    # one Dyson map per grid; a stack that only a check row reads is not
-    # kept, since the run's memory peaks at the tdde_residual row
-    eta = dyson_time(ep, stat)
-    checks.add("dyson_inverse_identity", _inverse_defect(eta), 1e-12)
+    def keep(row, value):
+        worst[row] = np.maximum(worst[row], value)
 
-    ih = hermitian_invariant_Ih(inv, eta)
-    checks.add("hermiticity_leak", float(np.abs(ih.imag).max()), 1e-8)
-    checks.add("invariant_image_match",
-               float(np.abs(ih - pushforward(ep, stat.h0)).max()), 1e-8)
-    checks.add("hermitian_expansion_match",
-               float(np.abs(ih - hermitian_invariant_expansion(params, ep, stat)).max()), 1e-8)
+    positive = 0
+    for lo in range(0, n, _BLOCK):
+        blk = slice(lo, min(lo + _BLOCK, n))
+        epb = ep.take(blk)
+        inv[blk] = invariant_IH(params, epb)
+        # K = T^-1 dT/dt = -i phi w; in real coordinates, rows contiguous,
+        # I_H = phi inv_r moves at the exact rate [I_H, K] = phi R(inv_r, w)
+        w = _transport_coordinates(params, epb)
+        inv_r = np.ascontiguousarray(_real_coordinates(inv[blk]))
+        rate = _real_commutator(inv_r, w)
+        a[blk], b[blk], lam[blk] = target_coefficients(params, epb)
+        h = build_H_modified(a[blk], b[blk], lam[blk])  # the target Hamiltonian
+        keep("invariant_lr_residual",
+             _lr_defect(np.ascontiguousarray(_real_coordinates(h)), inv_r, rate).max())
+        # the ledger's two variants of the invariant equation
+        image_variant, pairing_variant = crosschecks.invariant_equation_variants(
+            params, ep, blk, inv_r, rate, h, lam[blk])
+        keep("image_variant", image_variant)
+        keep("pairing_variant", pairing_variant)
+        k = _transport_element(w)
+        eta = dyson_time(epb, stat)  # the Dyson map of the block
+        keep("dyson_inverse_identity", _inverse_defect(eta))
+        ih[blk] = hermitian_invariant_Ih(inv[blk], eta)
+        keep("hermiticity_leak", np.abs(ih[blk].imag).max())
+        keep("invariant_image_match", np.abs(ih[blk] - pushforward(epb, stat.h0)).max())
+        keep("hermitian_expansion_match",
+             np.abs(ih[blk] - hermitian_invariant_expansion(params, epb, stat)).max())
+        keep("tdde_residual", tdde_residual(params, epb, eta, k, stat, h).max())
+        positive += int(np.count_nonzero(metric_is_positive(eta)))
 
-    checks.add("tdde_residual", float(tdde_residual(params, ep, eta, k, stat, h).max()), 1e-8)
+    for name, tolerance in rows:
+        checks.add(name, float(worst[name]), tolerance)
+    # the adopted residuals of the ledger are two rows of this run
+    records = crosschecks.point_transform_records(
+        params, ep, (float(worst["image_variant"]), float(worst["pairing_variant"])),
+        ep_resid, float(worst["invariant_lr_residual"]))
 
     samples = rng.uniform(-2.0, 2.0, size=(20, 2))
     idx = rng.choice(grid.size, size=min(20, grid.size), replace=False)
@@ -563,8 +592,8 @@ def _run_point_transform(cfg, grid, values, checks):
     checks.add("pde_b0y", b0y, 1e-8)
     checks.add("pde_potential_match", v0, 1e-8)
 
-    pos = metric_is_positive(eta)
-    checks.add("metric_positive_fraction", float(1.0 - pos.mean()), 0.0)
+    # the mean of the per-sample flags: an integer count over n, exactly
+    checks.add("metric_positive_fraction", 1.0 - positive / n, 0.0)
 
     # per-sample trajectory CSV
     names = ["t", "sigma", "sigma_t", "mu", "mu_t", "tau", "a", "b", "lam"]

@@ -21,9 +21,11 @@ import numpy as np
 
 from . import algebra, point_transform as pt
 from .algebra import GeneratorId, generator_matrices
+from .errors import GridTooCoarse
 from .hamiltonian import (_h_coeffs, build_H_modified, eigenvalue_formula,
                           instantaneous_eigenvalues)
 from .lr_ode import ANSATZ_COMBINATIONS, _lr_defect, coefficients_of_element, lr_residual
+from .numerics import central_diff
 from .point_transform import _elem
 
 __all__ = ["DiscrepancyRecord", "standard_records", "point_transform_records"]
@@ -209,6 +211,72 @@ def invariant_image_variant(p: pt.PointTransformParams, ep: pt.EPState) -> np.nd
     return out
 
 
+def invariant_equation_variants(p: pt.PointTransformParams, ep: pt.EPState, blk: slice,
+                                inv_r: np.ndarray, rate: np.ndarray, h: np.ndarray,
+                                lam: np.ndarray) -> tuple[float, float]:
+    """The invariant-equation residuals of the two variants of
+    :func:`invariant_equation_records` on the samples ``blk`` of the grid
+    ``ep.t``: (closed expression, swapped pairing), each the largest defect
+    over those samples.
+
+    ``ep`` is the EP state of the whole grid and ``blk`` a slice(lo, hi) of
+    it; ``inv_r``, ``rate``, ``h`` and ``lam`` are as in
+    :func:`invariant_equation_records`, on the samples ``blk`` only.  A
+    run passes them a block at a time, and the largest over the blocks is
+    exactly that over the grid.  The pairing variant keeps the adopted
+    invariant and its exact rate, in the run's kernel
+    ``lr_ode._lr_defect``.  The closed-expression variant has no exact rate
+    and is differentiated by the 4th-order stencil
+    (``numerics.central_diff``), with the grid's step t[1] - t[0], on
+    ``blk`` widened by two samples each side within the grid, and to six
+    samples at least, so each sample of ``blk`` takes the central stencil
+    of the whole grid.  As in ``lr_ode.lr_residual``, the two samples at
+    each end of the grid are not counted; a block with no other sample
+    reads -inf.  Its O(1) residual does not need a better rate.
+    """
+    t, n = ep.t, len(ep.t)
+    if n < 5:
+        raise GridTooCoarse("need at least 5 grid points for the 4th-order stencil")
+    lo, hi = blk.start, blk.stop
+    counted = slice(max(lo, 2), min(hi, n - 2))
+    image = -np.inf
+    if counted.start < counted.stop:
+        stop = min(hi + 2, n)
+        ext = slice(max(min(lo - 2, stop - 6), 0), stop)  # central_diff needs six samples
+        step = t[1] - t[0]
+        if not np.allclose(np.diff(t[ext]), step, rtol=1e-9, atol=1e-15):
+            raise ValueError("the stencil expects a uniform grid")
+        variant = invariant_image_variant(p, ep.take(ext))
+        inner = slice(counted.start - ext.start, counted.stop - ext.start)
+        image = lr_residual(variant[inner], h[counted.start - lo:counted.stop - lo], None,
+                            didt=central_diff(variant, step)[inner])[0]
+    epb = ep.take(blk)
+    a_sw = p.beta * epb.r / epb.mu**2
+    b_sw = p.alpha * epb.r / epb.sigma**2
+    h_sw = np.ascontiguousarray(algebra._real_coordinates(build_H_modified(a_sw, b_sw, lam)))
+    return image, float(_lr_defect(h_sw, inv_r, rate).max())
+
+
+def _invariant_equation_pair(adopted: float, image_variant: float,
+                             pairing_variant: float) -> tuple[DiscrepancyRecord, DiscrepancyRecord]:
+    """The records of :func:`invariant_equation_records` from their residuals."""
+    image = DiscrepancyRecord(
+        name="transformed_invariant_expression",
+        adjudicator="invariant equation residual",
+        adopted_residual=adopted,
+        variant_residual=image_variant,
+        note="variant first term carries J1 where K1 is required",
+    )
+    pairing = DiscrepancyRecord(
+        name="target_coefficient_pairing",
+        adjudicator="invariant equation residual",
+        adopted_residual=adopted,
+        variant_residual=pairing_variant,
+        note="the x-direction scale factor carries the beta frequency",
+    )
+    return image, pairing
+
+
 def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState, inv_r: np.ndarray,
                                rate: np.ndarray, h: np.ndarray, lam: np.ndarray,
                                adopted: float) -> tuple[DiscrepancyRecord, DiscrepancyRecord]:
@@ -225,31 +293,12 @@ def invariant_equation_records(p: pt.PointTransformParams, ep: pt.EPState, inv_r
     ``h`` with that rate, the run's ``invariant_lr_residual`` row.
     Returns the transformed-invariant record (congruence image vs the
     closed-expression variant) and the target-pairing record (adopted
-    (a, b) = (beta r/sigma^2, alpha r/mu^2) vs the swapped pairing).
-    The pairing variant keeps the same invariant and so its exact rate,
-    in the run's kernel ``lr_ode._lr_defect``; the closed-expression
-    variant has none and is differentiated by the 4th-order stencil
-    (``lr_residual``), which its O(1) residual does not need below.
+    (a, b) = (beta r/sigma^2, alpha r/mu^2) vs the swapped pairing), with
+    the variant residuals of :func:`invariant_equation_variants` over the
+    whole grid.
     """
-    t = ep.t
-    image = DiscrepancyRecord(
-        name="transformed_invariant_expression",
-        adjudicator="invariant equation residual",
-        adopted_residual=adopted,
-        variant_residual=lr_residual(invariant_image_variant(p, ep), h, t)[0],
-        note="variant first term carries J1 where K1 is required",
-    )
-    a_sw = p.beta * ep.r / ep.mu**2
-    b_sw = p.alpha * ep.r / ep.sigma**2
-    h_sw = np.ascontiguousarray(algebra._real_coordinates(build_H_modified(a_sw, b_sw, lam)))
-    pairing = DiscrepancyRecord(
-        name="target_coefficient_pairing",
-        adjudicator="invariant equation residual",
-        adopted_residual=adopted,
-        variant_residual=float(_lr_defect(h_sw, inv_r, rate).max()),
-        note="the x-direction scale factor carries the beta frequency",
-    )
-    return image, pairing
+    return _invariant_equation_pair(
+        adopted, *invariant_equation_variants(p, ep, slice(0, len(ep.t)), inv_r, rate, h, lam))
 
 
 def ep_form_record(p: pt.PointTransformParams, ep: pt.EPState, adopted: float) -> DiscrepancyRecord:
@@ -325,20 +374,18 @@ def standard_records(table_error: float) -> list[DiscrepancyRecord]:
     return recs
 
 
-def point_transform_records(p: pt.PointTransformParams, ep: pt.EPState, inv_r: np.ndarray,
-                            rate: np.ndarray, h: np.ndarray, lam: np.ndarray,
-                            ep_resid: float, lr_resid: float) -> list[DiscrepancyRecord]:
+def point_transform_records(p: pt.PointTransformParams, ep: pt.EPState,
+                            variants: tuple[float, float], ep_resid: float,
+                            lr_resid: float) -> list[DiscrepancyRecord]:
     """Records adjudicating the point-transformation pipeline forms.
 
-    ``ep`` is the EP state on the scenario grid, ``inv_r`` and ``rate`` the
-    real coordinates of the invariant :func:`invariant_IH` on it and of
-    its exact rate (see :func:`invariant_equation_records`), and
-    ``h`` and ``lam`` the target Hamiltonian and its coupling on it.  The
-    adopted residuals come from the run: ``ep_resid`` of
-    :func:`ep_form_record` and ``lr_resid`` of
-    :func:`invariant_equation_records`.
+    ``ep`` is the EP state on the scenario grid and ``variants`` the two
+    variant residuals of :func:`invariant_equation_variants` over that
+    grid, the largest over the blocks a run takes.  The adopted residuals
+    come from the run: ``ep_resid`` of :func:`ep_form_record` and
+    ``lr_resid`` of the two invariant-equation records.
     """
-    image, pairing = invariant_equation_records(p, ep, inv_r, rate, h, lam, lr_resid)
+    image, pairing = _invariant_equation_pair(lr_resid, *variants)
     recs = [image, ep_form_record(p, ep, ep_resid), pairing]
     recs += pushforward_row_records(p, ep.take([len(ep.t) // 3]))
     return recs

@@ -70,6 +70,7 @@ once per grid and passes it on, and no function rebuilds them.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -193,6 +194,15 @@ class EPState:
     def take(self, idx) -> "EPState":
         """The state at the samples ``idx`` (an index array or slice into ``t``)."""
         return EPState(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
+
+    @cached_property
+    def _s_inverse(self) -> np.ndarray:
+        """S^-1 = -symplectic_inverse(S) for the real form S of ``T``
+        (:func:`_real_substitution`), which every image and the Dyson map on
+        these samples take.  Built on first use and kept with the state (a
+        state made by ``take`` or ``dataclasses.replace`` builds its own):
+        a point-transform run reads it in four stages of each block."""
+        return -symplectic_inverse(_real_substitution(self.T))
 
 
 def _ep_factor(c, freq, tau):
@@ -347,7 +357,7 @@ def _transport_coordinates(p: PointTransformParams, ep: EPState) -> np.ndarray:
     rate = _from_entries((ep.mu_tau, ep.sigma_tau, ep.mu_tautau / p.alpha,
                           -ep.mu_tau / ep.mu**2, ep.sigma_tautau / p.beta,
                           -ep.sigma_tau / ep.sigma**2))
-    s_inv = -symplectic_inverse(_real_substitution(ep.T))
+    s_inv = ep._s_inverse
     s_rate = _real_substitution(ep.r[:, None, None] * rate)
     w, resid = _project((s_inv @ s_rate).reshape(-1, 16), _REAL_BASIS_FLAT)
     _check_leak(resid, np.sqrt(_squared_norms(s_inv) * _squared_norms(s_rate)),
@@ -383,8 +393,7 @@ def pushforward(ep: EPState, e) -> np.ndarray:
     (``algebra._real_conjugate_by``), which raises :class:`ProjectionLeak`
     if the image leaves the algebra span.
     """
-    s = _real_substitution(ep.T)
-    return _real_conjugate_by(-symplectic_inverse(s), e, s)
+    return _real_conjugate_by(ep._s_inverse, e, _real_substitution(ep.T))
 
 
 def invariant_IH(p: PointTransformParams, ep: EPState) -> np.ndarray:
@@ -503,8 +512,7 @@ def dyson_time(ep: EPState, static: DysonStatic) -> np.ndarray:
     its inverse is ``symplectic_inverse(eta')``; the complex eta is
     D eta' D^-1, entrywise and exactly, and is never formed.
     """
-    s = _real_substitution(ep.T)
-    return -symplectic_inverse(s) @ _to_real_form(static.eta_matrix) @ s
+    return ep._s_inverse @ _to_real_form(static.eta_matrix) @ _real_substitution(ep.T)
 
 
 def hermitian_invariant_Ih(inv: np.ndarray, eta: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -744,45 +745,57 @@ def test_report_deterministic_modulo_walltime(tmp_path):
         (out2 / "closed_form_trajectory.csv").read_bytes()
 
 
+# a point-transform config whose grid spans three blocks of the runner, the
+# last one partial
+_PT_BLOCKS = 2 * algebra._BLOCK + 501
+_PT_MULTI_BLOCK = {
+    "mode": "point-transform", "grid": {"t0": 0.0, "t1": 1.0, "steps": _PT_BLOCKS},
+    "params": {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "c2": 0.2, "c3": 0.2,
+               "r": {"kind": "sinusoid", "amp": 0.2, "freq": 1.0, "phase": 0.0, "offset": 1.0}}}
+
+
 def test_point_transform_computes_each_adopted_residual_once(tmp_path, monkeypatch):
     # the ledger's adopted EP and invariant-equation residuals are the
-    # run's check rows, not a second evaluation
+    # run's check rows, not a second evaluation; the run takes its grid in
+    # blocks, so each fact is counted in samples
     import sp4lr.crosschecks
     import sp4lr.lr_ode
     import sp4lr.point_transform
 
-    calls = {"ep": 0, "defect": 0, "lr_exact": 0, "lr_stencil": 0}
+    samples = {"ep": 0, "defect": 0, "stencil": 0, "lr_stencil": 0}
 
-    def counting(fn, key):
+    def counting(fn, key, size_of):
         def wrapped(*args, **kwargs):
-            calls[key] += 1
+            samples[key] += size_of(*args)
             return fn(*args, **kwargs)
         return wrapped
 
     def counting_lr(fn):
         def wrapped(*args, **kwargs):
-            calls["lr_stencil" if kwargs.get("didt") is None else "lr_exact"] += 1
+            samples["lr_stencil"] += kwargs.get("didt") is None
             return fn(*args, **kwargs)
         return wrapped
 
     pt_mod = sp4lr.point_transform
-    monkeypatch.setattr(pt_mod, "ep_residual", counting(pt_mod.ep_residual, "ep"))
-    defect = counting(sp4lr.lr_ode._lr_defect, "defect")
+    monkeypatch.setattr(pt_mod, "ep_residual",
+                        counting(pt_mod.ep_residual, "ep", lambda p, ep: ep.t.size))
+    defect = counting(sp4lr.lr_ode._lr_defect, "defect", lambda h, x, y: np.shape(h)[1])
+    stencil = counting(sp4lr.lr_ode.central_diff, "stencil", lambda y, step: len(y))
     for module in (sp4lr.lr_ode, sp4lr.crosschecks):
         monkeypatch.setattr(module, "_lr_defect", defect)
+        monkeypatch.setattr(module, "central_diff", stencil)
         monkeypatch.setattr(module, "lr_residual", counting_lr(module.lr_residual))
-    cfg = {"mode": "point-transform", "grid": {"t0": 0.0, "t1": 1.0, "steps": 501},
-           "params": {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "c2": 0.2, "c3": 0.2,
-                      "r": {"kind": "sinusoid", "amp": 0.2, "freq": 1.0, "phase": 0.0,
-                            "offset": 1.0}}}
-    report = run_scenario(cfg, str(tmp_path))
+    report = run_scenario(_PT_MULTI_BLOCK, str(tmp_path))
     assert report["all_pass"]
-    # one EP residual; the defect kernel with the exact rate for the row and
-    # the pairing variant, and once more in the one block (501 samples) of
-    # the stencil lr_residual of the closed-expression variant; no
-    # exact-rate lr_residual
-    assert 501 <= sp4lr.algebra._BLOCK
-    assert calls == {"ep": 1, "defect": 3, "lr_exact": 0, "lr_stencil": 1}
+    n, blocks = _PT_BLOCKS, 3
+    # the EP residual of each sample once; the defect kernel with the exact
+    # rate for the row and the pairing variant at every sample, and for the
+    # closed-expression variant at every sample but the two at each grid
+    # end; its stencil at every sample and at the halo of two samples on
+    # each side of each block boundary; no lr_residual by the stencil of
+    # the whole grid
+    assert samples == {"ep": n, "defect": 3 * n - 4, "stencil": n + 4 * (blocks - 1),
+                       "lr_stencil": 0}
     rows = {c["name"]: c["residual"] for c in report["checks"]}
     ledger = {r["name"]: r["adopted_residual"] for r in report["known_discrepancies"]}
     assert ledger["ermakov_pinney_form"] == rows["ermakov_pinney_residual"]
@@ -814,35 +827,141 @@ def test_algebra_check_computes_the_commutator_table_residual_once(tmp_path, mon
 
 
 def test_point_transform_builds_each_grid_fact_once(tmp_path, monkeypatch):
-    # the substitution T, the target coefficients and the target
-    # Hamiltonian of the scenario grid are built once and passed on
+    # the substitution T, the inverse of its real form, the target
+    # coefficients and the target Hamiltonian of each sample of the
+    # scenario grid are built once and passed on: T for the whole grid,
+    # the others a block at a time
     import sp4lr.crosschecks
     import sp4lr.point_transform
 
-    steps = 501
-    calls = {"T": 0, "target": 0, "H": 0}
+    samples = {"T": 0, "S_inv": 0, "target": 0, "H": 0}
 
     def counting(key, fn, size_of):
         def wrapped(*args, **kwargs):
-            calls[key] += size_of(*args) == steps
+            samples[key] += size_of(*args)
             return fn(*args, **kwargs)
         return wrapped
 
     pt_mod = sp4lr.point_transform
     monkeypatch.setattr(pt_mod, "_substitution_matrices", counting(
         "T", pt_mod._substitution_matrices, lambda p, sigma, *rest: np.size(sigma)))
+    # point_transform inverts only the real form of T; the Dyson maps are
+    # inverted in algebra
+    monkeypatch.setattr(pt_mod, "symplectic_inverse", counting(
+        "S_inv", pt_mod.symplectic_inverse, len))
     monkeypatch.setattr(pt_mod, "target_coefficients", counting(
         "target", pt_mod.target_coefficients, lambda p, ep: ep.t.size))
-    build_h = counting("H", hamiltonian.build_H_modified, lambda a, b, lam: np.size(a))
+    # the reference Hamiltonian, from the three numbers of the config, is not counted
+    build_h = counting("H", hamiltonian.build_H_modified,
+                       lambda a, b, lam: np.size(a) if np.ndim(a) else 0)
     for module in (hamiltonian, pt_mod, sp4lr.crosschecks):
         monkeypatch.setattr(module, "build_H_modified", build_h)
-    cfg = {"mode": "point-transform", "grid": {"t0": 0.0, "t1": 1.0, "steps": steps},
-           "params": {"alpha": 2.0, "beta": 1.0, "coupling": 0.5, "c2": 0.2, "c3": 0.2,
-                      "r": {"kind": "sinusoid", "amp": 0.2, "freq": 1.0, "phase": 0.0,
-                            "offset": 1.0}}}
-    assert run_scenario(cfg, str(tmp_path))["all_pass"]
-    # H twice: the adopted target Hamiltonian and the swapped-pairing variant of the ledger
-    assert calls == {"T": 1, "target": 1, "H": 2}
+    assert run_scenario(_PT_MULTI_BLOCK, str(tmp_path))["all_pass"]
+    # S^-1 once more at the one time of the ledger's image rows, the
+    # target coefficients at the 20 times of the pde rows; H twice: the
+    # adopted target Hamiltonian and the swapped-pairing variant of the
+    # ledger
+    n = _PT_BLOCKS
+    assert samples == {"T": n, "S_inv": n + 1, "target": n + 20, "H": 2 * n}
+
+
+def _pt_config(name, steps):
+    with open(os.path.join(SCENARIOS, name)) as fh:
+        cfg = json.load(fh)
+    cfg["grid"]["steps"] = steps
+    return cfg
+
+
+@pytest.mark.parametrize("name", ["point_transform_core.json", "point_transform_tabulated.json"])
+@pytest.mark.parametrize("steps", [algebra._BLOCK - 1, algebra._BLOCK, algebra._BLOCK + 1,
+                                   2 * algebra._BLOCK + 3, 3 * algebra._BLOCK + 5])
+def test_point_transform_blocks_move_no_bit(name, steps):
+    # the runner takes the grid in blocks; every table column is bitwise,
+    # and every row and ledger value equal to, the whole-grid calls of the
+    # public functions.  2 _BLOCK + 3 ends in a block of three samples, one
+    # of them counted by the stencil of the ledger
+    from sp4lr import point_transform as pt
+    from sp4lr.crosschecks import invariant_image_variant
+
+    cfg = _resolve_config(_pt_config(name, steps))
+    grid = np.linspace(cfg["grid"]["t0"], cfg["grid"]["t1"], steps)
+    checks = cli._Checks()
+    tables, extra = cli._run_point_transform(
+        cfg, grid, cli._require_finite_profiles(cfg["params"], grid), checks)
+
+    p = pt.PointTransformParams(**cfg["params"])
+    ep = pt.ep_state(p, grid)
+    stat = pt.dyson_static(p)
+    inv = pt.invariant_IH(p, ep)
+    k = pt.transport_generator(p, ep)
+    rate = algebra.commutator(inv, k)
+    a, b, lam = pt.target_coefficients(p, ep)
+    h = hamiltonian.build_H_modified(a, b, lam)
+    eta = pt.dyson_time(ep, stat)
+    ih = pt.hermitian_invariant_Ih(inv, eta)
+    lr = lr_residual(inv, h, grid, didt=rate)[0]
+    want = {
+        "invariant_lr_residual": lr,
+        "dyson_inverse_identity": cli._inverse_defect(eta),
+        "hermiticity_leak": np.abs(ih.imag).max(),
+        "invariant_image_match": np.abs(ih - pt.pushforward(ep, stat.h0)).max(),
+        "hermitian_expansion_match":
+            np.abs(ih - pt.hermitian_invariant_expansion(p, ep, stat)).max(),
+        "tdde_residual": pt.tdde_residual(p, ep, eta, k, stat, h).max(),
+        "metric_positive_fraction": 1.0 - pt.metric_is_positive(eta).mean(),
+    }
+    rows = {c["name"]: c["residual"] for c in checks.rows}
+    assert {name: rows[name] for name in want} == {name: float(v) for name, v in want.items()}
+    swapped = hamiltonian.build_H_modified(p.beta * ep.r / ep.mu**2, p.alpha * ep.r / ep.sigma**2,
+                                           lam)
+    ledger = {r["name"]: r for r in extra["known_discrepancies"]}
+    assert ledger["transformed_invariant_expression"]["variant_residual"] == \
+        lr_residual(invariant_image_variant(p, ep), h, grid)[0]
+    assert ledger["target_coefficient_pairing"]["variant_residual"] == \
+        lr_residual(inv, swapped, grid, didt=rate)[0]
+    assert ledger["target_coefficient_pairing"]["adopted_residual"] == lr
+
+    names, cols = tables["point_transform_trajectory.csv"]
+    whole = [grid, ep.sigma, ep.r * ep.sigma_tau, ep.mu, ep.r * ep.mu_tau, ep.tau, a, b, lam]
+    whole += cli._complex_columns(["I%d" % j for j in range(10)], inv)[1]
+    whole += cli._complex_columns(["Ih%d" % j for j in range(10)], ih)[1]
+    assert len(cols) == len(whole) == len(names)
+    for label, got, ref in zip(names, cols, whole):
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes(), label
+
+
+def test_point_transform_memory_scales_with_its_outputs():
+    # A run holds its returned tables and the EP state of its grid; every
+    # other stack lives for one block of samples, so the growth of the
+    # tracemalloc peak from one grid to a longer one is at most the growth
+    # of those bytes (counted by nbytes; t, tau, sigma and mu sit in both,
+    # and are counted twice).  The slack covers the Python objects made
+    # per block (slices, views, floats), none of which outlive its block.
+    # The whole-grid runner grew by about 1660 B per point, about three
+    # times the held bytes.
+    from sp4lr import point_transform as pt
+
+    slack = 64 * 1024
+
+    def peak_and_held(steps):
+        cfg = _resolve_config(_pt_config("point_transform_core.json", steps))
+        cfg["grid"]["t1"] = (steps - 1) * 1e-3  # the shipped step
+        grid = np.linspace(0.0, cfg["grid"]["t1"], steps)
+        values = cli._require_finite_profiles(cfg["params"], grid)
+        tracemalloc.start()
+        try:
+            tables, _ = cli._run_point_transform(cfg, grid, values, cli._Checks())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ep = pt.ep_state(pt.PointTransformParams(**cfg["params"]), grid)
+        held = sum(c.nbytes for _, cols in tables.values() for c in cols)
+        held += sum(getattr(ep, f.name).nbytes for f in dataclasses.fields(ep))
+        return peak, held
+
+    peak_and_held(algebra._BLOCK + 1)  # imports and caches of a first run
+    small, large = (peak_and_held(k * algebra._BLOCK + 1) for k in (2, 8))
+    assert large[0] - small[0] <= large[1] - small[1] + slack, (small, large)
 
 
 def _sinusoid(offset):

@@ -1,6 +1,7 @@
 """Tests for the adjudication records: adopted forms pass, variants get flagged."""
 
 import numpy as np
+import pytest
 
 from sp4lr import algebra
 from sp4lr.algebra import _real_commutator, _real_coordinates, commutator, generator_matrices
@@ -12,6 +13,7 @@ from sp4lr.crosschecks import (
     ep_form_record,
     generator_j2_record,
     invariant_equation_records,
+    invariant_equation_variants,
     invariant_image_variant,
     ode_matrix_variant_records,
     parity_convention_record,
@@ -125,6 +127,25 @@ def test_target_assignment_variant_flagged():
     assert rec.variant_residual == lr_residual(INV, swapped, GRID, didt=INV_RATE)[0]
 
 
+@pytest.mark.parametrize("size", [100, 499])
+def test_invariant_equation_variants_over_blocks_are_those_of_the_grid(size):
+    # blocks of 100 samples and a last one of a single sample, or of 499
+    # and a last one of three: the largest over the blocks is, bitwise, the
+    # stencil lr_residual of the whole grid and the exact-rate one of the
+    # swapped pairing
+    swapped = build_H_modified(P.beta * EP.r / EP.mu**2, P.alpha * EP.r / EP.sigma**2, LAM)
+    n = GRID.size
+    assert n % size in (1, 3)
+    worst = np.full(2, -np.inf)
+    for lo in range(0, n, size):
+        blk = slice(lo, min(lo + size, n))
+        worst = np.maximum(worst, invariant_equation_variants(
+            P, EP, blk, np.ascontiguousarray(INV_R[:, blk]), np.ascontiguousarray(RATE[:, blk]),
+            H[blk], LAM[blk]))
+    assert worst[0] == lr_residual(invariant_image_variant(P, EP), H, GRID)[0]
+    assert worst[1] == lr_residual(INV, swapped, GRID, didt=INV_RATE)[0]
+
+
 def test_pushforward_row_records():
     recs = pushforward_row_records(P, ep_state(P, [0.7]))
     by_name = {r.name: r for r in recs}
@@ -134,7 +155,9 @@ def test_pushforward_row_records():
 
 
 def test_bundles_and_serialization():
-    recs = standard_records(_commutator_table_error(generator_matrices())) + point_transform_records(P, EP, INV_R, RATE, H, LAM, EP_RESID, LR_RESID)
+    recs = standard_records(_commutator_table_error(generator_matrices())) + point_transform_records(
+        P, EP, invariant_equation_variants(P, EP, slice(0, GRID.size), INV_R, RATE, H, LAM),
+        EP_RESID, LR_RESID)
     names = [r.name for r in recs]
     assert len(names) == len(set(names))
     for rec in recs:
